@@ -9,9 +9,9 @@ oracles for desk-scale confirmation.
 from .bounds import (BoundReport, certify, coincidence_spread, lb_es2,
                      lb_lemma2, lb_theorem1, lb_theorem10)
 from .criteria import (CriteriaReport, a2_overall, a2_overall_from_pairs,
-                       aggregate_stats, char_a2_matrix, e_s2, gwlp,
-                       pair_dependency_stats, power_moment, projected_a2,
-                       projected_a2_char, projected_a2_histogram,
+                       aggregate_stats, char_a2_matrix, dependency_summary,
+                       e_s2, gwlp, pair_dependency_stats, power_moment,
+                       projected_a2, projected_a2_char, projected_a2_histogram,
                        round_half_away)
 from .constructions import (Recipe, build_recipe, catalog, catalog_verify,
                             construct_example3, construct_thm4,
@@ -21,7 +21,8 @@ from .constructions import (Recipe, build_recipe, catalog, catalog_verify,
 from .design_core import (Design, PairClass, branch_fraction, cell_table,
                           classify_pair, coincidences, column_juxtapose,
                           design_from_text, design_to_text,
-                          fully_aliased_pairs, is_oa, read_design, realize,
+                          fully_aliased_pairs, is_oa, pair_gram_sums,
+                          pair_sumsq_matrix, read_design, realize,
                           remove_fully_aliased, replace_column, row_juxtapose,
                           select_columns, strength, write_design)
 from .gf import Field, default_field, enumerate_points, field_new

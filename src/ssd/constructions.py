@@ -32,8 +32,8 @@ from . import criteria
 from .bounds import certify, lb_theorem1
 from .design_core import (Design, branch_fraction, column_juxtapose,
                           design_from_text, fully_aliased_pairs,
-                          pair_a2_from_sumsq, pair_sumsq_matrix, realize,
-                          remove_fully_aliased, select_columns)
+                          pair_sumsq_matrix, realize, remove_fully_aliased,
+                          select_columns)
 from .gf import Field, default_field, enumerate_points
 from .poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
                           h_set, q1, q1_star, qh, qh_star, unit_form)
@@ -156,21 +156,12 @@ def corollary2_check(field: Field) -> tuple[Design, dict]:
         raise ValueError("defined for odd level counts only")
     D = construct_thm7(field, 2, s + 1)
     a2 = criteria.a2_overall(D)
-    P = pair_sumsq_matrix(D)
-    value = Fraction((s - 1) * (s - 1), s * s)
-    degrees_ok = True
-    for i in range(D.m):
-        orth = partial = 0
-        for j in range(D.m):
-            if j == i:
-                continue
-            v = pair_a2_from_sumsq(int(P[i, j]), D.N, s, s)
-            if v == 0:
-                orth += 1
-            elif v == value:
-                partial += 1
-        if orth != s - 1 or partial != s * s:
-            degrees_ok = False
+    # projected A2 = X / N^2 with X = s^2 P - N^2; off the diagonal only
+    X = s * s * pair_sumsq_matrix(D) - D.N * D.N
+    np.fill_diagonal(X, -1)
+    orth = (X == 0).sum(axis=1)
+    partial = (s * s * X == (s - 1) ** 2 * D.N * D.N).sum(axis=1)
+    degrees_ok = bool((orth == s - 1).all() and (partial == s * s).all())
     product_form = Fraction((s + 1) * s * (s - 1) ** 2, 2)
     pair_form = Fraction(math.comb(s + 1, 2) * (s * s - 2 * s + 1))
     return D, {

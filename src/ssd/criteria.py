@@ -7,8 +7,23 @@ catalog value is compared: projected A2 of a balanced pair (c_i, c_j) is
     A2(c_i, c_j) = chi2(c_i, c_j) / N = (s_i s_j sum_ab n_ab^2 - N^2) / N^2,
 
 an integer ratio, and the overall A2 is both the closed form in the second
-power moment K2 (equal levels) and the sum of all projected values.  The
-character route recomputes projected A2 through canonical additive
+power moment K2 (equal levels) and the sum of all projected values.
+
+Every pairwise statistic is an integer numerator over a known denominator.
+With P = sum_ab n_ab^2 and F = sum_ab |s_i s_j n_ab - N| from one tiled pass
+over the one-hot Gram matrix (design_core.pair_gram_sums), and
+X = s_i s_j P - N^2:
+
+    chi2 = X / N,   A2 = X / N^2,   d2 = X / (s_i s_j),   f = F / (s_i s_j).
+
+The numerators are exact integers.  Gram entries are cell counts <= N <= 4096,
+so float64 holds them and their sums exactly and rint recovers them.  At the
+4096 x 4096 size limit a tile's int64 block sums stay far below 2^63
+(P <= N^2, F <= 2 s_i s_j N <= 2^37), and so do the sums of X < N^3 and of F
+over fewer than 2^23 pairs.  Sums and maxima of d2 and f are taken per
+denominator s_i s_j and the totals accumulate in Python integers (Fractions).
+
+The character route recomputes projected A2 through canonical additive
 characters, A2(x, y) = N^-2 sum_{u1,u2 != 0} |sum_i chi(u1 x_i + u2 y_i)|^2,
 and is used as a floating cross-check, never as the authority.
 """
@@ -24,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design_core import (Design, cell_table, coincidences, pair_a2_from_sumsq,
-                          pair_sumsq_matrix)
+                          pair_gram_sums, pair_sumsq_matrix)
 from .gf import Field, default_field
 
 GWLP_DEFAULT_JMAX = 3
@@ -36,15 +51,22 @@ def _require_balanced(D: Design) -> None:
         raise ValueError("requires a balanced design")
 
 
+def _coincidence_counts(D: Design) -> dict[int, int]:
+    """Row-pair coincidence count -> number of row pairs with that count."""
+    delta = coincidences(D)
+    vals, counts = np.unique(delta[np.triu_indices(D.N, 1)], return_counts=True)
+    return dict(zip(vals.tolist(), counts.tolist()))
+
+
+def _moment(counts: dict[int, int], N: int, t: int) -> Fraction:
+    return Fraction(sum(c * v**t for v, c in counts.items()), N * (N - 1) // 2)
+
+
 def power_moment(D: Design, t: int) -> Fraction:
     """t-th power moment of the row coincidence counts, exact."""
     if t < 1:
         raise ValueError("the moment order must be positive")
-    delta = coincidences(D)
-    iu = np.triu_indices(D.N, 1)
-    counts = Counter(delta[iu].tolist())
-    total = sum(c * v**t for v, c in counts.items())
-    return Fraction(total, D.N * (D.N - 1) // 2)
+    return _moment(_coincidence_counts(D), D.N, t)
 
 
 def projected_a2(D: Design, i: int, j: int) -> Fraction:
@@ -54,23 +76,36 @@ def projected_a2(D: Design, i: int, j: int) -> Fraction:
                               D.levels[i], D.levels[j])
 
 
-def projected_a2_pairs(D: Design, P: np.ndarray | None = None):
-    """Iterate (i, j, exact projected A2) over all unordered pairs."""
-    if P is None:
-        P = pair_sumsq_matrix(D)
-    N = D.N
-    for i in range(D.m):
-        for j in range(i + 1, D.m):
-            yield i, j, pair_a2_from_sumsq(int(P[i, j]), N,
-                                           D.levels[i], D.levels[j])
+def _upper(M: np.ndarray) -> np.ndarray:
+    """Entries of a square matrix over the pairs i < j, row-major."""
+    return M[np.triu_indices(len(M), 1)]
+
+
+def _pair_numerators(D: Design, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = s_i s_j P - N^2 and the denominators s_i s_j over the pairs i < j."""
+    lev = np.asarray(D.levels, dtype=np.int64)
+    den = _upper(np.outer(lev, lev))
+    return den * _upper(P) - D.N * D.N, den
 
 
 def projected_a2_histogram(D: Design, P: np.ndarray | None = None) -> Counter:
-    """Histogram of projected A2 values over all C(m, 2) pairs (zeros included)."""
-    hist: Counter = Counter()
-    for _, _, v in projected_a2_pairs(D, P):
-        hist[v] += 1
-    return hist
+    """Histogram of projected A2 values over all C(m, 2) pairs (zeros included).
+
+    Keys are in increasing order.
+    """
+    if P is None:
+        P = pair_sumsq_matrix(D)
+    X, _ = _pair_numerators(D, P)
+    vals, counts = np.unique(X, return_counts=True)
+    N2 = D.N * D.N
+    return Counter({Fraction(v, N2): c
+                    for v, c in zip(vals.tolist(), counts.tolist())})
+
+
+def _a2_closed_form(D: Design, k2: Fraction) -> Fraction:
+    s, m, N = D.levels[0], D.m, D.N
+    return ((N - 1) * s * s * k2 + m * m * s * s
+            - N * m * (m + s - 1)) / Fraction(2 * N)
 
 
 def a2_overall(D: Design) -> Fraction:
@@ -83,10 +118,7 @@ def a2_overall(D: Design) -> Fraction:
     """
     _require_balanced(D)
     if len(set(D.levels)) == 1:
-        s, m, N = D.levels[0], D.m, D.N
-        k2 = power_moment(D, 2)
-        return ((N - 1) * s * s * k2 + m * m * s * s
-                - N * m * (m + s - 1)) / Fraction(2 * N)
+        return _a2_closed_form(D, power_moment(D, 2))
     return a2_overall_from_pairs(D)
 
 
@@ -95,14 +127,8 @@ def a2_overall_from_pairs(D: Design, P: np.ndarray | None = None) -> Fraction:
     _require_balanced(D)
     if P is None:
         P = pair_sumsq_matrix(D)
-    N2 = D.N * D.N
-    num = 0
-    den = N2
-    for i in range(D.m):
-        si = D.levels[i]
-        for j in range(i + 1, D.m):
-            num += si * D.levels[j] * int(P[i, j]) - N2
-    return Fraction(num, den)
+    X, _ = _pair_numerators(D, P)
+    return Fraction(int(X.sum()), D.N * D.N)
 
 
 def pair_dependency_stats(D: Design, i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -120,6 +146,41 @@ def pair_dependency_stats(D: Design, i: int, j: int) -> tuple[Fraction, Fraction
     f = sum((abs(Fraction(int(v)) - e) for v in tab.ravel()), Fraction(0))
     d2 = Fraction(si * sj * ssq - N * N, si * sj)
     return chi2, f, d2
+
+
+def dependency_summary(D: Design, P: np.ndarray | None = None,
+                       F: np.ndarray | None = None) -> dict[str, Fraction]:
+    """Averages and maxima of chi2, f and d2 over all C(m, 2) pairs, exact.
+
+    Keys are the CriteriaReport field names.  Reads the integer numerators of
+    the Gram kernel (P and F as from pair_gram_sums); d2 and f are summed and
+    maximised per denominator s_i s_j.
+    """
+    _require_balanced(D)
+    if D.m < 2:
+        raise ValueError("need at least two columns")
+    if P is None or F is None:
+        P, F = pair_gram_sums(D)
+    X, den = _pair_numerators(D, P)
+    Fu = _upper(F)
+    npairs = len(X)
+    f_sum = d2_sum = f_max = d2_max = Fraction(0)
+    levels = set(D.levels)
+    for d in {a * b for a in levels for b in levels}:
+        sel = den == d
+        if not sel.any():
+            continue
+        Xd, Fd = X[sel], Fu[sel]
+        d2_sum += Fraction(int(Xd.sum()), d)
+        f_sum += Fraction(int(Fd.sum()), d)
+        d2_max = max(d2_max, Fraction(int(Xd.max()), d))
+        f_max = max(f_max, Fraction(int(Fd.max()), d))
+    return {
+        "ave_chi2": Fraction(int(X.sum()), D.N * npairs),
+        "max_chi2": Fraction(int(X.max()), D.N),
+        "ave_f": f_sum / npairs, "max_f": f_max,
+        "E_d2": d2_sum / npairs, "max_d2": d2_max,
+    }
 
 
 def e_s2(D: Design) -> Fraction:
@@ -142,21 +203,18 @@ def _field_for_level(s: int, field_map=None) -> Field:
         raise ValueError(f"no field realization for {s} levels: {exc}") from exc
 
 
+def _unit_char_rows(f: Field) -> np.ndarray:
+    """(s-1) x s table of chi(u v) for every unit u and every element v."""
+    prods = np.array([[f.mul(u, v) for v in f.elements()] for u in f.units()],
+                     dtype=np.int64)
+    return f.char_table[prods]
+
+
 def projected_a2_char(D: Design, i: int, j: int, field_map=None) -> float:
     """Projected A2 via canonical additive characters (floating cross-check)."""
-    si, sj = D.levels[i], D.levels[j]
-    fi = _field_for_level(si, field_map)
-    fj = _field_for_level(sj, field_map)
-    x, y = D.matrix[:, i], D.matrix[:, j]
-    total = 0.0
-    for u1 in fi.units():
-        a = fi.char_table[fi.mul_table[u1, x]] if fi.mul_table is not None \
-            else np.array([fi.char(fi.mul(u1, int(v))) for v in x])
-        for u2 in fj.units():
-            b = fj.char_table[fj.mul_table[u2, y]] if fj.mul_table is not None \
-                else np.array([fj.char(fj.mul(u2, int(v))) for v in y])
-            total += abs((a * b).sum()) ** 2
-    return total / (D.N * D.N)
+    a = _unit_char_rows(_field_for_level(D.levels[i], field_map))[:, D.matrix[:, i]]
+    b = _unit_char_rows(_field_for_level(D.levels[j], field_map))[:, D.matrix[:, j]]
+    return float((np.abs(a @ b.T) ** 2).sum()) / (D.N * D.N)
 
 
 def _char_columns(D: Design, field_map=None) -> tuple[np.ndarray, np.ndarray]:
@@ -164,26 +222,27 @@ def _char_columns(D: Design, field_map=None) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the (N, sum(s_k - 1)) complex matrix and per-column start offsets.
     """
+    rows: dict[int, np.ndarray] = {}
     blocks = []
     starts = [0]
-    for k in range(D.m):
-        f = _field_for_level(D.levels[k], field_map)
-        x = D.matrix[:, k]
-        for u in f.units():
-            blocks.append(f.char_table[f.mul_table[u, x]])
-        starts.append(starts[-1] + D.levels[k] - 1)
-    C = np.stack(blocks, axis=1)
-    return C, np.array(starts[:-1])
+    for k, s in enumerate(D.levels):
+        if s not in rows:
+            rows[s] = _unit_char_rows(_field_for_level(s, field_map))
+        blocks.append(rows[s][:, D.matrix[:, k]].T)
+        starts.append(starts[-1] + s - 1)
+    return np.concatenate(blocks, axis=1), np.array(starts[:-1])
+
+
+def _char_a2(C: np.ndarray, starts: np.ndarray, N: int) -> np.ndarray:
+    sq = np.abs(C.T @ C) ** 2
+    red = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+    np.fill_diagonal(red, 0.0)
+    return red / (N * N)
 
 
 def char_a2_matrix(D: Design, field_map=None) -> np.ndarray:
     """m x m float matrix of character-route projected A2 values (all pairs)."""
-    C, starts = _char_columns(D, field_map)
-    T = C.T @ C
-    sq = np.abs(T) ** 2
-    red = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
-    np.fill_diagonal(red, 0.0)
-    return red / (D.N * D.N)
+    return _char_a2(*_char_columns(D, field_map), D.N)
 
 
 def _gwlp_cost(D: Design, jmax: int) -> int:
@@ -215,7 +274,7 @@ def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX,
     # j = 1
     out.append(float((np.abs(C.sum(axis=0)) ** 2).sum()) / (N * N))
     if jmax >= 2:
-        out.append(float(np.triu(char_a2_matrix(D, field_map), 1).sum()))
+        out.append(float(np.triu(_char_a2(C, starts, N), 1).sum()))
     for j in range(3, jmax + 1):
         acc = 0.0
         for combo in itertools.combinations(range(D.m), j):
@@ -267,23 +326,13 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None,
     _require_balanced(D)
     if D.m < 2:
         raise ValueError("need at least two columns")
-    P = pair_sumsq_matrix(D)
+    P, F = pair_gram_sums(D)
     hist = projected_a2_histogram(D, P)
-    a2 = a2_overall(D)
-    if a2 != sum((v * c for v, c in hist.items()), Fraction(0)):
+    a2 = sum((v * c for v, c in hist.items()), Fraction(0))
+    counts = _coincidence_counts(D)
+    k2 = _moment(counts, D.N, 2)
+    if len(set(D.levels)) == 1 and _a2_closed_form(D, k2) != a2:
         raise AssertionError("overall A2 disagrees with the pairwise sum")
-    npairs = math.comb(D.m, 2)
-    chi2_sum = f_sum = d2_sum = Fraction(0)
-    chi2_max = f_max = d2_max = Fraction(0)
-    for i in range(D.m):
-        for j in range(i + 1, D.m):
-            chi2, f, d2 = pair_dependency_stats(D, i, j)
-            chi2_sum += chi2
-            f_sum += f
-            d2_sum += d2
-            chi2_max = max(chi2_max, chi2)
-            f_max = max(f_max, f)
-            d2_max = max(d2_max, d2)
     if gwlp_jmax is None:
         gwlp_jmax = GWLP_DEFAULT_JMAX
         while gwlp_jmax > 2 and _gwlp_cost(D, gwlp_jmax) > gwlp_budget:
@@ -294,9 +343,7 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None,
     es2 = e_s2(D) if all(s == 2 for s in D.levels) else None
     return CriteriaReport(
         N=D.N, m=D.m, levels=D.levels,
-        K1=power_moment(D, 1), K2=power_moment(D, 2),
-        A2=a2, histogram=dict(sorted(hist.items())),
-        ave_chi2=chi2_sum / npairs, max_chi2=chi2_max,
-        ave_f=f_sum / npairs, max_f=f_max,
-        E_d2=d2_sum / npairs, max_d2=d2_max,
+        K1=_moment(counts, D.N, 1), K2=k2,
+        A2=a2, histogram=dict(hist),
+        **dependency_summary(D, P, F),
         gwlp=pattern, E_s2=es2)

@@ -3,9 +3,9 @@
 A Design is an immutable N x m symbol matrix with per-column level counts and
 optional label provenance.  Everything downstream (criteria, bounds, the
 catalog) works on this type.  The module also holds the structural pair
-machinery: two-column cell tables, the all-pairs sum-of-squares matrix that
-drives exact projected aliasing values, pair classification, and the plain
-text serialisation format.
+machinery: two-column cell tables, the tiled one-hot Gram kernel whose
+integer block sums drive every exact pairwise aliasing value, pair
+classification, and the plain text serialisation format.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .poly_labels import Label, eval_label_column
 
 MAX_RUNS = 4096
 MAX_COLUMNS = 4096
+# Design columns per tile of the one-hot Gram matrix in pair_gram_sums.
+GRAM_TILE = 64
 
 ORTHOGONAL = "orthogonal"
 FULLY_ALIASED = "fully_aliased"
@@ -277,17 +279,56 @@ def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
     return B, starts
 
 
+def pair_gram_sums(D: Design, with_absdev: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Integer m x m block sums of the one-hot Gram matrix G = B^T B.
+
+    The (i, j) block of G is the cell table n_ab of columns i and j, so
+
+        P[i, j] = sum_ab n_ab^2    and    F[i, j] = sum_ab |s_i s_j n_ab - N|
+
+    give every pairwise statistic exactly (F is None without with_absdev).
+    Diagonal entries refer to a column against itself.  G is computed in
+    tiles of at most GRAM_TILE design columns against the columns from the
+    tile onwards, and the lower triangle is mirrored, so no L x L temporary
+    exists.  Exact: the Gram entries are integers <= N computed in float64.
+    """
+    B, starts = _one_hot(D)
+    m, N = D.m, D.N
+    bounds = np.append(starts, B.shape[1])
+    owner = np.repeat(np.asarray(D.levels, dtype=np.int64), D.levels)
+    P = np.zeros((m, m), dtype=np.int64)
+    F = np.zeros((m, m), dtype=np.int64) if with_absdev else None
+    for c0 in range(0, m, GRAM_TILE):
+        c1 = min(c0 + GRAM_TILE, m)
+        r0, r1 = bounds[c0], bounds[c1]
+        G = np.rint(B[:, r0:r1].T @ B[:, r0:]).astype(np.int64)
+        rows, cols = starts[c0:c1] - r0, starts[c0:] - r0
+        P[c0:c1, c0:] = _block_sums(G * G, rows, cols)
+        if F is not None:
+            G *= owner[r0:r1, None] * owner[None, r0:]
+            G -= N
+            np.abs(G, out=G)
+            F[c0:c1, c0:] = _block_sums(G, rows, cols)
+    return _mirror_upper(P), None if F is None else _mirror_upper(F)
+
+
+def _block_sums(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return np.add.reduceat(np.add.reduceat(A, rows, axis=0), cols, axis=1)
+
+
+def _mirror_upper(M: np.ndarray) -> np.ndarray:
+    M = np.triu(M)
+    return M + np.triu(M, 1).T
+
+
 def pair_sumsq_matrix(D: Design) -> np.ndarray:
     """m x m integer matrix of sum_ab n_ab^2 over each pair's cell table.
 
-    Exact: the Gram matrix entries are small integers computed in float64.
-    Diagonal entries refer to a column against itself.
+    The P half of pair_gram_sums.  Diagonal entries refer to a column
+    against itself.
     """
-    B, starts = _one_hot(D)
-    gram = np.rint(B.T @ B).astype(np.int64)
-    sq = gram * gram
-    red = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
-    return red
+    return pair_gram_sums(D, with_absdev=False)[0]
 
 
 def cell_table(D: Design, i: int, j: int) -> np.ndarray:
@@ -335,19 +376,14 @@ def fully_aliased_pairs(D: Design) -> list[tuple[int, int]]:
     """All unordered pairs that are identical up to a level permutation.
 
     Uses the exact criterion projected A2 = s - 1, which for balanced
-    equal-level pairs forces the permutation cell pattern.
+    equal-level pairs forces the permutation cell pattern, i.e.
+    s^2 P[i, j] = s N^2.
     """
     P = pair_sumsq_matrix(D)
-    N = D.N
-    out = []
-    for i in range(D.m):
-        si = D.levels[i]
-        for j in range(i + 1, D.m):
-            if D.levels[j] != si:
-                continue
-            if si * si * P[i, j] == N * N * si:
-                out.append((i, j))
-    return out
+    lev = np.asarray(D.levels, dtype=np.int64)
+    i, j = np.triu_indices(D.m, 1)
+    hit = (lev[i] == lev[j]) & (lev[i] * P[i, j] == D.N * D.N)
+    return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
 def remove_fully_aliased(D: Design) -> Design:

@@ -254,20 +254,6 @@ class Field:
     def units(self) -> range:
         return range(1, self.order)
 
-    # -- vectorised arithmetic (used by the column evaluators) ---------------
-
-    def add_arr(self, x, y):
-        if self.add_table is not None:
-            return self.add_table[x, y]
-        return np.array([self.add(int(a), int(b)) for a, b in
-                         np.broadcast(x, y)]).reshape(np.broadcast(x, y).shape)
-
-    def mul_arr(self, x, y):
-        if self.mul_table is not None:
-            return self.mul_table[x, y]
-        return np.array([self.mul(int(a), int(b)) for a, b in
-                         np.broadcast(x, y)]).reshape(np.broadcast(x, y).shape)
-
     def __repr__(self):
         if self.r == 1:
             return f"GF({self.order})"

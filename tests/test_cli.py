@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import ssd
 from ssd.cli import run
 from ssd.design_core import read_design
 
@@ -141,3 +146,40 @@ def test_verify_catalog_command(capsys):
     out = capsys.readouterr().out
     assert "34/34 rows verified" in out
     assert "FAIL" not in out
+
+
+def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
+    # GF(27) carries no operation tables; the character route must still work
+    from ssd.criteria import projected_a2, projected_a2_char
+    d = tmp_path / "g27.ssd"
+    r = tmp_path / "g27.json"
+    assert run(["construct", "--theorem", "4", "--s", "27", "--n", "2",
+                "--out", str(d)]) == 0
+    assert run(["evaluate", str(d), "--json", str(r)]) == 0
+    rep = json.loads(r.read_text())
+    assert (rep["N"], rep["m"]) == (729, 55)
+    assert rep["A2"] == {"num": 702, "den": 1}
+    assert rep["achieves_theorem1"] is True
+    assert rep["gwlp"][1] == pytest.approx(702, abs=1e-9)
+    D = read_design(d)
+    assert projected_a2_char(D, 0, 54) == pytest.approx(
+        float(projected_a2(D, 0, 54)), abs=1e-9)
+
+
+@pytest.mark.parametrize("module", ["ssd", "ssd.cli"])
+def test_module_entry_points(module):
+    src = str(Path(ssd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def call(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = call("--help")
+    assert proc.returncode == 0
+    assert "usage: ssd" in proc.stdout
+    proc = call("bound", "--N", "9")
+    assert proc.returncode == 2
+    assert "either --levels" in proc.stderr
