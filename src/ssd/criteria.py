@@ -205,9 +205,7 @@ def _field_for_level(s: int, field_map=None) -> Field:
 
 def _unit_char_rows(f: Field) -> np.ndarray:
     """(s-1) x s table of chi(u v) for every unit u and every element v."""
-    prods = np.array([[f.mul(u, v) for v in f.elements()] for u in f.units()],
-                     dtype=np.int64)
-    return f.char_table[prods]
+    return f.char_table[f.mul_table[1:]]
 
 
 def projected_a2_char(D: Design, i: int, j: int, field_map=None) -> float:

@@ -104,12 +104,20 @@ class Design:
 
 # -- construction ---------------------------------------------------------------
 
+def _run_points(field: Field, n: int) -> np.ndarray:
+    """The points of F_s^n, once s^n is known to fit in MAX_RUNS."""
+    if field.order**n > MAX_RUNS:
+        raise ValueError(f"{field.order}^{n} runs exceed the supported "
+                         f"{MAX_RUNS}")
+    return enumerate_points(field, n)
+
+
 def realize(field: Field, n: int, labels, require_balanced=True) -> Design:
     """Evaluate the labels at every point of F_s^n, one column per label."""
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
-    pts = enumerate_points(field, n)
+    pts = _run_points(field, n)
     cols = [eval_label_column(field, lab, pts) for lab in labels]
     matrix = np.stack(cols, axis=1)
     return Design(matrix, (field.order,) * len(labels), labels=labels,
@@ -166,17 +174,20 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
         raise ValueError("the kept level set is empty")
     if len(g) >= s or any(v < 0 or v >= s for v in g):
         raise ValueError(f"kept levels must be a proper subset of 0..{s - 1}")
-    pts = enumerate_points(field, n)
+    pts = _run_points(field, n)
     branch_col = eval_label_column(field, branch_label, pts)
     # the branching column is matched (and removed) by value, so any label
     # that evaluates to the same column counts as the branch
-    keep = [lab for lab in labels
-            if not np.array_equal(eval_label_column(field, lab, pts),
-                                  branch_col)]
-    if len(keep) == len(labels):
+    kept = []
+    for lab in labels:
+        col = eval_label_column(field, lab, pts)
+        if not np.array_equal(col, branch_col):
+            kept.append((lab, col))
+    if len(kept) == len(labels):
         raise ValueError("branching label is not one of the design labels")
+    keep = [lab for lab, _ in kept]
     rows = np.concatenate([np.nonzero(branch_col == v)[0] for v in g])
-    cols = [eval_label_column(field, lab, pts)[rows] for lab in keep]
+    cols = [col[rows] for _, col in kept]
     matrix = np.stack(cols, axis=1)
     try:
         return Design(matrix, (s,) * len(keep), labels=keep)
@@ -403,9 +414,9 @@ FORMAT_HEADER = "# ssd v1"
 
 
 def design_to_text(D: Design) -> str:
+    sym = [str(v) for v in range(max(D.levels, default=0))]
     lines = [FORMAT_HEADER, f"{D.N} {D.m}", " ".join(map(str, D.levels))]
-    for row in D.matrix:
-        lines.append(" ".join(map(str, row)))
+    lines += [" ".join([sym[v] for v in row.tolist()]) for row in D.matrix]
     return "\n".join(lines) + "\n"
 
 

@@ -3,9 +3,14 @@
 Elements are encoded as integers 0..s-1 through the base-p digit expansion of
 the polynomial representation, constant term first: symbol v stands for the
 residue sum_i d_i x^i where v = sum_i d_i p^i.  Symbol 0 is the additive
-identity and symbol 1 the multiplicative identity.  Fields of order up to
-TABLE_LIMIT carry dense operation tables (used heavily by the vectorised
-column evaluators); larger orders fall back to direct polynomial arithmetic.
+identity and symbol 1 the multiplicative identity.  Every field carries
+dense read-only add/mul tables (s x s) and neg/inv tables (s), in the
+narrowest unsigned dtype that holds a symbol; scalar and vectorised
+arithmetic both read them, so there is one arithmetic path for every order.
+The multiplication table comes from the discrete logarithm to a primitive
+element (O(s) scalar steps, then one s x s gather), addition from the digit
+expansion.  Orders above MAX_ORDER are rejected: no design has more runs, so
+no design can use a larger field.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ import itertools
 
 import numpy as np
 
-TABLE_LIMIT = 25
+# Largest supported order: the run limit of a design (N = s^n <= 4096).
+MAX_ORDER = 4096
 
 # Default moduli (Conway polynomials), little-endian coefficients, constant
 # term first.  Prime fields need no modulus.  User-supplied moduli override.
@@ -107,6 +113,9 @@ class Field:
                  "_digits")
 
     def __init__(self, order: int, modulus=None):
+        if order > MAX_ORDER:
+            raise ValueError(
+                f"field order {order} exceeds the supported {MAX_ORDER}")
         p, r = _prime_power(order)
         self.p, self.r, self.order = p, r, order
         if r == 1:
@@ -130,100 +139,109 @@ class Field:
             v = v // p
         self._digits = digits
 
-        if order <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.add_table = self.mul_table = None
-            self.neg_table = self.inv_table = None
-        self.trace_table = self._build_trace()
+        antilog, log = self._log_tables()
+        self._build_tables(antilog, log)
+        self.trace_table = self._build_trace(antilog, log)
         self.char_table = np.exp(2j * cmath.pi * self.trace_table / p)
-        for arr in (self._digits, self.trace_table, self.char_table):
+        for arr in (self._digits, self.add_table, self.mul_table,
+                    self.neg_table, self.inv_table, self.trace_table,
+                    self.char_table):
             arr.setflags(write=False)
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_tables(self):
-        p, r, s = self.p, self.r, self.order
-        if r == 1:
-            a = np.arange(s, dtype=np.int64)
-            add = (a[:, None] + a[None, :]) % p
-            mul = (a[:, None] * a[None, :]) % p
-            neg = (-a) % p
-            inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)],
-                           dtype=np.int64)
-        else:
-            digs = self._digits
-            # addition is digitwise mod p
-            summed = (digs[:, None, :] + digs[None, :, :]) % p
-            weights = p ** np.arange(r)
-            add = summed @ weights
-            neg = ((-digs) % p) @ weights
-            mul = np.zeros((s, s), dtype=np.int64)
-            polys = [_poly_trim(list(digs[v])) for v in range(s)]
-            mod = list(self.modulus)
-            for x in range(s):
-                for y in range(x, s):
-                    prod = _poly_mod(_poly_mul(polys[x], polys[y], p), mod, p)
-                    val = sum(c * p**i for i, c in enumerate(prod))
-                    mul[x, y] = mul[y, x] = val
-            inv = np.zeros(s, dtype=np.int64)
-            for x in range(1, s):
-                inv[x] = int(np.nonzero(mul[x] == 1)[0][0])
-        self.add_table = add.astype(np.int64)
-        self.mul_table = mul.astype(np.int64)
-        self.neg_table = np.asarray(neg, dtype=np.int64)
-        self.inv_table = inv
-        for arr in (self.add_table, self.mul_table, self.neg_table,
-                    self.inv_table):
-            arr.setflags(write=False)
+    def _times(self, g: int) -> np.ndarray:
+        """Symbol of g*v for every symbol v.
 
-    def _build_trace(self) -> np.ndarray:
+        Multiplication by g is GF(p)-linear on the digit vectors; row j of
+        its r x r matrix holds the digits of g*x^j, reduced by the modulus.
+        """
         p, r = self.p, self.r
-        tr = np.zeros(self.order, dtype=np.int64)
-        for x in range(self.order):
-            acc, xi = x, x
-            for _ in range(r - 1):
-                xi = self.pow_(xi, p)
-                acc = self.add(acc, xi)
-            if acc >= p:
-                raise AssertionError("trace left the prime subfield")
-            tr[x] = acc
-        return tr
+        row = [int(d) for d in self._digits[g]]
+        rows = [row]
+        for _ in range(r - 1):
+            top = row[-1]   # x^r = -(m_0 + m_1 x + ... + m_{r-1} x^{r-1})
+            row = [(c - top * m) % p for c, m in zip([0] + row[:-1], self.modulus)]
+            rows.append(row)
+        return ((self._digits @ np.array(rows)) % p) @ (p ** np.arange(r))
+
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Antilog and log tables of the smallest primitive symbol g.
+
+        antilog[0] = 0 and antilog[1 + k] = g^k for k < s - 1; log[g^k] = k
+        (log[0] is unused).  So x^e = antilog[1 + e log(x) mod (s-1)] for
+        x != 0.
+        """
+        s = self.order
+        dtype = np.min_scalar_type(s - 1)
+        for g in range(1, s):
+            times_g = self._times(g).tolist()
+            powers = [1]
+            while (nxt := times_g[powers[-1]]) != 1:
+                powers.append(nxt)
+            if len(powers) == s - 1:
+                break
+        else:  # pragma: no cover - every finite field has a primitive element
+            raise AssertionError("no primitive element")
+        antilog = np.array([0] + powers, dtype=dtype)
+        log = np.zeros(s, dtype=np.uint16)
+        log[powers] = np.arange(s - 1)
+        return antilog, log
+
+    def _build_tables(self, antilog: np.ndarray, log: np.ndarray):
+        p, r, s = self.p, self.r, self.order
+        dtype = antilog.dtype
+        # addition is digitwise mod p; two digits sum below 2p <= 2 * 4096
+        digs = self._digits.astype(np.uint16)
+        add = np.zeros((s, s), dtype=np.uint16)
+        for i in range(r):
+            t = np.add.outer(digs[:, i], digs[:, i])
+            t %= p
+            t *= p**i
+            add += t
+        self.add_table = add.astype(dtype, copy=False)
+        self.neg_table = (((-self._digits) % p) @ (p ** np.arange(r))).astype(dtype)
+        # g^a g^b = g^((a + b) mod (s-1)); index 0 of antilog is the zero product
+        idx = np.add.outer(log, log)
+        idx %= s - 1
+        idx += 1
+        idx[0, :] = idx[:, 0] = 0
+        self.mul_table = antilog[idx]
+        inv = antilog[(s - 1 - log) % (s - 1) + 1]
+        inv[0] = 0
+        self.inv_table = inv
+
+    def _build_trace(self, antilog: np.ndarray, log: np.ndarray) -> np.ndarray:
+        """Tr(x) = x + x^p + ... + x^(p^(r-1)), the powers through the logs."""
+        p, s = self.p, self.order
+        frob = antilog[(p * log.astype(np.int64)) % (s - 1) + 1]
+        frob[0] = 0
+        acc = xi = np.arange(s)
+        for _ in range(self.r - 1):
+            xi = frob[xi]
+            acc = self.add_table[acc, xi]
+        if (acc >= p).any():
+            raise AssertionError("trace left the prime subfield")
+        return acc.astype(np.int64)
 
     # -- scalar arithmetic ---------------------------------------------------
 
-    def _mul_direct(self, x: int, y: int) -> int:
-        p = self.p
-        prod = _poly_mod(_poly_mul(list(self._digits[x]), list(self._digits[y]), p),
-                         list(self.modulus), p)
-        return sum(c * p**i for i, c in enumerate(prod))
-
     def add(self, x: int, y: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[x, y])
-        d = (self._digits[x] + self._digits[y]) % self.p
-        return int(d @ self.p ** np.arange(self.r))
+        return int(self.add_table[x, y])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def neg(self, x: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[x])
-        d = (-self._digits[x]) % self.p
-        return int(d @ self.p ** np.arange(self.r))
+        return int(self.neg_table[x])
 
     def mul(self, x: int, y: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[x, y])
-        return self._mul_direct(x, y)
+        return int(self.mul_table[x, y])
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.inv_table is not None:
-            return int(self.inv_table[x])
-        return self.pow_(x, self.order - 2)
+        return int(self.inv_table[x])
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))

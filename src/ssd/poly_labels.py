@@ -186,25 +186,36 @@ def eval_label(field: Field, label: Label, point) -> int:
     return field.add(out, eval_label(field, label.g, point))
 
 
+def _gather(flat: np.ndarray, s: int, a: np.ndarray, b) -> np.ndarray:
+    """table[a, b] of an s x s table, through its flattened view.
+
+    One intp index a*s + b gathers faster than a two-array index; the cast
+    keeps narrow table symbols from overflowing in the index arithmetic.
+    """
+    return flat[a.astype(np.intp) * s + b]
+
+
 def eval_label_column(field: Field, label: Label, points: np.ndarray) -> np.ndarray:
     """Evaluate a label at every row of an (N, n) point array."""
-    if field.add_table is None:
-        return np.array([eval_label(field, label, p) for p in points],
-                        dtype=np.int64)
-    add, mul = field.add_table, field.mul_table
+    s = field.order
+    add, mul = field.add_table.ravel(), field.mul_table.ravel()
+    pts = np.asarray(points, dtype=np.intp)
 
     def lin(form: LinearForm) -> np.ndarray:
-        acc = np.zeros(len(points), dtype=np.int64)
+        acc = np.zeros(len(pts), dtype=add.dtype)
         for i, c in enumerate(form.coeffs):
             if c:
-                acc = add[acc, mul[c, points[:, i]]]
+                acc = _gather(add, s, acc, mul[c * s + pts[:, i]])
         return acc
 
     if isinstance(label, LinearForm):
-        return lin(label)
-    v = lin(label.ell)
-    out = add[mul[v, v], mul[label.a, v]]
-    return add[out, lin(label.g)]
+        col = lin(label)
+    else:
+        v = lin(label.ell)
+        # v^2 + a v = v (v + a): one product instead of two
+        col = _gather(mul, s, v, _gather(add, s, v, label.a))
+        col = _gather(add, s, col, lin(label.g))
+    return col.astype(np.int64)
 
 
 # -- printing / parsing -------------------------------------------------------

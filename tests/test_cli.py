@@ -149,7 +149,8 @@ def test_verify_catalog_command(capsys):
 
 
 def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
-    # GF(27) carries no operation tables; the character route must still work
+    # GF(27) lies above the old dense-table limit of 25; construct and the
+    # character route both run on the field's tables there
     from ssd.criteria import projected_a2, projected_a2_char
     d = tmp_path / "g27.ssd"
     r = tmp_path / "g27.json"
@@ -164,6 +165,30 @@ def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
     D = read_design(d)
     assert projected_a2_char(D, 0, 54) == pytest.approx(
         float(projected_a2(D, 0, 54)), abs=1e-9)
+
+
+def test_construct_and_evaluate_prime_field_29(tmp_path):
+    d = tmp_path / "g29.ssd"
+    r = tmp_path / "g29.json"
+    assert run(["construct", "--theorem", "4", "--s", "29", "--n", "2",
+                "--out", str(d)]) == 0
+    assert run(["evaluate", str(d), "--json", str(r)]) == 0
+    rep = json.loads(r.read_text())
+    assert (rep["N"], rep["m"]) == (841, 59)
+    assert rep["A2"] == {"num": 29 * 29 - 29, "den": 1}
+    assert rep["achieves_theorem1"] is True
+
+
+def test_construct_rejects_too_many_runs(tmp_path, capsys):
+    d = tmp_path / "g67.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "67", "--n", "2",
+                "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 67^2 runs exceed the supported 4096\n")
+    assert not d.exists()
+    assert run(["branch", "--s", "17", "--n", "3", "--branch", "X1",
+                "--levels", "0", "--out", str(d)]) == 1
+    assert "17^3 runs exceed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["ssd", "ssd.cli"])

@@ -8,9 +8,9 @@ from ssd.constructions import (CATALOG_SPECS, catalog_verify,
                                construct_thm8, construct_thm9,
                                corollary2_check, dealias_check, load_appendix,
                                verify_appendix)
-from ssd.criteria import a2_overall, projected_a2_histogram
+from ssd.criteria import a2_overall, a2_overall_from_pairs, projected_a2_histogram
 from ssd.design_core import classify_pair, fully_aliased_pairs
-from ssd.gf import default_field
+from ssd.gf import Field, default_field
 from ssd.poly_labels import h_set, label_str, parse_label, q1
 
 
@@ -36,6 +36,16 @@ def test_thm4_semi_orthogonal_pair_counts():
             assert semi == s * (s**n - s) // (s - 1)
         else:
             assert semi == s**n - s
+
+
+@pytest.mark.parametrize("s,modulus", [
+    (27, None), (27, (1, 2, 0, 1)), (29, None), (31, None),
+    (32, None), (32, (1, 0, 1, 0, 0, 1)), (49, None), (49, (1, 0, 1))])
+def test_closed_forms_above_25_levels(s, modulus):
+    # thm4: A2 = s^2 - s; thm6 with k = 2: A2 = s^2 - 1, under any modulus
+    f = Field(s, modulus)
+    assert a2_overall_from_pairs(construct_thm4(f, 2)) == s * s - s
+    assert a2_overall_from_pairs(construct_thm6(f, 2, 2)) == s * s - 1
 
 
 def test_thm6_choice_independence():

@@ -38,6 +38,17 @@ def test_realize_example_designs(gf3):
     assert (D.N, D.m) == (9, 7) and strength(D) == 1
 
 
+def test_run_limit_checked_before_evaluation(gf2):
+    f = default_field(64)
+    D = realize(f, 2, h_set(f, 2)[:3])
+    assert (D.N, D.m) == (4096, 3)
+    x1 = unit_form(13, 0)
+    with pytest.raises(ValueError, match=r"2\^13 runs exceed the supported 4096"):
+        realize(gf2, 13, [x1])
+    with pytest.raises(ValueError, match=r"2\^13 runs exceed the supported 4096"):
+        branch_fraction(gf2, 13, [x1, unit_form(13, 1)], x1, [0])
+
+
 def test_column_juxtapose_shapes(gf3):
     H = realize(gf3, 2, h_set(gf3, 2))
     J = column_juxtapose(H, H)

@@ -1,9 +1,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from ssd.gf import DEFAULT_MODULI, Field, default_field, enumerate_points, field_new
+from ssd.gf import (DEFAULT_MODULI, MAX_ORDER, Field, _poly_mod, _poly_mul,
+                    default_field, enumerate_points, field_new)
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -129,10 +131,84 @@ def test_enumerate_points(gf2, gf3, gf4):
 
 
 def test_large_field_path():
-    # beyond the dense-table limit, arithmetic runs on the polynomial path
+    # orders above 25 carry the same dense tables as the small ones
     f = Field(27)
-    assert f.add_table is None
+    assert f.add_table.shape == f.mul_table.shape == (27, 27)
     assert f.mul(1, 1) == 1
     x = 3  # the generator polynomial "x"
     assert f.mul(x, f.inv(x)) == 1
     assert 0 <= f.trace(5) < 3
+
+
+def _monic_irreducibles(p, r):
+    """Monic degree-r polynomials over GF(p) with no monic factor of degree <= r/2."""
+    divisors = [list(t) + [1] for d in range(1, r // 2 + 1)
+                for t in itertools.product(range(p), repeat=d)]
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=r)
+            if all(_poly_mod(list(tail) + [1], d, p) != [0] for d in divisors)]
+
+
+def _symbol(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _digits(v, p, r):
+    return [(v // p**i) % p for i in range(r)]
+
+
+def _check_tables_by_polynomials(f):
+    """Every table entry against schoolbook polynomial arithmetic mod f.modulus."""
+    p, r, s = f.p, f.r, f.order
+    polys = [_digits(v, p, r) for v in range(s)]
+    mod = list(f.modulus)
+    for x in range(s):
+        for y in range(s):
+            prod = _poly_mod(_poly_mul(polys[x], polys[y], p), mod, p)
+            assert f.mul_table[x, y] == _symbol(prod, p)
+            total = [(a + b) % p for a, b in zip(polys[x], polys[y])]
+            assert f.add_table[x, y] == _symbol(total, p)
+    for x in range(s):
+        assert f.neg_table[x] == _symbol([-a % p for a in polys[x]], p)
+        if x:
+            assert f.mul_table[x, f.inv_table[x]] == 1
+
+
+@pytest.mark.parametrize("s,p,r,count", [(27, 3, 3, 8), (32, 2, 5, 6)])
+def test_tables_under_every_modulus(s, p, r, count):
+    # Gauss's count of monic irreducibles: (3^3 - 3)/3 = 8, (2^5 - 2)/5 = 6
+    moduli = _monic_irreducibles(p, r)
+    assert len(moduli) == count
+    for mod in moduli:
+        _check_tables_by_polynomials(Field(s, mod))
+
+
+@pytest.mark.parametrize("s", [49, 64])
+def test_tables_default_modulus(s):
+    _check_tables_by_polynomials(default_field(s))
+
+
+@pytest.mark.parametrize("p", [2, 29, 31, 257])
+def test_prime_field_tables(p):
+    f = Field(p)
+    a = np.arange(p)
+    assert (f.add_table == (a[:, None] + a[None, :]) % p).all()
+    assert (f.mul_table == (a[:, None] * a[None, :]) % p).all()
+    assert (f.neg_table == -a % p).all()
+    assert [int(f.inv_table[x]) for x in range(1, p)] == [
+        pow(x, p - 2, p) for x in range(1, p)]
+
+
+def test_table_dtype_and_read_only():
+    assert Field(256).mul_table.dtype == np.uint8
+    assert Field(257).mul_table.dtype == np.uint16
+    f = Field(27)
+    for table in (f.add_table, f.mul_table, f.neg_table, f.inv_table):
+        assert not table.flags.writeable
+
+
+def test_order_limit():
+    assert MAX_ORDER == 4096
+    with pytest.raises(ValueError, match="exceeds the supported 4096"):
+        Field(4099)
+    with pytest.raises(ValueError, match="exceeds the supported 4096"):
+        field_new(2**13)
