@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import Field, enumerate_points
+from .gf import MAX_ORDER, Field, enumerate_points
 from .poly_labels import Label, eval_label_column
 
-MAX_RUNS = 4096
+MAX_RUNS = MAX_ORDER
 MAX_COLUMNS = 4096
 # Design columns per tile of the one-hot Gram matrix in pair_gram_sums.
 GRAM_TILE = 64
@@ -104,20 +104,12 @@ class Design:
 
 # -- construction ---------------------------------------------------------------
 
-def _run_points(field: Field, n: int) -> np.ndarray:
-    """The points of F_s^n, once s^n is known to fit in MAX_RUNS."""
-    if field.order**n > MAX_RUNS:
-        raise ValueError(f"{field.order}^{n} runs exceed the supported "
-                         f"{MAX_RUNS}")
-    return enumerate_points(field, n)
-
-
 def realize(field: Field, n: int, labels, require_balanced=True) -> Design:
     """Evaluate the labels at every point of F_s^n, one column per label."""
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
-    pts = _run_points(field, n)
+    pts = enumerate_points(field, n, max_points=MAX_RUNS)
     cols = [eval_label_column(field, lab, pts) for lab in labels]
     matrix = np.stack(cols, axis=1)
     return Design(matrix, (field.order,) * len(labels), labels=labels,
@@ -174,20 +166,24 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
         raise ValueError("the kept level set is empty")
     if len(g) >= s or any(v < 0 or v >= s for v in g):
         raise ValueError(f"kept levels must be a proper subset of 0..{s - 1}")
-    pts = _run_points(field, n)
+    # a nonempty level of a label column holds a multiple of s^(n-1) points,
+    # so no fraction of more than s * MAX_RUNS points fits in MAX_RUNS runs
+    pts = enumerate_points(field, n, max_points=s * MAX_RUNS)
     branch_col = eval_label_column(field, branch_label, pts)
+    rows = np.concatenate([np.nonzero(branch_col == v)[0] for v in g])
+    if len(rows) > MAX_RUNS:
+        raise ValueError(f"the fraction keeps {len(rows)} runs, more than "
+                         f"the supported {MAX_RUNS}")
     # the branching column is matched (and removed) by value, so any label
     # that evaluates to the same column counts as the branch
-    kept = []
+    keep, cols = [], []
     for lab in labels:
         col = eval_label_column(field, lab, pts)
         if not np.array_equal(col, branch_col):
-            kept.append((lab, col))
-    if len(kept) == len(labels):
+            keep.append(lab)
+            cols.append(col[rows])
+    if len(keep) == len(labels):
         raise ValueError("branching label is not one of the design labels")
-    keep = [lab for lab, _ in kept]
-    rows = np.concatenate([np.nonzero(branch_col == v)[0] for v in g])
-    cols = [col[rows] for _, col in kept]
     matrix = np.stack(cols, axis=1)
     try:
         return Design(matrix, (s,) * len(keep), labels=keep)

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-# Largest supported order: the run limit of a design (N = s^n <= 4096).
+# Largest supported field order and design run count (N = s^n <= 4096).
 MAX_ORDER = 4096
 
 # Default moduli (Conway polynomials), little-endian coefficients, constant
@@ -246,17 +246,6 @@ class Field:
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
 
-    def pow_(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv(x), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return out
-
     # -- structure -----------------------------------------------------------
 
     def trace(self, x: int) -> int:
@@ -295,13 +284,16 @@ def default_field(s: int) -> Field:
     return f
 
 
-def enumerate_points(field: Field, n: int) -> np.ndarray:
+def enumerate_points(field: Field, n: int, max_points: int = MAX_ORDER) -> np.ndarray:
     """All points of F_s^n in lexicographic order, first coordinate slowest.
 
-    Returns an (s^n, n) integer array whose rows are the points.
+    Returns an (s^n, n) integer array whose rows are the points; raises
+    ValueError when s^n exceeds max_points.
     """
     if n < 1:
         raise ValueError("need at least one coordinate")
     s = field.order
-    pts = np.array(list(itertools.product(range(s), repeat=n)), dtype=np.int64)
-    return pts.reshape(s**n, n)
+    if s**n > max_points:
+        raise ValueError(f"{s}^{n} points exceed the supported {max_points}")
+    idx = np.arange(s**n, dtype=np.int64)
+    return idx[:, None] // s ** np.arange(n - 1, -1, -1, dtype=np.int64) % s

@@ -184,11 +184,24 @@ def test_construct_rejects_too_many_runs(tmp_path, capsys):
     assert run(["construct", "--theorem", "4", "--s", "67", "--n", "2",
                 "--out", str(d)]) == 1
     assert capsys.readouterr().err == (
-        "error: 67^2 runs exceed the supported 4096\n")
+        "error: 67^2 points exceed the supported 4096\n")
     assert not d.exists()
+    levels = ",".join(map(str, range(15)))
     assert run(["branch", "--s", "17", "--n", "3", "--branch", "X1",
-                "--levels", "0", "--out", str(d)]) == 1
-    assert "17^3 runs exceed" in capsys.readouterr().err
+                "--levels", levels, "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the fraction keeps 4335 runs, more than the supported 4096\n")
+    assert not d.exists()
+
+
+def test_branch_keeps_fraction_of_larger_point_set(tmp_path):
+    # 17^3 points exceed the run limit, but one kept level is 289 runs
+    d = tmp_path / "b17.ssd"
+    assert run(["branch", "--s", "17", "--n", "3", "--branch", "X1",
+                "--levels", "0", "--out", str(d)]) == 0
+    D = read_design(d)
+    assert (D.N, D.m) == (289, 306)
+    assert D.is_balanced
 
 
 @pytest.mark.parametrize("module", ["ssd", "ssd.cli"])

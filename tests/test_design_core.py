@@ -43,10 +43,18 @@ def test_run_limit_checked_before_evaluation(gf2):
     D = realize(f, 2, h_set(f, 2)[:3])
     assert (D.N, D.m) == (4096, 3)
     x1 = unit_form(13, 0)
-    with pytest.raises(ValueError, match=r"2\^13 runs exceed the supported 4096"):
+    with pytest.raises(ValueError, match=r"2\^13 points exceed the supported 4096"):
         realize(gf2, 13, [x1])
-    with pytest.raises(ValueError, match=r"2\^13 runs exceed the supported 4096"):
-        branch_fraction(gf2, 13, [x1, unit_form(13, 1)], x1, [0])
+    # a fraction is limited by the runs it keeps, not by s^n
+    frac = branch_fraction(gf2, 13, [x1, unit_form(13, 1)], x1, [0])
+    assert (frac.N, frac.m) == (4096, 1)
+    y1 = unit_form(14, 0)
+    with pytest.raises(ValueError, match=r"2\^14 points exceed the supported 8192"):
+        branch_fraction(gf2, 14, [y1, unit_form(14, 1)], y1, [0])
+    f17 = default_field(17)
+    z1 = unit_form(3, 0)
+    with pytest.raises(ValueError, match="the fraction keeps 4335 runs"):
+        branch_fraction(f17, 3, [z1, unit_form(3, 1)], z1, range(15))
 
 
 def test_column_juxtapose_shapes(gf3):
