@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .criteria import a2_overall, e_s2
-from .design_core import Design, coincidences
+from .criteria import (_a2_closed_form, _coincidence_counts, _e_s2_from_a2,
+                       _moment, a2_overall_from_pairs)
+from .design_core import Design
 
 
 def lb_lemma2(N: int, m: int, s: int) -> Fraction:
@@ -82,10 +81,9 @@ class BoundReport:
 
 
 def coincidence_spread(D: Design) -> int:
-    delta = coincidences(D)
-    iu = np.triu_indices(D.N, 1)
-    vals = delta[iu]
-    return int(vals.max() - vals.min())
+    """Largest minus smallest coincidence count over all row pairs."""
+    counts = _coincidence_counts(D)
+    return max(counts) - min(counts)
 
 
 def certify(D: Design) -> BoundReport:
@@ -98,10 +96,14 @@ def certify(D: Design) -> BoundReport:
     """
     if not D.is_balanced:
         raise ValueError("certification requires a balanced design")
-    a2 = a2_overall(D)
+    counts = _coincidence_counts(D)
+    equal = len(set(D.levels)) == 1
+    if equal:
+        a2 = _a2_closed_form(D, _moment(counts, D.N, 2))
+    else:
+        a2 = a2_overall_from_pairs(D)
     t10_raw = lb_theorem10(D.N, D.levels)
     t10 = max(t10_raw, Fraction(0))
-    equal = len(set(D.levels)) == 1
     if equal:
         s = D.levels[0]
         t1_raw = lb_theorem1(D.N, D.m, s)
@@ -115,7 +117,7 @@ def certify(D: Design) -> BoundReport:
         supersaturated = sum(D.levels) - D.m > D.N - 1
     two_level = all(s == 2 for s in D.levels) and D.m >= 2
     es2_bound = lb_es2(D.N, D.m) if two_level else None
-    achieved_es2 = (e_s2(D) == es2_bound) if two_level else None
+    achieved_es2 = (_e_s2_from_a2(D, a2) == es2_bound) if two_level else None
     return BoundReport(
         a2=a2,
         theorem1_raw=t1_raw, theorem1=t1, lemma2=l2,
@@ -124,5 +126,5 @@ def certify(D: Design) -> BoundReport:
         achieved_theorem1=achieved1,
         achieved_theorem10=a2 == t10,
         achieved_es2=achieved_es2,
-        coincidence_spread=coincidence_spread(D),
+        coincidence_spread=max(counts) - min(counts),
         supersaturated=supersaturated)

@@ -92,11 +92,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     D = read_design(args.file, allow_unbalanced=args.allow_unbalanced)
-    field_map = None
-    if args.modulus and args.modulus_levels:
-        field_map = {args.modulus_levels: Field(args.modulus_levels,
-                                                _parse_modulus(args.modulus))}
-    rep = report.build_report(D, gwlp_jmax=args.jmax, field_map=field_map)
+    rep = report.build_report(D, gwlp_jmax=args.jmax)
     sys.stdout.write(report.report_to_text(rep))
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
@@ -229,9 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--json", help="write the JSON report here")
     e.add_argument("--jmax", type=int, default=None)
     e.add_argument("--allow-unbalanced", action="store_true")
-    e.add_argument("--modulus", help="alternate field modulus")
-    e.add_argument("--modulus-levels", type=int,
-                   help="level count the alternate modulus applies to")
     e.set_defaults(func=_cmd_evaluate)
 
     b = sub.add_parser("bound", help="print the lower bounds for a shape")

@@ -30,11 +30,11 @@ import numpy as np
 
 from . import criteria
 from .bounds import certify, lb_theorem1
-from .design_core import (Design, branch_fraction, column_juxtapose,
+from .design_core import (MAX_RUNS, Design, branch_fraction, column_juxtapose,
                           design_from_text, fully_aliased_pairs,
                           pair_sumsq_matrix, realize, remove_fully_aliased,
                           select_columns)
-from .gf import Field, default_field, enumerate_points
+from .gf import Field, default_field, enumerate_points, point_count
 from .poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
                           h_set, q1, q1_star, qh, qh_star, unit_form)
 
@@ -43,6 +43,7 @@ def construct_thm4(field: Field, n: int) -> Design:
     """H(X1..Xn) next to the quadratic companions of X1."""
     if n < 2:
         raise ValueError("needs at least two variables")
+    point_count(field, n, MAX_RUNS)
     labels = h_set(field, n) + q1_star(field, n)
     return realize(field, n, labels)
 
@@ -53,6 +54,7 @@ def _default_hs(field: Field, n: int, k: int) -> list[LinearForm]:
 
 def construct_thm6(field: Field, n: int, k: int, hs=None) -> Design:
     """Column juxtaposition of k companion saturated arrays Q_h."""
+    point_count(field, n, MAX_RUNS)
     t = (field.order**n - 1) // (field.order - 1)
     if not 1 < k <= t:
         raise ValueError(f"k must lie in 2..{t}")
@@ -73,6 +75,7 @@ def construct_thm7(field: Field, n: int, k: int, hs=None) -> Design:
     """Juxtaposition of the quadratic-only parts Q_h*; s must be odd."""
     if field.order % 2 == 0:
         raise ValueError("defined for odd level counts only")
+    point_count(field, n, MAX_RUNS)
     t = (field.order**n - 1) // (field.order - 1)
     if not 1 < k <= t:
         raise ValueError(f"k must lie in 2..{t}")

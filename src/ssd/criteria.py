@@ -23,9 +23,12 @@ so float64 holds them and their sums exactly and rint recovers them.  At the
 over fewer than 2^23 pairs.  Sums and maxima of d2 and f are taken per
 denominator s_i s_j and the totals accumulate in Python integers (Fractions).
 
-The character route recomputes projected A2 through canonical additive
-characters, A2(x, y) = N^-2 sum_{u1,u2 != 0} |sum_i chi(u1 x_i + u2 y_i)|^2,
-and is used as a floating cross-check, never as the authority.
+The character route, a floating cross-check and never the authority, uses
+the characters chi_u(x) = exp(2 pi i u x / s), u != 0, of the cyclic group
+Z_s: A2(x, y) = N^-2 sum_{u1,u2 != 0} |sum_i chi_u1(x_i) chi_u2(y_i)|^2.
+They are complete orthonormal contrasts for any level count, and A_j does
+not depend on which such contrasts are used (Xu & Wu 2001, Ann. Statist.
+29), so no field is needed: field characters would give the same values.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 
 from .design_core import (Design, cell_table, coincidences, pair_a2_from_sumsq,
                           pair_gram_sums, pair_sumsq_matrix)
-from .gf import Field, default_field
 
 GWLP_DEFAULT_JMAX = 3
 GWLP_DEFAULT_BUDGET = 2_000_000
@@ -189,46 +191,37 @@ def e_s2(D: Design) -> Fraction:
         raise ValueError("E(s^2) is defined for two-level designs only")
     if D.m < 2:
         raise ValueError("need at least two columns")
-    return Fraction(D.N * D.N) * a2_overall(D) / math.comb(D.m, 2)
+    return _e_s2_from_a2(D, a2_overall(D))
+
+
+def _e_s2_from_a2(D: Design, a2: Fraction) -> Fraction:
+    return Fraction(D.N * D.N) * a2 / math.comb(D.m, 2)
 
 
 # -- character route ------------------------------------------------------------
 
-def _field_for_level(s: int, field_map=None) -> Field:
-    if field_map and s in field_map:
-        return field_map[s]
-    try:
-        return default_field(s)
-    except ValueError as exc:
-        raise ValueError(f"no field realization for {s} levels: {exc}") from exc
+def _unit_char_rows(s: int) -> np.ndarray:
+    """(s-1) x s table of chi_u(x) = exp(2 pi i (u x mod s) / s), u != 0."""
+    chi = np.exp(2j * np.pi * np.arange(s) / s)
+    return chi[np.outer(np.arange(1, s), np.arange(s)) % s]
 
 
-def _unit_char_rows(f: Field) -> np.ndarray:
-    """(s-1) x s table of chi(u v) for every unit u and every element v."""
-    return f.char_table[f.mul_table[1:]]
-
-
-def projected_a2_char(D: Design, i: int, j: int, field_map=None) -> float:
-    """Projected A2 via canonical additive characters (floating cross-check)."""
-    a = _unit_char_rows(_field_for_level(D.levels[i], field_map))[:, D.matrix[:, i]]
-    b = _unit_char_rows(_field_for_level(D.levels[j], field_map))[:, D.matrix[:, j]]
+def projected_a2_char(D: Design, i: int, j: int) -> float:
+    """Projected A2 via Z_s characters (floating cross-check)."""
+    a = _unit_char_rows(D.levels[i])[:, D.matrix[:, i]]
+    b = _unit_char_rows(D.levels[j])[:, D.matrix[:, j]]
     return float((np.abs(a @ b.T) ** 2).sum()) / (D.N * D.N)
 
 
-def _char_columns(D: Design, field_map=None) -> tuple[np.ndarray, np.ndarray]:
-    """Character contrast columns chi(u * x) for every column and u != 0.
+def _char_columns(D: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Character contrast columns chi_u(x) for every column and u != 0.
 
     Returns the (N, sum(s_k - 1)) complex matrix and per-column start offsets.
     """
-    rows: dict[int, np.ndarray] = {}
-    blocks = []
-    starts = [0]
-    for k, s in enumerate(D.levels):
-        if s not in rows:
-            rows[s] = _unit_char_rows(_field_for_level(s, field_map))
-        blocks.append(rows[s][:, D.matrix[:, k]].T)
-        starts.append(starts[-1] + s - 1)
-    return np.concatenate(blocks, axis=1), np.array(starts[:-1])
+    rows = {s: _unit_char_rows(s) for s in set(D.levels)}
+    blocks = [rows[s][:, D.matrix[:, k]].T for k, s in enumerate(D.levels)]
+    starts = np.cumsum([0] + [s - 1 for s in D.levels[:-1]])
+    return np.concatenate(blocks, axis=1), starts
 
 
 def _char_a2(C: np.ndarray, starts: np.ndarray, N: int) -> np.ndarray:
@@ -238,9 +231,9 @@ def _char_a2(C: np.ndarray, starts: np.ndarray, N: int) -> np.ndarray:
     return red / (N * N)
 
 
-def char_a2_matrix(D: Design, field_map=None) -> np.ndarray:
+def char_a2_matrix(D: Design) -> np.ndarray:
     """m x m float matrix of character-route projected A2 values (all pairs)."""
-    return _char_a2(*_char_columns(D, field_map), D.N)
+    return _char_a2(*_char_columns(D), D.N)
 
 
 def _gwlp_cost(D: Design, jmax: int) -> int:
@@ -251,7 +244,7 @@ def _gwlp_cost(D: Design, jmax: int) -> int:
 
 
 def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX,
-         budget: int = GWLP_DEFAULT_BUDGET, field_map=None) -> list[float]:
+         budget: int = GWLP_DEFAULT_BUDGET) -> list[float]:
     """Generalized wordlength pattern prefix [A_1 .. A_jmax] via characters.
 
     A_j = N^-2 sum over j-subsets and nonzero character indices of
@@ -264,7 +257,7 @@ def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX,
         raise ValueError(
             f"wordlength computation up to j={jmax} exceeds the budget of "
             f"{budget} terms (raise the budget to force it)")
-    C, starts = _char_columns(D, field_map)
+    C, starts = _char_columns(D)
     N = D.N
     out = []
     col_slices = [slice(starts[k], starts[k] + D.levels[k] - 1)
@@ -314,8 +307,7 @@ class CriteriaReport:
 
 
 def aggregate_stats(D: Design, gwlp_jmax: int | None = None,
-                    gwlp_budget: int = GWLP_DEFAULT_BUDGET,
-                    field_map=None) -> CriteriaReport:
+                    gwlp_budget: int = GWLP_DEFAULT_BUDGET) -> CriteriaReport:
     """Evaluate every pairwise criterion of a design, exactly.
 
     gwlp_jmax=None picks the largest prefix (up to 3) affordable within the
@@ -336,9 +328,8 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None,
         while gwlp_jmax > 2 and _gwlp_cost(D, gwlp_jmax) > gwlp_budget:
             gwlp_jmax -= 1
     pattern = tuple(gwlp(D, gwlp_jmax, max(gwlp_budget,
-                                           _gwlp_cost(D, gwlp_jmax)),
-                         field_map))
-    es2 = e_s2(D) if all(s == 2 for s in D.levels) else None
+                                           _gwlp_cost(D, gwlp_jmax))))
+    es2 = _e_s2_from_a2(D, a2) if all(s == 2 for s in D.levels) else None
     return CriteriaReport(
         N=D.N, m=D.m, levels=D.levels,
         K1=_moment(counts, D.N, 1), K2=k2,

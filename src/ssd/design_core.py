@@ -11,6 +11,7 @@ classification, and the plain text serialisation format.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -423,15 +424,19 @@ def design_from_text(text: str, allow_unbalanced=False) -> Design:
     try:
         N, m = map(int, lines[1].split())
         levels = tuple(map(int, lines[2].split()))
-        rows = [list(map(int, ln.split())) for ln in lines[3:]]
-    except (IndexError, ValueError) as exc:
+        # numpy < 2 only warns when it parses '1.0' as an integer, and an
+        # empty body only warns too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(lines[3:], dtype=np.int64, ndmin=2,
+                                comments=None)
+    except (IndexError, ValueError, Warning) as exc:
         raise ValueError(f"malformed design file: {exc}") from exc
     if len(levels) != m:
         raise ValueError(f"expected {m} level entries, found {len(levels)}")
-    if len(rows) != N or any(len(r) != m for r in rows):
+    if matrix.shape != (N, m):
         raise ValueError(f"expected {N} rows of {m} symbols")
-    return Design(np.array(rows, dtype=np.int64), levels,
-                  require_balanced=not allow_unbalanced)
+    return Design(matrix, levels, require_balanced=not allow_unbalanced)
 
 
 def write_design(D: Design, path) -> None:

@@ -290,10 +290,16 @@ def enumerate_points(field: Field, n: int, max_points: int = MAX_ORDER) -> np.nd
     Returns an (s^n, n) integer array whose rows are the points; raises
     ValueError when s^n exceeds max_points.
     """
+    s = field.order
+    idx = np.arange(point_count(field, n, max_points), dtype=np.int64)
+    return idx[:, None] // s ** np.arange(n - 1, -1, -1, dtype=np.int64) % s
+
+
+def point_count(field: Field, n: int, max_points: int = MAX_ORDER) -> int:
+    """s^n, the number of points of F_s^n; raises ValueError above max_points."""
     if n < 1:
         raise ValueError("need at least one coordinate")
     s = field.order
     if s**n > max_points:
         raise ValueError(f"{s}^{n} points exceed the supported {max_points}")
-    idx = np.arange(s**n, dtype=np.int64)
-    return idx[:, None] // s ** np.arange(n - 1, -1, -1, dtype=np.int64) % s
+    return s**n

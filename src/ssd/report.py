@@ -21,12 +21,10 @@ def _rat(x: Fraction | None):
 
 
 def build_report(D: Design, gwlp_jmax: int | None = None,
-                 gwlp_budget: int = criteria.GWLP_DEFAULT_BUDGET,
-                 field_map=None) -> dict:
+                 gwlp_budget: int = criteria.GWLP_DEFAULT_BUDGET) -> dict:
     """Full evaluation of a design: criteria, histogram, bounds, flags."""
     rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax,
-                                   gwlp_budget=gwlp_budget,
-                                   field_map=field_map)
+                                   gwlp_budget=gwlp_budget)
     cert = bounds_mod.certify(D)
     hist = [{"value": _rat(v), "count": c} for v, c in rep.histogram.items()]
     out = {

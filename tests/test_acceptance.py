@@ -218,34 +218,31 @@ def test_c09_character_property_suite():
            "(1e-9)")
 
 
-def _field_maps():
-    default = None
-    alternates = {4: Field(4, (1, 1, 1)),      # the unique quadratic modulus
-                  9: Field(9, (1, 0, 1))}      # x^2 + 1 instead of x^2+2x+2
-    return default, alternates
+ALT_FIELDS = {4: Field(4, (1, 1, 1)),      # the unique quadratic modulus
+              9: Field(9, (1, 0, 1))}      # x^2 + 1 instead of x^2+2x+2
 
 
 def test_c10_dual_route_equivalence(catalog_rows):
-    default_map, alt_map = _field_maps()
-    for field_map in (default_map, alt_map):
-        for recipe, D in catalog_rows:
+    for rows in (catalog_rows, catalog(ALT_FIELDS)):
+        for recipe, D in rows:
             P = pair_sumsq_matrix(D)
-            ch = char_a2_matrix(D, field_map)
+            ch = char_a2_matrix(D)
             for i in range(D.m):
                 si = D.levels[i]
                 for j in range(i + 1, D.m):
                     exact = pair_a2_sq(int(P[i, j]), D.N, si, D.levels[j])
                     assert abs(ch[i, j] - float(exact)) < 1e-9
-            a2c = gwlp(D, 2, field_map=field_map)[1]
+            a2c = gwlp(D, 2)[1]
             assert abs(a2c - float(a2_overall(D))) < 1e-6
-    # a 9-level design exercises the alternate-modulus path non-vacuously
-    nine = construct_thm4(default_field(9), 2)
-    for field_map in (default_map, alt_map):
-        assert abs(gwlp(nine, 2, field_map=field_map)[1]
-                   - float(a2_overall(nine))) < 1e-6
+    # a 9-level design built under the alternate modulus has other symbols
+    # but the same wordlength A2
+    nines = [construct_thm4(f, 2) for f in (default_field(9), ALT_FIELDS[9])]
+    assert (nines[0].matrix != nines[1].matrix).any()
+    for nine in nines:
+        assert abs(gwlp(nine, 2)[1] - float(a2_overall(nine))) < 1e-6
     _ok(10, "character route = counting route (1e-9/pair) and wordlength "
-            "A2 = overall A2 (1e-6) on all 31 designs, default and "
-            "alternate moduli")
+            "A2 = overall A2 (1e-6) on all 31 designs, built under default "
+            "and alternate moduli")
 
 
 def test_c11_oracle_tightness(gf3):

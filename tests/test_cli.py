@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ssd
@@ -165,6 +166,46 @@ def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
     D = read_design(d)
     assert projected_a2_char(D, 0, 54) == pytest.approx(
         float(projected_a2(D, 0, 54)), abs=1e-9)
+
+
+def test_evaluate_any_level_counts(tmp_path):
+    # 12 runs with 12-, 6-, 2-, 3- and 4-level columns: no field realizes
+    # 6 or 12 levels, and the wordlength pattern needs none
+    from ssd.design_core import Design, write_design
+    from ssd.oracle import gwlp_bruteforce
+    x = np.arange(12)
+    D = Design(np.stack([x, x % 6, x // 6, x // 4, x % 4], axis=1),
+               (12, 6, 2, 3, 4))
+    d = tmp_path / "mixed.ssd"
+    r = tmp_path / "mixed.json"
+    write_design(D, d)
+    assert run(["evaluate", str(d), "--json", str(r)]) == 0
+    rep = json.loads(r.read_text())
+    a2 = F(rep["A2"]["num"], rep["A2"]["den"])
+    assert rep["gwlp"][1] == pytest.approx(float(a2), abs=1e-9)
+    for j in (1, 2, 3):
+        assert rep["gwlp"][j - 1] == pytest.approx(gwlp_bruteforce(D, j),
+                                                   abs=1e-9)
+    # evaluation takes no field representation
+    assert run(["evaluate", str(d), "--modulus", "1,0,1"]) == 2
+
+
+@pytest.mark.parametrize("theorem", [["4"], ["6", "--k", "2"],
+                                     ["7", "--k", "2"]])
+def test_construct_rejects_oversize_point_space_first(tmp_path, capsys,
+                                                      monkeypatch, theorem):
+    from ssd import constructions
+
+    def no_labels(*args):
+        raise AssertionError("label set built for a rejected point space")
+    for name in ("h_set", "q1_star", "qh", "qh_star"):
+        monkeypatch.setattr(constructions, name, no_labels)
+    d = tmp_path / "big.ssd"
+    assert run(["construct", "--theorem", *theorem, "--s", "3", "--n", "12",
+                "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 3^12 points exceed the supported 4096\n")
+    assert not d.exists()
 
 
 def test_construct_and_evaluate_prime_field_29(tmp_path):

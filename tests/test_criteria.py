@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssd.constructions import construct_thm4, construct_thm6, construct_thm8
 from ssd.criteria import (a2_overall, a2_overall_from_pairs, aggregate_stats,
@@ -11,6 +13,7 @@ from ssd.criteria import (a2_overall, a2_overall_from_pairs, aggregate_stats,
                           projected_a2_histogram, round_half_away)
 from ssd.design_core import Design, column_juxtapose, realize, select_columns
 from ssd.gf import Field, default_field
+from ssd.oracle import gwlp_bruteforce
 from ssd.poly_labels import h_set
 
 
@@ -157,11 +160,12 @@ def test_projected_a2_char_fully_aliased_four_level(gf4):
     assert projected_a2_char(D, i, j) == pytest.approx(3.0, abs=1e-9)
 
 
-def test_char_route_needs_prime_power_levels():
+def test_char_route_any_level_count():
+    # Z_6 characters need no field: a fully aliased 6-level pair gives s - 1
     M = np.arange(6).reshape(6, 1) % 6
     D = Design(np.concatenate([M, M], axis=1), (6, 6))
-    with pytest.raises(ValueError, match="field realization"):
-        projected_a2_char(D, 0, 1)
+    assert projected_a2_char(D, 0, 1) == pytest.approx(
+        float(projected_a2(D, 0, 1)), abs=1e-9)
 
 
 def test_char_matrix_matches_pairwise(ssd937):
@@ -196,12 +200,37 @@ def test_gwlp_budget_guard(gf3):
         gwlp(D, 0)
 
 
-def test_gwlp_alternate_modulus(gf4):
-    # representation invariance: same design, same pattern, either modulus
-    D = construct_thm4(gf4, 2)
-    a = gwlp(D, 2)
-    b = gwlp(D, 2, field_map={4: Field(4, (1, 1, 1))})
-    assert a[1] == pytest.approx(b[1], abs=1e-12)
+def test_gwlp_alternate_modulus():
+    # representation invariance: the thm4 design built under either cubic
+    # modulus of GF(8) has other symbols but the same pattern
+    A = construct_thm4(default_field(8), 2)
+    B = construct_thm4(Field(8, (1, 0, 1, 1)), 2)
+    assert (A.matrix != B.matrix).any()
+    assert gwlp(A, 3) == pytest.approx(gwlp(B, 3), abs=1e-9)
+
+
+@st.composite
+def any_level_designs(draw):
+    """Random balanced designs whose level counts divide N: prime powers
+    and others (6, 10, 12, 15).  Levels below N keep the brute-force j = 3
+    sum small."""
+    N = draw(st.sampled_from([12, 20, 24, 30]))
+    divisors = [d for d in range(2, N) if N % d == 0]
+    levels = draw(st.lists(st.sampled_from(divisors), min_size=3, max_size=6))
+    cols = [draw(st.permutations([v for v in range(s) for _ in range(N // s)]))
+            for s in levels]
+    return Design(np.array(cols).T, levels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(any_level_designs())
+def test_gwlp_matches_real_contrasts_for_any_levels(D):
+    pattern = gwlp(D, 3)
+    for j in (1, 2, 3):
+        assert pattern[j - 1] == pytest.approx(gwlp_bruteforce(D, j),
+                                               abs=1e-9)
+    assert pattern[1] == pytest.approx(float(a2_overall_from_pairs(D)),
+                                       abs=1e-9)
 
 
 def test_round_half_away():

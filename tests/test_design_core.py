@@ -215,3 +215,7 @@ def test_text_format_rejects_malformed():
         design_from_text("4 1\n2\n0\n0\n1\n1\n")
     with pytest.raises(ValueError, match="rows"):
         design_from_text("# ssd v1\n4 1\n2\n0\n1\n")
+    for body in ("0 1\n1\n", "0 1\n1 1.0\n", "0 1\n1 #1\n",
+                 f"0 1\n1 {10**24}\n"):
+        with pytest.raises(ValueError, match="malformed design file"):
+            design_from_text("# ssd v1\n2 2\n2 2\n" + body)
