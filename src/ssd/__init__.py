@@ -19,12 +19,12 @@ from .constructions import (Recipe, build_recipe, catalog, catalog_verify,
                             construct_thm8, construct_thm9, corollary2_check,
                             dealias_check, load_appendix, verify_appendix)
 from .design_core import (Design, PairClass, branch_fraction, cell_table,
-                          classify_pair, coincidences, column_juxtapose,
-                          design_from_text, design_to_text,
+                          classify_pair, coincidence_counts, coincidences,
+                          column_juxtapose, design_from_text, design_to_text,
                           fully_aliased_pairs, is_oa, pair_gram_sums,
-                          pair_sumsq_matrix, read_design, realize,
-                          remove_fully_aliased, replace_column, row_juxtapose,
-                          select_columns, strength, write_design)
+                          read_design, realize, remove_fully_aliased,
+                          replace_column, row_juxtapose, select_columns,
+                          strength, write_design)
 from .gf import Field, default_field, enumerate_points, field_new
 from .poly_labels import (LinearForm, QuadraticLabel, eval_label, h_set,
                           label_str, parse_label, q1, q1_star, qh,

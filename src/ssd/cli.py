@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from . import constructions, oracle, report
 from .bounds import lb_es2, lb_lemma2, lb_theorem1, lb_theorem10
-from .design_core import (branch_fraction, read_design, realize,
-                          remove_fully_aliased, replace_column, write_design)
+from .design_core import (branch_fraction, column_levels, read_design,
+                          realize, remove_fully_aliased, replace_column,
+                          write_design)
 from .gf import Field, default_field
 from .poly_labels import h_set, label_str, parse_label, q1
 
@@ -132,10 +133,10 @@ def _cmd_branch(args) -> int:
 
 def _cmd_replace(args) -> int:
     D = read_design(args.file)
+    s_old = column_levels(D, args.col)
     if args.table:
         table = read_design(args.table, allow_unbalanced=True).matrix
     elif args.oa_levels:
-        s_old = D.levels[args.col]
         f_new = default_field(args.oa_levels)
         # saturated strength-2 array with s_old rows indexes the old symbols
         r = 0

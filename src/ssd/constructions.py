@@ -30,9 +30,10 @@ import numpy as np
 
 from . import criteria
 from .bounds import certify, lb_theorem1
-from .design_core import (MAX_RUNS, Design, branch_fraction, column_juxtapose,
+from .design_core import (MAX_RUNS, Design, branch_fraction,
+                          check_fraction_runs, column_juxtapose,
                           design_from_text, fully_aliased_pairs,
-                          pair_sumsq_matrix, realize, remove_fully_aliased,
+                          pair_gram_sums, realize, remove_fully_aliased,
                           select_columns)
 from .gf import Field, default_field, enumerate_points, point_count
 from .poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
@@ -86,32 +87,38 @@ def construct_thm7(field: Field, n: int, k: int, hs=None) -> Design:
     return column_juxtapose(*designs)
 
 
-def construct_thm8(field: Field, n: int, k: int, branch_h: LinearForm | None = None,
-                   g_levels=None) -> Design:
-    """Row juxtaposition of k level-classes of a branching column of H."""
+def _kept_levels(field: Field, n: int, k: int, g_levels) -> list[int]:
+    """The k kept level classes of a thm8/thm9 branch, checked up front.
+
+    Each class of the branch column holds s^(n-1) points, so the run limit
+    is checked here, before any label set is built.
+    """
     s = field.order
     if not 1 <= k < s:
         raise ValueError(f"the number of kept level classes must lie in 1..{s - 1}")
-    labels = h_set(field, n)
-    branch = branch_h if branch_h is not None else labels[0]
     g = list(g_levels) if g_levels is not None else list(range(k))
     if len(g) != k:
         raise ValueError("the kept level set must have exactly k values")
+    check_fraction_runs(k * s ** (n - 1))
+    return g
+
+
+def construct_thm8(field: Field, n: int, k: int, branch_h: LinearForm | None = None,
+                   g_levels=None) -> Design:
+    """Row juxtaposition of k level-classes of a branching column of H."""
+    g = _kept_levels(field, n, k, g_levels)
+    labels = h_set(field, n)
+    branch = branch_h if branch_h is not None else labels[0]
     return branch_fraction(field, n, labels, branch, g)
 
 
 def construct_thm9(field: Field, n: int, k: int, g_levels=None) -> Design:
     """Like thm8, but branching on the quadratic column X1^2 + X2 of Q1."""
-    s = field.order
-    if not 1 <= k < s:
-        raise ValueError(f"the number of kept level classes must lie in 1..{s - 1}")
+    g = _kept_levels(field, n, k, g_levels)
     labels = q1(field, n)
     x1 = unit_form(n, 0)
     x2 = unit_form(n, 1)
     branch = QuadraticLabel(x1, 0, x2)
-    g = list(g_levels) if g_levels is not None else list(range(k))
-    if len(g) != k:
-        raise ValueError("the kept level set must have exactly k values")
     return branch_fraction(field, n, labels, branch, g)
 
 
@@ -160,7 +167,7 @@ def corollary2_check(field: Field) -> tuple[Design, dict]:
     D = construct_thm7(field, 2, s + 1)
     a2 = criteria.a2_overall(D)
     # projected A2 = X / N^2 with X = s^2 P - N^2; off the diagonal only
-    X = s * s * pair_sumsq_matrix(D) - D.N * D.N
+    X = s * s * pair_gram_sums(D)[0] - D.N * D.N
     np.fill_diagonal(X, -1)
     orth = (X == 0).sum(axis=1)
     partial = (s * s * X == (s - 1) ** 2 * D.N * D.N).sum(axis=1)

@@ -41,8 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import (Design, cell_table, coincidences, pair_a2_from_sumsq,
-                          pair_gram_sums, pair_sumsq_matrix)
+from .design_core import (Design, cell_table, coincidence_counts,
+                          pair_a2_from_sumsq, pair_gram_sums)
 
 GWLP_DEFAULT_JMAX = 3
 GWLP_DEFAULT_BUDGET = 2_000_000
@@ -53,22 +53,13 @@ def _require_balanced(D: Design) -> None:
         raise ValueError("requires a balanced design")
 
 
-def _coincidence_counts(D: Design) -> dict[int, int]:
-    """Row-pair coincidence count -> number of row pairs with that count."""
-    delta = coincidences(D)
-    vals, counts = np.unique(delta[np.triu_indices(D.N, 1)], return_counts=True)
-    return dict(zip(vals.tolist(), counts.tolist()))
-
-
-def _moment(counts: dict[int, int], N: int, t: int) -> Fraction:
-    return Fraction(sum(c * v**t for v, c in counts.items()), N * (N - 1) // 2)
-
-
 def power_moment(D: Design, t: int) -> Fraction:
     """t-th power moment of the row coincidence counts, exact."""
     if t < 1:
         raise ValueError("the moment order must be positive")
-    return _moment(_coincidence_counts(D), D.N, t)
+    counts = coincidence_counts(D)
+    return Fraction(sum(c * v**t for v, c in counts.items()),
+                    D.N * (D.N - 1) // 2)
 
 
 def projected_a2(D: Design, i: int, j: int) -> Fraction:
@@ -83,31 +74,23 @@ def _upper(M: np.ndarray) -> np.ndarray:
     return M[np.triu_indices(len(M), 1)]
 
 
-def _pair_numerators(D: Design, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray]:
     """X = s_i s_j P - N^2 and the denominators s_i s_j over the pairs i < j."""
     lev = np.asarray(D.levels, dtype=np.int64)
     den = _upper(np.outer(lev, lev))
-    return den * _upper(P) - D.N * D.N, den
+    return den * _upper(pair_gram_sums(D)[0]) - D.N * D.N, den
 
 
-def projected_a2_histogram(D: Design, P: np.ndarray | None = None) -> Counter:
+def projected_a2_histogram(D: Design) -> Counter:
     """Histogram of projected A2 values over all C(m, 2) pairs (zeros included).
 
     Keys are in increasing order.
     """
-    if P is None:
-        P = pair_sumsq_matrix(D)
-    X, _ = _pair_numerators(D, P)
+    X, _ = _pair_numerators(D)
     vals, counts = np.unique(X, return_counts=True)
     N2 = D.N * D.N
     return Counter({Fraction(v, N2): c
                     for v, c in zip(vals.tolist(), counts.tolist())})
-
-
-def _a2_closed_form(D: Design, k2: Fraction) -> Fraction:
-    s, m, N = D.levels[0], D.m, D.N
-    return ((N - 1) * s * s * k2 + m * m * s * s
-            - N * m * (m + s - 1)) / Fraction(2 * N)
 
 
 def a2_overall(D: Design) -> Fraction:
@@ -119,17 +102,17 @@ def a2_overall(D: Design) -> Fraction:
     balanced designs.
     """
     _require_balanced(D)
-    if len(set(D.levels)) == 1:
-        return _a2_closed_form(D, power_moment(D, 2))
-    return a2_overall_from_pairs(D)
+    if len(set(D.levels)) > 1:
+        return a2_overall_from_pairs(D)
+    s, m, N = D.levels[0], D.m, D.N
+    return ((N - 1) * s * s * power_moment(D, 2) + m * m * s * s
+            - N * m * (m + s - 1)) / Fraction(2 * N)
 
 
-def a2_overall_from_pairs(D: Design, P: np.ndarray | None = None) -> Fraction:
+def a2_overall_from_pairs(D: Design) -> Fraction:
     """Overall A2 as the sum of all pairwise projected values."""
     _require_balanced(D)
-    if P is None:
-        P = pair_sumsq_matrix(D)
-    X, _ = _pair_numerators(D, P)
+    X, _ = _pair_numerators(D)
     return Fraction(int(X.sum()), D.N * D.N)
 
 
@@ -150,21 +133,18 @@ def pair_dependency_stats(D: Design, i: int, j: int) -> tuple[Fraction, Fraction
     return chi2, f, d2
 
 
-def dependency_summary(D: Design, P: np.ndarray | None = None,
-                       F: np.ndarray | None = None) -> dict[str, Fraction]:
+def dependency_summary(D: Design) -> dict[str, Fraction]:
     """Averages and maxima of chi2, f and d2 over all C(m, 2) pairs, exact.
 
     Keys are the CriteriaReport field names.  Reads the integer numerators of
-    the Gram kernel (P and F as from pair_gram_sums); d2 and f are summed and
+    the Gram kernel (P and F of pair_gram_sums); d2 and f are summed and
     maximised per denominator s_i s_j.
     """
     _require_balanced(D)
     if D.m < 2:
         raise ValueError("need at least two columns")
-    if P is None or F is None:
-        P, F = pair_gram_sums(D)
-    X, den = _pair_numerators(D, P)
-    Fu = _upper(F)
+    X, den = _pair_numerators(D)
+    Fu = _upper(pair_gram_sums(D)[1])
     npairs = len(X)
     f_sum = d2_sum = f_max = d2_max = Fraction(0)
     levels = set(D.levels)
@@ -191,11 +171,7 @@ def e_s2(D: Design) -> Fraction:
         raise ValueError("E(s^2) is defined for two-level designs only")
     if D.m < 2:
         raise ValueError("need at least two columns")
-    return _e_s2_from_a2(D, a2_overall(D))
-
-
-def _e_s2_from_a2(D: Design, a2: Fraction) -> Fraction:
-    return Fraction(D.N * D.N) * a2 / math.comb(D.m, 2)
+    return Fraction(D.N * D.N) * a2_overall(D) / math.comb(D.m, 2)
 
 
 # -- character route ------------------------------------------------------------
@@ -292,8 +268,6 @@ class CriteriaReport:
     N: int
     m: int
     levels: tuple[int, ...]
-    K1: Fraction
-    K2: Fraction
     A2: Fraction
     histogram: dict          # Fraction -> pair count, zeros included
     ave_chi2: Fraction
@@ -306,33 +280,29 @@ class CriteriaReport:
     E_s2: Fraction | None
 
 
-def aggregate_stats(D: Design, gwlp_jmax: int | None = None,
-                    gwlp_budget: int = GWLP_DEFAULT_BUDGET) -> CriteriaReport:
+def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     """Evaluate every pairwise criterion of a design, exactly.
 
-    gwlp_jmax=None picks the largest prefix (up to 3) affordable within the
-    budget; pass an explicit value to force deeper terms.
+    gwlp_jmax=None picks the largest prefix (up to 3, and at most m)
+    affordable within GWLP_DEFAULT_BUDGET; pass an explicit value to force
+    deeper terms.
     """
     _require_balanced(D)
     if D.m < 2:
         raise ValueError("need at least two columns")
-    P, F = pair_gram_sums(D)
-    hist = projected_a2_histogram(D, P)
+    hist = projected_a2_histogram(D)
     a2 = sum((v * c for v, c in hist.items()), Fraction(0))
-    counts = _coincidence_counts(D)
-    k2 = _moment(counts, D.N, 2)
-    if len(set(D.levels)) == 1 and _a2_closed_form(D, k2) != a2:
+    if len(set(D.levels)) == 1 and a2_overall(D) != a2:
         raise AssertionError("overall A2 disagrees with the pairwise sum")
     if gwlp_jmax is None:
-        gwlp_jmax = GWLP_DEFAULT_JMAX
-        while gwlp_jmax > 2 and _gwlp_cost(D, gwlp_jmax) > gwlp_budget:
+        gwlp_jmax = min(GWLP_DEFAULT_JMAX, D.m)
+        while gwlp_jmax > 2 and _gwlp_cost(D, gwlp_jmax) > GWLP_DEFAULT_BUDGET:
             gwlp_jmax -= 1
-    pattern = tuple(gwlp(D, gwlp_jmax, max(gwlp_budget,
+    pattern = tuple(gwlp(D, gwlp_jmax, max(GWLP_DEFAULT_BUDGET,
                                            _gwlp_cost(D, gwlp_jmax))))
-    es2 = _e_s2_from_a2(D, a2) if all(s == 2 for s in D.levels) else None
+    es2 = e_s2(D) if all(s == 2 for s in D.levels) else None
     return CriteriaReport(
         N=D.N, m=D.m, levels=D.levels,
-        K1=_moment(counts, D.N, 1), K2=k2,
         A2=a2, histogram=dict(hist),
-        **dependency_summary(D, P, F),
+        **dependency_summary(D),
         gwlp=pattern, E_s2=es2)

@@ -2,10 +2,14 @@
 
 A Design is an immutable N x m symbol matrix with per-column level counts and
 optional label provenance.  Everything downstream (criteria, bounds, the
-catalog) works on this type.  The module also holds the structural pair
-machinery: two-column cell tables, the tiled one-hot Gram kernel whose
-integer block sums drive every exact pairwise aliasing value, pair
-classification, and the plain text serialisation format.
+catalog) works on this type.  Because the matrix is read-only, the facts
+every criterion reads are computed from it at most once and kept on the
+design: balance when it is built, the Gram sums P and F (pair_gram_sums) and
+the row coincidence histogram (coincidence_counts) on first request.  The
+module also holds the structural pair machinery: two-column cell tables, the
+tiled one-hot Gram kernel whose integer block sums drive every exact
+pairwise aliasing value, pair classification, and the plain text
+serialisation format.
 """
 
 from __future__ import annotations
@@ -40,9 +44,18 @@ class PairClass:
 
 
 class Design:
-    """N x m symbol matrix; column i takes values 0..levels[i]-1."""
+    """N x m symbol matrix; column i takes values 0..levels[i]-1.
 
-    __slots__ = ("matrix", "levels", "labels")
+    The matrix is read-only: a C-contiguous int64 input is taken without a
+    copy and marked read-only, so no view of it may be written afterwards.
+    is_balanced is settled by the constructor; the Gram sums and the
+    coincidence histogram are kept here by pair_gram_sums and
+    coincidence_counts on their first call, as read-only arrays and a
+    private dict, and live as long as the design.
+    """
+
+    __slots__ = ("matrix", "levels", "labels", "is_balanced",
+                 "_gram", "_coincidence")
 
     def __init__(self, matrix, levels, labels=None, require_balanced=True):
         m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64))
@@ -56,19 +69,24 @@ class Design:
             raise ValueError(
                 f"design size {N}x{cols} exceeds the supported "
                 f"{MAX_RUNS}x{MAX_COLUMNS}")
-        for i, s in enumerate(levels):
-            if s < 2:
-                raise ValueError(f"column {i} must have at least 2 levels")
-            if N % s:
-                raise ValueError(f"run count {N} not divisible by {s} levels "
-                                 f"of column {i}")
-            col = m[:, i]
-            if col.min() < 0 or col.max() >= s:
-                raise ValueError(f"column {i} has symbols outside 0..{s - 1}")
-            if require_balanced:
-                counts = np.bincount(col, minlength=s)
-                if not (counts == N // s).all():
-                    raise ValueError(f"column {i} is unbalanced")
+        lev = np.asarray(levels, dtype=np.int64)
+        # whole-matrix checks in a fixed order, each naming the first column
+        # at fault: level count, divisibility, symbol range, balance
+        bad = np.flatnonzero(lev < 2)
+        if bad.size:
+            raise ValueError(f"column {bad[0]} must have at least 2 levels")
+        bad = np.flatnonzero(N % lev)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"run count {N} not divisible by {levels[i]} "
+                             f"levels of column {i}")
+        bad = np.flatnonzero((m.min(axis=0) < 0) | (m.max(axis=0) >= lev))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"column {i} has symbols outside 0..{levels[i] - 1}")
+        unbalanced = _first_unbalanced(m, lev)
+        if require_balanced and unbalanced is not None:
+            raise ValueError(f"column {unbalanced} is unbalanced")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != cols:
@@ -77,6 +95,9 @@ class Design:
         self.matrix = m
         self.levels = levels
         self.labels = labels
+        self.is_balanced = unbalanced is None
+        self._gram = None
+        self._coincidence = None
 
     @property
     def N(self) -> int:
@@ -86,21 +107,31 @@ class Design:
     def m(self) -> int:
         return self.matrix.shape[1]
 
-    def column_balanced(self, i: int) -> bool:
-        s = self.levels[i]
-        counts = np.bincount(self.matrix[:, i], minlength=s)
-        return bool((counts == self.N // s).all())
-
-    @property
-    def is_balanced(self) -> bool:
-        return all(self.column_balanced(i) for i in range(self.m))
-
     def __repr__(self):
         if len(set(self.levels)) == 1:
             lv = f"{self.levels[0]}^{self.m}"
         else:
             lv = " ".join(map(str, self.levels))
         return f"Design({self.N} runs, {lv})"
+
+
+def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
+    """First column whose symbols are not equally frequent, or None.
+
+    Symbols must already lie in range.  One bincount per tile of GRAM_TILE
+    columns, each column shifted into its own bins, so no temporary exceeds
+    N x GRAM_TILE.
+    """
+    N = matrix.shape[0]
+    for c0 in range(0, len(lev), GRAM_TILE):
+        tl = lev[c0:c0 + GRAM_TILE]
+        starts = np.cumsum(tl) - tl
+        counts = np.bincount((matrix[:, c0:c0 + GRAM_TILE] + starts).ravel(),
+                             minlength=int(tl.sum()))
+        off = np.logical_or.reduceat(counts != np.repeat(N // tl, tl), starts)
+        if off.any():
+            return c0 + int(np.argmax(off))
+    return None
 
 
 # -- construction ---------------------------------------------------------------
@@ -152,6 +183,13 @@ def select_columns(D: Design, indices) -> Design:
     return Design(matrix, levels, labels=labels)
 
 
+def check_fraction_runs(runs: int) -> None:
+    """Reject a fraction that keeps more than MAX_RUNS runs."""
+    if runs > MAX_RUNS:
+        raise ValueError(f"the fraction keeps {runs} runs, more than "
+                         f"the supported {MAX_RUNS}")
+
+
 def branch_fraction(field: Field, n: int, labels, branch_label: Label,
                     g_levels) -> Design:
     """Keep the points where the branch column's value lies in g_levels.
@@ -172,9 +210,7 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
     pts = enumerate_points(field, n, max_points=s * MAX_RUNS)
     branch_col = eval_label_column(field, branch_label, pts)
     rows = np.concatenate([np.nonzero(branch_col == v)[0] for v in g])
-    if len(rows) > MAX_RUNS:
-        raise ValueError(f"the fraction keeps {len(rows)} runs, more than "
-                         f"the supported {MAX_RUNS}")
+    check_fraction_runs(len(rows))
     # the branching column is matched (and removed) by value, so any label
     # that evaluates to the same column counts as the branch
     keep, cols = [], []
@@ -192,6 +228,13 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
         raise ValueError(f"branching left an unbalanced column: {exc}") from exc
 
 
+def column_levels(D: Design, i: int) -> int:
+    """Level count of column i, which must lie in 0..m-1 (no negative index)."""
+    if not 0 <= i < D.m:
+        raise ValueError(f"column index {i} outside 0..{D.m - 1}")
+    return D.levels[i]
+
+
 def replace_column(D: Design, col_index: int, table) -> Design:
     """Substitute column col_index by the rows of a replacement table.
 
@@ -199,10 +242,10 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     receives row v.  Each table column must be balanced on its own symbol set,
     so overall balance is preserved and the column count grows by t - 1.
     """
+    s_old = column_levels(D, col_index)
     table = np.asarray(table, dtype=np.int64)
     if table.ndim == 1:
         table = table[:, None]
-    s_old = D.levels[col_index]
     if table.shape[0] != s_old:
         raise ValueError(
             f"replacement table needs {s_old} rows, got {table.shape[0]}")
@@ -277,6 +320,20 @@ def coincidences(D: Design, weights=None) -> np.ndarray:
     return delta
 
 
+def coincidence_counts(D: Design) -> dict[int, int]:
+    """Row-pair coincidence count -> number of row pairs with that count.
+
+    Keys ascend.  Computed on the first call and kept on D (the N x N matrix
+    is not); each call returns a copy.
+    """
+    if D._coincidence is None:
+        counts = np.bincount(coincidences(D).ravel())
+        counts[0] -= D.N            # the zero diagonal
+        counts //= 2                # each row pair appears twice
+        D._coincidence = {v: c for v, c in enumerate(counts.tolist()) if c}
+    return dict(D._coincidence)
+
+
 def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
     """Row indicator matrix (N, sum levels) and the per-column start offsets."""
     starts = np.concatenate([[0], np.cumsum(D.levels)])[:-1]
@@ -287,38 +344,43 @@ def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
     return B, starts
 
 
-def pair_gram_sums(D: Design, with_absdev: bool = True
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
+def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     """Integer m x m block sums of the one-hot Gram matrix G = B^T B.
 
     The (i, j) block of G is the cell table n_ab of columns i and j, so
 
         P[i, j] = sum_ab n_ab^2    and    F[i, j] = sum_ab |s_i s_j n_ab - N|
 
-    give every pairwise statistic exactly (F is None without with_absdev).
-    Diagonal entries refer to a column against itself.  G is computed in
-    tiles of at most GRAM_TILE design columns against the columns from the
-    tile onwards, and the lower triangle is mirrored, so no L x L temporary
-    exists.  Exact: the Gram entries are integers <= N computed in float64.
+    give every pairwise statistic exactly.  Diagonal entries refer to a
+    column against itself.  G is computed in tiles of at most GRAM_TILE
+    design columns against the columns from the tile onwards, and the lower
+    triangle is mirrored, so no L x L temporary exists.  Exact: the Gram
+    entries are integers <= N computed in float64.  Computed on the first
+    call and kept on D; P and F are read-only.
     """
+    if D._gram is not None:
+        return D._gram
     B, starts = _one_hot(D)
     m, N = D.m, D.N
     bounds = np.append(starts, B.shape[1])
     owner = np.repeat(np.asarray(D.levels, dtype=np.int64), D.levels)
     P = np.zeros((m, m), dtype=np.int64)
-    F = np.zeros((m, m), dtype=np.int64) if with_absdev else None
+    F = np.zeros((m, m), dtype=np.int64)
     for c0 in range(0, m, GRAM_TILE):
         c1 = min(c0 + GRAM_TILE, m)
         r0, r1 = bounds[c0], bounds[c1]
         G = np.rint(B[:, r0:r1].T @ B[:, r0:]).astype(np.int64)
         rows, cols = starts[c0:c1] - r0, starts[c0:] - r0
         P[c0:c1, c0:] = _block_sums(G * G, rows, cols)
-        if F is not None:
-            G *= owner[r0:r1, None] * owner[None, r0:]
-            G -= N
-            np.abs(G, out=G)
-            F[c0:c1, c0:] = _block_sums(G, rows, cols)
-    return _mirror_upper(P), None if F is None else _mirror_upper(F)
+        G *= owner[r0:r1, None] * owner[None, r0:]
+        G -= N
+        np.abs(G, out=G)
+        F[c0:c1, c0:] = _block_sums(G, rows, cols)
+    P, F = _mirror_upper(P), _mirror_upper(F)
+    P.setflags(write=False)
+    F.setflags(write=False)
+    D._gram = (P, F)
+    return D._gram
 
 
 def _block_sums(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -328,15 +390,6 @@ def _block_sums(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
 def _mirror_upper(M: np.ndarray) -> np.ndarray:
     M = np.triu(M)
     return M + np.triu(M, 1).T
-
-
-def pair_sumsq_matrix(D: Design) -> np.ndarray:
-    """m x m integer matrix of sum_ab n_ab^2 over each pair's cell table.
-
-    The P half of pair_gram_sums.  Diagonal entries refer to a column
-    against itself.
-    """
-    return pair_gram_sums(D, with_absdev=False)[0]
 
 
 def cell_table(D: Design, i: int, j: int) -> np.ndarray:
@@ -387,7 +440,7 @@ def fully_aliased_pairs(D: Design) -> list[tuple[int, int]]:
     equal-level pairs forces the permutation cell pattern, i.e.
     s^2 P[i, j] = s N^2.
     """
-    P = pair_sumsq_matrix(D)
+    P = pair_gram_sums(D)[0]
     lev = np.asarray(D.levels, dtype=np.int64)
     i, j = np.triu_indices(D.m, 1)
     hit = (lev[i] == lev[j]) & (lev[i] * P[i, j] == D.N * D.N)

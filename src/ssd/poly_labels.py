@@ -270,11 +270,15 @@ def parse_label(field: Field, text: str, n: int | None = None) -> Label:
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty label")
+    idx = [int(v) for v in re.findall(r"X(\d+)", text)]
     if n is None:
-        idx = [int(v) for v in re.findall(r"X(\d+)", text)]
         if not idx:
             raise ValueError(f"no variables in label {text!r}")
         n = max(idx)
+    for k in idx:
+        if not 1 <= k <= n:
+            raise ValueError(f"variable X{k} in label {text!r} is not one "
+                             f"of X1..X{n}")
 
     def parse_linear(sub: str) -> LinearForm:
         acc = LinearForm((0,) * n)

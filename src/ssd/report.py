@@ -20,11 +20,9 @@ def _rat(x: Fraction | None):
     return {"num": x.numerator, "den": x.denominator}
 
 
-def build_report(D: Design, gwlp_jmax: int | None = None,
-                 gwlp_budget: int = criteria.GWLP_DEFAULT_BUDGET) -> dict:
+def build_report(D: Design, gwlp_jmax: int | None = None) -> dict:
     """Full evaluation of a design: criteria, histogram, bounds, flags."""
-    rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax,
-                                   gwlp_budget=gwlp_budget)
+    rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax)
     cert = bounds_mod.certify(D)
     hist = [{"value": _rat(v), "count": c} for v, c in rep.histogram.items()]
     out = {

@@ -18,9 +18,10 @@ from ssd.constructions import (CATALOG_SPECS, catalog, catalog_verify,
                                construct_thm6, construct_thm8, dealias_check,
                                verify_appendix)
 from ssd.criteria import (a2_overall, aggregate_stats, char_a2_matrix, gwlp,
-                          pair_sumsq_matrix, projected_a2_histogram)
+                          projected_a2_histogram)
 from ssd.design_core import (classify_pair, pair_a2_from_sumsq as pair_a2_sq,
-                             realize, replace_column, select_columns)
+                             pair_gram_sums, realize, replace_column,
+                             select_columns)
 from ssd.gf import Field, default_field, enumerate_points
 from ssd.oracle import exhaustive_min_a2, gwlp_bruteforce
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
@@ -51,7 +52,7 @@ def test_c02_sixteen_column_family_and_quadratic_subdesign(gf3):
     hist = projected_a2_histogram(D)
     assert dict(hist) == {F(0): 30, F(4, 9): 54, F(2, 3): 36}
     # per-column dependency degrees, split by linear/quadratic provenance
-    P = pair_sumsq_matrix(D)
+    P = pair_gram_sums(D)[0]
     linear_cols = [i for i, lab in enumerate(D.labels)
                    if isinstance(lab, LinearForm)]
     quad_cols = [i for i in range(D.m) if i not in linear_cols]
@@ -225,7 +226,7 @@ ALT_FIELDS = {4: Field(4, (1, 1, 1)),      # the unique quadratic modulus
 def test_c10_dual_route_equivalence(catalog_rows):
     for rows in (catalog_rows, catalog(ALT_FIELDS)):
         for recipe, D in rows:
-            P = pair_sumsq_matrix(D)
+            P = pair_gram_sums(D)[0]
             ch = char_a2_matrix(D)
             for i in range(D.m):
                 si = D.levels[i]

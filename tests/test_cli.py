@@ -190,21 +190,28 @@ def test_evaluate_any_level_counts(tmp_path):
     assert run(["evaluate", str(d), "--modulus", "1,0,1"]) == 2
 
 
-@pytest.mark.parametrize("theorem", [["4"], ["6", "--k", "2"],
-                                     ["7", "--k", "2"]])
+POINTS_3_12 = "error: 3^12 points exceed the supported 4096\n"
+KEEPS_3_11 = "error: the fraction keeps 177147 runs, more than the supported 4096\n"
+
+
+@pytest.mark.parametrize("theorem,message", [
+    (["4"], POINTS_3_12), (["6", "--k", "2"], POINTS_3_12),
+    (["7", "--k", "2"], POINTS_3_12),
+    (["8", "--k", "1"], KEEPS_3_11), (["9", "--k", "1"], KEEPS_3_11)],
+    ids=[f"theorem{i}" for i in range(5)])
 def test_construct_rejects_oversize_point_space_first(tmp_path, capsys,
-                                                      monkeypatch, theorem):
+                                                      monkeypatch, theorem,
+                                                      message):
     from ssd import constructions
 
     def no_labels(*args):
         raise AssertionError("label set built for a rejected point space")
-    for name in ("h_set", "q1_star", "qh", "qh_star"):
+    for name in ("h_set", "q1_star", "qh", "qh_star", "q1"):
         monkeypatch.setattr(constructions, name, no_labels)
     d = tmp_path / "big.ssd"
     assert run(["construct", "--theorem", *theorem, "--s", "3", "--n", "12",
                 "--out", str(d)]) == 1
-    assert capsys.readouterr().err == (
-        "error: 3^12 points exceed the supported 4096\n")
+    assert capsys.readouterr().err == message
     assert not d.exists()
 
 
@@ -262,3 +269,51 @@ def test_module_entry_points(module):
     proc = call("bound", "--N", "9")
     assert proc.returncode == 2
     assert "either --levels" in proc.stderr
+
+
+def test_evaluate_two_column_design(tmp_path, capsys):
+    d = tmp_path / "d.ssd"
+    r = tmp_path / "r.json"
+    assert run(["construct", "--theorem", "8", "--s", "2", "--n", "2",
+                "--k", "1", "--out", str(d)]) == 0
+    assert run(["evaluate", str(d), "--json", str(r)]) == 0
+    assert len(json.loads(r.read_text())["gwlp"]) == 2
+    # an explicit depth beyond m is still refused
+    assert run(["evaluate", str(d), "--jmax", "3"]) == 1
+    assert "error: jmax must lie in 1..m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("col", ["-1", "99"])
+@pytest.mark.parametrize("source", ["--oa-levels", "--table"])
+def test_replace_rejects_column_out_of_range(tmp_path, capsys, col, source):
+    d = tmp_path / "d.ssd"
+    t = tmp_path / "t.ssd"
+    out = tmp_path / "out.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--out", str(d)]) == 0
+    t.write_text("# ssd v1\n3 1\n3\n0\n1\n2\n")
+    capsys.readouterr()
+    arg = "3" if source == "--oa-levels" else str(t)
+    assert run(["replace", str(d), "--col", col, source, arg,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: column index {col} outside 0..6\n")
+    assert not out.exists()
+
+
+def test_branch_rejects_variable_zero(tmp_path, capsys):
+    d = tmp_path / "b.ssd"
+    assert run(["branch", "--s", "3", "--n", "2", "--branch", "X0",
+                "--levels", "0,1", "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: variable X0 in label 'X0' is not one of X1..X2\n")
+    assert not d.exists()
+
+
+def test_construct_rejects_variable_beyond_n(tmp_path, capsys):
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "6", "--s", "3", "--n", "2",
+                "--k", "2", "--hs", "X1,X3", "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: variable X3 in label 'X3' is not one of X1..X2\n")
+    assert not d.exists()

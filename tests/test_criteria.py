@@ -238,3 +238,22 @@ def test_round_half_away():
     assert round_half_away(F(25, 1000)) == 0.03
     assert round_half_away(F(-25, 1000)) == -0.03
     assert round_half_away(F(36, 11)) == 3.27
+
+
+def test_report_builds_each_one_hot_once(gf3, gf9, monkeypatch):
+    """One one-hot matrix for the Gram sums, one for the coincidences."""
+    from ssd import design_core
+    from ssd.design_core import replace_column
+    from ssd.report import build_report
+
+    calls = []
+    one_hot = design_core._one_hot
+    monkeypatch.setattr(design_core, "_one_hot",
+                        lambda D: calls.append(D) or one_hot(D))
+    equal = construct_thm6(gf3, 2, 2)
+    mixed = replace_column(construct_thm6(gf9, 2, 2), 0,
+                           realize(gf3, 2, h_set(gf3, 2)).matrix)
+    for D in (equal, mixed):
+        calls.clear()
+        build_report(D)
+        assert len(calls) == 2

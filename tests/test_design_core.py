@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ssd.criteria import a2_overall
-from ssd.design_core import (Design, branch_fraction, cell_table,
-                             classify_pair, coincidences, column_juxtapose,
-                             design_from_text, design_to_text,
-                             fully_aliased_pairs, is_oa, realize,
-                             remove_fully_aliased, replace_column,
-                             row_juxtapose, select_columns, strength)
+from ssd.design_core import (GRAM_TILE, Design, branch_fraction, cell_table,
+                             classify_pair, coincidence_counts, coincidences,
+                             column_juxtapose, design_from_text,
+                             design_to_text, fully_aliased_pairs, is_oa,
+                             pair_gram_sums, realize, remove_fully_aliased,
+                             replace_column, row_juxtapose, select_columns,
+                             strength)
 from ssd.gf import default_field
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
 
@@ -24,6 +25,48 @@ def test_design_validation():
     d = Design([[0], [0], [1], [1]], [2])
     with pytest.raises(ValueError):
         d.matrix[0, 0] = 1  # frozen
+
+
+def test_design_validation_reports_faults_in_check_order():
+    # column 0 unbalanced, column 1 out of range, column 2 not dividing N,
+    # column 3 with one level: each check names its first column at fault
+    cols = np.array([[0, 0, 0, 1], [0, 1, 5, 1], [0, 1, 0, 1], [0, 0, 1, 1]]).T
+    in_range = cols.copy()
+    in_range[2, 1] = 0
+    cases = [(cols, (2, 2, 3, 1), "column 3 must have at least 2 levels"),
+             (cols, (2, 2, 3, 2),
+              "run count 4 not divisible by 3 levels of column 2"),
+             (cols, (2, 2, 2, 2), r"column 1 has symbols outside 0\.\.1"),
+             (in_range, (2, 2, 2, 2), "column 0 is unbalanced")]
+    for matrix, levels, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Design(matrix, levels)
+
+
+def test_balance_found_past_the_first_tile():
+    m = GRAM_TILE + 6
+    cols = np.tile([0, 1, 0, 1], (m, 1)).T.copy()
+    cols[:, GRAM_TILE + 3] = [0, 0, 0, 1]
+    cols[:, GRAM_TILE + 5] = [1, 1, 1, 0]
+    with pytest.raises(ValueError, match=f"^column {GRAM_TILE + 3} is unbalanced$"):
+        Design(cols, [2] * m)
+    assert not Design(cols.copy(), [2] * m, require_balanced=False).is_balanced
+    cols[:, GRAM_TILE + 3] = cols[:, GRAM_TILE + 5] = [0, 0, 1, 1]
+    assert Design(cols, [2] * m).is_balanced
+
+
+def test_gram_sums_and_coincidences_kept_on_the_design(gf3):
+    D = realize(gf3, 2, h_set(gf3, 2))
+    P, F_ = pair_gram_sums(D)
+    assert pair_gram_sums(D)[0] is P and pair_gram_sums(D)[1] is F_
+    with pytest.raises(ValueError):
+        P[0, 1] = 0
+    with pytest.raises(ValueError):
+        F_[0, 1] = 0
+    counts = coincidence_counts(D)
+    assert counts == {1: 36}         # saturated: every row pair agrees once
+    counts[1] = 0
+    assert coincidence_counts(D) == {1: 36}
 
 
 def test_realize_single_column(gf2):
@@ -114,6 +157,9 @@ def test_replace_column_shapes_and_errors(gf3):
         replace_column(D, 0, np.array([[0], [2], [2]]))
     with pytest.raises(ValueError, match="rows"):
         replace_column(D, 0, np.array([[0], [1]]))
+    for bad in (-1, D.m):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            replace_column(D, bad, np.arange(3)[:, None])
     out = replace_column(D, 1, oa)
     assert out.m == 5 and out.levels == (3, 3, 3, 3, 3)
 

@@ -12,7 +12,7 @@ from ssd.criteria import (a2_overall_from_pairs, dependency_summary,
                           projected_a2_histogram)
 from ssd.design_core import (FULLY_ALIASED, GRAM_TILE, Design, cell_table,
                              classify_pair, fully_aliased_pairs,
-                             pair_gram_sums, pair_sumsq_matrix)
+                             pair_gram_sums)
 
 
 @st.composite
@@ -52,7 +52,6 @@ def test_kernel_matches_per_pair_counting(case):
     D, dup = case
     N, lev = D.N, D.levels
     P, Fm = pair_gram_sums(D)
-    assert (P == pair_sumsq_matrix(D)).all()
     assert (P == P.T).all() and (Fm == Fm.T).all()
     hist = Counter()
     chi2s, fs, d2s = [], [], []
@@ -71,10 +70,10 @@ def test_kernel_matches_per_pair_counting(case):
             chi2s.append(chi2)
             fs.append(f)
             d2s.append(d2)
-    assert projected_a2_histogram(D, P) == hist
-    assert a2_overall_from_pairs(D, P) == sum(v * c for v, c in hist.items())
+    assert projected_a2_histogram(D) == hist
+    assert a2_overall_from_pairs(D) == sum(v * c for v, c in hist.items())
     npairs = len(chi2s)
-    assert dependency_summary(D, P, Fm) == {
+    assert dependency_summary(D) == {
         "ave_chi2": sum(chi2s) / npairs, "max_chi2": max(chi2s),
         "ave_f": sum(fs) / npairs, "max_f": max(fs),
         "E_d2": sum(d2s) / npairs, "max_d2": max(d2s)}
