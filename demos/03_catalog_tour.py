@@ -29,4 +29,4 @@ for which in (6, 7, 8):
 D = load_appendix(7)
 rep = aggregate_stats(D, gwlp_jmax=2)
 print(f"\nthe 16-run 4-level table: A2 = {rep.A2}, ave(f) = {float(rep.ave_f):.2f}, "
-      f"max(f) = {rep.max_f}, wordlength A2 = {rep.gwlp[1]:.6f}")
+      f"max(f) = {rep.max_f}, wordlength A2 = {rep.gwlp[1]}")

@@ -23,17 +23,17 @@ so float64 holds them and their sums exactly and rint recovers them.  At the
 over fewer than 2^23 pairs.  Sums and maxima of d2 and f are taken per
 denominator s_i s_j and the totals accumulate in Python integers (Fractions).
 
-The character route, a floating cross-check and never the authority, uses
-the characters chi_u(x) = exp(2 pi i u x / s), u != 0, of the cyclic group
-Z_s: A2(x, y) = N^-2 sum_{u1,u2 != 0} |sum_i chi_u1(x_i) chi_u2(y_i)|^2.
-They are complete orthonormal contrasts for any level count, and A_j does
-not depend on which such contrasts are used (Xu & Wu 2001, Ann. Statist.
-29), so no field is needed: field characters would give the same values.
+The wordlength pattern is exact too: by the MacWilliams-type identity of
+Xu & Wu (2001, Ann. Statist. 29), A_j = N^-2 sum over ordered row pairs
+(a = b included) of [z^j] prod_g (1 - z)^{d_g} (1 + (s_g - 1) z)^{m_g - d_g},
+with d_g the number of the m_g columns of level group g where the rows
+differ.  So one joint coincidence histogram gives every A_j, for any level
+profile.  The Z_s characters exp(2 pi i u x / s), u != 0, give a floating
+cross-check for j <= 2 that needs no field, never the authority.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -42,10 +42,10 @@ from fractions import Fraction
 import numpy as np
 
 from .design_core import (Design, cell_table, coincidence_counts,
+                          joint_coincidence_counts, level_groups,
                           pair_a2_from_sumsq, pair_gram_sums)
 
 GWLP_DEFAULT_JMAX = 3
-GWLP_DEFAULT_BUDGET = 2_000_000
 
 
 def _require_balanced(D: Design) -> None:
@@ -82,10 +82,8 @@ def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray]:
 
 
 def projected_a2_histogram(D: Design) -> Counter:
-    """Histogram of projected A2 values over all C(m, 2) pairs (zeros included).
-
-    Keys are in increasing order.
-    """
+    """Projected A2 value -> count over all C(m, 2) pairs, zeros included;
+    keys ascend."""
     X, _ = _pair_numerators(D)
     vals, counts = np.unique(X, return_counts=True)
     N2 = D.N * D.N
@@ -189,68 +187,75 @@ def projected_a2_char(D: Design, i: int, j: int) -> float:
     return float((np.abs(a @ b.T) ** 2).sum()) / (D.N * D.N)
 
 
-def _char_columns(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Character contrast columns chi_u(x) for every column and u != 0.
-
-    Returns the (N, sum(s_k - 1)) complex matrix and per-column start offsets.
-    """
+def char_a2_matrix(D: Design) -> np.ndarray:
+    """m x m float matrix of character-route projected A2 values (all pairs)."""
     rows = {s: _unit_char_rows(s) for s in set(D.levels)}
-    blocks = [rows[s][:, D.matrix[:, k]].T for k, s in enumerate(D.levels)]
+    C = np.concatenate([rows[s][:, D.matrix[:, k]].T
+                        for k, s in enumerate(D.levels)], axis=1)
     starts = np.cumsum([0] + [s - 1 for s in D.levels[:-1]])
-    return np.concatenate(blocks, axis=1), starts
-
-
-def _char_a2(C: np.ndarray, starts: np.ndarray, N: int) -> np.ndarray:
     sq = np.abs(C.T @ C) ** 2
     red = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
     np.fill_diagonal(red, 0.0)
-    return red / (N * N)
+    return red / (D.N * D.N)
 
 
-def char_a2_matrix(D: Design) -> np.ndarray:
-    """m x m float matrix of character-route projected A2 values (all pairs)."""
-    return _char_a2(*_char_columns(D), D.N)
+# -- wordlength pattern ------------------------------------------------------------
+
+def krawtchouk(x: int, m: int, s: int, jmax: int) -> list[int]:
+    """Krawtchouk values [P_0 .. P_min(jmax, m)] at x, exact.
+
+    P_j = [z^j] (1 - z)^x (1 + (s-1) z)^(m-x) = sum_k (-1)^k (s-1)^(j-k)
+    C(x, k) C(m-x, j-k), zero for j > m, by the three-term recurrence in
+    Python integers: (j+1) P_{j+1} = ((m-j)(s-1) + j - s x) P_j
+    - (s-1)(m-j+1) P_{j-1}."""
+    P, prev = [1], 0
+    for j in range(min(jmax, m)):
+        nxt = ((m - j) * (s - 1) + j - s * x) * P[j] - (s - 1) * (m - j + 1) * prev
+        prev = P[j]
+        P.append(nxt // (j + 1))
+    return P
 
 
-def _gwlp_cost(D: Design, jmax: int) -> int:
-    # j = 1, 2 run as whole-matrix products and are effectively free; only the
-    # per-subset loops of j >= 3 count against the budget.
-    mx = max(s - 1 for s in D.levels)
-    return sum(math.comb(D.m, j) * mx**j for j in range(3, jmax + 1))
+def _times(a: list[int], b: list[int], jmax: int) -> list[int]:
+    """Product of two integer polynomials, truncated after z^jmax."""
+    out = [0] * min(jmax + 1, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for k, bk in enumerate(b[:len(out) - i]):
+            out[i + k] += ai * bk
+    return out
 
 
-def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX,
-         budget: int = GWLP_DEFAULT_BUDGET) -> list[float]:
-    """Generalized wordlength pattern prefix [A_1 .. A_jmax] via characters.
-
-    A_j = N^-2 sum over j-subsets and nonzero character indices of
-    |column sum of the row-wise contrast products|^2.  Cost grows like
-    C(m, j) (s-1)^j; a budget guards the combinatorial blow-up.
-    """
+def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX) -> list[Fraction]:
+    """Generalized wordlength pattern prefix [A_1 .. A_jmax], exact: each
+    key (c_1 .. c_G) of the joint coincidence histogram, counted over
+    ordered row pairs, adds its count times prod_g P(m_g - c_g; m_g, s_g)."""
     if jmax < 1 or jmax > D.m:
         raise ValueError("jmax must lie in 1..m")
-    if _gwlp_cost(D, jmax) > budget:
-        raise ValueError(
-            f"wordlength computation up to j={jmax} exceeds the budget of "
-            f"{budget} terms (raise the budget to force it)")
-    C, starts = _char_columns(D)
-    N = D.N
-    out = []
-    col_slices = [slice(starts[k], starts[k] + D.levels[k] - 1)
-                  for k in range(D.m)]
-    # j = 1
-    out.append(float((np.abs(C.sum(axis=0)) ** 2).sum()) / (N * N))
-    if jmax >= 2:
-        out.append(float(np.triu(_char_a2(C, starts, N), 1).sum()))
-    for j in range(3, jmax + 1):
-        acc = 0.0
-        for combo in itertools.combinations(range(D.m), j):
-            V = C[:, col_slices[combo[0]]]
-            for k in combo[1:]:
-                V = (V[:, :, None] * C[:, None, col_slices[k]]).reshape(N, -1)
-            acc += float((np.abs(V.sum(axis=0)) ** 2).sum())
-        out.append(acc / (N * N))
-    return out
+    groups = level_groups(D)
+    ordered = Counter({key: 2 * c for key, c in joint_coincidence_counts(D).items()})
+    ordered[tuple(mg for _, mg in groups)] += D.N   # a = b agrees everywhere
+    tables = [{c: krawtchouk(mg - c, mg, s, jmax) for c in {k[g] for k in ordered}}
+              for g, (s, mg) in enumerate(groups)]
+    total = [0] * (jmax + 1)
+    for key, count in ordered.items():
+        poly = [count]
+        for table, c in zip(tables, key):
+            poly = _times(poly, table[c], jmax)
+        for j, v in enumerate(poly):
+            total[j] += v
+    return [Fraction(v, D.N * D.N) for v in total[1:]]
+
+
+def strength(D: Design) -> int:
+    """Largest t with every t-column projection equireplicated: the leading
+    zeros of [A_1 .. A_m], read in prefixes of doubling length."""
+    jmax = 1
+    while jmax < 2 * D.m:
+        pattern = gwlp(D, min(jmax, D.m))
+        if any(pattern):
+            return next(j for j, a in enumerate(pattern) if a)
+        jmax *= 2
+    return D.m
 
 
 # -- aggregate report ------------------------------------------------------------
@@ -276,16 +281,14 @@ class CriteriaReport:
     max_f: Fraction
     E_d2: Fraction
     max_d2: Fraction
-    gwlp: tuple[float, ...]
+    gwlp: tuple[Fraction, ...]
     E_s2: Fraction | None
 
 
 def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     """Evaluate every pairwise criterion of a design, exactly.
 
-    gwlp_jmax=None picks the largest prefix (up to 3, and at most m)
-    affordable within GWLP_DEFAULT_BUDGET; pass an explicit value to force
-    deeper terms.
+    gwlp_jmax=None gives the wordlength prefix up to min(3, m).
     """
     _require_balanced(D)
     if D.m < 2:
@@ -296,13 +299,9 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
         raise AssertionError("overall A2 disagrees with the pairwise sum")
     if gwlp_jmax is None:
         gwlp_jmax = min(GWLP_DEFAULT_JMAX, D.m)
-        while gwlp_jmax > 2 and _gwlp_cost(D, gwlp_jmax) > GWLP_DEFAULT_BUDGET:
-            gwlp_jmax -= 1
-    pattern = tuple(gwlp(D, gwlp_jmax, max(GWLP_DEFAULT_BUDGET,
-                                           _gwlp_cost(D, gwlp_jmax))))
     es2 = e_s2(D) if all(s == 2 for s in D.levels) else None
     return CriteriaReport(
         N=D.N, m=D.m, levels=D.levels,
         A2=a2, histogram=dict(hist),
         **dependency_summary(D),
-        gwlp=pattern, E_s2=es2)
+        gwlp=tuple(gwlp(D, gwlp_jmax)), E_s2=es2)

@@ -5,17 +5,19 @@ optional label provenance.  Everything downstream (criteria, bounds, the
 catalog) works on this type.  Because the matrix is read-only, the facts
 every criterion reads are computed from it at most once and kept on the
 design: balance when it is built, the Gram sums P and F (pair_gram_sums) and
-the row coincidence histogram (coincidence_counts) on first request.  The
-module also holds the structural pair machinery: two-column cell tables, the
-tiled one-hot Gram kernel whose integer block sums drive every exact
-pairwise aliasing value, pair classification, and the plain text
-serialisation format.
+the joint row coincidence histogram (joint_coincidence_counts) on first
+request.  The module also holds the structural pair machinery: two-column
+cell tables, the tiled one-hot Gram kernel whose integer block sums drive
+every exact pairwise aliasing value, the row-tiled coincidence kernel, pair
+classification, and the plain text serialisation format.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +30,12 @@ MAX_RUNS = MAX_ORDER
 MAX_COLUMNS = 4096
 # Design columns per tile of the one-hot Gram matrix in pair_gram_sums.
 GRAM_TILE = 64
+# Row-pair products per block of the row coincidence kernel: a block of
+# COINCIDENCE_BLOCK_CELLS // N rows against the rows from the block on.
+COINCIDENCE_BLOCK_CELLS = 1 << 21
+# Largest mixed-radix code space of the joint coincidence histogram that is
+# counted with bincount; beyond it the blocks are reduced by np.unique.
+JOINT_BINS_MAX = 1 << 22
 
 ORTHOGONAL = "orthogonal"
 FULLY_ALIASED = "fully_aliased"
@@ -46,19 +54,25 @@ class PairClass:
 class Design:
     """N x m symbol matrix; column i takes values 0..levels[i]-1.
 
-    The matrix is read-only: a C-contiguous int64 input is taken without a
-    copy and marked read-only, so no view of it may be written afterwards.
-    is_balanced is settled by the constructor; the Gram sums and the
-    coincidence histogram are kept here by pair_gram_sums and
-    coincidence_counts on their first call, as read-only arrays and a
-    private dict, and live as long as the design.
+    The matrix is a read-only copy of the input, so writing to the input or
+    to a view of it cannot change the design; only an int64 C-contiguous
+    array that owns its data and is already read-only (such as another
+    design's matrix) is taken without a copy, which is how the constructors
+    below hand over the fresh arrays they build.  is_balanced is settled by the
+    constructor; the Gram sums and the joint coincidence histogram are kept
+    here by pair_gram_sums and joint_coincidence_counts on their first call,
+    as read-only arrays and a private dict, and live as long as the design.
     """
 
     __slots__ = ("matrix", "levels", "labels", "is_balanced",
                  "_gram", "_coincidence")
 
     def __init__(self, matrix, levels, labels=None, require_balanced=True):
-        m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64))
+        m = matrix
+        if not (isinstance(m, np.ndarray) and m.dtype == np.int64
+                and m.flags.c_contiguous and m.flags.owndata
+                and not m.flags.writeable):
+            m = np.array(matrix, dtype=np.int64, order="C")
         if m.ndim != 2:
             raise ValueError("design matrix must be two-dimensional")
         N, cols = m.shape
@@ -144,8 +158,8 @@ def realize(field: Field, n: int, labels, require_balanced=True) -> Design:
     pts = enumerate_points(field, n, max_points=MAX_RUNS)
     cols = [eval_label_column(field, lab, pts) for lab in labels]
     matrix = np.stack(cols, axis=1)
-    return Design(matrix, (field.order,) * len(labels), labels=labels,
-                  require_balanced=require_balanced)
+    return Design(_frozen(matrix), (field.order,) * len(labels),
+                  labels=labels, require_balanced=require_balanced)
 
 
 def column_juxtapose(*designs: Design) -> Design:
@@ -160,7 +174,7 @@ def column_juxtapose(*designs: Design) -> Design:
     labels = None
     if all(d.labels is not None for d in designs):
         labels = sum((d.labels for d in designs), ())
-    return Design(matrix, levels, labels=labels)
+    return Design(_frozen(matrix), levels, labels=labels)
 
 
 def row_juxtapose(*designs: Design, require_balanced=True) -> Design:
@@ -171,16 +185,25 @@ def row_juxtapose(*designs: Design, require_balanced=True) -> Design:
     if any(d.levels != levels for d in designs):
         raise ValueError("level profiles differ across the juxtaposed designs")
     matrix = np.concatenate([d.matrix for d in designs], axis=0)
-    return Design(matrix, levels, labels=designs[0].labels,
+    return Design(_frozen(matrix), levels, labels=designs[0].labels,
                   require_balanced=require_balanced)
 
 
 def select_columns(D: Design, indices) -> Design:
+    """The design of the given columns, in the given order.
+
+    Gram sums already kept on D carry over as their sub-blocks; the
+    coincidence histogram does not, since it changes with the columns.
+    """
     indices = list(indices)
-    matrix = D.matrix[:, indices]
+    matrix = D.matrix.take(indices, axis=1)
     levels = tuple(D.levels[i] for i in indices)
     labels = tuple(D.labels[i] for i in indices) if D.labels else None
-    return Design(matrix, levels, labels=labels)
+    out = Design(_frozen(matrix), levels, labels=labels)
+    if D._gram is not None:
+        sub = np.ix_(indices, indices)
+        out._gram = tuple(_frozen(M[sub]) for M in D._gram)
+    return out
 
 
 def check_fraction_runs(runs: int) -> None:
@@ -223,7 +246,7 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
         raise ValueError("branching label is not one of the design labels")
     matrix = np.stack(cols, axis=1)
     try:
-        return Design(matrix, (s,) * len(keep), labels=keep)
+        return Design(_frozen(matrix), (s,) * len(keep), labels=keep)
     except ValueError as exc:
         raise ValueError(f"branching left an unbalanced column: {exc}") from exc
 
@@ -269,7 +292,7 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     if D.labels is not None:
         mid = tuple(f"replaced({col_index}:{j})" for j in range(table.shape[1]))
         labels = D.labels[:col_index] + mid + D.labels[col_index + 1:]
-    return Design(matrix, levels, labels=labels)
+    return Design(_frozen(matrix), levels, labels=labels)
 
 
 # -- structural checks ------------------------------------------------------------
@@ -294,19 +317,12 @@ def is_oa(D: Design, t: int) -> bool:
     return True
 
 
-def strength(D: Design) -> int:
-    """Largest t with every t-column projection equireplicated."""
-    t = 0
-    while t < D.m and is_oa(D, t + 1):
-        t += 1
-    return t
-
-
 def coincidences(D: Design, weights=None) -> np.ndarray:
     """N x N matrix of row coincidence counts (zero diagonal).
 
     With weights (one per column, e.g. the level counts), each agreement in
-    column k contributes weights[k] instead of 1.
+    column k contributes weights[k] instead of 1.  A dense reference for
+    small designs: evaluation reads the row-tiled joint_coincidence_counts.
     """
     B, starts = _one_hot(D)
     if weights is not None:
@@ -320,18 +336,71 @@ def coincidences(D: Design, weights=None) -> np.ndarray:
     return delta
 
 
+def level_groups(D: Design) -> tuple[tuple[int, int], ...]:
+    """(level count, number of columns) of each level group, levels ascending."""
+    return tuple(sorted(Counter(D.levels).items()))
+
+
+def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
+    """Per-level-group coincidence vector -> number of row pairs a < b.
+
+    Entry g of a key counts the columns of level group g (level_groups
+    order) in which the two rows agree; with equal levels the key is the
+    1-tuple of the plain coincidence count.  Keys ascend.  Row-tiled: each
+    block of COINCIDENCE_BLOCK_CELLS // N rows is multiplied against the
+    rows from the block on, per group column slice of the one-hot matrix,
+    so no N x N array exists.  The products are agreement counts <= m,
+    exact in float64.  Computed on the first call and kept on D; each call
+    returns a copy.
+    """
+    if D._coincidence is None:
+        D._coincidence = _row_coincidences(D)
+    return dict(D._coincidence)
+
+
 def coincidence_counts(D: Design) -> dict[int, int]:
     """Row-pair coincidence count -> number of row pairs with that count.
 
-    Keys ascend.  Computed on the first call and kept on D (the N x N matrix
-    is not); each call returns a copy.
+    Keys ascend.  The total over the groups of joint_coincidence_counts.
     """
-    if D._coincidence is None:
-        counts = np.bincount(coincidences(D).ravel())
-        counts[0] -= D.N            # the zero diagonal
-        counts //= 2                # each row pair appears twice
-        D._coincidence = {v: c for v, c in enumerate(counts.tolist()) if c}
-    return dict(D._coincidence)
+    out = Counter()
+    for key, c in joint_coincidence_counts(D).items():
+        out[sum(key)] += c
+    return dict(sorted(out.items()))
+
+
+def _row_coincidences(D: Design) -> dict[tuple[int, ...], int]:
+    B = _one_hot(D)[0]
+    groups = level_groups(D)
+    if len(groups) == 1:
+        slabs = [B]
+    else:
+        owner = np.repeat(np.asarray(D.levels), D.levels)
+        slabs = [B[:, owner == s] for s, _ in groups]
+        del B
+    radix = [mg + 1 for _, mg in groups]
+    bins = math.prod(radix)
+    counted = bins <= JOINT_BINS_MAX
+    acc = np.zeros(bins, dtype=np.int64) if counted else Counter()
+    N = D.N
+    rows = max(1, COINCIDENCE_BLOCK_CELLS // N)
+    for r0 in range(0, N, rows):
+        r1 = min(r0 + rows, N)
+        upper = np.arange(r0, N)[None, :] > np.arange(r0, r1)[:, None]
+        parts = [(Bg[r0:r1] @ Bg[r0:].T)[upper].astype(np.int64)
+                 for Bg in slabs]
+        if counted:
+            acc += np.bincount(np.ravel_multi_index(parts, radix),
+                               minlength=bins)
+        else:
+            keys, counts = np.unique(np.stack(parts, axis=1), axis=0,
+                                     return_counts=True)
+            acc.update(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
+    if not counted:
+        return dict(sorted(acc.items()))
+    codes = np.flatnonzero(acc)
+    keys = zip(*(k.tolist() for k in np.unravel_index(codes, radix)))
+    return dict(zip(keys, acc[codes].tolist()))
 
 
 def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
@@ -376,11 +445,13 @@ def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
         G -= N
         np.abs(G, out=G)
         F[c0:c1, c0:] = _block_sums(G, rows, cols)
-    P, F = _mirror_upper(P), _mirror_upper(F)
-    P.setflags(write=False)
-    F.setflags(write=False)
-    D._gram = (P, F)
+    D._gram = (_frozen(_mirror_upper(P)), _frozen(_mirror_upper(F)))
     return D._gram
+
+
+def _frozen(A: np.ndarray) -> np.ndarray:
+    A.setflags(write=False)
+    return A
 
 
 def _block_sums(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -489,7 +560,7 @@ def design_from_text(text: str, allow_unbalanced=False) -> Design:
         raise ValueError(f"expected {m} level entries, found {len(levels)}")
     if matrix.shape != (N, m):
         raise ValueError(f"expected {N} rows of {m} symbols")
-    return Design(matrix, levels, require_balanced=not allow_unbalanced)
+    return Design(_frozen(matrix), levels, require_balanced=not allow_unbalanced)
 
 
 def write_design(D: Design, path) -> None:

@@ -39,7 +39,7 @@ def build_report(D: Design, gwlp_jmax: int | None = None) -> dict:
         "ave_chi2_2dp": criteria.round_half_away(rep.ave_chi2),
         "E_d2": _rat(rep.E_d2),
         "max_d2": _rat(rep.max_d2),
-        "gwlp": list(rep.gwlp),
+        "gwlp": [float(a) for a in rep.gwlp],
         "E_s2": _rat(rep.E_s2),
         "bounds": {
             "theorem1": _rat(cert.theorem1),

@@ -150,6 +150,19 @@ def test_dealias_bookkeeping_small(gf4):
     assert rep["achieves_bound"]
 
 
+def test_dealias_check_runs_one_gram_pass(gf4, monkeypatch):
+    """The de-aliased design reuses the Gram sums of the full design: one
+    one-hot matrix for them and one for the coincidences of its A2."""
+    from ssd import design_core
+    calls = []
+    one_hot = design_core._one_hot
+    monkeypatch.setattr(design_core, "_one_hot",
+                        lambda D: calls.append(D) or one_hot(D))
+    rep = dealias_check(gf4, 2, 5)
+    assert rep["achieves_bound"]
+    assert len(calls) == 2
+
+
 def test_catalog_has_31_rows_and_verifies(catalog_rows):
     assert len(CATALOG_SPECS) == 31
     results = catalog_verify(rows=catalog_rows)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from ssd.constructions import construct_thm4, construct_thm6, construct_thm8
 from ssd.criteria import (a2_overall, a2_overall_from_pairs, aggregate_stats,
-                          char_a2_matrix, e_s2, gwlp, pair_dependency_stats,
-                          power_moment, projected_a2, projected_a2_char,
-                          projected_a2_histogram, round_half_away)
+                          char_a2_matrix, e_s2, gwlp, krawtchouk,
+                          pair_dependency_stats, power_moment, projected_a2,
+                          projected_a2_char, projected_a2_histogram,
+                          round_half_away, strength)
 from ssd.design_core import Design, column_juxtapose, realize, select_columns
 from ssd.gf import Field, default_field
 from ssd.oracle import gwlp_bruteforce
@@ -192,12 +193,70 @@ def test_gwlp_values(gf3, ssd937):
     assert gwlp(D6, 2)[1] == pytest.approx(1.5, abs=1e-9)
 
 
-def test_gwlp_budget_guard(gf3):
-    D = construct_thm6(gf3, 2, 4)
-    with pytest.raises(ValueError, match="budget"):
-        gwlp(D, 4, budget=10)
+def test_gwlp_full_depth_and_jmax_range(ssd937):
+    # jmax = m carries no budget: every term matches the contrast route
+    mixed = Design(np.array([[0, 0, 0, 0], [0, 1, 1, 1], [0, 2, 2, 2],
+                             [0, 0, 3, 3], [0, 1, 0, 4], [0, 2, 1, 5],
+                             [1, 0, 2, 0], [1, 1, 3, 1], [1, 2, 0, 2],
+                             [1, 0, 1, 3], [1, 1, 2, 4], [1, 2, 3, 5]]),
+                   (2, 3, 4, 6))
+    for D in (ssd937, mixed):
+        pattern = gwlp(D, D.m)
+        assert len(pattern) == D.m
+        for j in range(1, D.m + 1):
+            assert float(pattern[j - 1]) == pytest.approx(
+                gwlp_bruteforce(D, j), abs=1e-9)
     with pytest.raises(ValueError, match="jmax"):
-        gwlp(D, 0)
+        gwlp(ssd937, 0)
+    with pytest.raises(ValueError, match="jmax"):
+        gwlp(ssd937, ssd937.m + 1)
+
+
+def _krawtchouk_sum(x, m, s, j):
+    return sum((-1)**k * (s - 1)**(j - k) * math.comb(x, k) * math.comb(m - x, j - k)
+               for k in range(j + 1))
+
+
+def test_krawtchouk_recurrence_matches_explicit_sum():
+    big = 0
+    for m, s in ((1, 2), (5, 3), (7, 6), (40, 64), (60, 4096)):
+        for x in range(m + 1):
+            row = krawtchouk(x, m, s, m + 3)
+            assert len(row) == m + 1            # P_j = 0 for j > m
+            assert row == [_krawtchouk_sum(x, m, s, j) for j in range(m + 1)]
+            big = max(big, max(abs(v) for v in row))
+        assert krawtchouk(1, m, s, 1) == [1, m * (s - 1) - s]
+    assert big > 2**63
+
+
+def test_gwlp_exact_a2_and_char_matrix_on_golden_mixed():
+    # the golden mixed 9/3 design: A_1 = 0 and A_2 = the pairwise A2 exactly,
+    # and the character-route matrix sums to the same A_2 within rounding
+    from pathlib import Path
+    from ssd.design_core import read_design
+    D = read_design(Path(__file__).parent / "data" / "golden" / "mixed_9x3.ssd")
+    assert len(set(D.levels)) == 2
+    pattern = gwlp(D, 3)
+    assert all(isinstance(a, F) for a in pattern)
+    assert pattern[0] == 0 and pattern[1] == a2_overall_from_pairs(D)
+    assert float(np.triu(char_a2_matrix(D), 1).sum()) == pytest.approx(
+        float(pattern[1]), abs=1e-9)
+
+
+def test_strength_matches_is_oa(catalog_rows):
+    from ssd.design_core import is_oa
+
+    def reference(D):
+        t = 0
+        while t < D.m and is_oa(D, t + 1):
+            t += 1
+        return t
+    for _, D in catalog_rows:
+        if D.m <= 12:
+            assert strength(D) == reference(D)
+    for s in (2, 3):
+        H = realize(default_field(s), 3, h_set(default_field(s), 3))
+        assert strength(H) == reference(H) == 2
 
 
 def test_gwlp_alternate_modulus():
@@ -225,12 +284,23 @@ def any_level_designs(draw):
 @settings(max_examples=25, deadline=None)
 @given(any_level_designs())
 def test_gwlp_matches_real_contrasts_for_any_levels(D):
-    pattern = gwlp(D, 3)
-    for j in (1, 2, 3):
-        assert pattern[j - 1] == pytest.approx(gwlp_bruteforce(D, j),
-                                               abs=1e-9)
-    assert pattern[1] == pytest.approx(float(a2_overall_from_pairs(D)),
-                                       abs=1e-9)
+    jmax = min(D.m, 4)
+    pattern = gwlp(D, jmax)
+    for j in range(1, jmax + 1):
+        assert float(pattern[j - 1]) == pytest.approx(gwlp_bruteforce(D, j),
+                                                      abs=1e-9)
+    assert pattern[0] == 0
+    assert pattern[1] == a2_overall_from_pairs(D)
+
+
+@settings(max_examples=25, deadline=None)
+@given(any_level_designs())
+def test_strength_matches_is_oa_on_mixed_designs(D):
+    from ssd.design_core import is_oa
+    t = 0
+    while t < D.m and is_oa(D, t + 1):
+        t += 1
+    assert strength(D) == t
 
 
 def test_round_half_away():

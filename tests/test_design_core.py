@@ -3,14 +3,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ssd.criteria import a2_overall
+from ssd.criteria import a2_overall, strength
 from ssd.design_core import (GRAM_TILE, Design, branch_fraction, cell_table,
                              classify_pair, coincidence_counts, coincidences,
                              column_juxtapose, design_from_text,
                              design_to_text, fully_aliased_pairs, is_oa,
                              pair_gram_sums, realize, remove_fully_aliased,
-                             replace_column, row_juxtapose, select_columns,
-                             strength)
+                             replace_column, row_juxtapose, select_columns)
 from ssd.gf import default_field
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
 
@@ -200,6 +199,72 @@ def test_coincidences_duplicated_rows_and_weights(gf3):
     assert w[0, 1] == 6
 
 
+def _dense_joint(D):
+    """Joint coincidence histogram from one dense matrix per level group."""
+    from collections import Counter
+    from ssd.design_core import level_groups
+    upper = np.triu_indices(D.N, 1)
+    per_group = [coincidences(select_columns(
+        D, [k for k, t in enumerate(D.levels) if t == s]))[upper]
+        for s, _ in level_groups(D)]
+    return dict(sorted(Counter(zip(*(g.tolist() for g in per_group))).items()))
+
+
+def test_joint_coincidences_match_dense_reference(gf3, gf9, monkeypatch):
+    from ssd import design_core
+    from ssd.design_core import joint_coincidence_counts
+    equal = realize(gf3, 3, h_set(gf3, 3) + q1_star(gf3, 3))
+    mixed = replace_column(realize(gf9, 2, h_set(gf9, 2)), 0,
+                           realize(gf3, 2, h_set(gf3, 2)).matrix)
+    dup = Design([[0, 0, 1], [0, 0, 1], [1, 1, 0], [1, 1, 0]], (2, 2, 2))
+    for D in (equal, mixed, dup):
+        want = _dense_joint(D)
+        assert joint_coincidence_counts(D) == want
+        vals, counts = np.unique(coincidences(D)[np.triu_indices(D.N, 1)],
+                                 return_counts=True)
+        assert coincidence_counts(D) == dict(zip(vals.tolist(), counts.tolist()))
+        # several row blocks, and the np.unique reduction in place of bincount
+        for name, value in (("COINCIDENCE_BLOCK_CELLS", 2 * D.N),
+                            ("JOINT_BINS_MAX", 0)):
+            with monkeypatch.context() as mp:
+                mp.setattr(design_core, name, value)
+                fresh = Design(D.matrix.copy(), D.levels)
+                assert joint_coincidence_counts(fresh) == want
+    assert list(joint_coincidence_counts(equal)) == [(k,) for k in
+                                                     coincidence_counts(equal)]
+
+
+def test_design_copies_writable_input():
+    a = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    v = a[:]
+    D = Design(a, [2, 2])
+    assert a2_overall(D) == 0
+    v[:, 1] = v[:, 0]            # the caller's array stays writable ...
+    assert a2_overall(Design(a, [2, 2])) == 1
+    # ... and the design, its kept sums and its matrix do not follow it
+    assert (D.matrix[:, 0] != D.matrix[:, 1]).any()
+    assert a2_overall(D) == 0 == a2_overall(Design(D.matrix.copy(), [2, 2]))
+    assert not D.matrix.flags.writeable
+    # a design's own read-only matrix is shared, not copied
+    assert Design(D.matrix, D.levels).matrix is D.matrix
+
+
+def test_select_columns_carries_gram_sums(gf3, monkeypatch):
+    from ssd import design_core
+    D = realize(gf3, 2, h_set(gf3, 2) + q1_star(gf3, 2))
+    P, F_ = pair_gram_sums(D)
+    idx = [5, 0, 3, 3]
+    sub = select_columns(D, idx)
+    monkeypatch.setattr(design_core, "_one_hot", None)     # no second pass
+    Ps, Fs = pair_gram_sums(sub)
+    assert (Ps == P[np.ix_(idx, idx)]).all() and (Fs == F_[np.ix_(idx, idx)]).all()
+    assert not Ps.flags.writeable and not Fs.flags.writeable
+    monkeypatch.undo()
+    fresh = Design(sub.matrix.copy(), sub.levels)
+    assert (pair_gram_sums(fresh)[0] == Ps).all()
+    assert (pair_gram_sums(fresh)[1] == Fs).all()
+
+
 def test_classify_pair_kinds(gf3):
     D = realize(gf3, 2, h_set(gf3, 2) + q1_star(gf3, 2) + [h_set(gf3, 2)[0]])
     # columns: 0..3 linear, 4..6 quadratic, 7 duplicates column 0
@@ -265,3 +330,37 @@ def test_text_format_rejects_malformed():
                  f"0 1\n1 {10**24}\n"):
         with pytest.raises(ValueError, match="malformed design file"):
             design_from_text("# ssd v1\n2 2\n2 2\n" + body)
+
+
+MEASURE_COINCIDENCE_RSS = """
+import resource
+from ssd.constructions import construct_thm4
+from ssd.design_core import coincidence_counts
+from ssd.gf import default_field
+D = construct_thm4(default_field(64), 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+counts = coincidence_counts(D)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(D.N, D.m, (after - before) // 1024, counts)
+"""
+
+
+@pytest.mark.slow
+def test_coincidence_pass_memory_at_4096_runs():
+    """The row-tiled pass on GF(64) thm4 (4096 x 129, one-hot 4096 x 8256)
+    holds the one-hot matrix and one row block, never N x N: the dense
+    matrix and its integer copy raised peak RSS by about 650 MB."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ssd
+    env = dict(os.environ, PYTHONPATH=str(Path(ssd.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", MEASURE_COINCIDENCE_RSS],
+                         capture_output=True, text=True, env=env, check=True)
+    N, m, grown_mb, counts = out.stdout.split(maxsplit=3)
+    assert (int(N), int(m)) == (4096, 129)
+    assert counts.strip() == "{1: 129024, 2: 8257536}"
+    assert int(grown_mb) < 400

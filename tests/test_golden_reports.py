@@ -6,8 +6,9 @@ the three bundled tables, a mixed 9/3-level design (thm6 over GF(9), n = 2,
 k = 2, with both `h` columns replaced by OA(9, 4, 3, 2)) and a two-level
 design (thm4 over GF(2), n = 4), so E(s^2) and its bound are covered.
 
-Every key must match exactly except `gwlp`, a floating cross-check whose last
-bits depend on the BLAS in use: it is compared to 1e-9 * max(1, A2).
+Every key must match exactly except `gwlp`: it is now exact, but the
+committed values were written by a floating character route whose last
+bits depended on the BLAS in use, so it is compared to 1e-9 * max(1, A2).
 """
 
 import json
