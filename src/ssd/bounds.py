@@ -22,8 +22,18 @@ from .criteria import a2_overall, e_s2
 from .design_core import Design, coincidence_counts
 
 
+def _check_shape(N: int, levels, name: str = "s") -> None:
+    """Reject the shapes the bounds are undefined on, naming the bad argument."""
+    if N < 2:
+        raise ValueError(f"run count N must be at least 2, got {N}")
+    for s in levels:
+        if s < 2:
+            raise ValueError(f"level count {name} must be at least 2, got {s}")
+
+
 def lb_lemma2(N: int, m: int, s: int) -> Fraction:
     """Baseline equal-level bound m(s-1)(ms-m-N+1)/(2(N-1)); may be negative."""
+    _check_shape(N, (s,))
     if N % s:
         raise ValueError("run count must be divisible by the level count")
     return Fraction(m * (s - 1) * (m * s - m - N + 1), 2 * (N - 1))
@@ -31,6 +41,7 @@ def lb_lemma2(N: int, m: int, s: int) -> Fraction:
 
 def eta_fraction(N: int, m: int, s: int) -> Fraction:
     """Fractional part of the mean coincidence count m(N-s)/((N-1)s)."""
+    _check_shape(N, (s,))
     k1 = Fraction(m * (N - s), (N - 1) * s)
     return k1 - (k1.numerator // k1.denominator)
 
@@ -44,6 +55,7 @@ def lb_theorem1(N: int, m: int, s: int) -> Fraction:
 def lb_theorem10(N: int, levels) -> Fraction:
     """Mixed-level bound (T - m)(T - m - N + 1)/(2(N-1)) with T = sum levels."""
     levels = [int(s) for s in levels]
+    _check_shape(N, levels, "in levels")
     for s in levels:
         if N % s:
             raise ValueError("run count must be divisible by every level count")
@@ -57,6 +69,7 @@ def lb_es2(N: int, m: int) -> Fraction:
     The bound is informative only for supersaturated designs (m > N - 1);
     below saturation the formula is nonpositive and 0 is returned.
     """
+    _check_shape(N, ())
     if m < 2:
         raise ValueError("need at least two columns")
     raw = Fraction(N * N * (m - N + 1), (m - 1) * (N - 1))

@@ -19,10 +19,7 @@ from .design_core import (branch_fraction, column_levels, read_design,
                           write_design)
 from .gf import Field, default_field
 from .poly_labels import h_set, label_str, parse_label, q1
-
-
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+from .report import fmt_frac
 
 
 def _parse_modulus(spec: str | None):
@@ -42,14 +39,14 @@ def _parse_levels_list(spec: str) -> list[int]:
 
 
 def _cmd_construct(args) -> int:
+    if args.theorem in ("6", "7", "8", "9") and args.k is None:
+        print("--k is required for this construction", file=sys.stderr)
+        return 2
     f = _field(args.s, args.modulus)
     if args.theorem == "4":
         design = constructions.construct_thm4(f, args.n)
     elif args.theorem in ("5", "6"):
         k = 2 if args.theorem == "5" else args.k
-        if k is None:
-            print("--k is required for this construction", file=sys.stderr)
-            return 2
         hs = None
         if args.hs:
             hs = [parse_label(f, t, args.n) for t in args.hs.split(",")]
@@ -57,21 +54,12 @@ def _cmd_construct(args) -> int:
         if args.dealias:
             design = remove_fully_aliased(design)
     elif args.theorem == "7":
-        if args.k is None:
-            print("--k is required for this construction", file=sys.stderr)
-            return 2
         design = constructions.construct_thm7(f, args.n, args.k)
     elif args.theorem == "8":
-        if args.k is None:
-            print("--k is required for this construction", file=sys.stderr)
-            return 2
         g = _parse_levels_list(args.levels) if args.levels else None
         branch = parse_label(f, args.branch, args.n) if args.branch else None
         design = constructions.construct_thm8(f, args.n, args.k, branch, g)
     elif args.theorem == "9":
-        if args.k is None:
-            print("--k is required for this construction", file=sys.stderr)
-            return 2
         g = _parse_levels_list(args.levels) if args.levels else None
         design = constructions.construct_thm9(f, args.n, args.k, g)
     elif args.theorem == "example3":
@@ -92,7 +80,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    D = read_design(args.file, allow_unbalanced=args.allow_unbalanced)
+    D = read_design(args.file)
     rep = report.build_report(D, gwlp_jmax=args.jmax)
     sys.stdout.write(report.report_to_text(rep))
     if args.json:
@@ -105,18 +93,18 @@ def _cmd_evaluate(args) -> int:
 def _cmd_bound(args) -> int:
     if args.levels:
         levels = _parse_levels_list(args.levels)
-        print(f"theorem10 = {_fmt(lb_theorem10(args.N, levels))}")
+        print(f"theorem10 = {fmt_frac(lb_theorem10(args.N, levels))}")
         return 0
     if args.s is None or args.m is None:
         print("either --levels or both --m and --s are required",
               file=sys.stderr)
         return 2
     t1 = lb_theorem1(args.N, args.m, args.s)
-    print(f"theorem1 = {_fmt(max(t1, Fraction(0)))} (raw {_fmt(t1)})")
-    print(f"lemma2 = {_fmt(lb_lemma2(args.N, args.m, args.s))}")
-    print(f"theorem10 = {_fmt(lb_theorem10(args.N, [args.s] * args.m))}")
+    print(f"theorem1 = {fmt_frac(max(t1, Fraction(0)))} (raw {fmt_frac(t1)})")
+    print(f"lemma2 = {fmt_frac(lb_lemma2(args.N, args.m, args.s))}")
+    print(f"theorem10 = {fmt_frac(lb_theorem10(args.N, [args.s] * args.m))}")
     if args.s == 2:
-        print(f"eq1_es2 = {_fmt(lb_es2(args.N, args.m))}")
+        print(f"eq1_es2 = {fmt_frac(lb_es2(args.N, args.m))}")
     return 0
 
 
@@ -164,7 +152,10 @@ def _cmd_oracle(args) -> int:
         budget = int(os.environ.get("SSD_BUDGET", oracle.DEFAULT_BUDGET))
     res = oracle.exhaustive_min_a2(args.N, args.s, args.m, budget,
                                    stop_at_bound=not args.full)
-    print(f"best A2 = {_fmt(res.best_a2)}")
+    if res.best_a2 is None:
+        raise ValueError(
+            f"no complete design within the budget of {budget} evaluations")
+    print(f"best A2 = {fmt_frac(res.best_a2)}")
     print(f"exhaustive = {res.exhaustive}, certified = {res.certified}, "
           f"evaluations = {res.evaluations}")
     return 0
@@ -189,11 +180,12 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_export(args) -> int:
     D = read_design(args.file, allow_unbalanced=args.allow_unbalanced)
+    # build the report first, so a design it rejects leaves no file behind
+    text = report.report_to_json(report.build_report(D)) if args.json else None
     write_design(D, args.out)
-    if args.json:
-        rep = report.build_report(D)
+    if text is not None:
         with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(report.report_to_json(rep))
+            fh.write(text)
     print(f"wrote {D.N}x{D.m} design to {args.out}")
     return 0
 
@@ -225,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("file")
     e.add_argument("--json", help="write the JSON report here")
     e.add_argument("--jmax", type=int, default=None)
-    e.add_argument("--allow-unbalanced", action="store_true")
     e.set_defaults(func=_cmd_evaluate)
 
     b = sub.add_parser("bound", help="print the lower bounds for a shape")

@@ -7,6 +7,17 @@ cross-check builds real orthonormal contrasts instead of characters.  The
 search fixes the first column to the canonical sorted pattern (any design can
 be row-permuted into that form) and enumerates the remaining columns in
 nondecreasing rank order, which removes column-permutation symmetry.
+
+The search works in integers scaled by N^2, where a pair of s-level columns
+contributes s^2 * sum(n_ab^2) - N^2.  For balanced columns c and d,
+sum(n_ab^2) counts the ordered row pairs on which both columns agree: the N
+pairs r = r' plus twice the pairs r < r' where both agree, so it equals
+N + 2 * A_c . A_d exactly, where A_c is the 0/1 vector of row pairs r < r'
+on which column c agrees.  A node with k chosen columns therefore scores all
+its children at once as k * (s^2 N - N^2) + 2 s^2 * (A @ S), S being the sum
+of the chosen columns' agreement vectors: one integer matrix-vector product,
+no pair table.  A stable sort of the scores visits the children by
+(score, rank), and the pruning bound is compared as an integer floor.
 """
 
 from __future__ import annotations
@@ -50,24 +61,26 @@ class SearchResult:
     budget: int
 
 
-def _balanced_columns(N: int, s: int) -> list[tuple[int, ...]]:
+def _balanced_columns(N: int, s: int) -> np.ndarray:
+    """All balanced s-level columns of length N, in lexicographic order (uint8).
+
+    Grows every prefix by each symbol it still has room for, one position at
+    a time; np.nonzero walks (prefix, symbol) in row-major order, so the rows
+    stay lexicographic without enumerating the s^N tuples.
+    """
     per = N // s
-    count = math.factorial(N)
-    for _ in range(s):
-        count //= math.factorial(per)
+    count = math.factorial(N) // math.factorial(per) ** s
     if count > MAX_CANDIDATES:
         raise ValueError(
             f"{count} balanced columns for N={N}, s={s}: too many to enumerate")
-    out = []
-    for cand in itertools.product(range(s), repeat=N):
-        ok = True
-        for lev in range(s):
-            if cand.count(lev) != per:
-                ok = False
-                break
-        if ok:
-            out.append(cand)
-    return out
+    cols = np.zeros((1, 0), dtype=np.uint8)
+    room = np.full((1, s), per)
+    for _ in range(N):
+        prefix, symbol = np.nonzero(room)
+        cols = np.column_stack([cols[prefix], symbol.astype(np.uint8)])
+        room = room[prefix]
+        room[np.arange(len(prefix)), symbol] -= 1
+    return cols
 
 
 def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
@@ -77,82 +90,67 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
     Columns may repeat (fully aliased designs are admissible).  The search
     stops early once the theoretical lower bound is attained (the minimum is
     then known exactly and `certified` is set) unless stop_at_bound is false,
-    in which case the full reduced tree is traversed.  Exceeding the budget
-    returns the best design found so far with exhaustive=False.
+    in which case the full reduced tree is traversed.  Scoring the children of
+    a node costs one evaluation per child; exceeding the budget returns the
+    best design found so far with exhaustive=False.
     """
+    if s < 2:
+        raise ValueError(f"level count s must be at least 2, got {s}")
+    if N < s:
+        raise ValueError(f"run count N={N} must be at least the level count s={s}")
     if N % s:
         raise ValueError("run count must be divisible by the level count")
     if m < 1:
         raise ValueError("need at least one column")
     cands = _balanced_columns(N, s)
+    agree = np.concatenate([cands[:, r + 1:] == cands[:, r:r + 1]
+                            for r in range(N - 1)], axis=1).view(np.uint8)
+    C, NN = len(cands), N * N
     bound = max(lb_theorem1(N, m, s), Fraction(0))
-    per_pair_lb = max(lb_theorem1(N, 2, s), Fraction(0))
-    pair_memo: dict[tuple[int, int], Fraction] = {}
+    scaled = bound * NN     # an integer total can attain it only if it is integral
+    target = scaled.numerator if scaled.denominator == 1 else None
+    per_pair = max(lb_theorem1(N, 2, s), Fraction(0)) * NN
+    # slack[k]: the least that the pairs still open below a child of a node
+    # with k chosen columns add; floored, which is exact against integer totals
+    slack = [math.floor((math.comb(r, 2) + r * (m - r)) * per_pair)
+             for r in range(m - 1, -1, -1)]
+    evals, best, best_cols = 0, None, (0,)
+    exceeded = stopped = False
 
-    def pair_a2(ci: int, cj: int) -> Fraction:
-        key = (ci, cj) if ci <= cj else (cj, ci)
-        v = pair_memo.get(key)
-        if v is None:
-            tab = [[0] * s for _ in range(s)]
-            for a, b in zip(cands[key[0]], cands[key[1]]):
-                tab[a][b] += 1
-            v = pair_a2_from_table(tab, N)
-            pair_memo[key] = v
-        return v
-
-    state = {"evals": 0, "best": None, "best_cols": None,
-             "exceeded": False, "stopped": False}
-
-    def leaf(chosen, total):
-        if state["best"] is None or total < state["best"]:
-            state["best"] = total
-            state["best_cols"] = tuple(chosen)
-            if stop_at_bound and total == bound:
-                state["stopped"] = True
-
-    def descend(chosen, total):
-        if state["stopped"] or state["exceeded"]:
+    def descend(chosen: list[int], S: np.ndarray, total: int) -> None:
+        nonlocal evals, best, best_cols, exceeded, stopped
+        k = len(chosen)
+        lo = chosen[-1] if k > 1 else 0  # cols 2.. are nondecreasing
+        if evals + C - lo > budget:
+            evals, exceeded = budget + 1, True
             return
-        if len(chosen) == m:
-            leaf(chosen, total)
-            return
-        remaining = m - len(chosen) - 1
-        scored = []
-        lo = chosen[-1] if len(chosen) > 1 else 0  # cols 2.. are nondecreasing
-        for ci in range(lo, len(cands)):
-            state["evals"] += 1
-            if state["evals"] > budget:
-                state["exceeded"] = True
-                return
-            added = sum((pair_a2(cj, ci) for cj in chosen), Fraction(0))
-            scored.append((added, ci))
-        scored.sort()
-        for added, ci in scored:
-            sub = total + added
-            # every remaining pair will add at least the two-column bound
-            completion = (math.comb(remaining, 2)
-                          + remaining * (len(chosen) + 1)) * per_pair_lb
-            if state["best"] is not None and sub + completion >= state["best"]:
-                continue
-            descend(chosen + [ci], sub)
-            if state["stopped"] or state["exceeded"]:
+        evals += C - lo
+        scores = (total + k * (s * s * N - NN)
+                  + 2 * s * s * (agree[lo:] @ S).astype(np.int64))
+        for i in np.argsort(scores, kind="stable"):
+            sub, ci = int(scores[i]), lo + int(i)
+            if best is not None and sub + slack[k] >= best:
+                break   # later children score no lower, and best only falls
+            if k + 1 == m:
+                best, best_cols = sub, (*chosen, ci)
+                stopped = stop_at_bound and sub == target
+            else:
+                descend([*chosen, ci], S + agree[ci], sub)
+            if stopped or exceeded:
                 return
 
     if m == 1:
-        state["best"] = Fraction(0)
-        state["best_cols"] = (0,)
+        best = 0
     else:
-        descend([0], Fraction(0))
+        descend([0], agree[0].astype(np.int32), 0)
 
-    design = None
-    if state["best_cols"] is not None:
-        matrix = np.array([cands[i] for i in state["best_cols"]]).T
-        design = Design(matrix, (s,) * m)
+    best_a2 = None if best is None else Fraction(best, NN)
+    design = None if best is None else Design(cands[list(best_cols)].T, (s,) * m)
     return SearchResult(
-        best_a2=state["best"], design=design,
-        exhaustive=not state["exceeded"] and not state["stopped"],
-        certified=state["best"] == bound,
-        evaluations=state["evals"], budget=budget)
+        best_a2=best_a2, design=design,
+        exhaustive=not exceeded and not stopped,
+        certified=best_a2 == bound,
+        evaluations=evals, budget=budget)
 
 
 def periodicity_spot_check(N: int, s: int, t: int, m_values,

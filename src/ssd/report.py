@@ -62,7 +62,7 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _fmt_frac(x: Fraction) -> str:
+def fmt_frac(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -76,27 +76,27 @@ def report_to_text(report: dict) -> str:
         profile = " ".join(map(str, levels))
     lines.append(f"design: {report['N']} runs, levels {profile}")
     a2 = Fraction(report["A2"]["num"], report["A2"]["den"])
-    lines.append(f"overall A2 = {_fmt_frac(a2)}")
+    lines.append(f"overall A2 = {fmt_frac(a2)}")
     lines.append("projected A2 histogram:")
     for item in report["projected_A2_histogram"]:
         v = Fraction(item["value"]["num"], item["value"]["den"])
-        lines.append(f"  {_fmt_frac(v)}: {item['count']}")
+        lines.append(f"  {fmt_frac(v)}: {item['count']}")
     for key in ("ave_chi2", "max_chi2", "ave_f", "max_f", "E_d2", "max_d2"):
         v = Fraction(report[key]["num"], report[key]["den"])
-        lines.append(f"{key} = {_fmt_frac(v)} ({float(v):.4f})")
+        lines.append(f"{key} = {fmt_frac(v)} ({float(v):.4f})")
     lines.append("gwlp prefix: "
                  + ", ".join(f"A{i + 1} = {a:.6g}"
                              for i, a in enumerate(report["gwlp"])))
     if report["E_s2"] is not None:
         es2 = Fraction(report["E_s2"]["num"], report["E_s2"]["den"])
-        lines.append(f"E(s^2) = {_fmt_frac(es2)}")
+        lines.append(f"E(s^2) = {fmt_frac(es2)}")
     b = report["bounds"]
     if b["theorem1"] is not None:
         t1 = Fraction(b["theorem1"]["num"], b["theorem1"]["den"])
-        lines.append(f"bound (equal levels) = {_fmt_frac(t1)}, "
+        lines.append(f"bound (equal levels) = {fmt_frac(t1)}, "
                      f"achieved = {b['achieved_theorem1']}")
     t10 = Fraction(b["theorem10"]["num"], b["theorem10"]["den"])
-    lines.append(f"bound (level profile) = {_fmt_frac(t10)}, "
+    lines.append(f"bound (level profile) = {fmt_frac(t10)}, "
                  f"achieved = {b['achieved_theorem10']}")
     lines.append(f"coincidence spread = {b['coincidence_spread']}")
     return "\n".join(lines) + "\n"

@@ -116,3 +116,16 @@ def test_certify_requires_balance():
     D = Design([[0], [0], [0], [1]], [2], require_balanced=False)
     with pytest.raises(ValueError, match="balanced"):
         certify(D)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: lb_lemma2(1, 2, 2), "run count N must be at least 2, got 1"),
+    (lambda: lb_lemma2(4, 2, 1), "level count s must be at least 2, got 1"),
+    (lambda: eta_fraction(4, 2, 0), "level count s must be at least 2, got 0"),
+    (lambda: lb_theorem1(0, 2, 2), "run count N must be at least 2, got 0"),
+    (lambda: lb_theorem10(4, [2, -2]),
+     "level count in levels must be at least 2, got -2"),
+    (lambda: lb_es2(1, 3), "run count N must be at least 2, got 1")])
+def test_bounds_reject_degenerate_shapes(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

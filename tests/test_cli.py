@@ -317,3 +317,58 @@ def test_construct_rejects_variable_beyond_n(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: variable X3 in label 'X3' is not one of X1..X2\n")
     assert not d.exists()
+
+
+@pytest.mark.parametrize("argv,budget", [
+    (["--N", "6", "--s", "3", "--m", "3", "--full"], 50),
+    (["--N", "9", "--s", "3", "--m", "4"], 1000)])
+def test_oracle_budget_spent_before_any_design(capsys, argv, budget):
+    assert run(["oracle", "min-a2", *argv, "--budget", str(budget)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: no complete design within the budget of {budget} evaluations\n")
+
+
+def test_oracle_rejects_negative_level_count(capsys):
+    assert run(["oracle", "min-a2", "--N", "6", "--s", "-2", "--m", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: level count s must be at least 2, got -2\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--N", "4", "--m", "2", "--s", "0"], "level count s must be at least 2, got 0"),
+    (["--N", "1", "--m", "2", "--s", "2"], "run count N must be at least 2, got 1"),
+    (["--N", "4", "--levels", "2,1"],
+     "level count in levels must be at least 2, got 1")])
+def test_bound_rejects_degenerate_shapes(capsys, argv, err):
+    assert run(["bound", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_evaluate_has_no_allow_unbalanced_flag(tmp_path, capsys):
+    f = tmp_path / "bad.ssd"
+    f.write_text("# ssd v1\n4 1\n2\n0\n0\n0\n1\n")
+    assert run(["evaluate", str(f), "--allow-unbalanced"]) == 2
+
+
+def test_export_failing_report_writes_no_design(tmp_path, capsys):
+    f = tmp_path / "bad.ssd"
+    out = tmp_path / "out.ssd"
+    f.write_text("# ssd v1\n4 1\n2\n0\n0\n0\n1\n")
+    assert run(["export", str(f), "--allow-unbalanced", "--out", str(out),
+                "--json", str(tmp_path / "r.json")]) == 1
+    assert "balanced" in capsys.readouterr().err
+    assert not out.exists()
+    # without --json the unbalanced file is re-emitted as it is
+    assert run(["export", str(f), "--allow-unbalanced", "--out", str(out)]) == 0
+    assert out.read_text() == f.read_text()
+
+
+@pytest.mark.parametrize("theorem", ["6", "7", "8", "9"])
+def test_construct_requires_k(tmp_path, capsys, theorem):
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", theorem, "--s", "3", "--n", "2",
+                "--out", str(d)]) == 2
+    assert capsys.readouterr().err == "--k is required for this construction\n"
+    assert not d.exists()

@@ -1,15 +1,32 @@
+import itertools
+import json
+import math
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ssd.bounds import lb_theorem1
+from ssd.cli import run
 from ssd.constructions import construct_thm4, construct_thm8
-from ssd.criteria import gwlp, projected_a2
-from ssd.design_core import realize
+from ssd.criteria import a2_overall, gwlp, projected_a2
+from ssd.design_core import Design, pair_gram_sums, realize
 from ssd.gf import default_field
-from ssd.oracle import (exhaustive_min_a2, gwlp_bruteforce, pair_table,
-                        pair_a2_from_table, periodicity_spot_check)
+from ssd.oracle import (DEFAULT_BUDGET, exhaustive_min_a2, gwlp_bruteforce,
+                        pair_table, pair_a2_from_table, periodicity_spot_check)
 from ssd.poly_labels import h_set
+
+# Results of the per-candidate Fraction search this integer search replaced,
+# recorded from it: the new search visits the same tree in the same order, so
+# every field must match exactly.  A null budget means DEFAULT_BUDGET.
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "oracle_pinned.json").read_text())
+
+
+def _case_id(c):
+    return (f"N{c['N']}-s{c['s']}-m{c['m']}-b{c['budget']}-"
+            + ("stop" if c["stop_at_bound"] else "full"))
 
 
 def test_pair_table_patterns(gf3):
@@ -108,3 +125,72 @@ def test_gwlp_bruteforce_limits(gf3):
     big = realize(gf3, 2, h_set(gf3, 2) + h_set(gf3, 2) + h_set(gf3, 2)[:1])
     with pytest.raises(ValueError, match="limited"):
         gwlp_bruteforce(big, 2)
+
+
+@pytest.mark.parametrize("case", PINNED["cases"], ids=_case_id)
+def test_search_matches_pinned_results(case):
+    res = exhaustive_min_a2(case["N"], case["s"], case["m"],
+                            case["budget"] or DEFAULT_BUDGET,
+                            stop_at_bound=case["stop_at_bound"])
+    best = None if res.best_a2 is None else str(res.best_a2)
+    assert (best, res.evaluations, res.exhaustive, res.certified) == (
+        case["best"], case["evaluations"], case["exhaustive"], case["certified"])
+    if case["matrix"] is None:
+        assert res.design is None
+    else:
+        assert res.design.matrix.tolist() == case["matrix"]
+        assert a2_overall(res.design) == res.best_a2
+
+
+@pytest.mark.parametrize("case", [c for c in PINNED["cases"] if c["stdout"]],
+                         ids=_case_id)
+def test_oracle_cli_stdout_matches_pinned(case, capsys):
+    argv = ["oracle", "min-a2", "--N", str(case["N"]), "--s", str(case["s"]),
+            "--m", str(case["m"]), "--budget",
+            str(case["budget"] or DEFAULT_BUDGET)]
+    assert run(argv + ([] if case["stop_at_bound"] else ["--full"])) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_periodicity_matches_pinned():
+    rows = periodicity_spot_check(9, 3, 4, [1, 2])
+    assert [{k: str(v) for k, v in row.items()} for row in rows] \
+        == PINNED["periodicity_9_3_4"]
+
+
+def _brute_min_scaled(N, s, m):
+    """N^2 * min A2 over every multiset of m balanced columns (library Gram sums)."""
+    if m == 1:
+        return 0
+    cols = [c for c in itertools.product(range(s), repeat=N)
+            if all(c.count(v) == N // s for v in range(s))]
+    P, _ = pair_gram_sums(Design(np.array(cols).T, (s,) * len(cols)))
+    pair = s * s * P - N * N
+    combos = np.array(list(itertools.combinations_with_replacement(
+        range(len(cols)), m)))
+    totals = sum(pair[combos[:, i], combos[:, j]]
+                 for i, j in itertools.combinations(range(m), 2))
+    return int(np.min(totals))
+
+
+SMALL_SHAPES = [
+    (N, s, m) for N in (2, 4, 6, 8) for s in range(2, N + 1)
+    if N % s == 0 and s ** N <= 100_000 for m in range(1, 6)
+    if math.comb(math.factorial(N) // math.factorial(N // s) ** s + m - 1, m)
+    <= 300_000]
+
+
+@pytest.mark.parametrize("N,s,m", SMALL_SHAPES)
+def test_exhaustive_minimum_equals_brute_force(N, s, m):
+    res = exhaustive_min_a2(N, s, m, stop_at_bound=False)
+    assert res.exhaustive
+    assert res.best_a2 * N * N == _brute_min_scaled(N, s, m)
+
+
+def test_rejects_degenerate_shapes():
+    with pytest.raises(ValueError, match="level count s must be at least 2"):
+        exhaustive_min_a2(6, -2, 2)
+    with pytest.raises(ValueError, match="level count s must be at least 2"):
+        exhaustive_min_a2(6, 1, 2)
+    with pytest.raises(ValueError, match="at least the level count"):
+        exhaustive_min_a2(2, 4, 2)
