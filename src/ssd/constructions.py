@@ -31,13 +31,12 @@ import numpy as np
 from . import criteria
 from .bounds import certify, lb_theorem1
 from .design_core import (MAX_RUNS, Design, branch_fraction,
-                          check_fraction_runs, column_juxtapose,
-                          design_from_text, fully_aliased_pairs,
-                          pair_gram_sums, realize, remove_fully_aliased,
-                          select_columns)
-from .gf import Field, default_field, enumerate_points, point_count
-from .poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
-                          h_set, q1, q1_star, qh, qh_star, unit_form)
+                          check_fraction_runs, design_from_text,
+                          fully_aliased_pairs, pair_gram_sums, realize,
+                          remove_fully_aliased, select_columns)
+from .gf import Field, default_field, point_count
+from .poly_labels import (LinearForm, QuadraticLabel, eval_labels, h_set, q1,
+                          q1_star, qh, qh_star, unit_form)
 
 
 def construct_thm4(field: Field, n: int) -> Design:
@@ -64,8 +63,7 @@ def construct_thm6(field: Field, n: int, k: int, hs=None) -> Design:
         raise ValueError("the chosen forms must be distinct")
     if len(hs) != k:
         raise ValueError(f"expected {k} forms, got {len(hs)}")
-    designs = [realize(field, n, qh(field, h, n)) for h in hs]
-    return column_juxtapose(*designs)
+    return realize(field, n, [lab for h in hs for lab in qh(field, h, n)])
 
 
 def construct_thm5(field: Field, n: int, h1: LinearForm, h2: LinearForm) -> Design:
@@ -83,8 +81,7 @@ def construct_thm7(field: Field, n: int, k: int, hs=None) -> Design:
     hs = list(hs) if hs is not None else _default_hs(field, n, k)
     if len(set(hs)) != len(hs):
         raise ValueError("the chosen forms must be distinct")
-    designs = [realize(field, n, qh_star(field, h, n)) for h in hs]
-    return column_juxtapose(*designs)
+    return realize(field, n, [lab for h in hs for lab in qh_star(field, h, n)])
 
 
 def _kept_levels(field: Field, n: int, k: int, g_levels) -> list[int]:
@@ -142,13 +139,11 @@ def construct_example3(field: Field, branch_label) -> tuple[Design, int]:
     if field.order != 3:
         raise ValueError("this family lives over GF(3)")
     labels = q1(field, 3)
-    pts = enumerate_points(field, 3)
-    want = eval_label_column(field, branch_label, pts)
-    canonical = next((lab for lab in labels
-                      if np.array_equal(eval_label_column(field, lab, pts),
-                                        want)), None)
-    if canonical is None:
+    cols = eval_labels(field, [*labels, branch_label], 3)
+    hit = np.flatnonzero((cols[:, :-1] == cols[:, -1:]).all(axis=0))
+    if not hit.size:
         raise ValueError("the branching label must be one of the 13 columns")
+    canonical = labels[hit[0]]
     design = branch_fraction(field, 3, labels, canonical, (0, 1))
     return design, example3_branch_type(canonical)
 

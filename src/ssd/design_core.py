@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import MAX_ORDER, Field, enumerate_points
-from .poly_labels import Label, eval_label_column
+from .gf import MAX_ORDER, Field, point_count
+from .poly_labels import Label, eval_labels
 
 MAX_RUNS = MAX_ORDER
 MAX_COLUMNS = 4096
@@ -36,6 +36,8 @@ COINCIDENCE_BLOCK_CELLS = 1 << 21
 # Largest mixed-radix code space of the joint coincidence histogram that is
 # counted with bincount; beyond it the blocks are reduced by np.unique.
 JOINT_BINS_MAX = 1 << 22
+# Symbols per block of rows of the text writer; bounds its temporaries.
+TEXT_BLOCK_CELLS = 1 << 16
 
 ORTHOGONAL = "orthogonal"
 FULLY_ALIASED = "fully_aliased"
@@ -79,10 +81,7 @@ class Design:
         levels = tuple(int(s) for s in levels)
         if len(levels) != cols:
             raise ValueError("one level count per column is required")
-        if N > MAX_RUNS or cols > MAX_COLUMNS:
-            raise ValueError(
-                f"design size {N}x{cols} exceeds the supported "
-                f"{MAX_RUNS}x{MAX_COLUMNS}")
+        _check_design_size(N, cols)
         lev = np.asarray(levels, dtype=np.int64)
         # whole-matrix checks in a fixed order, each naming the first column
         # at fault: level count, divisibility, symbol range, balance
@@ -129,6 +128,13 @@ class Design:
         return f"Design({self.N} runs, {lv})"
 
 
+def _check_design_size(N: int, m: int) -> None:
+    """Reject a design of more than MAX_RUNS runs or MAX_COLUMNS columns."""
+    if N > MAX_RUNS or m > MAX_COLUMNS:
+        raise ValueError(f"design size {N}x{m} exceeds the supported "
+                         f"{MAX_RUNS}x{MAX_COLUMNS}")
+
+
 def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
     """First column whose symbols are not equally frequent, or None.
 
@@ -151,14 +157,16 @@ def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
 # -- construction ---------------------------------------------------------------
 
 def realize(field: Field, n: int, labels, require_balanced=True) -> Design:
-    """Evaluate the labels at every point of F_s^n, one column per label."""
+    """Evaluate the labels at every point of F_s^n, one column per label.
+
+    The design size is checked before any label is evaluated.
+    """
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
-    pts = enumerate_points(field, n, max_points=MAX_RUNS)
-    cols = [eval_label_column(field, lab, pts) for lab in labels]
-    matrix = np.stack(cols, axis=1)
-    return Design(_frozen(matrix), (field.order,) * len(labels),
+    _check_design_size(point_count(field, n, MAX_RUNS), len(labels))
+    return Design(_frozen(eval_labels(field, labels, n)),
+                  (field.order,) * len(labels),
                   labels=labels, require_balanced=require_balanced)
 
 
@@ -228,25 +236,29 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
         raise ValueError("the kept level set is empty")
     if len(g) >= s or any(v < 0 or v >= s for v in g):
         raise ValueError(f"kept levels must be a proper subset of 0..{s - 1}")
+    # the branch drops at least one label, so this bounds the columns kept
+    if len(labels) - 1 > MAX_COLUMNS:
+        raise ValueError(f"branching {len(labels)} labels keeps more than "
+                         f"the supported {MAX_COLUMNS} columns")
     # a nonempty level of a label column holds a multiple of s^(n-1) points,
     # so no fraction of more than s * MAX_RUNS points fits in MAX_RUNS runs
-    pts = enumerate_points(field, n, max_points=s * MAX_RUNS)
-    branch_col = eval_label_column(field, branch_label, pts)
-    rows = np.concatenate([np.nonzero(branch_col == v)[0] for v in g])
+    point_count(field, n, s * MAX_RUNS)
+    branch_col = eval_labels(field, [branch_label], n)[:, 0]
+    rows = np.concatenate([np.flatnonzero(branch_col == v) for v in g])
     check_fraction_runs(len(rows))
-    # the branching column is matched (and removed) by value, so any label
-    # that evaluates to the same column counts as the branch
-    keep, cols = [], []
-    for lab in labels:
-        col = eval_label_column(field, lab, pts)
-        if not np.array_equal(col, branch_col):
-            keep.append(lab)
-            cols.append(col[rows])
-    if len(keep) == len(labels):
+    matrix = eval_labels(field, labels, n, rows)
+    # the branching column is matched (and removed) by value over all
+    # points, so any label that evaluates to the same column counts as the
+    # branch; only the labels that match it on the kept rows can
+    cand = np.flatnonzero((matrix == branch_col[rows, None]).all(axis=0))
+    full = eval_labels(field, [labels[i] for i in cand], n)
+    drop = cand[(full == branch_col[:, None]).all(axis=0)]
+    if not drop.size:
         raise ValueError("branching label is not one of the design labels")
-    matrix = np.stack(cols, axis=1)
+    keep = np.delete(np.arange(len(labels)), drop)
     try:
-        return Design(_frozen(matrix), (s,) * len(keep), labels=keep)
+        return Design(_frozen(matrix.take(keep, axis=1)), (s,) * len(keep),
+                      labels=[labels[i] for i in keep])
     except ValueError as exc:
         raise ValueError(f"branching left an unbalanced column: {exc}") from exc
 
@@ -534,11 +546,36 @@ def remove_fully_aliased(D: Design) -> Design:
 FORMAT_HEADER = "# ssd v1"
 
 
+def _text_blocks(D: Design):
+    """The text of D as bytes: the header, then one block of rows at a time.
+
+    Each symbol has a fixed-width record in a byte table, its digits and a
+    space (a newline in the last column) padded with NUL bytes, so a block
+    of about TEXT_BLOCK_CELLS symbols becomes text with one take; the padding
+    is stripped unless every symbol has a single digit.
+    """
+    yield (f"{FORMAT_HEADER}\n{D.N} {D.m}\n"
+           f"{' '.join(map(str, D.levels))}\n").encode("ascii")
+    if not D.m:
+        yield b"\n" * D.N
+        return
+    s = max(D.levels)
+    width = len(str(s - 1)) + 1
+    records = [f"{v} " for v in range(s)] + [f"{v}\n" for v in range(s)]
+    table = np.array(records, dtype=f"S{width}").view(np.uint8)
+    table = table.reshape(2 * s, width)
+    last = np.zeros(D.m, dtype=np.int64)
+    last[-1] = s
+    rows = max(1, TEXT_BLOCK_CELLS // D.m)
+    for r0 in range(0, D.N, rows):
+        text = table.take(D.matrix[r0:r0 + rows] + last, axis=0).ravel()
+        if width > 2:
+            text = text[text != 0]
+        yield text.tobytes()
+
+
 def design_to_text(D: Design) -> str:
-    sym = [str(v) for v in range(max(D.levels, default=0))]
-    lines = [FORMAT_HEADER, f"{D.N} {D.m}", " ".join(map(str, D.levels))]
-    lines += [" ".join([sym[v] for v in row.tolist()]) for row in D.matrix]
-    return "\n".join(lines) + "\n"
+    return b"".join(_text_blocks(D)).decode("ascii")
 
 
 def design_from_text(text: str, allow_unbalanced=False) -> Design:
@@ -564,8 +601,8 @@ def design_from_text(text: str, allow_unbalanced=False) -> Design:
 
 
 def write_design(D: Design, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(design_to_text(D))
+    with open(path, "wb") as fh:
+        fh.writelines(_text_blocks(D))
 
 
 def read_design(path, allow_unbalanced=False) -> Design:

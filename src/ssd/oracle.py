@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import lb_theorem1
-from .design_core import Design
+from .design_core import MAX_COLUMNS, Design
 
 DEFAULT_BUDGET = 10**8
 MAX_CANDIDATES = 2_000_000
@@ -100,8 +100,8 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
         raise ValueError(f"run count N={N} must be at least the level count s={s}")
     if N % s:
         raise ValueError("run count must be divisible by the level count")
-    if m < 1:
-        raise ValueError("need at least one column")
+    if not 1 <= m <= MAX_COLUMNS:
+        raise ValueError(f"column count m={m} must lie in 1..{MAX_COLUMNS}")
     cands = _balanced_columns(N, s)
     agree = np.concatenate([cands[:, r + 1:] == cands[:, r:r + 1]
                             for r in range(N - 1)], axis=1).view(np.uint8)
@@ -117,32 +117,46 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
     evals, best, best_cols = 0, None, (0,)
     exceeded = stopped = False
 
-    def descend(chosen: list[int], S: np.ndarray, total: int) -> None:
-        nonlocal evals, best, best_cols, exceeded, stopped
-        k = len(chosen)
-        lo = chosen[-1] if k > 1 else 0  # cols 2.. are nondecreasing
+    path = [0]      # the chosen columns of the node on top of the stack
+
+    def expand(S: np.ndarray, total: int) -> list | None:
+        """Score every child of the node `path`: [S, scores, lo, visit order,
+        next position], or None when the budget cannot pay for them."""
+        nonlocal evals, exceeded
+        lo = path[-1] if len(path) > 1 else 0  # cols 2.. are nondecreasing
         if evals + C - lo > budget:
             evals, exceeded = budget + 1, True
-            return
+            return None
         evals += C - lo
-        scores = (total + k * (s * s * N - NN)
+        scores = (total + len(path) * (s * s * N - NN)
                   + 2 * s * s * (agree[lo:] @ S).astype(np.int64))
-        for i in np.argsort(scores, kind="stable"):
-            sub, ci = int(scores[i]), lo + int(i)
-            if best is not None and sub + slack[k] >= best:
-                break   # later children score no lower, and best only falls
-            if k + 1 == m:
-                best, best_cols = sub, (*chosen, ci)
-                stopped = stop_at_bound and sub == target
-            else:
-                descend([*chosen, ci], S + agree[ci], sub)
-            if stopped or exceeded:
-                return
+        return [S, scores, lo, np.argsort(scores, kind="stable"), 0]
 
+    # depth first over an explicit stack with one node per chosen column, so
+    # the depth is not bounded by the interpreter's recursion limit
     if m == 1:
-        best = 0
+        best, stack = 0, []
     else:
-        descend([0], agree[0].astype(np.int32), 0)
+        stack = [expand(agree[0].astype(np.int32), 0)]
+    while stack and not (stopped or exceeded):
+        node = stack[-1]
+        S, scores, lo, order, pos = node
+        k = len(path)
+        # past the last child, or (as later children score no lower and best
+        # only falls) past the bound: the node is done
+        if pos == len(order) or (best is not None
+                                 and int(scores[order[pos]]) + slack[k] >= best):
+            stack.pop()
+            path.pop()
+            continue
+        node[4] += 1
+        sub, ci = int(scores[order[pos]]), lo + int(order[pos])
+        if k + 1 == m:
+            best, best_cols = sub, (*path, ci)
+            stopped = stop_at_bound and sub == target
+        else:
+            path.append(ci)
+            stack.append(expand(S + agree[ci], sub))
 
     best_a2 = None if best is None else Fraction(best, NN)
     design = None if best is None else Design(cands[list(best_cols)].T, (s,) * m)

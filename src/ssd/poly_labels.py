@@ -19,7 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field
+from .gf import MAX_ORDER, Field, point_count
+
+# Cells per block of eval_labels: linear forms are built, and output columns
+# filled, about this many cells at a time, which bounds the index temporaries.
+EVAL_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -186,36 +190,58 @@ def eval_label(field: Field, label: Label, point) -> int:
     return field.add(out, eval_label(field, label.g, point))
 
 
-def _gather(flat: np.ndarray, s: int, a: np.ndarray, b) -> np.ndarray:
-    """table[a, b] of an s x s table, through its flattened view.
+def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
+    """Evaluate labels at every point of F_s^n: an int64 matrix, one column each.
 
-    One intp index a*s + b gathers faster than a two-array index; the cast
-    keeps narrow table symbols from overflowing in the index arithmetic.
+    Rows follow enumerate_points order; with rows (indices into that order)
+    only those points are kept.  Each distinct linear form, whether a linear
+    label or the l or g of a quadratic one, is evaluated once over the whole
+    grid as the add-outer of the rows mul[c_i, :], the first coordinate
+    slowest.  A quadratic label is then sq[a, l] + g, where the s x s table
+    sq[a, v] = v (v + a) = v^2 + a v.  Forms are built, and the output
+    filled, a block of about EVAL_BLOCK_CELLS cells at a time.
     """
-    return flat[a.astype(np.intp) * s + b]
-
-
-def eval_label_column(field: Field, label: Label, points: np.ndarray) -> np.ndarray:
-    """Evaluate a label at every row of an (N, n) point array."""
     s = field.order
-    add, mul = field.add_table.ravel(), field.mul_table.ravel()
-    pts = np.asarray(points, dtype=np.intp)
+    N = point_count(field, n, s * MAX_ORDER)
+    forms: dict[tuple[int, ...], int] = {}   # coefficients -> row of F
 
-    def lin(form: LinearForm) -> np.ndarray:
-        acc = np.zeros(len(pts), dtype=add.dtype)
-        for i, c in enumerate(form.coeffs):
-            if c:
-                acc = _gather(add, s, acc, mul[c * s + pts[:, i]])
-        return acc
+    def form(f: LinearForm) -> int:
+        if f.n != n:
+            raise ValueError(f"label has {f.n} variables, expected {n}")
+        return forms.setdefault(f.coeffs, len(forms))
 
-    if isinstance(label, LinearForm):
-        col = lin(label)
-    else:
-        v = lin(label.ell)
-        # v^2 + a v = v (v + a): one product instead of two
-        col = _gather(mul, s, v, _gather(add, s, v, label.a))
-        col = _gather(add, s, col, lin(label.g))
-    return col.astype(np.int64)
+    spec = [(form(lab), -1, 0) if isinstance(lab, LinearForm)
+            else (form(lab.ell), lab.a, form(lab.g)) for lab in labels]
+    ell, a, g = np.array(spec, dtype=np.intp).reshape(-1, 3).T
+    add, mul = field.add_table, field.mul_table
+    flat = add.ravel()
+    keep = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    R = N if rows is None else len(keep)
+    coeffs = np.array(list(forms), dtype=np.intp).reshape(-1, n)
+    F = np.empty((len(coeffs), R), dtype=add.dtype)
+    step = max(1, EVAL_BLOCK_CELLS // N)
+    for f0 in range(0, len(coeffs), step):
+        c = coeffs[f0:f0 + step]
+        acc = mul[c[:, 0]]
+        for i in range(1, n):
+            # add[acc, mul[c_i, :]] through the flat table; the intp cast
+            # keeps narrow symbols from overflowing in the index arithmetic
+            idx = acc.astype(np.intp)[:, :, None] * s + mul[c[:, i]][:, None, :]
+            acc = flat[idx.reshape(len(c), -1)]
+        F[f0:f0 + step] = acc[:, keep]
+
+    v = np.arange(s)
+    sq = mul[v[None, :], add[v[None, :], v[:, None]]]
+    out = np.empty((R, len(spec)), dtype=np.int64)
+    step = max(1, EVAL_BLOCK_CELLS // max(R, 1))
+    for j0 in range(0, len(spec), step):
+        j = slice(j0, j0 + step)
+        vals = F[ell[j]]
+        q = np.flatnonzero(a[j] >= 0)
+        if q.size:
+            vals[q] = add[sq[a[j][q, None], vals[q]], F[g[j][q]]]
+        out[:, j] = vals.T
+    return out
 
 
 # -- printing / parsing -------------------------------------------------------

@@ -22,9 +22,9 @@ from ssd.criteria import (a2_overall, aggregate_stats, char_a2_matrix, gwlp,
 from ssd.design_core import (classify_pair, pair_a2_from_sumsq as pair_a2_sq,
                              pair_gram_sums, realize, replace_column,
                              select_columns)
-from ssd.gf import Field, default_field, enumerate_points
+from ssd.gf import Field, default_field
 from ssd.oracle import exhaustive_min_a2, gwlp_bruteforce
-from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
+from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              h_set, q1, unit_form)
 
 
@@ -263,11 +263,10 @@ def test_c11_oracle_tightness(gf3):
 def test_c12_pairwise_dependency_predicates():
     # headline values; the full enumerations live in test_lemma_predicates
     f4 = default_field(4)
-    pts4 = enumerate_points(f4, 2)
     x1, x2 = unit_form(2, 0), unit_form(2, 1)
     for a1, a2 in itertools.product(f4.elements(), repeat=2):
-        c1 = eval_label_column(f4, QuadraticLabel(x1, a1, x2), pts4)
-        c2 = eval_label_column(f4, QuadraticLabel(x2, a2, x1), pts4)
+        c1, c2 = eval_labels(f4, [QuadraticLabel(x1, a1, x2),
+                                  QuadraticLabel(x2, a2, x1)], 2).T
         tab = np.bincount(c1 * 4 + c2, minlength=16).astype(np.int64)
         got = pair_a2_sq(int((tab * tab).sum()), 16, 4, 4)
         if a1 == a2 == 0:
@@ -292,8 +291,8 @@ def test_c12_pairwise_dependency_predicates():
                                       LinearForm((0, 1, 1)))
                 lab2 = QuadraticLabel(unit_form(3, 0), 2,
                                       LinearForm((0, 2, 1)))
-                c1 = eval_label_column(f, lab1, pts)
-                c2 = eval_label_column(f, lab2, pts)
+                rows = pts @ s ** np.arange(2, -1, -1)
+                c1, c2 = eval_labels(f, [lab1, lab2], 3, rows).T
                 tab = np.bincount(c1 * s + c2,
                                   minlength=s * s).astype(np.int64)
                 got = pair_a2_sq(int((tab * tab).sum()), len(pts), s, s)

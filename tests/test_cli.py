@@ -330,6 +330,17 @@ def test_oracle_budget_spent_before_any_design(capsys, argv, budget):
         f"error: no complete design within the budget of {budget} evaluations\n")
 
 
+def test_oracle_searches_deeper_than_the_recursion_limit(capsys):
+    # one stack node per chosen column, so 1200 columns search like 5
+    argv = ["oracle", "min-a2", "--N", "4", "--s", "2", "--budget", "20000"]
+    assert run([*argv, "--m", "1200"]) == 0
+    assert "evaluations = 20001" in capsys.readouterr().out
+    # more columns than a design holds: rejected before the search
+    assert run([*argv, "--m", "4097"]) == 1
+    assert capsys.readouterr().err == (
+        "error: column count m=4097 must lie in 1..4096\n")
+
+
 def test_oracle_rejects_negative_level_count(capsys):
     assert run(["oracle", "min-a2", "--N", "6", "--s", "-2", "--m", "3"]) == 1
     assert capsys.readouterr().err == (

@@ -2,14 +2,19 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ssd import design_core
 from ssd.criteria import a2_overall, strength
-from ssd.design_core import (GRAM_TILE, Design, branch_fraction, cell_table,
-                             classify_pair, coincidence_counts, coincidences,
+from ssd.design_core import (GRAM_TILE, TEXT_BLOCK_CELLS, Design,
+                             branch_fraction, cell_table, classify_pair,
+                             coincidence_counts, coincidences,
                              column_juxtapose, design_from_text,
                              design_to_text, fully_aliased_pairs, is_oa,
                              pair_gram_sums, realize, remove_fully_aliased,
-                             replace_column, row_juxtapose, select_columns)
+                             replace_column, row_juxtapose, select_columns,
+                             write_design)
 from ssd.gf import default_field
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
 
@@ -311,6 +316,56 @@ def test_text_format_round_trip(gf5):
     back = design_from_text(text)
     assert (back.matrix == D.matrix).all() and back.levels == D.levels
     assert design_to_text(back) == text
+
+
+def per_row_text(D):
+    """The text format written one string per symbol and one join per row."""
+    lines = ["# ssd v1", f"{D.N} {D.m}", " ".join(map(str, D.levels))]
+    lines += [" ".join(map(str, row)) for row in D.matrix.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def text_designs(draw):
+    """Random symbols (balance not required) with one- to four-digit levels
+    mixed, and up to 120000 cells, so a design spans one or several row
+    blocks."""
+    N = draw(st.sampled_from([12, 60, 1200, 4096]))
+    divisors = [d for d in range(2, N + 1) if N % d == 0]
+    pool = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=4))
+    m = draw(st.integers(0, min(400, 120_000 // N)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice(pool, size=m)
+    matrix = (rng.random((N, m)) * levels).astype(np.int64)
+    return Design(matrix, levels, require_balanced=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text_designs())
+def test_text_writer_matches_per_row_join(tmp_path_factory, D):
+    want = per_row_text(D)
+    assert design_to_text(D) == want
+    path = tmp_path_factory.mktemp("text") / "d.ssd"
+    write_design(D, path)
+    assert path.read_bytes() == want.encode("ascii")
+
+
+def test_text_writer_spans_row_blocks(gf4):
+    D = realize(gf4, 6, h_set(gf4, 6))     # 4096 x 1365: 49 row blocks
+    assert D.N > TEXT_BLOCK_CELLS // D.m
+    assert design_to_text(D) == per_row_text(D)
+
+
+def test_label_count_checked_before_any_label_is_evaluated(gf2, monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a label was evaluated")
+    monkeypatch.setattr(design_core, "eval_labels", evaluated)
+    # 4096 runs, 8189 columns: construct --theorem 4 --s 2 --n 12
+    with pytest.raises(ValueError, match="design size 4096x8189 exceeds"):
+        realize(gf2, 12, h_set(gf2, 12) + q1_star(gf2, 12))
+    # 8191 labels, of which branching removes at least one
+    with pytest.raises(ValueError, match="keeps more than the supported 4096"):
+        branch_fraction(gf2, 13, h_set(gf2, 13), unit_form(13, 0), [0])
 
 
 def test_text_format_rejects_unbalanced_unless_allowed():

@@ -1,0 +1,63 @@
+"""`ssd construct` and `ssd replace` files pinned byte for byte.
+
+The files in `tests/data/constructs` were written by the per-row text
+writer that the byte-table writer replaced.  They cover a single-digit
+field (thm6 over GF(9)), a multi-digit field (thm4 over GF(16)), mixed
+symbol widths (that design with column 3 replaced by a 2-level saturated
+array), and a design the writer splits into several row blocks (thm6 over
+GF(16), k = 17, stored gzipped).  The command's file, `write_design`,
+`design_to_text` and `ssd export` must all reproduce them.
+"""
+
+import gzip
+from pathlib import Path
+
+import pytest
+
+from ssd.cli import run
+from ssd.design_core import (TEXT_BLOCK_CELLS, design_to_text, read_design,
+                             write_design)
+
+CONSTRUCTS = Path(__file__).parent / "data" / "constructs"
+
+CASES = {
+    "thm6_s9_n2_k2.ssd":
+        ["construct", "--theorem", "6", "--s", "9", "--n", "2", "--k", "2"],
+    "thm4_s16_n2.ssd": ["construct", "--theorem", "4", "--s", "16", "--n", "2"],
+    "thm4_s16_n2_col3_oa2.ssd":
+        ["replace", str(CONSTRUCTS / "thm4_s16_n2.ssd"), "--col", "3",
+         "--oa-levels", "2"],
+    "thm6_s16_n2_k17.ssd.gz":
+        ["construct", "--theorem", "6", "--s", "16", "--n", "2", "--k", "17"],
+}
+
+
+def golden(name: str) -> bytes:
+    data = (CONSTRUCTS / name).read_bytes()
+    return gzip.decompress(data) if name.endswith(".gz") else data
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_written_design_matches_golden(tmp_path, name):
+    want = golden(name)
+    out, again, export = (tmp_path / f for f in ("out.ssd", "again.ssd",
+                                                 "export.ssd"))
+    assert run([*CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    D = read_design(out)
+    assert design_to_text(D) == want.decode("ascii")
+    write_design(D, again)
+    assert again.read_bytes() == want
+    assert run(["export", str(out), "--out", str(export)]) == 0
+    assert export.read_bytes() == want
+
+
+def test_golden_designs_cover_every_writer_case():
+    designs = {name: read_design(CONSTRUCTS / name) for name in CASES
+               if not name.endswith(".gz")}
+    assert max(designs["thm6_s9_n2_k2.ssd"].levels) <= 10   # one digit
+    assert set(designs["thm4_s16_n2.ssd"].levels) == {16}
+    assert set(designs["thm4_s16_n2_col3_oa2.ssd"].levels) == {2, 16}
+    text = golden("thm6_s16_n2_k17.ssd.gz").decode("ascii").splitlines()
+    N, m = map(int, text[1].split())
+    assert N > TEXT_BLOCK_CELLS // m    # more rows than one block holds

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssd.design_core import classify_columns, is_oa, realize
-from ssd.gf import default_field, enumerate_points
+from ssd.design_core import MAX_RUNS, classify_columns, is_oa, realize
+from ssd.gf import Field, default_field, enumerate_points
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_label,
-                             eval_label_column, forms_dependent, h_set,
-                             label_str, parse_label, q1, q1_star, qh,
-                             qh_substitution, qh_star, unit_form)
+                             eval_labels, forms_dependent, h_set, label_str,
+                             parse_label, q1, q1_star, qh, qh_substitution,
+                             qh_star, unit_form)
 
 
 def strs(field, labels):
@@ -85,11 +89,59 @@ def test_eval_label(gf3, gf4):
     assert eval_label(gf4, lab4, (2, 1)) == 2  # 2*2 = 3, 3 + 1 = 2
 
 
-def test_eval_label_column_matches_scalar(gf4):
+def test_eval_labels_matches_scalar(gf4):
     pts = enumerate_points(gf4, 2)
-    for lab in q1(gf4, 2):
-        col = eval_label_column(gf4, lab, pts)
-        assert col.tolist() == [eval_label(gf4, lab, p) for p in pts]
+    labels = q1(gf4, 2)
+    assert eval_labels(gf4, labels, 2).tolist() == [
+        [eval_label(gf4, lab, p) for lab in labels] for p in pts]
+
+
+def _every_field():
+    """Prime fields, and GF(q), q <= 27, under every irreducible modulus."""
+    fields = [default_field(p) for p in (2, 3, 5, 7, 11, 13)]
+    for q, p, r in ((4, 2, 2), (8, 2, 3), (9, 3, 2), (16, 2, 4), (25, 5, 2),
+                    (27, 3, 3)):
+        for tail in itertools.product(range(p), repeat=r):
+            try:
+                fields.append(Field(q, tail + (1,)))
+            except ValueError:   # reducible
+                pass
+    return fields
+
+
+EVERY_FIELD = _every_field()
+
+
+@st.composite
+def label_batches(draw):
+    """A field, n in 1..3 (at most MAX_RUNS points), random linear and
+    quadratic labels, and either every point or a random list of rows."""
+    f = draw(st.sampled_from(EVERY_FIELD))
+    n = draw(st.sampled_from([k for k in (1, 2, 3) if f.order**k <= MAX_RUNS]))
+    sym = st.integers(0, f.order - 1)
+    form = st.builds(LinearForm, st.tuples(*[sym] * n))
+    label = st.one_of(form, st.builds(QuadraticLabel, form, sym, form))
+    labels = draw(st.lists(label, min_size=1, max_size=6))
+    N = f.order**n
+    rows = draw(st.none() | st.lists(st.integers(0, N - 1), min_size=1,
+                                     max_size=40))
+    return f, n, labels, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(label_batches())
+def test_eval_labels_matches_scalar_every_modulus(batch):
+    f, n, labels, rows = batch
+    pts = enumerate_points(f, n)
+    if rows is not None:
+        pts = pts[rows]
+    assert eval_labels(f, labels, n, rows).tolist() == [
+        [eval_label(f, lab, p) for lab in labels] for p in pts]
+
+
+def test_eval_labels_rejects_wrong_variable_count(gf3):
+    with pytest.raises(ValueError, match="2 variables, expected 3"):
+        eval_labels(gf3, [unit_form(2, 0)], 3)
 
 
 def test_label_round_trip(gf3, gf5):
@@ -101,9 +153,8 @@ def test_label_round_trip(gf3, gf5):
             text = label_str(f, lab)
             back = parse_label(f, text, n)
             assert label_str(f, back) == text
-            pts = enumerate_points(f, n)
-            assert (eval_label_column(f, back, pts)
-                    == eval_label_column(f, lab, pts)).all()
+            cols = eval_labels(f, [back, lab], n)
+            assert (cols[:, 0] == cols[:, 1]).all()
 
 
 def test_parse_rejects_garbage(gf3):
@@ -113,16 +164,13 @@ def test_parse_rejects_garbage(gf3):
 
 
 def test_dependent_forms_fully_aliased(gf5):
-    pts = enumerate_points(gf5, 2)
     f1 = LinearForm((1, 2))
     f2 = LinearForm((2, 4))
-    assert forms_dependent(gf5, f2, f1)
-    c1 = eval_label_column(gf5, f1, pts)
-    c2 = eval_label_column(gf5, f2, pts)
-    assert classify_columns(c1, c2, 5, 5).kind == "fully_aliased"
     f3 = LinearForm((1, 0))
+    assert forms_dependent(gf5, f2, f1)
+    c1, c2, c3 = eval_labels(gf5, [f1, f2, f3], 2).T
+    assert classify_columns(c1, c2, 5, 5).kind == "fully_aliased"
     assert not forms_dependent(gf5, f1, f3)
-    c3 = eval_label_column(gf5, f3, pts)
     assert classify_columns(c1, c3, 5, 5).kind == "orthogonal"
 
 
@@ -151,7 +199,6 @@ def test_q1_isomorphic_to_h_for_n2(gf3, gf4, gf5):
                             for p in pts])
         for a in f.elements():
             quad = QuadraticLabel(unit_form(2, 0), a, unit_form(2, 1))
-            qcol = eval_label_column(f, quad, pts)
             lin = LinearForm((a, 1))
-            lcol = eval_label_column(f, lin, pts)
+            qcol, lcol = eval_labels(f, [quad, lin], 2).T
             assert (qcol == lcol[y_index]).all()

@@ -13,23 +13,30 @@ import pytest
 
 from ssd.design_core import classify_columns, pair_a2_from_sumsq
 from ssd.gf import default_field, enumerate_points
-from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_label_column,
+from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              forms_dependent, l_set, unit_form)
 
 CASES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 
 
+def column(f, lab, pts):
+    """The label's values at the given points (rows of an (N, n) array)."""
+    n = pts.shape[1]
+    rows = pts @ f.order ** np.arange(n - 1, -1, -1)
+    return eval_labels(f, [lab], n, rows)[:, 0]
+
+
 def pair_a2(f, lab1, lab2, pts):
     s = f.order
-    c1 = eval_label_column(f, lab1, pts)
-    c2 = eval_label_column(f, lab2, pts)
+    c1 = column(f, lab1, pts)
+    c2 = column(f, lab2, pts)
     tab = np.bincount(c1 * s + c2, minlength=s * s).astype(np.int64)
     return pair_a2_from_sumsq(int((tab * tab).sum()), len(pts), s, s)
 
 
 def classify(f, lab1, lab2, pts):
-    c1 = eval_label_column(f, lab1, pts)
-    c2 = eval_label_column(f, lab2, pts)
+    c1 = column(f, lab1, pts)
+    c2 = column(f, lab2, pts)
     return classify_columns(c1, c2, f.order, f.order)
 
 
@@ -207,7 +214,7 @@ def test_lemma13_branched_linear_pairs(s, n):
             for a in f.elements():
                 for hi, h in enumerate(tails):
                     lab = LinearForm((a,) + h.coeffs)
-                    cols[a, hi] = eval_label_column(f, lab, pts)
+                    cols[a, hi] = column(f, lab, pts)
             for hi, h1 in enumerate(tails):
                 for hj, h2 in enumerate(tails):
                     indep = not forms_dependent(f, h1, h2)
@@ -248,8 +255,8 @@ def test_lemma14_quadratic_branch_pairs(s, n):
         for G in itertools.combinations(range(s), k):
             pts = quad_branch_points(f, n, G)
             value = F(s - k, k)
-            x1col = eval_label_column(f, x1, pts)
-            qcols = {a: eval_label_column(
+            x1col = column(f, x1, pts)
+            qcols = {a: column(
                 f, QuadraticLabel(x1, a, x2), pts) for a in f.elements()}
 
             def a2_of(c1, c2):
@@ -270,7 +277,7 @@ def test_lemma14_quadratic_branch_pairs(s, n):
             gcols = {}
             for a, b in itertools.product(f.elements(), repeat=2):
                 g = LinearForm((0, b) + h.coeffs[2:])
-                gcols[a, b] = eval_label_column(
+                gcols[a, b] = column(
                     f, QuadraticLabel(x1, a, g), pts)
             for (a1, b1), (a2, b2) in itertools.combinations(
                     itertools.product(f.elements(), repeat=2), 2):
