@@ -285,6 +285,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else
+              "error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

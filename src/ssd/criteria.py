@@ -10,15 +10,15 @@ an integer ratio, and the overall A2 is both the closed form in the second
 power moment K2 (equal levels) and the sum of all projected values.
 
 Every pairwise statistic is an integer numerator over a known denominator.
-With P = sum_ab n_ab^2 and F = sum_ab |s_i s_j n_ab - N| from one tiled pass
-over the one-hot Gram matrix (design_core.pair_gram_sums), and
-X = s_i s_j P - N^2:
+With P = sum_ab n_ab^2 and F = sum_ab |s_i s_j n_ab - N| from one pass of
+the pair kernel (design_core.pair_gram_sums: cell counts or one-hot Gram
+tiles), and X = s_i s_j P - N^2:
 
     chi2 = X / N,   A2 = X / N^2,   d2 = X / (s_i s_j),   f = F / (s_i s_j).
 
-The numerators are exact integers.  Gram entries are cell counts <= N <= 4096,
-so float64 holds them and their sums exactly and rint recovers them.  At the
-4096 x 4096 size limit a tile's int64 block sums stay far below 2^63
+The numerators are exact integers.  Cell counts are <= N <= 4096, and P is
+at most N^2 <= 2^24, so even the float32 Gram route holds them exactly.  At
+the 4096 x 4096 size limit the int64 sums stay far below 2^63
 (P <= N^2, F <= 2 s_i s_j N <= 2^37), and so do the sums of X < N^3 and of F
 over fewer than 2^23 pairs.  Sums and maxima of d2 and f are taken per
 denominator s_i s_j and the totals accumulate in Python integers (Fractions).

@@ -7,13 +7,24 @@ every criterion reads are computed from it at most once and kept on the
 design: balance when it is built, the Gram sums P and F (pair_gram_sums) and
 the joint row coincidence histogram (joint_coincidence_counts) on first
 request.  The module also holds the structural pair machinery: two-column
-cell tables, the tiled one-hot Gram kernel whose integer block sums drive
-every exact pairwise aliasing value, the row-tiled coincidence kernel, pair
-classification, and the plain text serialisation format.
+cell tables, the pair kernel whose integer sums drive every exact pairwise
+aliasing value, the row-tiled coincidence kernel, pair classification, and
+the plain text serialisation format.
+
+The pair kernel has two exact routes, chosen by one rule (cells_sparse).
+When the cell tables of the pairs i <= j have at least as many cells as
+runs in total, sum_{i <= j} s_i s_j >= N m (m + 1) / 2, most cells are
+empty and each chunk of pairs is counted with one int64 bincount.
+Otherwise the tables are blocks of the one-hot Gram matrix, computed in
+column tiles by a float32 matrix product: with N <= 4096, a Gram entry is a
+count <= N and a block's sum of squares is at most N^2 <= 2^24, integers
+that float32 holds and adds exactly; the coincidence kernel's products are
+agreement counts <= m <= 4096.  Sums that can exceed 2^24 are int64.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import warnings
@@ -28,8 +39,10 @@ from .poly_labels import Label, eval_labels
 
 MAX_RUNS = MAX_ORDER
 MAX_COLUMNS = 4096
-# Design columns per tile of the one-hot Gram matrix in pair_gram_sums.
+# Design columns per tile of the one-hot Gram route of pair_gram_sums.
 GRAM_TILE = 64
+# Pair codes, and cell-table bins, per chunk of its cell-count route.
+PAIR_CELL_BUDGET = 1 << 15
 # Row-pair products per block of the row coincidence kernel: a block of
 # COINCIDENCE_BLOCK_CELLS // N rows against the rows from the block on.
 COINCIDENCE_BLOCK_CELLS = 1 << 21
@@ -362,7 +375,7 @@ def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
     block of COINCIDENCE_BLOCK_CELLS // N rows is multiplied against the
     rows from the block on, per group column slice of the one-hot matrix,
     so no N x N array exists.  The products are agreement counts <= m,
-    exact in float64.  Computed on the first call and kept on D; each call
+    exact in float32.  Computed on the first call and kept on D; each call
     returns a copy.
     """
     if D._coincidence is None:
@@ -416,31 +429,97 @@ def _row_coincidences(D: Design) -> dict[tuple[int, ...], int]:
 
 
 def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Row indicator matrix (N, sum levels) and the per-column start offsets."""
+    """Row indicator matrix (N, sum levels) and the per-column start offsets.
+
+    float32: every product of it read here is an integer count <= 2^24,
+    which float32 holds exactly.
+    """
     starts = np.concatenate([[0], np.cumsum(D.levels)])[:-1]
     total = int(sum(D.levels))
-    B = np.zeros((D.N, total), dtype=np.float64)
+    B = np.zeros((D.N, total), dtype=np.float32)
     idx = D.matrix + starts[None, :]
     B[np.arange(D.N)[:, None], idx] = 1.0
     return B, starts
 
 
 def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Integer m x m block sums of the one-hot Gram matrix G = B^T B.
-
-    The (i, j) block of G is the cell table n_ab of columns i and j, so
+    """Integer m x m sums over the cell tables n_ab of every column pair:
 
         P[i, j] = sum_ab n_ab^2    and    F[i, j] = sum_ab |s_i s_j n_ab - N|
 
     give every pairwise statistic exactly.  Diagonal entries refer to a
-    column against itself.  G is computed in tiles of at most GRAM_TILE
-    design columns against the columns from the tile onwards, and the lower
-    triangle is mirrored, so no L x L temporary exists.  Exact: the Gram
-    entries are integers <= N computed in float64.  Computed on the first
-    call and kept on D; P and F are read-only.
+    column against itself.  Two exact routes, chosen by cells_sparse:
+
+    - cell count, when the tables hold at most one run per cell on average:
+      each chunk of column pairs i <= j is one bincount of the codes
+      x_i s_j + x_j shifted into the chunk's own bins, and P and F are
+      per-pair reduceat sums of the counts;
+    - one-hot Gram otherwise: the (i, j) block of G = B^T B is the cell
+      table, so P and F are block sums of G, computed in tiles of at most
+      GRAM_TILE design columns against the columns from the tile onwards.
+
+    Either way no L x L or pairs x N temporary exists.  Computed on the
+    first call and kept on D; P and F are read-only.
     """
     if D._gram is not None:
         return D._gram
+    route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
+    P, F = route(D)
+    D._gram = (_frozen(_mirror_upper(P)), _frozen(_mirror_upper(F)))
+    return D._gram
+
+
+def cells_sparse(D: Design) -> bool:
+    """True when the pair cell tables i <= j hold at most one run per cell
+    on average: sum_{i <= j} s_i s_j >= N m (m + 1) / 2."""
+    L = sum(D.levels)
+    cells = (L * L + sum(s * s for s in D.levels)) // 2
+    return cells >= D.N * D.m * (D.m + 1) // 2
+
+
+def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangles of P and F by counting each pair's cells.
+
+    The pairs i <= j are taken in row-major order, in chunks of at least
+    one pair whose N codes per pair and s_i s_j bins per pair both stay
+    within PAIR_CELL_BUDGET.  The columns are read as the rows of the
+    transposed m x N matrix.  Counts are int64 throughout.
+    """
+    m, N = D.m, D.N
+    X = np.ascontiguousarray(D.matrix.T)
+    lev = np.asarray(D.levels, dtype=np.int64)
+    first = np.arange(m)
+    first = first * m - first * (first - 1) // 2       # index of pair (i, i)
+    npairs = m * (m + 1) // 2
+    per = max(1, PAIR_CELL_BUDGET // max(N, int(lev.max()) ** 2))
+    P = np.zeros((m, m), dtype=np.int64)
+    F = np.zeros((m, m), dtype=np.int64)
+    for p0 in range(0, npairs, per):
+        p = np.arange(p0, min(p0 + per, npairs))
+        i = np.searchsorted(first, p, side="right") - 1
+        j = i + p - first[i]
+        cells = lev[i] * lev[j]
+        off = np.cumsum(cells) - cells
+        codes = X.take(i, axis=0)
+        codes *= lev[j, None]
+        codes += X.take(j, axis=0)
+        codes += off[:, None]
+        n = np.bincount(codes.ravel(), minlength=int(off[-1] + cells[-1]))
+        P[i, j] = np.add.reduceat(n * n, off)
+        n *= np.repeat(cells, cells)
+        n -= N
+        np.abs(n, out=n)
+        F[i, j] = np.add.reduceat(n, off)
+    return P, F
+
+
+def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Upper block rows of P and F from tiles of the float32 one-hot Gram.
+
+    Exact: Gram entries are counts <= N and a block's sum of their squares
+    is P[i, j] <= N^2 <= 2^24, integers that float32 holds and sums exactly
+    in any order; the F epilogue runs in int64.
+    """
     B, starts = _one_hot(D)
     m, N = D.m, D.N
     bounds = np.append(starts, B.shape[1])
@@ -450,15 +529,15 @@ def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     for c0 in range(0, m, GRAM_TILE):
         c1 = min(c0 + GRAM_TILE, m)
         r0, r1 = bounds[c0], bounds[c1]
-        G = np.rint(B[:, r0:r1].T @ B[:, r0:]).astype(np.int64)
+        G = B[:, r0:r1].T @ B[:, r0:]
         rows, cols = starts[c0:c1] - r0, starts[c0:] - r0
         P[c0:c1, c0:] = _block_sums(G * G, rows, cols)
+        G = G.astype(np.int64)
         G *= owner[r0:r1, None] * owner[None, r0:]
         G -= N
         np.abs(G, out=G)
         F[c0:c1, c0:] = _block_sums(G, rows, cols)
-    D._gram = (_frozen(_mirror_upper(P)), _frozen(_mirror_upper(F)))
-    return D._gram
+    return P, F
 
 
 def _frozen(A: np.ndarray) -> np.ndarray:
@@ -579,25 +658,44 @@ def design_to_text(D: Design) -> str:
 
 
 def design_from_text(text: str, allow_unbalanced=False) -> Design:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != FORMAT_HEADER:
+    return _design_from_stream(io.StringIO(text), allow_unbalanced)
+
+
+def _design_from_stream(fh, allow_unbalanced: bool) -> Design:
+    """Read the three header lines with readline, then parse the body lines
+    with one np.loadtxt; the text is never held as one string.
+
+    loadtxt gets the body as a list of lines, not the stream: parsing the
+    stream line by line left a long-lived process faulting in fresh pages
+    for its later large arrays (about 5x the minor faults and 40% more time
+    for a 3840 x 272 thm8 build run after a 4096 x 545 read).
+    """
+    if _header_line(fh) != FORMAT_HEADER:
         raise ValueError(f"missing '{FORMAT_HEADER}' header line")
     try:
-        N, m = map(int, lines[1].split())
-        levels = tuple(map(int, lines[2].split()))
+        N, m = map(int, _header_line(fh).split())
+        levels = tuple(map(int, _header_line(fh).split()))
         # numpy < 2 only warns when it parses '1.0' as an integer, and an
         # empty body only warns too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            matrix = np.loadtxt(lines[3:], dtype=np.int64, ndmin=2,
+            matrix = np.loadtxt(fh.readlines(), dtype=np.int64, ndmin=2,
                                 comments=None)
-    except (IndexError, ValueError, Warning) as exc:
+    except (ValueError, Warning) as exc:
         raise ValueError(f"malformed design file: {exc}") from exc
     if len(levels) != m:
         raise ValueError(f"expected {m} level entries, found {len(levels)}")
     if matrix.shape != (N, m):
         raise ValueError(f"expected {N} rows of {m} symbols")
     return Design(_frozen(matrix), levels, require_balanced=not allow_unbalanced)
+
+
+def _header_line(fh) -> str:
+    """The next nonblank line, stripped; '' at the end of the stream."""
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            return line.strip()
+    return ""
 
 
 def write_design(D: Design, path) -> None:
@@ -607,4 +705,4 @@ def write_design(D: Design, path) -> None:
 
 def read_design(path, allow_unbalanced=False) -> Design:
     with open(path, "r", encoding="ascii") as fh:
-        return design_from_text(fh.read(), allow_unbalanced=allow_unbalanced)
+        return _design_from_stream(fh, allow_unbalanced)

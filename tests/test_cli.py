@@ -383,3 +383,19 @@ def test_construct_requires_k(tmp_path, capsys, theorem):
                 "--out", str(d)]) == 2
     assert capsys.readouterr().err == "--k is required for this construction\n"
     assert not d.exists()
+
+
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    from ssd import criteria
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--out", str(d)]) == 0
+    capsys.readouterr()
+    for detail, err in (("Unable to allocate 2.00 GiB",
+                         "error: out of memory (Unable to allocate 2.00 GiB)\n"),
+                        ("", "error: out of memory\n")):
+        def out_of_memory(D, detail=detail):
+            raise MemoryError(detail)
+        monkeypatch.setattr(criteria, "pair_gram_sums", out_of_memory)
+        assert run(["evaluate", str(d)]) == 1
+        assert capsys.readouterr().err == err

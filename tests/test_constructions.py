@@ -151,16 +151,25 @@ def test_dealias_bookkeeping_small(gf4):
 
 
 def test_dealias_check_runs_one_gram_pass(gf4, monkeypatch):
-    """The de-aliased design reuses the Gram sums of the full design: one
-    one-hot matrix for them and one for the coincidences of its A2."""
+    """The de-aliased design reuses the Gram sums of the full design.  The
+    coincidences of its A2 build one one-hot matrix; the sums build one more
+    on the Gram route (64 runs) and none on the cell-count route (16 runs)."""
     from ssd import design_core
     calls = []
     one_hot = design_core._one_hot
     monkeypatch.setattr(design_core, "_one_hot",
                         lambda D: calls.append(D) or one_hot(D))
-    rep = dealias_check(gf4, 2, 5)
-    assert rep["achieves_bound"]
-    assert len(calls) == 2
+    routes = []
+    cells_sparse = design_core.cells_sparse
+    monkeypatch.setattr(design_core, "cells_sparse",
+                        lambda D: routes.append(cells_sparse(D)) or routes[-1])
+    for n, k, sparse, one_hots in ((2, 5, True, 1), (3, 2, False, 2)):
+        calls.clear()
+        routes.clear()
+        rep = dealias_check(gf4, n, k)
+        assert rep["achieves_bound"]
+        assert routes == [sparse]
+        assert len(calls) == one_hots
 
 
 def test_catalog_has_31_rows_and_verifies(catalog_rows):

@@ -311,9 +311,10 @@ def test_round_half_away():
 
 
 def test_report_builds_each_one_hot_once(gf3, gf9, monkeypatch):
-    """One one-hot matrix for the Gram sums, one for the coincidences."""
+    """The coincidences build one one-hot matrix.  The Gram sums build one
+    more on the Gram route and none on the cell-count route."""
     from ssd import design_core
-    from ssd.design_core import replace_column
+    from ssd.design_core import cells_sparse, replace_column
     from ssd.report import build_report
 
     calls = []
@@ -323,7 +324,8 @@ def test_report_builds_each_one_hot_once(gf3, gf9, monkeypatch):
     equal = construct_thm6(gf3, 2, 2)
     mixed = replace_column(construct_thm6(gf9, 2, 2), 0,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
-    for D in (equal, mixed):
+    for D, sparse, one_hots in ((equal, True, 1), (mixed, False, 2)):
+        assert cells_sparse(D) == sparse
         calls.clear()
         build_report(D)
-        assert len(calls) == 2
+        assert len(calls) == one_hots

@@ -12,9 +12,9 @@ from ssd.design_core import (GRAM_TILE, TEXT_BLOCK_CELLS, Design,
                              coincidence_counts, coincidences,
                              column_juxtapose, design_from_text,
                              design_to_text, fully_aliased_pairs, is_oa,
-                             pair_gram_sums, realize, remove_fully_aliased,
-                             replace_column, row_juxtapose, select_columns,
-                             write_design)
+                             pair_gram_sums, read_design, realize,
+                             remove_fully_aliased, replace_column,
+                             row_juxtapose, select_columns, write_design)
 from ssd.gf import default_field
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
 
@@ -386,6 +386,23 @@ def test_text_format_rejects_malformed():
         with pytest.raises(ValueError, match="malformed design file"):
             design_from_text("# ssd v1\n2 2\n2 2\n" + body)
 
+
+
+def test_read_design_reads_the_open_file(tmp_path):
+    """The file and its text give the same design; blank lines and
+    surrounding spaces are skipped in the header and the body alike."""
+    text = "\n  # ssd v1\n\n4 2 \n 2 2\n0 1\n\n1 0\n  0 0\n1 1\n\n"
+    path = tmp_path / "d.ssd"
+    path.write_text(text)
+    for D in (read_design(path), design_from_text(text)):
+        assert D.matrix.tolist() == [[0, 1], [1, 0], [0, 0], [1, 1]]
+        assert D.levels == (2, 2)
+    path.write_text("# ssd v1\n2 2\n2 2\n0 1\n1 1.0\n")
+    with pytest.raises(ValueError, match="malformed design file"):
+        read_design(path)
+    for text in ("# ssd v1\n4 1\n2\n", "# ssd v1\n4 1\n", "# ssd v1\n"):
+        with pytest.raises(ValueError, match="malformed design file"):
+            design_from_text(text)
 
 MEASURE_COINCIDENCE_RSS = """
 import resource

@@ -3,8 +3,10 @@
 Each `tests/data/golden/<name>.ssd` has the report `<name>.json` that
 `ssd evaluate <name>.ssd --json <name>.json` wrote for it.  The inputs are
 the three bundled tables, a mixed 9/3-level design (thm6 over GF(9), n = 2,
-k = 2, with both `h` columns replaced by OA(9, 4, 3, 2)) and a two-level
-design (thm4 over GF(2), n = 4), so E(s^2) and its bound are covered.
+k = 2, with both `h` columns replaced by OA(9, 4, 3, 2)), a two-level
+design (thm4 over GF(2), n = 4), so E(s^2) and its bound are covered, and
+thm6 over GF(7), n = 2, k = 8 (49 x 64), whose pair sums take the
+cell-count route of the pair kernel.
 
 Every key must match exactly except `gwlp`: it is now exact, but the
 committed values were written by a floating character route whose last

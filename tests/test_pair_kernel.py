@@ -1,18 +1,22 @@
-"""The tiled Gram kernel against independent per-pair cell counting."""
+"""Both routes of the pair kernel against independent per-pair cell counting."""
 
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssd import design_core
 from ssd.criteria import (a2_overall_from_pairs, dependency_summary,
                           pair_dependency_stats, projected_a2,
                           projected_a2_histogram)
 from ssd.design_core import (FULLY_ALIASED, GRAM_TILE, Design, cell_table,
-                             classify_pair, fully_aliased_pairs,
-                             pair_gram_sums)
+                             cells_sparse, classify_pair, fully_aliased_pairs,
+                             pair_gram_sums, realize)
+from ssd.gf import default_field
+from ssd.poly_labels import h_set
 
 
 @st.composite
@@ -82,3 +86,119 @@ def test_kernel_matches_per_pair_counting(case):
     assert dup in expected
     assert fully_aliased_pairs(D) == expected
 
+
+
+def per_pair_sums(D):
+    """P and F of every pair i <= j (mirrored) from its own cell table."""
+    P = np.zeros((D.m, D.m), dtype=np.int64)
+    Fm = np.zeros((D.m, D.m), dtype=np.int64)
+    for i in range(D.m):
+        for j in range(i, D.m):
+            tab = cell_table(D, i, j).astype(np.int64)
+            P[i, j] = P[j, i] = (tab * tab).sum()
+            Fm[i, j] = Fm[j, i] = np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum()
+    return P, Fm
+
+
+def forced_sums(D, sparse):
+    """pair_gram_sums on the chosen route, for a design sharing D's matrix."""
+    fresh = Design(D.matrix, D.levels, require_balanced=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design_core, "cells_sparse", lambda D: sparse)
+        return pair_gram_sums(fresh)
+
+
+@st.composite
+def regime_designs(draw):
+    """Random designs with mixed levels, unbalanced columns allowed, either
+    sparse (every pair has at least N cells) or dense (every pair has
+    fewer)."""
+    sparse = draw(st.booleans())
+    if sparse:
+        N, choices = draw(st.sampled_from([(12, [4, 6, 12]), (24, [6, 8, 12, 24]),
+                                           (36, [6, 9, 12, 18])]))
+    else:
+        N, choices = draw(st.sampled_from([(24, [2, 3, 4]), (48, [2, 3, 4, 6])]))
+    m = draw(st.integers(1, 20))
+    levels = draw(st.lists(st.sampled_from(choices), min_size=m, max_size=m))
+    rnd = draw(st.randoms(use_true_random=False))
+    balanced = draw(st.booleans())
+    cols = []
+    for s in levels:
+        if balanced:
+            col = [v for v in range(s) for _ in range(N // s)]
+            rnd.shuffle(col)
+        else:
+            col = [rnd.randrange(s) for _ in range(N)]
+        cols.append(col)
+    D = Design(np.array(cols).T, levels, require_balanced=False)
+    assert cells_sparse(D) == sparse
+    return D
+
+
+@settings(max_examples=40, deadline=None)
+@given(regime_designs())
+def test_both_routes_match_cell_tables(D):
+    want = per_pair_sums(D)
+    for sparse in (True, False):
+        P, Fm = forced_sums(D, sparse)
+        assert (P == want[0]).all() and (Fm == want[1]).all()
+        assert P.dtype == Fm.dtype == np.int64
+
+
+def test_cell_count_chunks_stay_within_budget(monkeypatch):
+    """A small budget splits the pairs into many bincount chunks, each within
+    the budget unless it holds a single pair whose table alone exceeds it."""
+    rng = np.random.default_rng(5)
+    levels = [12, 4, 6, 12, 4, 6, 12]
+    N = 12
+    cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
+    D = Design(np.array(cols).T, levels)
+    assert cells_sparse(D)
+    want = per_pair_sums(D)
+    bincount = np.bincount
+    for budget in (1, 40, 150, 400):
+        fresh = Design(D.matrix, D.levels)
+        chunks = []
+
+        def counting(codes, minlength=0):
+            chunks.append((codes.size // N, minlength))
+            return bincount(codes, minlength=minlength)
+        with monkeypatch.context() as mp:
+            mp.setattr(design_core, "PAIR_CELL_BUDGET", budget)
+            mp.setattr(design_core.np, "bincount", counting)
+            P, Fm = pair_gram_sums(fresh)
+        assert (P == want[0]).all() and (Fm == want[1]).all()
+        assert len(chunks) > 1
+        assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) + 1) // 2
+        for pairs, bins in chunks:
+            assert pairs == 1 or max(pairs * N, bins) <= budget
+        # a 12 x 12 table has 144 cells: below that budget it is a chunk alone
+        assert budget > 144 or (1, 144) in chunks
+
+
+def test_catalog_designs_give_equal_sums_on_both_routes(catalog_rows):
+    routes = set()
+    for recipe, D in catalog_rows:
+        routes.add(cells_sparse(D))
+        sparse = forced_sums(D, True)
+        dense = forced_sums(D, False)
+        assert all((a == b).all() for a, b in zip(sparse, dense)), recipe.row_id
+        natural = pair_gram_sums(D)
+        assert all((a == b).all() for a, b in zip(natural, sparse)), recipe.row_id
+    assert routes == {True, False}
+
+
+def test_float32_gram_is_exact_up_to_two_to_the_24():
+    """At 4096 runs and two levels a balanced column against itself gives
+    P = 2 * 2048^2 = 2^23 and a constant column P = 4096^2 = 2^24, the
+    largest sum the float32 Gram tiles must hold exactly."""
+    gf2 = default_field(2)
+    H = realize(gf2, 12, h_set(gf2, 12)[:GRAM_TILE + 1]).matrix
+    D = Design(np.column_stack([H, np.zeros(4096, dtype=np.int64)]),
+               [2] * (GRAM_TILE + 2), require_balanced=False)
+    assert not cells_sparse(D)
+    P, Fm = pair_gram_sums(D)
+    assert P[0, 0] == 2 ** 23 and P[-1, -1] == 2 ** 24
+    want = per_pair_sums(D)
+    assert (P == want[0]).all() and (Fm == want[1]).all()
