@@ -45,16 +45,16 @@ def _cmd_construct(args) -> int:
     f = _field(args.s, args.modulus)
     if args.theorem == "4":
         design = constructions.construct_thm4(f, args.n)
-    elif args.theorem in ("5", "6"):
-        k = 2 if args.theorem == "5" else args.k
+    elif args.theorem in ("5", "6", "7"):
         hs = None
         if args.hs:
             hs = [parse_label(f, t, args.n) for t in args.hs.split(",")]
-        design = constructions.construct_thm6(f, args.n, k, hs)
+        k = 2 if args.theorem == "5" else args.k
+        build = (constructions.construct_thm7 if args.theorem == "7"
+                 else constructions.construct_thm6)
+        design = build(f, args.n, k, hs)
         if args.dealias:
             design = remove_fully_aliased(design)
-    elif args.theorem == "7":
-        design = constructions.construct_thm7(f, args.n, args.k)
     elif args.theorem == "8":
         g = _parse_levels_list(args.levels) if args.levels else None
         branch = parse_label(f, args.branch, args.n) if args.branch else None
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", type=int, required=True, help="level count")
     c.add_argument("--n", type=int, default=2, help="point-space dimension")
     c.add_argument("--k", type=int)
-    c.add_argument("--hs", help="comma-separated canonical forms for thm6/7")
+    c.add_argument("--hs", help="comma-separated canonical forms for thm5/6/7")
     c.add_argument("--branch", help="branching column label")
     c.add_argument("--levels", help="kept level classes, e.g. 0,1")
     c.add_argument("--modulus", help="field modulus c0,c1,... (constant first)")

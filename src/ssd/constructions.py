@@ -48,22 +48,26 @@ def construct_thm4(field: Field, n: int) -> Design:
     return realize(field, n, labels)
 
 
-def _default_hs(field: Field, n: int, k: int) -> list[LinearForm]:
-    return h_set(field, n)[:k]
+def _juxtapose_companions(field: Field, n: int, k: int, hs, family) -> Design:
+    """Column juxtaposition of family(h) for k distinct forms h of H.
 
-
-def construct_thm6(field: Field, n: int, k: int, hs=None) -> Design:
-    """Column juxtaposition of k companion saturated arrays Q_h."""
+    hs defaults to the first k forms of H in canonical order.
+    """
     point_count(field, n, MAX_RUNS)
     t = (field.order**n - 1) // (field.order - 1)
     if not 1 < k <= t:
         raise ValueError(f"k must lie in 2..{t}")
-    hs = list(hs) if hs is not None else _default_hs(field, n, k)
+    hs = list(hs) if hs is not None else h_set(field, n)[:k]
     if len(set(hs)) != len(hs):
         raise ValueError("the chosen forms must be distinct")
     if len(hs) != k:
         raise ValueError(f"expected {k} forms, got {len(hs)}")
-    return realize(field, n, [lab for h in hs for lab in qh(field, h, n)])
+    return realize(field, n, [lab for h in hs for lab in family(field, h, n)])
+
+
+def construct_thm6(field: Field, n: int, k: int, hs=None) -> Design:
+    """Column juxtaposition of k companion saturated arrays Q_h."""
+    return _juxtapose_companions(field, n, k, hs, qh)
 
 
 def construct_thm5(field: Field, n: int, h1: LinearForm, h2: LinearForm) -> Design:
@@ -74,14 +78,7 @@ def construct_thm7(field: Field, n: int, k: int, hs=None) -> Design:
     """Juxtaposition of the quadratic-only parts Q_h*; s must be odd."""
     if field.order % 2 == 0:
         raise ValueError("defined for odd level counts only")
-    point_count(field, n, MAX_RUNS)
-    t = (field.order**n - 1) // (field.order - 1)
-    if not 1 < k <= t:
-        raise ValueError(f"k must lie in 2..{t}")
-    hs = list(hs) if hs is not None else _default_hs(field, n, k)
-    if len(set(hs)) != len(hs):
-        raise ValueError("the chosen forms must be distinct")
-    return realize(field, n, [lab for h in hs for lab in qh_star(field, h, n)])
+    return _juxtapose_companions(field, n, k, hs, qh_star)
 
 
 def _kept_levels(field: Field, n: int, k: int, g_levels) -> list[int]:
@@ -96,6 +93,8 @@ def _kept_levels(field: Field, n: int, k: int, g_levels) -> list[int]:
     g = list(g_levels) if g_levels is not None else list(range(k))
     if len(g) != k:
         raise ValueError("the kept level set must have exactly k values")
+    if len(set(g)) != k:
+        raise ValueError("the kept levels must be distinct")
     check_fraction_runs(k * s ** (n - 1))
     return g
 

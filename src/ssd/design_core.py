@@ -91,6 +91,8 @@ class Design:
         if m.ndim != 2:
             raise ValueError("design matrix must be two-dimensional")
         N, cols = m.shape
+        if N == 0:
+            raise ValueError("a design needs at least one run")
         levels = tuple(int(s) for s in levels)
         if len(levels) != cols:
             raise ValueError("one level count per column is required")
@@ -169,7 +171,7 @@ def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
 
 # -- construction ---------------------------------------------------------------
 
-def realize(field: Field, n: int, labels, require_balanced=True) -> Design:
+def realize(field: Field, n: int, labels) -> Design:
     """Evaluate the labels at every point of F_s^n, one column per label.
 
     The design size is checked before any label is evaluated.
@@ -179,8 +181,7 @@ def realize(field: Field, n: int, labels, require_balanced=True) -> Design:
         raise ValueError("need at least one label")
     _check_design_size(point_count(field, n, MAX_RUNS), len(labels))
     return Design(_frozen(eval_labels(field, labels, n)),
-                  (field.order,) * len(labels),
-                  labels=labels, require_balanced=require_balanced)
+                  (field.order,) * len(labels), labels=labels)
 
 
 def column_juxtapose(*designs: Design) -> Design:
@@ -198,7 +199,7 @@ def column_juxtapose(*designs: Design) -> Design:
     return Design(_frozen(matrix), levels, labels=labels)
 
 
-def row_juxtapose(*designs: Design, require_balanced=True) -> Design:
+def row_juxtapose(*designs: Design) -> Design:
     """Stack designs on top of each other; level profiles must agree."""
     if not designs:
         raise ValueError("nothing to juxtapose")
@@ -206,8 +207,7 @@ def row_juxtapose(*designs: Design, require_balanced=True) -> Design:
     if any(d.levels != levels for d in designs):
         raise ValueError("level profiles differ across the juxtaposed designs")
     matrix = np.concatenate([d.matrix for d in designs], axis=0)
-    return Design(_frozen(matrix), levels, labels=designs[0].labels,
-                  require_balanced=require_balanced)
+    return Design(_frozen(matrix), levels, labels=designs[0].labels)
 
 
 def select_columns(D: Design, indices) -> Design:
@@ -269,6 +269,8 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
     if not drop.size:
         raise ValueError("branching label is not one of the design labels")
     keep = np.delete(np.arange(len(labels)), drop)
+    if not keep.size:
+        raise ValueError("the branch keeps no column")
     try:
         return Design(_frozen(matrix.take(keep, axis=1)), (s,) * len(keep),
                       labels=[labels[i] for i in keep])

@@ -8,7 +8,8 @@ evaluated over F_s^n it is a saturated strength-2 orthogonal array.  For each
 h in H, a companion saturated array Q_h is obtained by the change of basis
 Y1 = h, Y2..Yk = X1..X(k-1), Y(k+1).. = X(k+1).. (k the position of the last
 nonzero coefficient of h) and attaching quadratic labels Y1^2 + a*Y1 + g with
-g ranging over H(Y2..Yn), rewritten eagerly in X coordinates.
+g ranging over H(Y2..Yn), rewritten eagerly in X coordinates.  Q1 is the
+member with h = X1.
 """
 
 from __future__ import annotations
@@ -94,18 +95,15 @@ def h_set(field: Field, n: int) -> list[LinearForm]:
     """All nonzero linear forms in X1..Xn whose last nonzero coefficient is 1.
 
     There are (s^n - 1)/(s - 1) of them; the order is lexicographic on the
-    reversed coefficient vector (c_n, ..., c_1), which is deterministic and
-    puts X1 first.
+    reversed coefficient vector (c_n, ..., c_1): by the position k of the
+    last nonzero coefficient, then in product order of (c_k, ..., c_1).  It
+    is deterministic and puts X1 first.
     """
     if n < 1:
         raise ValueError("need at least one variable")
-    s = field.order
-    out = []
-    for rev in itertools.product(range(s), repeat=n):
-        nz = next((c for c in rev if c), None)
-        if nz == 1:
-            out.append(LinearForm(tuple(reversed(rev))))
-    return out
+    return [LinearForm(tuple(reversed(head)) + (1,) + (0,) * (n - k - 1))
+            for k in range(n)
+            for head in itertools.product(range(field.order), repeat=k)]
 
 
 def l_set(field: Field, n: int) -> list[LinearForm]:
@@ -114,28 +112,6 @@ def l_set(field: Field, n: int) -> list[LinearForm]:
     return [LinearForm(tuple(reversed(rev)))
             for rev in itertools.product(range(s), repeat=n)
             if any(rev)]
-
-
-def _embedded_h_tail(field: Field, n: int) -> list[LinearForm]:
-    """H(X2..Xn) embedded into n variables with zero X1 coefficient."""
-    return [LinearForm((0,) + g.coeffs) for g in h_set(field, n - 1)]
-
-
-def q1_star(field: Field, n: int) -> list[QuadraticLabel]:
-    """Quadratic labels X1^2 + a*X1 + h for a in F_s, h in H(X2..Xn).
-
-    (s^n - 1)/(s - 1) - 1 labels, ordered by a ascending then h in canonical
-    order.
-    """
-    if n < 2:
-        raise ValueError("quadratic label sets need at least two variables")
-    x1 = unit_form(n, 0)
-    tails = _embedded_h_tail(field, n)
-    return [QuadraticLabel(x1, a, g) for a in field.elements() for g in tails]
-
-
-def q1(field: Field, n: int) -> list[Label]:
-    return [unit_form(n, 0), *q1_star(field, n)]
 
 
 def qh_substitution(field: Field, h: LinearForm, n: int) -> list[LinearForm]:
@@ -157,22 +133,41 @@ def qh_substitution(field: Field, h: LinearForm, n: int) -> list[LinearForm]:
 
 
 def qh_star(field: Field, h: LinearForm, n: int) -> list[QuadraticLabel]:
-    """Quadratic labels of the Q_h family, rewritten in X coordinates."""
+    """Quadratic labels h^2 + a*h + g(Y2..Yn) of Q_h, in X coordinates.
+
+    Ordered by a ascending, then g in canonical H(n-1) order.  Each of
+    Y2..Yn is a coordinate form, so g is rewritten by writing its
+    coefficients into their X positions, with no field arithmetic.
+    """
     if n < 2:
         raise ValueError("quadratic label sets need at least two variables")
-    ys = qh_substitution(field, h, n)
+    pos = [y.last_nonzero() for y in qh_substitution(field, h, n)[1:]]
     tails = []
-    for gy in h_set(field, n - 1):
-        acc = LinearForm((0,) * n)
-        for j, d in enumerate(gy.coeffs):
-            if d:
-                acc = add_forms(field, acc, scale_form(field, d, ys[j + 1]))
-        tails.append(acc)
+    for g in h_set(field, n - 1):
+        c = [0] * n
+        for i, d in zip(pos, g.coeffs):
+            c[i] = d
+        tails.append(LinearForm(tuple(c)))
     return [QuadraticLabel(h, a, g) for a in field.elements() for g in tails]
 
 
 def qh(field: Field, h: LinearForm, n: int) -> list[Label]:
     return [h, *qh_star(field, h, n)]
+
+
+def _x1(n: int) -> LinearForm:
+    if n < 2:
+        raise ValueError("quadratic label sets need at least two variables")
+    return unit_form(n, 0)
+
+
+def q1_star(field: Field, n: int) -> list[QuadraticLabel]:
+    """Q_h* at h = X1: X1^2 + a*X1 + g for a in F_s, g in H(X2..Xn)."""
+    return qh_star(field, _x1(n), n)
+
+
+def q1(field: Field, n: int) -> list[Label]:
+    return qh(field, _x1(n), n)
 
 
 # -- evaluation ---------------------------------------------------------------

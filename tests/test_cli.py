@@ -34,6 +34,57 @@ def test_show_labels(tmp_path, capsys):
     assert "X1^2+2*X1+X2" in out
 
 
+LABELS = Path(__file__).parent / "data" / "labels"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("thm4_s3_n3", ["4", "--s", "3", "--n", "3"]),
+    # k = |H| for s = 3 and 4, so h takes every position
+    ("thm6_s3_n3_k13", ["6", "--s", "3", "--n", "3", "--k", "13"]),
+    ("thm6_s4_n3_k21", ["6", "--s", "4", "--n", "3", "--k", "21"]),
+    ("thm7_s5_n2_k6", ["7", "--s", "5", "--n", "2", "--k", "6"])])
+def test_show_labels_order_is_pinned(tmp_path, capsys, name, argv):
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", *argv, "--show-labels",
+                "--out", str(d)]) == 0
+    *labels, wrote = capsys.readouterr().out.splitlines()
+    assert labels == (LABELS / f"{name}.txt").read_text().splitlines()
+    assert wrote == f"wrote {read_design(d).N}x{len(labels)} design to {d}"
+
+
+def test_thm7_takes_hs(tmp_path, capsys):
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "7", "--s", "3", "--n", "3",
+                "--k", "2", "--hs", "X2,X3", "--show-labels",
+                "--out", str(d)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "X2^2+X1"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["construct", "--theorem", "9", "--s", "3", "--n", "0", "--k", "1"],
+     "quadratic label sets need at least two variables"),
+    (["branch", "--s", "3", "--n", "0", "--family", "q1", "--branch", "X1",
+      "--levels", "0"], "quadratic label sets need at least two variables"),
+    (["construct", "--theorem", "8", "--s", "3", "--n", "2", "--k", "2",
+      "--levels", "0,0"], "the kept levels must be distinct"),
+    (["construct", "--theorem", "9", "--s", "3", "--n", "3", "--k", "2",
+      "--levels", "1,1"], "the kept levels must be distinct"),
+    (["construct", "--theorem", "8", "--s", "3", "--n", "1", "--k", "1"],
+     "the branch keeps no column"),
+    (["branch", "--s", "3", "--n", "1", "--branch", "X1", "--levels", "0"],
+     "the branch keeps no column"),
+    (["construct", "--theorem", "7", "--s", "3", "--n", "3", "--k", "2",
+      "--hs", "X1,X2,X3"], "expected 2 forms, got 3")],
+    ids=["thm9-n0", "branch-q1-n0", "thm8-repeated-levels",
+         "thm9-repeated-levels", "thm8-n1",
+         "branch-n1", "thm7-form-count"])
+def test_degenerate_constructions_are_errors(tmp_path, capsys, argv, err):
+    d = tmp_path / "d.ssd"
+    assert run([*argv, "--out", str(d)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not d.exists()
+
+
 def test_bound_command(capsys):
     assert run(["bound", "--N", "81", "--m", "100", "--s", "9"]) == 0
     out = capsys.readouterr().out

@@ -80,6 +80,18 @@ def test_thm7_odd_only_and_no_aliasing():
     assert not fully_aliased_pairs(D)
 
 
+def test_thm7_checks_its_forms():
+    # the form count, distinctness and k range are thm6's checks
+    f = default_field(3)
+    H = h_set(f, 3)
+    with pytest.raises(ValueError, match="expected 2 forms, got 3"):
+        construct_thm7(f, 3, 2, H[:3])
+    with pytest.raises(ValueError, match="distinct"):
+        construct_thm7(f, 3, 2, [H[1]] * 2)
+    with pytest.raises(ValueError, match="k must lie"):
+        construct_thm7(f, 3, 14)
+
+
 def test_thm8_formulas():
     for s, n, k in ((3, 2, 2), (4, 2, 3), (5, 2, 4), (3, 3, 2)):
         f = default_field(s)

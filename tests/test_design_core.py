@@ -31,6 +31,11 @@ def test_design_validation():
         d.matrix[0, 0] = 1  # frozen
 
 
+def test_design_rejects_zero_runs():
+    with pytest.raises(ValueError, match="at least one run"):
+        Design(np.zeros((0, 2), dtype=int), [2, 2])
+
+
 def test_design_validation_reports_faults_in_check_order():
     # column 0 unbalanced, column 1 out of range, column 2 not dividing N,
     # column 3 with one level: each check names its first column at fault

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from ssd.design_core import MAX_RUNS, classify_columns, is_oa, realize
 from ssd.gf import Field, default_field, enumerate_points
-from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_label,
-                             eval_labels, forms_dependent, h_set, label_str,
-                             parse_label, q1, q1_star, qh, qh_substitution,
-                             qh_star, unit_form)
+from ssd.poly_labels import (LinearForm, QuadraticLabel, add_forms,
+                             eval_label, eval_labels, forms_dependent, h_set,
+                             label_str, parse_label, q1, q1_star, qh,
+                             qh_substitution, qh_star, scale_form, unit_form)
 
 
 def strs(field, labels):
@@ -32,6 +32,51 @@ def test_h_set_last_nonzero_is_one(gf5):
         assert form.coeffs[form.last_nonzero()] == 1
 
 
+# the label rewrites are checked over these fields and n = 2..4
+REWRITE_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def h_set_by_filter(field, n):
+    """Every coefficient tuple in lexicographic order of (c_n, ..., c_1),
+    kept when its last nonzero coefficient is 1: the reference order."""
+    return [LinearForm(tuple(reversed(rev)))
+            for rev in itertools.product(range(field.order), repeat=n)
+            if next((c for c in rev if c), None) == 1]
+
+
+def qh_tails_by_field_arithmetic(field, h, n, gys):
+    """The tails g(Y2..Yn) of Q_h*, g in gys = H(n-1), each expanded as
+    sum_j g_j * Y_j by scalar form arithmetic: the reference for the
+    positional rewrite in qh_star."""
+    ys = qh_substitution(field, h, n)
+    tails = []
+    for gy in gys:
+        acc = LinearForm((0,) * n)
+        for j, d in enumerate(gy.coeffs):
+            if d:
+                acc = add_forms(field, acc, scale_form(field, d, ys[j + 1]))
+        tails.append(acc)
+    return tails
+
+
+@pytest.mark.parametrize("s", REWRITE_FIELDS)
+def test_h_set_matches_tuple_filter(s):
+    f = default_field(s)
+    for n in (1, 2, 3, 4):
+        assert h_set(f, n) == h_set_by_filter(f, n)
+
+
+@pytest.mark.parametrize("s", REWRITE_FIELDS)
+def test_qh_star_matches_field_arithmetic(s):
+    f = default_field(s)
+    for n in (2, 3, 4):
+        gys = h_set_by_filter(f, n - 1)
+        for h in h_set(f, n):
+            tails = qh_tails_by_field_arithmetic(f, h, n, gys)
+            assert ([(lab.ell, lab.a, lab.g) for lab in qh_star(f, h, n)]
+                    == list(itertools.product([h], f.elements(), tails)))
+
+
 def test_q1_star_3_2(gf3):
     assert strs(gf3, q1_star(gf3, 2)) == [
         "X1^2+X2", "X1^2+X1+X2", "X1^2+2*X1+X2"]
@@ -44,8 +89,11 @@ def test_q1_star_count(s, n):
 
 
 def test_q1_star_needs_two_variables(gf3):
-    with pytest.raises(ValueError):
-        q1_star(gf3, 1)
+    # n = 0 is rejected before X1 is built, not by an IndexError
+    for family in (q1, q1_star):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="two variables"):
+                family(gf3, n)
 
 
 def test_qh_substitution_rules(gf3):
