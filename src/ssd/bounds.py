@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .criteria import a2_overall, e_s2
+from .criteria import CriteriaReport, _e_s2, a2_overall
 from .design_core import Design, coincidence_counts
 
 
@@ -98,17 +98,22 @@ def coincidence_spread(D: Design) -> int:
     return max(counts) - min(counts)
 
 
-def certify(D: Design) -> BoundReport:
+def certify(D: Design, stats: CriteriaReport | None = None) -> BoundReport:
     """Evaluate every applicable bound against the design's exact A2.
 
     Achievement flags compare A2 with the bound clamped at zero, so a
     strength-2 array trivially achieves a nonpositive bound.  For equal-level
     supersaturated designs achievement is equivalent to the coincidence
-    counts spreading by at most one.
+    counts spreading by at most one.  stats, the design's aggregate_stats
+    when the caller has them, supplies A2 and the coincidence counts, which
+    are otherwise derived here.
     """
     if not D.is_balanced:
         raise ValueError("certification requires a balanced design")
-    a2 = a2_overall(D)
+    if stats is None:
+        a2, counts = a2_overall(D), coincidence_counts(D)
+    else:
+        a2, counts = stats.A2, stats.coincidences
     t10_raw = lb_theorem10(D.N, D.levels)
     t10 = max(t10_raw, Fraction(0))
     if len(set(D.levels)) == 1:
@@ -124,7 +129,7 @@ def certify(D: Design) -> BoundReport:
         supersaturated = sum(D.levels) - D.m > D.N - 1
     two_level = all(s == 2 for s in D.levels) and D.m >= 2
     es2_bound = lb_es2(D.N, D.m) if two_level else None
-    achieved_es2 = (e_s2(D) == es2_bound) if two_level else None
+    achieved_es2 = (_e_s2(D.N, D.m, a2) == es2_bound) if two_level else None
     return BoundReport(
         a2=a2,
         theorem1_raw=t1_raw, theorem1=t1, lemma2=l2,
@@ -133,5 +138,5 @@ def certify(D: Design) -> BoundReport:
         achieved_theorem1=achieved1,
         achieved_theorem10=a2 == t10,
         achieved_es2=achieved_es2,
-        coincidence_spread=coincidence_spread(D),
+        coincidence_spread=max(counts) - min(counts),
         supersaturated=supersaturated)

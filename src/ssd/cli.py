@@ -2,12 +2,13 @@
 search, catalog verification, and canonical re-export.
 
 Every command is deterministic given its flags and input files.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure or an `error:` line, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -122,9 +123,9 @@ def _cmd_branch(args) -> int:
 def _cmd_replace(args) -> int:
     D = read_design(args.file)
     s_old = column_levels(D, args.col)
-    if args.table:
+    if args.table is not None:
         table = read_design(args.table, allow_unbalanced=True).matrix
-    elif args.oa_levels:
+    elif args.oa_levels is not None:
         f_new = default_field(args.oa_levels)
         # saturated strength-2 array with s_old rows indexes the old symbols
         r = 0
@@ -190,7 +191,12 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ssd parser, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged: each parse_args call fills a fresh namespace.
+    """
     p = argparse.ArgumentParser(
         prog="ssd",
         description="Construct, evaluate and certify multi-level "
@@ -288,6 +294,11 @@ def run(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory ({exc})" if str(exc) else
               "error: out of memory", file=sys.stderr)
+        return 1
+    except Exception as exc:    # an internal fault: one line, not a traceback
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command}: {type(exc).__name__}{detail}",
+              file=sys.stderr)
         return 1
 
 

@@ -53,13 +53,21 @@ def _require_balanced(D: Design) -> None:
         raise ValueError("requires a balanced design")
 
 
+def _require_evaluable(D: Design) -> None:
+    _require_balanced(D)
+    if D.m < 2:
+        raise ValueError("need at least two columns")
+
+
 def power_moment(D: Design, t: int) -> Fraction:
     """t-th power moment of the row coincidence counts, exact."""
     if t < 1:
         raise ValueError("the moment order must be positive")
-    counts = coincidence_counts(D)
-    return Fraction(sum(c * v**t for v, c in counts.items()),
-                    D.N * (D.N - 1) // 2)
+    return _moment(coincidence_counts(D), D.N, t)
+
+
+def _moment(counts: dict[int, int], N: int, t: int) -> Fraction:
+    return Fraction(sum(c * v**t for v, c in counts.items()), N * (N - 1) // 2)
 
 
 def projected_a2(D: Design, i: int, j: int) -> Fraction:
@@ -69,49 +77,52 @@ def projected_a2(D: Design, i: int, j: int) -> Fraction:
                               D.levels[i], D.levels[j])
 
 
-def _upper(M: np.ndarray) -> np.ndarray:
-    """Entries of a square matrix over the pairs i < j, row-major."""
-    return M[np.triu_indices(len(M), 1)]
-
-
-def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """X = s_i s_j P - N^2 and the denominators s_i s_j over the pairs i < j."""
+def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = s_i s_j P - N^2, the denominators s_i s_j and F over the pairs
+    i < j, row-major: every pairwise statistic of the design."""
+    i, j = np.triu_indices(D.m, 1)
     lev = np.asarray(D.levels, dtype=np.int64)
-    den = _upper(np.outer(lev, lev))
-    return den * _upper(pair_gram_sums(D)[0]) - D.N * D.N, den
+    P, F = pair_gram_sums(D)
+    den = lev[i] * lev[j]
+    return den * P[i, j] - D.N * D.N, den, F[i, j]
 
 
 def projected_a2_histogram(D: Design) -> Counter:
     """Projected A2 value -> count over all C(m, 2) pairs, zeros included;
     keys ascend."""
-    X, _ = _pair_numerators(D)
+    return _histogram(_pair_numerators(D)[0], D.N)
+
+
+def _histogram(X: np.ndarray, N: int) -> Counter:
     vals, counts = np.unique(X, return_counts=True)
-    N2 = D.N * D.N
-    return Counter({Fraction(v, N2): c
+    return Counter({Fraction(v, N * N): c
                     for v, c in zip(vals.tolist(), counts.tolist())})
 
 
 def a2_overall(D: Design) -> Fraction:
     """Exact overall A2.
 
-    With equal levels this is the closed form
-    [(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N); with mixed levels it is
-    the sum of all pairwise projected values.  Both routes agree exactly on
-    balanced designs.
+    With equal levels this is the closed form in the second power moment
+    (_a2_closed_form); with mixed levels it is the sum of all pairwise
+    projected values.  Both routes agree exactly on balanced designs.
     """
     _require_balanced(D)
     if len(set(D.levels)) > 1:
         return a2_overall_from_pairs(D)
-    s, m, N = D.levels[0], D.m, D.N
-    return ((N - 1) * s * s * power_moment(D, 2) + m * m * s * s
+    return _a2_closed_form(D.N, D.m, D.levels[0], coincidence_counts(D))
+
+
+def _a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> Fraction:
+    """[(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N), K2 the second
+    power moment of the coincidence counts."""
+    return ((N - 1) * s * s * _moment(counts, N, 2) + m * m * s * s
             - N * m * (m + s - 1)) / Fraction(2 * N)
 
 
 def a2_overall_from_pairs(D: Design) -> Fraction:
     """Overall A2 as the sum of all pairwise projected values."""
     _require_balanced(D)
-    X, _ = _pair_numerators(D)
-    return Fraction(int(X.sum()), D.N * D.N)
+    return Fraction(int(_pair_numerators(D)[0].sum()), D.N * D.N)
 
 
 def pair_dependency_stats(D: Design, i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -138,26 +149,27 @@ def dependency_summary(D: Design) -> dict[str, Fraction]:
     the Gram kernel (P and F of pair_gram_sums); d2 and f are summed and
     maximised per denominator s_i s_j.
     """
-    _require_balanced(D)
-    if D.m < 2:
-        raise ValueError("need at least two columns")
-    X, den = _pair_numerators(D)
-    Fu = _upper(pair_gram_sums(D)[1])
+    _require_evaluable(D)
+    return _summary(*_pair_numerators(D), D.N, D.levels)
+
+
+def _summary(X: np.ndarray, den: np.ndarray, F: np.ndarray, N: int,
+             levels) -> dict[str, Fraction]:
     npairs = len(X)
     f_sum = d2_sum = f_max = d2_max = Fraction(0)
-    levels = set(D.levels)
+    levels = set(levels)
     for d in {a * b for a in levels for b in levels}:
         sel = den == d
         if not sel.any():
             continue
-        Xd, Fd = X[sel], Fu[sel]
+        Xd, Fd = X[sel], F[sel]
         d2_sum += Fraction(int(Xd.sum()), d)
         f_sum += Fraction(int(Fd.sum()), d)
         d2_max = max(d2_max, Fraction(int(Xd.max()), d))
         f_max = max(f_max, Fraction(int(Fd.max()), d))
     return {
-        "ave_chi2": Fraction(int(X.sum()), D.N * npairs),
-        "max_chi2": Fraction(int(X.max()), D.N),
+        "ave_chi2": Fraction(int(X.sum()), N * npairs),
+        "max_chi2": Fraction(int(X.max()), N),
         "ave_f": f_sum / npairs, "max_f": f_max,
         "E_d2": d2_sum / npairs, "max_d2": d2_max,
     }
@@ -169,7 +181,12 @@ def e_s2(D: Design) -> Fraction:
         raise ValueError("E(s^2) is defined for two-level designs only")
     if D.m < 2:
         raise ValueError("need at least two columns")
-    return Fraction(D.N * D.N) * a2_overall(D) / math.comb(D.m, 2)
+    return _e_s2(D.N, D.m, a2_overall(D))
+
+
+def _e_s2(N: int, m: int, a2: Fraction) -> Fraction:
+    """E(s^2) = N^2 A2 / C(m, 2) of an N-run, m-column two-level design."""
+    return Fraction(N * N) * a2 / math.comb(m, 2)
 
 
 # -- character route ------------------------------------------------------------
@@ -283,25 +300,30 @@ class CriteriaReport:
     max_d2: Fraction
     gwlp: tuple[Fraction, ...]
     E_s2: Fraction | None
+    coincidences: dict       # row-pair coincidence count -> row pairs
 
 
 def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     """Evaluate every pairwise criterion of a design, exactly.
 
-    gwlp_jmax=None gives the wordlength prefix up to min(3, m).
+    gwlp_jmax=None gives the wordlength prefix up to min(3, m).  The pair
+    numerators and the coincidence counts are each derived once; with equal
+    levels the closed form of the overall A2 cross-checks the pairwise sum.
     """
-    _require_balanced(D)
-    if D.m < 2:
-        raise ValueError("need at least two columns")
-    hist = projected_a2_histogram(D)
-    a2 = sum((v * c for v, c in hist.items()), Fraction(0))
-    if len(set(D.levels)) == 1 and a2_overall(D) != a2:
-        raise AssertionError("overall A2 disagrees with the pairwise sum")
+    _require_evaluable(D)
+    X, den, F = _pair_numerators(D)
+    N, m = D.N, D.m
+    a2 = Fraction(int(X.sum()), N * N)
     if gwlp_jmax is None:
-        gwlp_jmax = min(GWLP_DEFAULT_JMAX, D.m)
-    es2 = e_s2(D) if all(s == 2 for s in D.levels) else None
+        gwlp_jmax = min(GWLP_DEFAULT_JMAX, m)
+    pattern = tuple(gwlp(D, gwlp_jmax))
+    counts = coincidence_counts(D)
+    if (len(set(D.levels)) == 1
+            and _a2_closed_form(N, m, D.levels[0], counts) != a2):
+        raise AssertionError("overall A2 disagrees with the pairwise sum")
+    es2 = _e_s2(N, m, a2) if all(s == 2 for s in D.levels) else None
     return CriteriaReport(
-        N=D.N, m=D.m, levels=D.levels,
-        A2=a2, histogram=dict(hist),
-        **dependency_summary(D),
-        gwlp=tuple(gwlp(D, gwlp_jmax)), E_s2=es2)
+        N=N, m=m, levels=D.levels,
+        A2=a2, histogram=dict(_histogram(X, N)),
+        **_summary(X, den, F, N, D.levels),
+        gwlp=pattern, E_s2=es2, coincidences=counts)

@@ -236,17 +236,20 @@ def check_fraction_runs(runs: int) -> None:
 
 def branch_fraction(field: Field, n: int, labels, branch_label: Label,
                     g_levels) -> Design:
-    """Keep the points where the branch column's value lies in g_levels.
+    """Keep the points where the branch column's value lies in g_levels,
+    distinct values that form a proper subset of 0..s-1.
 
     The branch column itself is dropped; rows are grouped by branch value in
     ascending order, original point order within each group.  Every remaining
     column must come out balanced.
     """
     labels = list(labels)
-    g = sorted(set(int(v) for v in g_levels))
+    g = sorted(int(v) for v in g_levels)
     s = field.order
     if not g:
         raise ValueError("the kept level set is empty")
+    if len(set(g)) != len(g):
+        raise ValueError("the kept levels must be distinct")
     if len(g) >= s or any(v < 0 or v >= s for v in g):
         raise ValueError(f"kept levels must be a proper subset of 0..{s - 1}")
     # the branch drops at least one label, so this bounds the columns kept

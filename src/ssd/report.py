@@ -21,9 +21,12 @@ def _rat(x: Fraction | None):
 
 
 def build_report(D: Design, gwlp_jmax: int | None = None) -> dict:
-    """Full evaluation of a design: criteria, histogram, bounds, flags."""
+    """Full evaluation of a design: criteria, histogram, bounds, flags.
+
+    The certificate reads the A2 and coincidence counts of the criteria, so
+    each statistic is derived once."""
     rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax)
-    cert = bounds_mod.certify(D)
+    cert = bounds_mod.certify(D, rep)
     hist = [{"value": _rat(v), "count": c} for v, c in rep.histogram.items()]
     out = {
         "N": rep.N,

@@ -69,6 +69,10 @@ def test_thm7_takes_hs(tmp_path, capsys):
       "--levels", "0,0"], "the kept levels must be distinct"),
     (["construct", "--theorem", "9", "--s", "3", "--n", "3", "--k", "2",
       "--levels", "1,1"], "the kept levels must be distinct"),
+    (["branch", "--s", "3", "--n", "2", "--branch", "X1", "--levels", "0,0"],
+     "the kept levels must be distinct"),
+    (["branch", "--s", "3", "--n", "2", "--branch", "X1", "--levels",
+      "0,0,1"], "the kept levels must be distinct"),
     (["construct", "--theorem", "8", "--s", "3", "--n", "1", "--k", "1"],
      "the branch keeps no column"),
     (["branch", "--s", "3", "--n", "1", "--branch", "X1", "--levels", "0"],
@@ -76,7 +80,8 @@ def test_thm7_takes_hs(tmp_path, capsys):
     (["construct", "--theorem", "7", "--s", "3", "--n", "3", "--k", "2",
       "--hs", "X1,X2,X3"], "expected 2 forms, got 3")],
     ids=["thm9-n0", "branch-q1-n0", "thm8-repeated-levels",
-         "thm9-repeated-levels", "thm8-n1",
+         "thm9-repeated-levels", "branch-repeated-levels",
+         "branch-repeated-levels-three", "thm8-n1",
          "branch-n1", "thm7-form-count"])
 def test_degenerate_constructions_are_errors(tmp_path, capsys, argv, err):
     d = tmp_path / "d.ssd"
@@ -450,3 +455,74 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(criteria, "pair_gram_sums", out_of_memory)
         assert run(["evaluate", str(d)]) == 1
         assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("levels", ["0", "1"])
+def test_replace_oa_levels_below_two_is_an_error_line(tmp_path, capsys, levels):
+    d = tmp_path / "d.ssd"
+    out = tmp_path / "out.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--out", str(d)]) == 0
+    capsys.readouterr()
+    assert run(["replace", str(d), "--col", "0", "--oa-levels", levels,
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: field order must be at least 2, got {levels}\n")
+    assert not out.exists()
+
+
+def test_internal_fault_is_an_error_line(tmp_path, capsys, monkeypatch):
+    from ssd import criteria
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--out", str(d)]) == 0
+    capsys.readouterr()
+    for detail, err in (("kernel fault",
+                         "error: evaluate: RuntimeError: kernel fault\n"),
+                        ("", "error: evaluate: RuntimeError\n")):
+        def fault(D, detail=detail):
+            raise RuntimeError(detail)
+        monkeypatch.setattr(criteria, "pair_gram_sums", fault)
+        assert run(["evaluate", str(d)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """Each call through the parser built once per process gives what a
+    freshly built parser gives."""
+    from ssd import cli
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--out", str(d)]) == 0
+    oracle = ["oracle", "min-a2", "--N", "6", "--s", "3", "--m", "3",
+              "--budget", "100000"]
+    steps = [["evaluate", str(d), "--jmax", "5", "--json", "a.json"],
+             ["evaluate", str(d), "--json", "b.json"],
+             [*oracle, "--full"], oracle,
+             ["construct", "--theorem", "4", "--s", "3", "--out"],
+             ["construct", "--theorem", "4", "--s", "3", "--n", "2",
+              "--out", "c.ssd"]]
+
+    def call(argv, where):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        capsys.readouterr()
+        rc = run(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err, {p.name: p.read_text() for p in where.iterdir()}
+
+    cli._build_parser.cache_clear()
+    shared = [call(argv, tmp_path / f"shared{k}") for k, argv in enumerate(steps)]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for k, argv in enumerate(steps):
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv, tmp_path / f"fresh{k}"))
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0]
+    assert len(json.loads(shared[1][3]["b.json"])["gwlp"]) == 3
+    assert len(json.loads(shared[0][3]["a.json"])["gwlp"]) == 5
+    assert "exhaustive = True" in shared[2][1]
+    assert "exhaustive = False" in shared[3][1]

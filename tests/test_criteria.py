@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -312,20 +313,38 @@ def test_round_half_away():
 
 def test_report_builds_each_one_hot_once(gf3, gf9, monkeypatch):
     """The coincidences build one one-hot matrix.  The Gram sums build one
-    more on the Gram route and none on the cell-count route."""
-    from ssd import design_core
+    more on the Gram route and none on the cell-count route.  One report
+    extracts the pair numerators once, totals the coincidence counts once
+    and works out the overall A2 once: by the pairwise sum, cross-checked
+    by the closed form with equal levels."""
+    from ssd import bounds, criteria, design_core
     from ssd.design_core import cells_sparse, replace_column
     from ssd.report import build_report
 
-    calls = []
-    one_hot = design_core._one_hot
-    monkeypatch.setattr(design_core, "_one_hot",
-                        lambda D: calls.append(D) or one_hot(D))
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(design_core, "_one_hot")
+    for name in ("_pair_numerators", "_a2_closed_form", "coincidence_counts",
+                 "a2_overall", "a2_overall_from_pairs", "power_moment"):
+        counted(criteria, name)
+    for name in ("coincidence_counts", "a2_overall"):
+        counted(bounds, name)
     equal = construct_thm6(gf3, 2, 2)
     mixed = replace_column(construct_thm6(gf9, 2, 2), 0,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
-    for D, sparse, one_hots in ((equal, True, 1), (mixed, False, 2)):
+    for D, sparse, one_hots, closed in ((equal, True, 1, 1),
+                                        (mixed, False, 2, 0)):
         assert cells_sparse(D) == sparse
         calls.clear()
         build_report(D)
-        assert len(calls) == one_hots
+        assert calls == Counter({"_one_hot": one_hots, "_pair_numerators": 1,
+                                 "coincidence_counts": 1,
+                                 "_a2_closed_form": closed})

@@ -142,6 +142,9 @@ def test_branch_fraction_shapes(gf3):
         branch_fraction(gf3, 2, h_set(gf3, 2), unit_form(2, 0), [0, 1, 2])
     with pytest.raises(ValueError, match="empty"):
         branch_fraction(gf3, 2, h_set(gf3, 2), unit_form(2, 0), [])
+    for g in ([0, 0], [1, 0, 1]):
+        with pytest.raises(ValueError, match="the kept levels must be distinct"):
+            branch_fraction(gf3, 2, h_set(gf3, 2), unit_form(2, 0), g)
     with pytest.raises(ValueError, match="not one of"):
         branch_fraction(gf3, 2, h_set(gf3, 2), LinearForm((2, 0)), [0])
 
