@@ -23,7 +23,7 @@ print("projected A2 histogram:",
       {str(v): c for v, c in rep.histogram.items()})
 print("pair (X2, X1^2+X2) classifies as:", classify_pair(D, 1, 4))
 
-cert = certify(D)
+cert = certify(rep)
 print(f"\nlower bound = {cert.theorem1}, achieved = {cert.achieved_theorem1} "
       f"(coincidence spread {cert.coincidence_spread})")
 
@@ -33,6 +33,6 @@ D16 = construct_thm6(f, 2, 4)
 print(f"\n{D16}: A2 = {aggregate_stats(D16, gwlp_jmax=1).A2}, histogram",
       {str(v): c for v, c in projected_a2_histogram(D16).items()})
 quad = select_columns(D16, [i for i in range(16) if i % 4 != 0])
-print(f"quadratic 12-column subdesign: A2 = "
-      f"{aggregate_stats(quad, gwlp_jmax=1).A2}, bound "
-      f"{certify(quad).theorem1}, achieved {certify(quad).achieved_theorem1}")
+quad_cert = certify(aggregate_stats(quad, gwlp_jmax=1))
+print(f"quadratic 12-column subdesign: A2 = {quad_cert.a2}, bound "
+      f"{quad_cert.theorem1}, achieved {quad_cert.achieved_theorem1}")

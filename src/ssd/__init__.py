@@ -6,8 +6,8 @@ a verified catalog of three-, four- and five-level designs, and brute-force
 oracles for desk-scale confirmation.
 """
 
-from .bounds import (BoundReport, certify, coincidence_spread, lb_es2,
-                     lb_lemma2, lb_theorem1, lb_theorem10)
+from .bounds import (BoundReport, certify, lb_es2, lb_lemma2, lb_theorem1,
+                     lb_theorem10)
 from .criteria import (CriteriaReport, a2_overall, a2_overall_from_pairs,
                        aggregate_stats, char_a2_matrix, dependency_summary,
                        e_s2, gwlp, pair_dependency_stats, power_moment,

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .criteria import CriteriaReport, _e_s2, a2_overall
-from .design_core import Design, coincidence_counts
+from .criteria import CriteriaReport, _e_s2
 
 
 def _check_shape(N: int, levels, name: str = "s") -> None:
@@ -92,44 +91,32 @@ class BoundReport:
     supersaturated: bool
 
 
-def coincidence_spread(D: Design) -> int:
-    """Largest minus smallest coincidence count over all row pairs."""
-    counts = coincidence_counts(D)
-    return max(counts) - min(counts)
+def certify(stats: CriteriaReport) -> BoundReport:
+    """Evaluate every applicable bound against a design's exact A2.
 
-
-def certify(D: Design, stats: CriteriaReport | None = None) -> BoundReport:
-    """Evaluate every applicable bound against the design's exact A2.
-
-    Achievement flags compare A2 with the bound clamped at zero, so a
-    strength-2 array trivially achieves a nonpositive bound.  For equal-level
-    supersaturated designs achievement is equivalent to the coincidence
-    counts spreading by at most one.  stats, the design's aggregate_stats
-    when the caller has them, supplies A2 and the coincidence counts, which
-    are otherwise derived here.
+    stats, the design's aggregate_stats, supplies the shape, the level
+    profile, A2 and the coincidence counts.  Achievement flags compare A2
+    with the bound clamped at zero, so a strength-2 array trivially achieves
+    a nonpositive bound.  For equal-level supersaturated designs achievement
+    is equivalent to the coincidence counts spreading by at most one.
     """
-    if not D.is_balanced:
-        raise ValueError("certification requires a balanced design")
-    if stats is None:
-        a2, counts = a2_overall(D), coincidence_counts(D)
-    else:
-        a2, counts = stats.A2, stats.coincidences
-    t10_raw = lb_theorem10(D.N, D.levels)
+    N, m, levels, a2 = stats.N, stats.m, stats.levels, stats.A2
+    t10_raw = lb_theorem10(N, levels)
     t10 = max(t10_raw, Fraction(0))
-    if len(set(D.levels)) == 1:
-        s = D.levels[0]
-        t1_raw = lb_theorem1(D.N, D.m, s)
+    if len(set(levels)) == 1:
+        s = levels[0]
+        t1_raw = lb_theorem1(N, m, s)
         t1 = max(t1_raw, Fraction(0))
-        l2 = lb_lemma2(D.N, D.m, s)
+        l2 = lb_lemma2(N, m, s)
         achieved1 = a2 == t1
-        supersaturated = D.m * (s - 1) > D.N - 1
+        supersaturated = m * (s - 1) > N - 1
     else:
         t1_raw = t1 = l2 = None
         achieved1 = None
-        supersaturated = sum(D.levels) - D.m > D.N - 1
-    two_level = all(s == 2 for s in D.levels) and D.m >= 2
-    es2_bound = lb_es2(D.N, D.m) if two_level else None
-    achieved_es2 = (_e_s2(D.N, D.m, a2) == es2_bound) if two_level else None
+        supersaturated = sum(levels) - m > N - 1
+    two_level = all(s == 2 for s in levels)
+    es2_bound = lb_es2(N, m) if two_level else None
+    achieved_es2 = (_e_s2(N, m, a2) == es2_bound) if two_level else None
     return BoundReport(
         a2=a2,
         theorem1_raw=t1_raw, theorem1=t1, lemma2=l2,
@@ -138,5 +125,5 @@ def certify(D: Design, stats: CriteriaReport | None = None) -> BoundReport:
         achieved_theorem1=achieved1,
         achieved_theorem10=a2 == t10,
         achieved_es2=achieved_es2,
-        coincidence_spread=max(counts) - min(counts),
+        coincidence_spread=max(stats.coincidences) - min(stats.coincidences),
         supersaturated=supersaturated)

@@ -23,19 +23,14 @@ from .poly_labels import h_set, label_str, parse_label, q1
 from .report import fmt_frac
 
 
-def _parse_modulus(spec: str | None):
-    """--modulus 'c0,c1,...' (little-endian, constant term first)."""
-    if spec is None:
-        return None
-    return [int(c) for c in spec.split(",")]
-
-
 def _field(s: int, modulus_spec: str | None) -> Field:
-    mod = _parse_modulus(modulus_spec)
-    return Field(s, mod) if mod is not None else default_field(s)
+    """GF(s) under --modulus 'c0,c1,...' (constant term first), if given."""
+    if modulus_spec is None:
+        return default_field(s)
+    return Field(s, _int_list(modulus_spec))
 
 
-def _parse_levels_list(spec: str) -> list[int]:
+def _int_list(spec: str) -> list[int]:
     return [int(v) for v in spec.split(",")]
 
 
@@ -57,11 +52,11 @@ def _cmd_construct(args) -> int:
         if args.dealias:
             design = remove_fully_aliased(design)
     elif args.theorem == "8":
-        g = _parse_levels_list(args.levels) if args.levels else None
+        g = _int_list(args.levels) if args.levels else None
         branch = parse_label(f, args.branch, args.n) if args.branch else None
         design = constructions.construct_thm8(f, args.n, args.k, branch, g)
     elif args.theorem == "9":
-        g = _parse_levels_list(args.levels) if args.levels else None
+        g = _int_list(args.levels) if args.levels else None
         design = constructions.construct_thm9(f, args.n, args.k, g)
     elif args.theorem == "example3":
         if not args.branch:
@@ -93,7 +88,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.levels:
-        levels = _parse_levels_list(args.levels)
+        levels = _int_list(args.levels)
         print(f"theorem10 = {fmt_frac(lb_theorem10(args.N, levels))}")
         return 0
     if args.s is None or args.m is None:
@@ -113,7 +108,7 @@ def _cmd_branch(args) -> int:
     f = _field(args.s, args.modulus)
     labels = h_set(f, args.n) if args.family == "h" else q1(f, args.n)
     branch = parse_label(f, args.branch, args.n)
-    g = _parse_levels_list(args.levels)
+    g = _int_list(args.levels)
     design = branch_fraction(f, args.n, labels, branch, g)
     write_design(design, args.out)
     print(f"wrote {design.N}x{design.m} design to {args.out}")
@@ -150,7 +145,12 @@ def _cmd_replace(args) -> int:
 def _cmd_oracle(args) -> int:
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("SSD_BUDGET", oracle.DEFAULT_BUDGET))
+        spec = os.environ.get("SSD_BUDGET", str(oracle.DEFAULT_BUDGET))
+        try:
+            budget = int(spec)
+        except ValueError:
+            raise ValueError(
+                f"SSD_BUDGET must be an integer, got {spec!r}") from None
     res = oracle.exhaustive_min_a2(args.N, args.s, args.m, budget,
                                    stop_at_bound=not args.full)
     if res.best_a2 is None:
@@ -163,10 +163,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_catalog(args) -> int:
+    if (args.modulus is None) != (args.modulus_levels is None):
+        print("--modulus and --modulus-levels must be given together",
+              file=sys.stderr)
+        return 2
     field_map = None
-    if args.modulus and args.modulus_levels:
-        field_map = {args.modulus_levels: Field(args.modulus_levels,
-                                                _parse_modulus(args.modulus))}
+    if args.modulus is not None:
+        s = args.modulus_levels
+        levels = sorted({r.s for r in constructions.CATALOG_SPECS})
+        if s not in levels:
+            raise ValueError("--modulus-levels must be one of "
+                             f"{', '.join(map(str, levels))}, got {s}")
+        field_map = {s: _field(s, args.modulus)}
     results = constructions.catalog_verify(field_map)
     if not args.skip_appendix:
         results += [constructions.verify_appendix(w) for w in (6, 7, 8)]

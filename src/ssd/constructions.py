@@ -284,12 +284,12 @@ def verify_design(recipe: Recipe, D: Design) -> RowResult:
         problems.append(f"shape {D.N}x{D.m} != "
                         f"{recipe.expected_N}x{recipe.expected_m}")
     else:
-        hist = criteria.projected_a2_histogram(D)
-        nonzero = {v: c for v, c in hist.items() if v != 0}
+        rep = criteria.aggregate_stats(D)
+        nonzero = {v: c for v, c in rep.histogram.items() if v != 0}
         if nonzero != recipe.expected_hist:
             problems.append(f"histogram mismatch: {_fmt_hist(nonzero)} != "
                             f"{_fmt_hist(recipe.expected_hist)}")
-        cert = certify(D)
+        cert = certify(rep)
         if cert.a2 != recipe.expected_a2:
             problems.append(f"A2 {cert.a2} != {recipe.expected_a2}")
         if fully_aliased_pairs(D):
@@ -353,16 +353,17 @@ def verify_appendix(which: int) -> RowResult:
     a2_exp, hist_exp, drop, sub_a2, sub_hist = APPENDIX_EXPECT[which]
     D = load_appendix(which)
     problems = []
-    hist = dict(criteria.projected_a2_histogram(D))
-    if criteria.a2_overall(D) != a2_exp:
-        problems.append(f"A2 {criteria.a2_overall(D)} != {a2_exp}")
-    if hist != hist_exp:
-        problems.append(f"histogram mismatch: {_fmt_hist(hist)}")
+    rep = criteria.aggregate_stats(D)
+    if rep.A2 != a2_exp:
+        problems.append(f"A2 {rep.A2} != {a2_exp}")
+    if rep.histogram != hist_exp:
+        problems.append(f"histogram mismatch: {_fmt_hist(rep.histogram)}")
     if drop is not None:
-        sub = select_columns(D, [i for i in range(D.m) if i not in drop])
-        if criteria.a2_overall(sub) != sub_a2:
-            problems.append(f"subdesign A2 {criteria.a2_overall(sub)} != {sub_a2}")
-        if dict(criteria.projected_a2_histogram(sub)) != sub_hist:
+        sub = criteria.aggregate_stats(
+            select_columns(D, [i for i in range(D.m) if i not in drop]))
+        if sub.A2 != sub_a2:
+            problems.append(f"subdesign A2 {sub.A2} != {sub_a2}")
+        if sub.histogram != sub_hist:
             problems.append("subdesign histogram mismatch")
     row_id = f"bundled/{APPENDIX_FILES[which]}"
     if problems:

@@ -41,9 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import (Design, cell_table, coincidence_counts,
-                          joint_coincidence_counts, level_groups,
-                          pair_a2_from_sumsq, pair_gram_sums)
+from .design_core import (Design, _coincidence_totals, cell_table,
+                          coincidence_counts, joint_coincidence_counts,
+                          level_groups, pair_a2_from_sumsq, pair_gram_sums)
 
 GWLP_DEFAULT_JMAX = 3
 
@@ -243,13 +243,23 @@ def _times(a: list[int], b: list[int], jmax: int) -> list[int]:
 
 
 def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX) -> list[Fraction]:
-    """Generalized wordlength pattern prefix [A_1 .. A_jmax], exact: each
-    key (c_1 .. c_G) of the joint coincidence histogram, counted over
-    ordered row pairs, adds its count times prod_g P(m_g - c_g; m_g, s_g)."""
+    """Generalized wordlength pattern prefix [A_1 .. A_jmax], exact."""
+    _check_jmax(D, jmax)
+    return _gwlp(D, joint_coincidence_counts(D), jmax)
+
+
+def _check_jmax(D: Design, jmax: int) -> None:
     if jmax < 1 or jmax > D.m:
         raise ValueError("jmax must lie in 1..m")
+
+
+def _gwlp(D: Design, joint: dict[tuple[int, ...], int],
+          jmax: int) -> list[Fraction]:
+    """[A_1 .. A_jmax] from D's joint coincidence histogram: each key
+    (c_1 .. c_G), counted over ordered row pairs, adds its count times
+    prod_g P(m_g - c_g; m_g, s_g)."""
     groups = level_groups(D)
-    ordered = Counter({key: 2 * c for key, c in joint_coincidence_counts(D).items()})
+    ordered = Counter({key: 2 * c for key, c in joint.items()})
     ordered[tuple(mg for _, mg in groups)] += D.N   # a = b agrees everywhere
     tables = [{c: krawtchouk(mg - c, mg, s, jmax) for c in {k[g] for k in ordered}}
               for g, (s, mg) in enumerate(groups)]
@@ -265,10 +275,11 @@ def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX) -> list[Fraction]:
 
 def strength(D: Design) -> int:
     """Largest t with every t-column projection equireplicated: the leading
-    zeros of [A_1 .. A_m], read in prefixes of doubling length."""
+    zeros of [A_1 .. A_m], read from one histogram in doubling prefixes."""
+    joint = joint_coincidence_counts(D)
     jmax = 1
     while jmax < 2 * D.m:
-        pattern = gwlp(D, min(jmax, D.m))
+        pattern = _gwlp(D, joint, min(jmax, D.m))
         if any(pattern):
             return next(j for j, a in enumerate(pattern) if a)
         jmax *= 2
@@ -307,17 +318,20 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     """Evaluate every pairwise criterion of a design, exactly.
 
     gwlp_jmax=None gives the wordlength prefix up to min(3, m).  The pair
-    numerators and the coincidence counts are each derived once; with equal
-    levels the closed form of the overall A2 cross-checks the pairwise sum.
+    numerators and the joint coincidence histogram are each derived once;
+    with equal levels the closed form of the overall A2 cross-checks the
+    pairwise sum.
     """
     _require_evaluable(D)
-    X, den, F = _pair_numerators(D)
     N, m = D.N, D.m
-    a2 = Fraction(int(X.sum()), N * N)
     if gwlp_jmax is None:
         gwlp_jmax = min(GWLP_DEFAULT_JMAX, m)
-    pattern = tuple(gwlp(D, gwlp_jmax))
-    counts = coincidence_counts(D)
+    _check_jmax(D, gwlp_jmax)
+    X, den, F = _pair_numerators(D)
+    a2 = Fraction(int(X.sum()), N * N)
+    joint = joint_coincidence_counts(D)
+    pattern = tuple(_gwlp(D, joint, gwlp_jmax))
+    counts = _coincidence_totals(joint)
     if (len(set(D.levels)) == 1
             and _a2_closed_form(N, m, D.levels[0], counts) != a2):
         raise AssertionError("overall A2 disagrees with the pairwise sum")

@@ -2,14 +2,13 @@
 
 A Design is an immutable N x m symbol matrix with per-column level counts and
 optional label provenance.  Everything downstream (criteria, bounds, the
-catalog) works on this type.  Because the matrix is read-only, the facts
-every criterion reads are computed from it at most once and kept on the
-design: balance when it is built, the Gram sums P and F (pair_gram_sums) and
-the joint row coincidence histogram (joint_coincidence_counts) on first
-request.  The module also holds the structural pair machinery: two-column
-cell tables, the pair kernel whose integer sums drive every exact pairwise
-aliasing value, the row-tiled coincidence kernel, pair classification, and
-the plain text serialisation format.
+catalog) works on this type.  It keeps no evaluation state: the Gram sums P
+and F (pair_gram_sums) and the joint row coincidence histogram
+(joint_coincidence_counts) are computed on every call, so each caller asks
+once and hands the result on.  The module also holds the structural pair
+machinery: two-column cell tables, the pair kernel whose integer sums drive
+every exact pairwise aliasing value, the row-tiled coincidence kernel, pair
+classification, and the plain text serialisation format.
 
 The pair kernel has two exact routes, chosen by one rule (cells_sparse).
 When the cell tables of the pairs i <= j have at least as many cells as
@@ -74,13 +73,10 @@ class Design:
     array that owns its data and is already read-only (such as another
     design's matrix) is taken without a copy, which is how the constructors
     below hand over the fresh arrays they build.  is_balanced is settled by the
-    constructor; the Gram sums and the joint coincidence histogram are kept
-    here by pair_gram_sums and joint_coincidence_counts on their first call,
-    as read-only arrays and a private dict, and live as long as the design.
+    constructor; nothing else is kept.
     """
 
-    __slots__ = ("matrix", "levels", "labels", "is_balanced",
-                 "_gram", "_coincidence")
+    __slots__ = ("matrix", "levels", "labels", "is_balanced")
 
     def __init__(self, matrix, levels, labels=None, require_balanced=True):
         m = matrix
@@ -124,8 +120,6 @@ class Design:
         self.levels = levels
         self.labels = labels
         self.is_balanced = unbalanced is None
-        self._gram = None
-        self._coincidence = None
 
     @property
     def N(self) -> int:
@@ -211,20 +205,13 @@ def row_juxtapose(*designs: Design) -> Design:
 
 
 def select_columns(D: Design, indices) -> Design:
-    """The design of the given columns, in the given order.
-
-    Gram sums already kept on D carry over as their sub-blocks; the
-    coincidence histogram does not, since it changes with the columns.
-    """
+    """The design of the given columns, in the given order, balanced or not."""
     indices = list(indices)
     matrix = D.matrix.take(indices, axis=1)
     levels = tuple(D.levels[i] for i in indices)
     labels = tuple(D.labels[i] for i in indices) if D.labels else None
-    out = Design(_frozen(matrix), levels, labels=labels)
-    if D._gram is not None:
-        sub = np.ix_(indices, indices)
-        out._gram = tuple(_frozen(M[sub]) for M in D._gram)
-    return out
+    return Design(_frozen(matrix), levels, labels=labels,
+                  require_balanced=False)
 
 
 def check_fraction_runs(runs: int) -> None:
@@ -380,12 +367,9 @@ def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
     block of COINCIDENCE_BLOCK_CELLS // N rows is multiplied against the
     rows from the block on, per group column slice of the one-hot matrix,
     so no N x N array exists.  The products are agreement counts <= m,
-    exact in float32.  Computed on the first call and kept on D; each call
-    returns a copy.
+    exact in float32.
     """
-    if D._coincidence is None:
-        D._coincidence = _row_coincidences(D)
-    return dict(D._coincidence)
+    return _row_coincidences(D)
 
 
 def coincidence_counts(D: Design) -> dict[int, int]:
@@ -393,8 +377,13 @@ def coincidence_counts(D: Design) -> dict[int, int]:
 
     Keys ascend.  The total over the groups of joint_coincidence_counts.
     """
+    return _coincidence_totals(joint_coincidence_counts(D))
+
+
+def _coincidence_totals(joint: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """Sum each key of a joint coincidence histogram over its level groups."""
     out = Counter()
-    for key, c in joint_coincidence_counts(D).items():
+    for key, c in joint.items():
         out[sum(key)] += c
     return dict(sorted(out.items()))
 
@@ -463,15 +452,11 @@ def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
       table, so P and F are block sums of G, computed in tiles of at most
       GRAM_TILE design columns against the columns from the tile onwards.
 
-    Either way no L x L or pairs x N temporary exists.  Computed on the
-    first call and kept on D; P and F are read-only.
+    Either way no L x L or pairs x N temporary exists.
     """
-    if D._gram is not None:
-        return D._gram
     route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
     P, F = route(D)
-    D._gram = (_frozen(_mirror_upper(P)), _frozen(_mirror_upper(F)))
-    return D._gram
+    return _mirror_upper(P), _mirror_upper(F)
 
 
 def cells_sparse(D: Design) -> bool:
@@ -601,28 +586,36 @@ def classify_pair(D: Design, i: int, j: int) -> PairClass:
 
 
 def fully_aliased_pairs(D: Design) -> list[tuple[int, int]]:
-    """All unordered pairs that are identical up to a level permutation.
-
-    Uses the exact criterion projected A2 = s - 1, which for balanced
-    equal-level pairs forces the permutation cell pattern, i.e.
-    s^2 P[i, j] = s N^2.
-    """
-    P = pair_gram_sums(D)[0]
-    lev = np.asarray(D.levels, dtype=np.int64)
-    i, j = np.triu_indices(D.m, 1)
-    hit = (lev[i] == lev[j]) & (lev[i] * P[i, j] == D.N * D.N)
-    return list(zip(i[hit].tolist(), j[hit].tolist()))
+    """All unordered pairs (i, j), i < j in row-major order, of columns with
+    equal levels that are identical up to a level permutation."""
+    return sorted(pair for copies in _relabelled_copies(D)
+                  for pair in itertools.combinations(copies, 2))
 
 
 def remove_fully_aliased(D: Design) -> Design:
     """Drop the later column of every fully aliased pair (first index kept)."""
-    removed = set()
-    for i, j in fully_aliased_pairs(D):
-        if i not in removed and j not in removed:
-            removed.add(j)
+    removed = {j for copies in _relabelled_copies(D) for j in copies[1:]}
     if not removed:
         return D
     return select_columns(D, [i for i in range(D.m) if i not in removed])
+
+
+def _relabelled_copies(D: Design) -> list[list[int]]:
+    """Ascending classes of two or more columns with equal levels that are
+    identical up to a level permutation, in order of their first column.
+
+    Each symbol is renamed by the row of its first appearance in its column
+    (so names ascend in order of first appearance), tile by tile; two
+    columns are relabellings exactly when their renamed columns agree."""
+    rows = np.arange(D.N, dtype=np.uint16)      # N <= MAX_RUNS < 2^16
+    classes = {}
+    for c0 in range(0, D.m, GRAM_TILE):
+        X = D.matrix[:, c0:c0 + GRAM_TILE].T
+        first = np.full((len(X), X.max() + 1), D.N, dtype=np.uint16)
+        np.minimum.at(first, (np.arange(len(X))[:, None], X), rows)
+        for k, col in enumerate(np.take_along_axis(first, X, axis=1), c0):
+            classes.setdefault((D.levels[k], col.tobytes()), []).append(k)
+    return [copies for copies in classes.values() if len(copies) > 1]
 
 
 # -- plain text format -------------------------------------------------------------

@@ -118,11 +118,9 @@ class Field:
                 f"field order {order} exceeds the supported {MAX_ORDER}")
         p, r = _prime_power(order)
         self.p, self.r, self.order = p, r, order
-        if r == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = DEFAULT_MODULI.get(order) or _find_irreducible(p, r)
+        if modulus is None and r > 1:
+            modulus = DEFAULT_MODULI.get(order) or _find_irreducible(p, r)
+        if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise ValueError(
@@ -130,7 +128,8 @@ class Field:
             if not _is_irreducible(modulus, p):
                 raise ValueError(
                     f"reducible modulus {modulus} for GF({order})")
-            self.modulus = modulus
+        # every monic degree-1 modulus gives the same prime field
+        self.modulus = modulus if r > 1 else None
 
         digits = np.zeros((order, r), dtype=np.int64)
         v = np.arange(order)

@@ -21,12 +21,9 @@ def _rat(x: Fraction | None):
 
 
 def build_report(D: Design, gwlp_jmax: int | None = None) -> dict:
-    """Full evaluation of a design: criteria, histogram, bounds, flags.
-
-    The certificate reads the A2 and coincidence counts of the criteria, so
-    each statistic is derived once."""
+    """Full evaluation of a design: criteria, histogram, bounds, flags."""
     rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax)
-    cert = bounds_mod.certify(D, rep)
+    cert = bounds_mod.certify(rep)
     hist = [{"value": _rat(v), "count": c} for v, c in rep.histogram.items()]
     out = {
         "N": rep.N,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ssd.constructions import catalog
@@ -33,3 +35,20 @@ def gf9():
 def catalog_rows():
     """All 31 shipped designs, built once per session."""
     return catalog()
+
+
+@pytest.fixture
+def call_counter(monkeypatch):
+    """(calls, count): count(module, *names) rebinds those functions of the
+    module so that each call adds one to calls[name]."""
+    calls = Counter()
+
+    def count(module, *names):
+        for name in names:
+            fn = getattr(module, name)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+    return calls, count

@@ -41,7 +41,7 @@ def test_c01_nine_run_seven_column_family(gf3):
     assert not [k for k in kinds if k.kind == "fully_aliased"]
     semi = [k for k in kinds if k.kind == "semi_orthogonal"]
     assert len(semi) == 9 and all(k.a2 == F(2, 3) for k in semi)
-    cert = certify(D)
+    cert = certify(aggregate_stats(D))
     assert cert.theorem1 == 6 and cert.achieved_theorem1
     _ok(1, "9-run 7-column design: A2 = 6, nine pairs at 2/3, bound achieved")
 
@@ -168,7 +168,7 @@ def test_c08_mixed_levels_by_replacement(gf9, gf3):
         assert mixed.m == 100 + 3 * i
         assert a2_overall(mixed) == 3600
         assert max(projected_a2_histogram(mixed)) <= F(8, 9)
-        cert = certify(mixed)
+        cert = certify(aggregate_stats(mixed))
         assert cert.theorem10 == 3600 and cert.achieved_theorem10
     elapsed = time.monotonic() - t0
     assert elapsed < 60

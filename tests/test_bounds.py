@@ -5,7 +5,7 @@ import pytest
 from ssd.bounds import (certify, eta_fraction, lb_es2, lb_lemma2,
                         lb_theorem1, lb_theorem10)
 from ssd.constructions import construct_thm4, construct_thm6
-from ssd.criteria import a2_overall
+from ssd.criteria import a2_overall, aggregate_stats
 from ssd.design_core import column_juxtapose, realize, select_columns
 from ssd.gf import default_field
 from ssd.poly_labels import h_set
@@ -57,7 +57,7 @@ def test_lb_es2_values():
 
 
 def test_certify_achieved(gf3):
-    cert = certify(construct_thm4(gf3, 2))
+    cert = certify(aggregate_stats(construct_thm4(gf3, 2)))
     assert cert.achieved_theorem1 and cert.theorem1 == 6
     assert cert.coincidence_spread <= 1
     assert cert.supersaturated
@@ -65,13 +65,13 @@ def test_certify_achieved(gf3):
 
 def test_certify_strength2_oa_trivial(gf3):
     H = realize(gf3, 2, h_set(gf3, 2))
-    cert = certify(H)
+    cert = certify(aggregate_stats(H))
     assert cert.a2 == 0 and cert.achieved_theorem1
     assert not cert.supersaturated
     # a plain orthogonal pair in 27 runs: negative raw bound, clamped, achieved
     H27 = realize(default_field(3), 3, h_set(default_field(3), 3))
     two = select_columns(H27, [0, 1])
-    c2 = certify(two)
+    c2 = certify(aggregate_stats(two))
     assert c2.theorem1_raw < 0 and c2.theorem1 == 0 and c2.achieved_theorem1
 
 
@@ -81,12 +81,12 @@ def test_certify_iff_condition_breaks_with_duplicates(gf3):
     # twice spreads the coincidences by two and loses the bound
     H = realize(gf3, 2, h_set(gf3, 2))
     dup = column_juxtapose(H, H)
-    cert = certify(dup)
+    cert = certify(aggregate_stats(dup))
     assert cert.achieved_theorem1 and cert.coincidence_spread == 0
     plus_one = column_juxtapose(H, select_columns(H, [0]))
-    assert certify(plus_one).achieved_theorem1
+    assert certify(aggregate_stats(plus_one)).achieved_theorem1
     plus_two = column_juxtapose(H, select_columns(H, [0, 0]))
-    cert2 = certify(plus_two)
+    cert2 = certify(aggregate_stats(plus_two))
     assert not cert2.achieved_theorem1
     assert cert2.coincidence_spread > 1
     assert cert2.a2 > cert2.theorem1
@@ -95,7 +95,7 @@ def test_certify_iff_condition_breaks_with_duplicates(gf3):
 def test_certify_iff_both_ways(catalog_rows):
     # on every shipped design: bound met exactly <-> spread at most one
     for recipe, D in catalog_rows:
-        cert = certify(D)
+        cert = certify(aggregate_stats(D))
         assert cert.achieved_theorem1 == (cert.coincidence_spread <= 1)
         assert cert.achieved_theorem1
 
@@ -105,7 +105,7 @@ def test_certify_mixed_profile(gf3):
     D = construct_thm6(default_field(9), 2, 2)
     table = realize(gf3, 2, h_set(gf3, 2)).matrix
     mixed = replace_column(D, 0, table)
-    cert = certify(mixed)
+    cert = certify(aggregate_stats(mixed))
     assert cert.theorem1 is None and cert.achieved_theorem1 is None
     assert cert.theorem10_raw == lb_theorem10(81, mixed.levels)
     assert a2_overall(mixed) == cert.a2
@@ -115,7 +115,7 @@ def test_certify_requires_balance():
     from ssd.design_core import Design
     D = Design([[0], [0], [0], [1]], [2], require_balanced=False)
     with pytest.raises(ValueError, match="balanced"):
-        certify(D)
+        certify(aggregate_stats(D))
 
 
 @pytest.mark.parametrize("call,match", [

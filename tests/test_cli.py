@@ -173,6 +173,22 @@ def test_construct_with_alternate_modulus(tmp_path):
     assert a2_overall(A) == a2_overall(B)  # ... same invariants
 
 
+def test_construct_rejects_prime_field_modulus(tmp_path, capsys):
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--modulus", "1,1,1", "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: modulus must be monic of degree 1 over GF(3)\n")
+    assert not d.exists()
+    # a degree-1 modulus gives the same prime field, so the same design
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--modulus", "2,1", "--out", str(d)]) == 0
+    plain = tmp_path / "plain.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "3", "--n", "2",
+                "--out", str(plain)]) == 0
+    assert d.read_bytes() == plain.read_bytes()
+
+
 def test_example3_command(tmp_path, capsys):
     d = tmp_path / "t2.ssd"
     assert run(["construct", "--theorem", "example3", "--s", "3",
@@ -203,6 +219,26 @@ def test_verify_catalog_command(capsys):
     out = capsys.readouterr().out
     assert "34/34 rows verified" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags,code,err", [
+    (["--modulus", "1,1,1"], 2,
+     "--modulus and --modulus-levels must be given together\n"),
+    (["--modulus-levels", "4"], 2,
+     "--modulus and --modulus-levels must be given together\n"),
+    (["--modulus", "1,1,0,1", "--modulus-levels", "8"], 1,
+     "error: --modulus-levels must be one of 3, 4, 5, got 8\n")],
+    ids=["modulus-only", "levels-only", "no-catalog-row"])
+def test_verify_catalog_rejects_an_unusable_field(capsys, flags, code, err):
+    assert run(["verify-catalog", *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
+def test_verify_catalog_under_the_gf4_modulus(capsys):
+    assert run(["verify-catalog", "--modulus", "1,1,1",
+                "--modulus-levels", "4"]) == 0
+    assert capsys.readouterr().out.endswith("\n34/34 rows verified\n")
 
 
 def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
@@ -384,6 +420,14 @@ def test_oracle_budget_spent_before_any_design(capsys, argv, budget):
     assert captured.out == ""
     assert captured.err == (
         f"error: no complete design within the budget of {budget} evaluations\n")
+
+
+def test_oracle_budget_variable_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SSD_BUDGET", "abc")
+    assert run(["oracle", "min-a2", "--N", "6", "--s", "3", "--m", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SSD_BUDGET must be an integer, got 'abc'\n"
 
 
 def test_oracle_searches_deeper_than_the_recursion_limit(capsys):

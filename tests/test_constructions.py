@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -162,26 +163,31 @@ def test_dealias_bookkeeping_small(gf4):
     assert rep["achieves_bound"]
 
 
-def test_dealias_check_runs_one_gram_pass(gf4, monkeypatch):
-    """The de-aliased design reuses the Gram sums of the full design.  The
-    coincidences of its A2 build one one-hot matrix; the sums build one more
-    on the Gram route (64 runs) and none on the cell-count route (16 runs)."""
+def test_dealias_check_runs_one_gram_pass(gf4, call_counter):
+    """De-aliasing groups relabelled columns without a pair pass, so only
+    the coincidences of the de-aliased design's A2 build a one-hot matrix."""
     from ssd import design_core
-    calls = []
-    one_hot = design_core._one_hot
-    monkeypatch.setattr(design_core, "_one_hot",
-                        lambda D: calls.append(D) or one_hot(D))
-    routes = []
-    cells_sparse = design_core.cells_sparse
-    monkeypatch.setattr(design_core, "cells_sparse",
-                        lambda D: routes.append(cells_sparse(D)) or routes[-1])
-    for n, k, sparse, one_hots in ((2, 5, True, 1), (3, 2, False, 2)):
+    calls, count = call_counter
+    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums")
+    for n, k in ((2, 5), (3, 2)):
         calls.clear()
-        routes.clear()
         rep = dealias_check(gf4, n, k)
         assert rep["achieves_bound"]
-        assert routes == [sparse]
-        assert len(calls) == one_hots
+        assert calls == Counter({"_one_hot": 1})
+
+
+def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):
+    from ssd import design_core
+    from ssd.constructions import verify_design
+    calls, count = call_counter
+    count(design_core, "_row_coincidences", "_cell_count_sums",
+          "_gram_tile_sums")
+    for recipe, D in catalog_rows:
+        calls.clear()
+        assert verify_design(recipe, D).ok
+        route = ("_cell_count_sums" if design_core.cells_sparse(D)
+                 else "_gram_tile_sums")
+        assert calls == Counter({"_row_coincidences": 1, route: 1}), recipe.row_id
 
 
 def test_catalog_has_31_rows_and_verifies(catalog_rows):

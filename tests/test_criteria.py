@@ -311,40 +311,48 @@ def test_round_half_away():
     assert round_half_away(F(36, 11)) == 3.27
 
 
-def test_report_builds_each_one_hot_once(gf3, gf9, monkeypatch):
-    """The coincidences build one one-hot matrix.  The Gram sums build one
-    more on the Gram route and none on the cell-count route.  One report
-    extracts the pair numerators once, totals the coincidence counts once
-    and works out the overall A2 once: by the pairwise sum, cross-checked
-    by the closed form with equal levels."""
-    from ssd import bounds, criteria, design_core
+def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
+    """One report runs one pair route and one coincidence pass, which builds
+    one one-hot matrix; the Gram route builds one more, the cell-count
+    route none.  It extracts the pair numerators once and works out the
+    overall A2 once: by the pairwise sum, cross-checked by the closed form
+    with equal levels.  The wordlength pattern and the coincidence totals
+    both read the one histogram."""
+    from ssd import criteria, design_core
     from ssd.design_core import cells_sparse, replace_column
     from ssd.report import build_report
 
-    calls = Counter()
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(design_core, "_one_hot")
-    for name in ("_pair_numerators", "_a2_closed_form", "coincidence_counts",
-                 "a2_overall", "a2_overall_from_pairs", "power_moment"):
-        counted(criteria, name)
-    for name in ("coincidence_counts", "a2_overall"):
-        counted(bounds, name)
+    calls, count = call_counter
+    count(design_core, "_one_hot", "_row_coincidences", "_cell_count_sums",
+          "_gram_tile_sums")
+    count(criteria, "_pair_numerators", "_a2_closed_form", "coincidence_counts",
+          "a2_overall", "a2_overall_from_pairs", "power_moment", "gwlp")
     equal = construct_thm6(gf3, 2, 2)
     mixed = replace_column(construct_thm6(gf9, 2, 2), 0,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
-    for D, sparse, one_hots, closed in ((equal, True, 1, 1),
-                                        (mixed, False, 2, 0)):
-        assert cells_sparse(D) == sparse
+    for D, route, one_hots, closed in (
+            (equal, "_cell_count_sums", 1, 1),
+            (mixed, "_gram_tile_sums", 2, 0)):
+        assert cells_sparse(D) == (route == "_cell_count_sums")
         calls.clear()
         build_report(D)
-        assert calls == Counter({"_one_hot": one_hots, "_pair_numerators": 1,
-                                 "coincidence_counts": 1,
+        assert calls == Counter({"_one_hot": one_hots, route: 1,
+                                 "_row_coincidences": 1,
+                                 "_pair_numerators": 1,
                                  "_a2_closed_form": closed})
+    # an out-of-range depth is rejected before any pass
+    calls.clear()
+    for call in (lambda: build_report(equal, gwlp_jmax=0),
+                 lambda: criteria.gwlp(equal, equal.m + 1)):
+        with pytest.raises(ValueError, match=r"^jmax must lie in 1\.\.m$"):
+            call()
+    assert calls == Counter({"gwlp": 1})
+
+
+def test_strength_reads_one_histogram(gf3, call_counter):
+    from ssd import design_core
+    calls, count = call_counter
+    count(design_core, "_row_coincidences")
+    # strength 2 takes the prefixes of length 1, 2 and 4
+    assert strength(realize(gf3, 3, h_set(gf3, 3))) == 2
+    assert calls == Counter({"_row_coincidences": 1})

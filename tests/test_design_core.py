@@ -12,9 +12,9 @@ from ssd.design_core import (GRAM_TILE, TEXT_BLOCK_CELLS, Design,
                              coincidence_counts, coincidences,
                              column_juxtapose, design_from_text,
                              design_to_text, fully_aliased_pairs, is_oa,
-                             pair_gram_sums, read_design, realize,
-                             remove_fully_aliased, replace_column,
-                             row_juxtapose, select_columns, write_design)
+                             read_design, realize, remove_fully_aliased,
+                             replace_column, row_juxtapose, select_columns,
+                             write_design)
 from ssd.gf import default_field
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
 
@@ -62,20 +62,6 @@ def test_balance_found_past_the_first_tile():
     assert not Design(cols.copy(), [2] * m, require_balanced=False).is_balanced
     cols[:, GRAM_TILE + 3] = cols[:, GRAM_TILE + 5] = [0, 0, 1, 1]
     assert Design(cols, [2] * m).is_balanced
-
-
-def test_gram_sums_and_coincidences_kept_on_the_design(gf3):
-    D = realize(gf3, 2, h_set(gf3, 2))
-    P, F_ = pair_gram_sums(D)
-    assert pair_gram_sums(D)[0] is P and pair_gram_sums(D)[1] is F_
-    with pytest.raises(ValueError):
-        P[0, 1] = 0
-    with pytest.raises(ValueError):
-        F_[0, 1] = 0
-    counts = coincidence_counts(D)
-    assert counts == {1: 36}         # saturated: every row pair agrees once
-    counts[1] = 0
-    assert coincidence_counts(D) == {1: 36}
 
 
 def test_realize_single_column(gf2):
@@ -198,6 +184,7 @@ def test_coincidences_saturated(gf3):
     delta = coincidences(H)
     off = delta[np.triu_indices(9, 1)]
     assert (off == 1).all()          # (N - s)/(s(s-1)) = 1
+    assert coincidence_counts(H) == {1: 36}
     H3 = realize(gf3, 3, h_set(gf3, 3))
     off3 = coincidences(H3)[np.triu_indices(27, 1)]
     assert (off3 == 4).all()         # (27 - 3)/6
@@ -241,8 +228,7 @@ def test_joint_coincidences_match_dense_reference(gf3, gf9, monkeypatch):
                             ("JOINT_BINS_MAX", 0)):
             with monkeypatch.context() as mp:
                 mp.setattr(design_core, name, value)
-                fresh = Design(D.matrix.copy(), D.levels)
-                assert joint_coincidence_counts(fresh) == want
+                assert joint_coincidence_counts(D) == want
     assert list(joint_coincidence_counts(equal)) == [(k,) for k in
                                                      coincidence_counts(equal)]
 
@@ -254,28 +240,14 @@ def test_design_copies_writable_input():
     assert a2_overall(D) == 0
     v[:, 1] = v[:, 0]            # the caller's array stays writable ...
     assert a2_overall(Design(a, [2, 2])) == 1
-    # ... and the design, its kept sums and its matrix do not follow it
+    # ... and the design and its matrix do not follow it
     assert (D.matrix[:, 0] != D.matrix[:, 1]).any()
     assert a2_overall(D) == 0 == a2_overall(Design(D.matrix.copy(), [2, 2]))
     assert not D.matrix.flags.writeable
     # a design's own read-only matrix is shared, not copied
     assert Design(D.matrix, D.levels).matrix is D.matrix
-
-
-def test_select_columns_carries_gram_sums(gf3, monkeypatch):
-    from ssd import design_core
-    D = realize(gf3, 2, h_set(gf3, 2) + q1_star(gf3, 2))
-    P, F_ = pair_gram_sums(D)
-    idx = [5, 0, 3, 3]
-    sub = select_columns(D, idx)
-    monkeypatch.setattr(design_core, "_one_hot", None)     # no second pass
-    Ps, Fs = pair_gram_sums(sub)
-    assert (Ps == P[np.ix_(idx, idx)]).all() and (Fs == F_[np.ix_(idx, idx)]).all()
-    assert not Ps.flags.writeable and not Fs.flags.writeable
-    monkeypatch.undo()
-    fresh = Design(sub.matrix.copy(), sub.levels)
-    assert (pair_gram_sums(fresh)[0] == Ps).all()
-    assert (pair_gram_sums(fresh)[1] == Fs).all()
+    # and the design holds nothing else: no evaluation state
+    assert Design.__slots__ == ("matrix", "levels", "labels", "is_balanced")
 
 
 def test_classify_pair_kinds(gf3):

@@ -14,6 +14,16 @@ def test_prime_field_needs_no_modulus(gf3):
     assert gf3.p == 3 and gf3.r == 1 and gf3.modulus is None
 
 
+def test_prime_field_modulus_is_checked():
+    # any monic degree-1 modulus gives the prime field itself
+    assert Field(3, (2, 1)).modulus is None
+    assert Field(5, (0, 1)).modulus is None
+    for bad in ((1, 1, 1), (1, 2), (1,)):
+        with pytest.raises(ValueError,
+                           match=r"^modulus must be monic of degree 1 over GF\(3\)$"):
+            Field(3, bad)
+
+
 def test_gf4_default_modulus_is_the_unique_irreducible_quadratic():
     # over GF(2) the only monic irreducible degree-2 polynomial is x^2+x+1
     assert DEFAULT_MODULI[4] == (1, 1, 1)

@@ -14,7 +14,7 @@ from ssd.criteria import (a2_overall_from_pairs, dependency_summary,
                           projected_a2_histogram)
 from ssd.design_core import (FULLY_ALIASED, GRAM_TILE, Design, cell_table,
                              cells_sparse, classify_pair, fully_aliased_pairs,
-                             pair_gram_sums, realize)
+                             pair_gram_sums, realize, remove_fully_aliased)
 from ssd.gf import default_field
 from ssd.poly_labels import h_set
 
@@ -101,11 +101,69 @@ def per_pair_sums(D):
 
 
 def forced_sums(D, sparse):
-    """pair_gram_sums on the chosen route, for a design sharing D's matrix."""
-    fresh = Design(D.matrix, D.levels, require_balanced=False)
+    """pair_gram_sums of D on the chosen route."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design_core, "cells_sparse", lambda D: sparse)
-        return pair_gram_sums(fresh)
+        return pair_gram_sums(D)
+
+
+@st.composite
+def planted_copy_designs(draw):
+    """Random balanced designs, levels in {2, 3, 4, 6, 12}, up to two tiles
+    wide, with up to eight columns overwritten by relabelled copies of
+    others (copies of copies included)."""
+    N = draw(st.sampled_from([12, 24]))
+    m = draw(st.integers(2, 2 * GRAM_TILE + 8))
+    levels = draw(st.lists(st.sampled_from([2, 3, 4, 6, 12]),
+                           min_size=m, max_size=m))
+    rnd = draw(st.randoms(use_true_random=False))
+    cols = []
+    for s in levels:
+        col = [v for v in range(s) for _ in range(N // s)]
+        rnd.shuffle(col)
+        cols.append(col)
+    for _ in range(draw(st.integers(0, 8))):
+        src, dst = rnd.sample(range(m), 2)
+        relabel = list(range(levels[src]))
+        rnd.shuffle(relabel)
+        cols[dst] = [relabel[v] for v in cols[src]]
+        levels[dst] = levels[src]
+    return Design(np.array(cols).T, levels)
+
+
+def gram_aliased_pairs(D):
+    """The pair-kernel criterion for balanced designs: equal levels and
+    projected A2 = s - 1, i.e. s P[i, j] = N^2."""
+    P = pair_gram_sums(D)[0]
+    lev = np.asarray(D.levels)
+    i, j = np.triu_indices(D.m, 1)
+    hit = (lev[i] == lev[j]) & (lev[i] * P[i, j] == D.N * D.N)
+    return list(zip(i[hit].tolist(), j[hit].tolist()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted_copy_designs())
+def test_fully_aliased_pairs_match_the_pair_kernel(D):
+    pairs = fully_aliased_pairs(D)
+    assert pairs == gram_aliased_pairs(D)
+    removed = set()
+    for i, j in pairs:
+        if i not in removed and j not in removed:
+            removed.add(j)
+    kept = remove_fully_aliased(D)
+    assert kept.m == D.m - len(removed)
+    assert (kept.matrix == np.delete(D.matrix, sorted(removed), axis=1)).all()
+
+
+def test_fully_aliased_pairs_of_unbalanced_columns():
+    # the second column swaps the symbols of the first: fully aliased, though
+    # neither column is balanced and s P = 2 * 10 != N^2 = 16
+    D = Design([[0, 1], [0, 1], [0, 1], [1, 0]], [2, 2], require_balanced=False)
+    assert fully_aliased_pairs(D) == [(0, 1)]
+    assert remove_fully_aliased(D).m == 1
+    # equal symbols under different level counts are not a relabelling
+    D = Design([[0, 0], [1, 1], [0, 0], [1, 1]], [2, 4], require_balanced=False)
+    assert fully_aliased_pairs(D) == []
 
 
 @st.composite
@@ -158,7 +216,6 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
     want = per_pair_sums(D)
     bincount = np.bincount
     for budget in (1, 40, 150, 400):
-        fresh = Design(D.matrix, D.levels)
         chunks = []
 
         def counting(codes, minlength=0):
@@ -167,7 +224,7 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(design_core, "PAIR_CELL_BUDGET", budget)
             mp.setattr(design_core.np, "bincount", counting)
-            P, Fm = pair_gram_sums(fresh)
+            P, Fm = pair_gram_sums(D)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert len(chunks) > 1
         assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) + 1) // 2
