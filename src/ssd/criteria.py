@@ -41,9 +41,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import (Design, _coincidence_totals, cell_table,
-                          coincidence_counts, joint_coincidence_counts,
-                          level_groups, pair_a2_from_sumsq, pair_gram_sums)
+from .design_core import (Design, _coincidence_totals, _upper_pair_sums,
+                          cell_table, coincidence_counts,
+                          joint_coincidence_counts, level_groups,
+                          pair_a2_from_sumsq)
 
 GWLP_DEFAULT_JMAX = 3
 
@@ -79,12 +80,14 @@ def projected_a2(D: Design, i: int, j: int) -> Fraction:
 
 def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X = s_i s_j P - N^2, the denominators s_i s_j and F over the pairs
-    i < j, row-major: every pairwise statistic of the design."""
-    i, j = np.triu_indices(D.m, 1)
+    i < j, row-major: every pairwise statistic of the design.  Reads the
+    upper triangles of the pair kernel's sums, unmirrored."""
+    P, F = _upper_pair_sums(D)
+    upper = np.triu(np.ones(P.shape, dtype=bool), 1)
     lev = np.asarray(D.levels, dtype=np.int64)
-    P, F = pair_gram_sums(D)
-    den = lev[i] * lev[j]
-    return den * P[i, j] - D.N * D.N, den, F[i, j]
+    s_i, s_j = np.broadcast_arrays(lev[:, None], lev)
+    den = s_i[upper] * s_j[upper]
+    return den * P[upper] - D.N * D.N, den, F[upper]
 
 
 def projected_a2_histogram(D: Design) -> Counter:

@@ -14,11 +14,16 @@ The pair kernel has two exact routes, chosen by one rule (cells_sparse).
 When the cell tables of the pairs i <= j have at least as many cells as
 runs in total, sum_{i <= j} s_i s_j >= N m (m + 1) / 2, most cells are
 empty and each chunk of pairs is counted with one int64 bincount.
-Otherwise the tables are blocks of the one-hot Gram matrix, computed in
-column tiles by a float32 matrix product: with N <= 4096, a Gram entry is a
-count <= N and a block's sum of squares is at most N^2 <= 2^24, integers
-that float32 holds and adds exactly; the coincidence kernel's products are
-agreement counts <= m <= 4096.  Sums that can exceed 2^24 are int64.
+Otherwise the tables are blocks of the one-hot Gram matrix, computed by a
+float32 matrix product in tiles of whole design columns, each about
+GRAM_TILE_CELLS * N Gram cells, in one workspace per call.  With
+N <= 4096, a Gram entry is a count n <= N and a block's sum of squares is
+at most N^2 <= 2^24, integers that float32 holds and adds exactly.  F is
+read from the hinge sum 2 sum_ab max(N - s_i s_j n_ab, 0), equal to
+sum_ab |s_i s_j n_ab - N| because sum_ab n_ab = N; each term lies in
+[0, N], exact in float32, and the block sums that can exceed 2^24 run in
+float64.  The coincidence kernel's products are agreement counts
+<= m <= 4096.
 """
 
 from __future__ import annotations
@@ -38,18 +43,22 @@ from .poly_labels import Label, eval_labels
 
 MAX_RUNS = MAX_ORDER
 MAX_COLUMNS = 4096
-# Design columns per tile of the one-hot Gram route of pair_gram_sums.
-GRAM_TILE = 64
+# Gram cells per run in one tile of the one-hot Gram route of the pair
+# kernel: a tile of h one-hot rows against all L one-hot columns has
+# h L <= GRAM_TILE_CELLS * N cells, unless one design column alone is taller.
+GRAM_TILE_CELLS = 512
 # Pair codes, and cell-table bins, per chunk of its cell-count route.
-PAIR_CELL_BUDGET = 1 << 15
+PAIR_CELL_BUDGET = 1 << 13
 # Row-pair products per block of the row coincidence kernel: a block of
 # COINCIDENCE_BLOCK_CELLS // N rows against the rows from the block on.
 COINCIDENCE_BLOCK_CELLS = 1 << 21
 # Largest mixed-radix code space of the joint coincidence histogram that is
 # counted with bincount; beyond it the blocks are reduced by np.unique.
 JOINT_BINS_MAX = 1 << 22
-# Symbols per block of rows of the text writer; bounds its temporaries.
-TEXT_BLOCK_CELLS = 1 << 16
+# Symbols per block where the design matrix is walked a block at a time:
+# rows for the text writer, whole columns for the balance and relabelling
+# checks.  Bounds their temporaries.
+MATRIX_BLOCK_CELLS = 1 << 16
 
 ORTHOGONAL = "orthogonal"
 FULLY_ALIASED = "fully_aliased"
@@ -147,20 +156,28 @@ def _check_design_size(N: int, m: int) -> None:
 def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
     """First column whose symbols are not equally frequent, or None.
 
-    Symbols must already lie in range.  One bincount per tile of GRAM_TILE
-    columns, each column shifted into its own bins, so no temporary exceeds
-    N x GRAM_TILE.
+    Symbols must already lie in range.  One bincount per tile of whole
+    columns, each column shifted into its own bins in one code buffer of
+    at most N x _column_tile(N) entries.
     """
     N = matrix.shape[0]
-    for c0 in range(0, len(lev), GRAM_TILE):
-        tl = lev[c0:c0 + GRAM_TILE]
+    tile = _column_tile(N)
+    codes = np.empty(N * min(tile, len(lev)), dtype=np.int64)
+    for c0 in range(0, len(lev), tile):
+        tl = lev[c0:c0 + tile]
         starts = np.cumsum(tl) - tl
-        counts = np.bincount((matrix[:, c0:c0 + GRAM_TILE] + starts).ravel(),
-                             minlength=int(tl.sum()))
+        block = codes[:N * len(tl)].reshape(N, len(tl))
+        np.add(matrix[:, c0:c0 + tile], starts, out=block)
+        counts = np.bincount(codes[:block.size], minlength=int(tl.sum()))
         off = np.logical_or.reduceat(counts != np.repeat(N // tl, tl), starts)
         if off.any():
             return c0 + int(np.argmax(off))
     return None
+
+
+def _column_tile(N: int) -> int:
+    """Columns per tile of the balance and relabelling checks."""
+    return max(1, MATRIX_BLOCK_CELLS // N)
 
 
 # -- construction ---------------------------------------------------------------
@@ -449,14 +466,21 @@ def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
       x_i s_j + x_j shifted into the chunk's own bins, and P and F are
       per-pair reduceat sums of the counts;
     - one-hot Gram otherwise: the (i, j) block of G = B^T B is the cell
-      table, so P and F are block sums of G, computed in tiles of at most
-      GRAM_TILE design columns against the columns from the tile onwards.
+      table, so P and F are block sums of G, computed in tiles of whole
+      design columns against the columns from the tile onwards, each tile
+      about GRAM_TILE_CELLS * N Gram cells.
 
     Either way no L x L or pairs x N temporary exists.
     """
-    route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
-    P, F = route(D)
+    P, F = _upper_pair_sums(D)
     return _mirror_upper(P), _mirror_upper(F)
+
+
+def _upper_pair_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
+    """P and F of pair_gram_sums for every pair i <= j, by the route that
+    cells_sparse picks.  Entries below the diagonal are not defined."""
+    route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
+    return route(D)
 
 
 def cells_sparse(D: Design) -> bool:
@@ -506,37 +530,84 @@ def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
 def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     """Upper block rows of P and F from tiles of the float32 one-hot Gram.
 
-    Exact: Gram entries are counts <= N and a block's sum of their squares
-    is P[i, j] <= N^2 <= 2^24, integers that float32 holds and sums exactly
-    in any order; the F epilogue runs in int64.
+    Each tile of _gram_tiles is multiplied against the one-hot columns from
+    the tile on.  Every tile writes its Gram block and one intermediate into
+    one float32 workspace sized for the tallest tile; its row block sums
+    are one product with the tile's 0/1 row-to-column indicator, and its
+    column block sums are float64 reduceat sums into fixed buffers.
+
+    Exact: Gram entries are counts n <= N.  Summed over a block, n^2 gives
+    P[i, j] <= N^2 <= 2^24.  Since sum_ab n_ab = N over the s_i s_j cells
+    of a table, F = 2 sum_ab max(N - s_i s_j n_ab, 0), and each term lies
+    in [0, N]: s_j n <= 2^24 is exact in float32, and rounding its product
+    by s_i cannot take a value >= N below N.  A row block sum is then at
+    most N^2 <= 2^24 for either term (sum_a n_ab^2 <= (sum_a n_ab)^2, and
+    s_i hinge terms of at most N each), a sum of nonnegative integers that
+    float32 gets exactly in any order; the column block sums, up to
+    s_i s_j N, run in float64.
     """
     B, starts = _one_hot(D)
     m, N = D.m, D.N
-    bounds = np.append(starts, B.shape[1])
-    owner = np.repeat(np.asarray(D.levels, dtype=np.int64), D.levels)
+    L = B.shape[1]
+    bounds = np.append(starts, L)
+    tiles = _gram_tiles(bounds, N)
+    rows_max = max(bounds[c1] - bounds[c0] for c0, c1 in tiles)
+    cols_max = max(c1 - c0 for c0, c1 in tiles)
+    work = np.empty((2, rows_max * L), dtype=np.float32)
+    indicator = np.empty(cols_max * rows_max, dtype=np.float32)
+    row_sums = np.empty(cols_max * L, dtype=np.float32)
+    block_sums = np.empty(cols_max * m, dtype=np.float64)
+    weight = np.repeat(np.asarray(D.levels, dtype=np.float32), D.levels)
     P = np.zeros((m, m), dtype=np.int64)
     F = np.zeros((m, m), dtype=np.int64)
-    for c0 in range(0, m, GRAM_TILE):
-        c1 = min(c0 + GRAM_TILE, m)
+    for c0, c1 in tiles:
         r0, r1 = bounds[c0], bounds[c1]
-        G = B[:, r0:r1].T @ B[:, r0:]
-        rows, cols = starts[c0:c1] - r0, starts[c0:] - r0
-        P[c0:c1, c0:] = _block_sums(G * G, rows, cols)
-        G = G.astype(np.int64)
-        G *= owner[r0:r1, None] * owner[None, r0:]
-        G -= N
-        np.abs(G, out=G)
-        F[c0:c1, c0:] = _block_sums(G, rows, cols)
+        h, w, t = r1 - r0, L - r0, c1 - c0
+        G = work[0, :h * w].reshape(h, w)
+        H = work[1, :h * w].reshape(h, w)
+        np.matmul(B[:, r0:r1].T, B[:, r0:], out=G)
+        E = indicator[:t * h].reshape(t, h)
+        E.fill(0)
+        E[np.repeat(np.arange(t), D.levels[c0:c1]), np.arange(h)] = 1
+        R = row_sums[:t * w].reshape(t, w)
+        S = block_sums[:t * (m - c0)].reshape(t, m - c0)
+        cols = starts[c0:] - r0
+        np.multiply(G, G, out=H)
+        np.matmul(E, H, out=R)
+        P[c0:c1, c0:] = np.add.reduceat(R, cols, axis=1, dtype=np.float64,
+                                        out=S)
+        np.multiply(G, weight[r0:], out=H)
+        np.multiply(H, weight[r0:r1, None], out=H)
+        np.subtract(N, H, out=H)
+        np.maximum(H, 0, out=H)
+        np.matmul(E, H, out=R)
+        np.add.reduceat(R, cols, axis=1, dtype=np.float64, out=S)
+        F[c0:c1, c0:] = np.multiply(S, 2, out=S)
     return P, F
+
+
+def _gram_tiles(bounds: np.ndarray, N: int) -> list[tuple[int, int]]:
+    """Tiles (c0, c1) of the Gram route, in column order.
+
+    bounds[c] is the first one-hot row of design column c, and bounds[-1]
+    is L.  A tile is a run of whole columns of at most
+    GRAM_TILE_CELLS * N / L one-hot rows, or a single column that alone
+    is taller, so its Gram block has about GRAM_TILE_CELLS * N cells:
+    few enough to stay in cache at small N, enough for full-speed matrix
+    products at large N.
+    """
+    height = max(1, GRAM_TILE_CELLS * N // int(bounds[-1]))
+    tiles, c0 = [], 0
+    while c0 < len(bounds) - 1:
+        c1 = int(np.searchsorted(bounds, bounds[c0] + height, side="right"))
+        tiles.append((c0, max(c0 + 1, c1 - 1)))
+        c0 = tiles[-1][1]
+    return tiles
 
 
 def _frozen(A: np.ndarray) -> np.ndarray:
     A.setflags(write=False)
     return A
-
-
-def _block_sums(A: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(np.add.reduceat(A, rows, axis=0), cols, axis=1)
 
 
 def _mirror_upper(M: np.ndarray) -> np.ndarray:
@@ -609,8 +680,9 @@ def _relabelled_copies(D: Design) -> list[list[int]]:
     columns are relabellings exactly when their renamed columns agree."""
     rows = np.arange(D.N, dtype=np.uint16)      # N <= MAX_RUNS < 2^16
     classes = {}
-    for c0 in range(0, D.m, GRAM_TILE):
-        X = D.matrix[:, c0:c0 + GRAM_TILE].T
+    tile = _column_tile(D.N)
+    for c0 in range(0, D.m, tile):
+        X = D.matrix[:, c0:c0 + tile].T
         first = np.full((len(X), X.max() + 1), D.N, dtype=np.uint16)
         np.minimum.at(first, (np.arange(len(X))[:, None], X), rows)
         for k, col in enumerate(np.take_along_axis(first, X, axis=1), c0):
@@ -628,7 +700,7 @@ def _text_blocks(D: Design):
 
     Each symbol has a fixed-width record in a byte table, its digits and a
     space (a newline in the last column) padded with NUL bytes, so a block
-    of about TEXT_BLOCK_CELLS symbols becomes text with one take; the padding
+    of about MATRIX_BLOCK_CELLS symbols becomes text with one take; the padding
     is stripped unless every symbol has a single digit.
     """
     yield (f"{FORMAT_HEADER}\n{D.N} {D.m}\n"
@@ -643,7 +715,7 @@ def _text_blocks(D: Design):
     table = table.reshape(2 * s, width)
     last = np.zeros(D.m, dtype=np.int64)
     last[-1] = s
-    rows = max(1, TEXT_BLOCK_CELLS // D.m)
+    rows = max(1, MATRIX_BLOCK_CELLS // D.m)
     for r0 in range(0, D.N, rows):
         text = table.take(D.matrix[r0:r0 + rows] + last, axis=0).ravel()
         if width > 2:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ssd import design_core
 from ssd.criteria import a2_overall, strength
-from ssd.design_core import (GRAM_TILE, TEXT_BLOCK_CELLS, Design,
+from ssd.design_core import (MATRIX_BLOCK_CELLS, Design,
                              branch_fraction, cell_table, classify_pair,
                              coincidence_counts, coincidences,
                              column_juxtapose, design_from_text,
@@ -52,15 +52,17 @@ def test_design_validation_reports_faults_in_check_order():
             Design(matrix, levels)
 
 
-def test_balance_found_past_the_first_tile():
-    m = GRAM_TILE + 6
+def test_balance_found_past_the_first_tile(monkeypatch):
+    tile = 64
+    monkeypatch.setattr(design_core, "MATRIX_BLOCK_CELLS", 4 * tile)
+    m = tile + 6
     cols = np.tile([0, 1, 0, 1], (m, 1)).T.copy()
-    cols[:, GRAM_TILE + 3] = [0, 0, 0, 1]
-    cols[:, GRAM_TILE + 5] = [1, 1, 1, 0]
-    with pytest.raises(ValueError, match=f"^column {GRAM_TILE + 3} is unbalanced$"):
+    cols[:, tile + 3] = [0, 0, 0, 1]
+    cols[:, tile + 5] = [1, 1, 1, 0]
+    with pytest.raises(ValueError, match=f"^column {tile + 3} is unbalanced$"):
         Design(cols, [2] * m)
     assert not Design(cols.copy(), [2] * m, require_balanced=False).is_balanced
-    cols[:, GRAM_TILE + 3] = cols[:, GRAM_TILE + 5] = [0, 0, 1, 1]
+    cols[:, tile + 3] = cols[:, tile + 5] = [0, 0, 1, 1]
     assert Design(cols, [2] * m).is_balanced
 
 
@@ -332,7 +334,7 @@ def test_text_writer_matches_per_row_join(tmp_path_factory, D):
 
 def test_text_writer_spans_row_blocks(gf4):
     D = realize(gf4, 6, h_set(gf4, 6))     # 4096 x 1365: 49 row blocks
-    assert D.N > TEXT_BLOCK_CELLS // D.m
+    assert D.N > MATRIX_BLOCK_CELLS // D.m
     assert design_to_text(D) == per_row_text(D)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ssd.cli import run
-from ssd.design_core import (TEXT_BLOCK_CELLS, design_to_text, read_design,
+from ssd.design_core import (MATRIX_BLOCK_CELLS, design_to_text, read_design,
                              write_design)
 
 CONSTRUCTS = Path(__file__).parent / "data" / "constructs"
@@ -60,4 +60,4 @@ def test_golden_designs_cover_every_writer_case():
     assert set(designs["thm4_s16_n2_col3_oa2.ssd"].levels) == {2, 16}
     text = golden("thm6_s16_n2_k17.ssd.gz").decode("ascii").splitlines()
     N, m = map(int, text[1].split())
-    assert N > TEXT_BLOCK_CELLS // m    # more rows than one block holds
+    assert N > MATRIX_BLOCK_CELLS // m  # more rows than one block holds

@@ -12,22 +12,23 @@ from ssd import design_core
 from ssd.criteria import (a2_overall_from_pairs, dependency_summary,
                           pair_dependency_stats, projected_a2,
                           projected_a2_histogram)
-from ssd.design_core import (FULLY_ALIASED, GRAM_TILE, Design, cell_table,
-                             cells_sparse, classify_pair, fully_aliased_pairs,
-                             pair_gram_sums, realize, remove_fully_aliased)
+from ssd.design_core import (FULLY_ALIASED, Design, cell_table, cells_sparse,
+                             classify_pair, fully_aliased_pairs,
+                             pair_gram_sums, realize, remove_fully_aliased,
+                             select_columns)
 from ssd.gf import default_field
 from ssd.poly_labels import h_set
 
 
 @st.composite
 def mixed_designs(draw):
-    """Random balanced designs, levels in {2, 3, 4, 6}, wider than one tile.
+    """Random balanced designs, levels in {2, 3, 4, 6}, many Gram tiles wide.
 
     One column is a relabelled copy of another, so a fully aliased pair is
     always present, and one column coarsens a 6-level column.
     """
     N = draw(st.sampled_from([12, 24]))
-    m = draw(st.integers(GRAM_TILE + 1, GRAM_TILE + 12))
+    m = draw(st.integers(65, 76))
     levels = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=m, max_size=m))
     rnd = draw(st.randoms(use_true_random=False))
     cols = []
@@ -109,11 +110,11 @@ def forced_sums(D, sparse):
 
 @st.composite
 def planted_copy_designs(draw):
-    """Random balanced designs, levels in {2, 3, 4, 6, 12}, up to two tiles
-    wide, with up to eight columns overwritten by relabelled copies of
+    """Random balanced designs, levels in {2, 3, 4, 6, 12}, up to 136
+    columns, with up to eight columns overwritten by relabelled copies of
     others (copies of copies included)."""
     N = draw(st.sampled_from([12, 24]))
-    m = draw(st.integers(2, 2 * GRAM_TILE + 8))
+    m = draw(st.integers(2, 136))
     levels = draw(st.lists(st.sampled_from([2, 3, 4, 6, 12]),
                            min_size=m, max_size=m))
     rnd = draw(st.randoms(use_true_random=False))
@@ -144,13 +145,16 @@ def gram_aliased_pairs(D):
 @settings(max_examples=25, deadline=None)
 @given(planted_copy_designs())
 def test_fully_aliased_pairs_match_the_pair_kernel(D):
-    pairs = fully_aliased_pairs(D)
+    with pytest.MonkeyPatch.context() as mp:
+        # tiles of 64 columns, so the relabelling check spans up to 3 tiles
+        mp.setattr(design_core, "MATRIX_BLOCK_CELLS", 64 * D.N)
+        pairs = fully_aliased_pairs(D)
+        kept = remove_fully_aliased(D)
     assert pairs == gram_aliased_pairs(D)
     removed = set()
     for i, j in pairs:
         if i not in removed and j not in removed:
             removed.add(j)
-    kept = remove_fully_aliased(D)
     assert kept.m == D.m - len(removed)
     assert (kept.matrix == np.delete(D.matrix, sorted(removed), axis=1)).all()
 
@@ -246,16 +250,84 @@ def test_catalog_designs_give_equal_sums_on_both_routes(catalog_rows):
     assert routes == {True, False}
 
 
-def test_float32_gram_is_exact_up_to_two_to_the_24():
+def recorded_gram_tiles(mp):
+    """Rebind design_core._gram_tiles so that each tile plan it returns is
+    appended to the returned list."""
+    plans = []
+    plan = design_core._gram_tiles
+
+    def recording(bounds, N):
+        plans.append(plan(bounds, N))
+        return plans[-1]
+    mp.setattr(design_core, "_gram_tiles", recording)
+    return plans
+
+
+def test_gram_tiles_stay_within_budget(monkeypatch):
+    """A small budget splits the columns into many Gram tiles of uneven
+    height, each within the budget unless it is one column taller than
+    the budget alone; the workspace fits the tallest tile, not the first."""
+    rng = np.random.default_rng(9)
+    levels = [3, 9, 3, 3, 9, 9, 3, 9, 3, 3, 3, 9, 9, 3]
+    N = 81
+    cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
+    D = Design(np.array(cols).T, levels)
+    assert not cells_sparse(D)
+    want = per_pair_sums(D)
+    L = sum(levels)
+    uneven = False
+    for budget in (1, 4, 10, 20, 40):
+        plans = recorded_gram_tiles(monkeypatch)
+        monkeypatch.setattr(design_core, "GRAM_TILE_CELLS", budget)
+        P, Fm = pair_gram_sums(D)
+        assert (P == want[0]).all() and (Fm == want[1]).all()
+        (tiles,) = plans
+        assert len(tiles) > 1
+        assert [c0 for c0, _ in tiles] == [0] + [c1 for _, c1 in tiles[:-1]]
+        assert tiles[-1][1] == len(levels)
+        heights = [sum(levels[c0:c1]) for c0, c1 in tiles]
+        for (c0, c1), h in zip(tiles, heights):
+            assert c1 - c0 == 1 or h <= budget * N // L
+        uneven |= max(heights) > heights[0]
+    assert uneven
+
+
+def test_float32_gram_is_exact_up_to_two_to_the_24(monkeypatch):
     """At 4096 runs and two levels a balanced column against itself gives
     P = 2 * 2048^2 = 2^23 and a constant column P = 4096^2 = 2^24, the
     largest sum the float32 Gram tiles must hold exactly."""
     gf2 = default_field(2)
-    H = realize(gf2, 12, h_set(gf2, 12)[:GRAM_TILE + 1]).matrix
+    H = realize(gf2, 12, h_set(gf2, 12)[:65]).matrix
     D = Design(np.column_stack([H, np.zeros(4096, dtype=np.int64)]),
-               [2] * (GRAM_TILE + 2), require_balanced=False)
+               [2] * 66, require_balanced=False)
     assert not cells_sparse(D)
+    plans = recorded_gram_tiles(monkeypatch)
+    # tiles of 31 one-hot rows: 15 columns each
+    monkeypatch.setattr(design_core, "GRAM_TILE_CELLS", 1)
     P, Fm = pair_gram_sums(D)
+    assert len(plans[0]) == 5
     assert P[0, 0] == 2 ** 23 and P[-1, -1] == 2 ** 24
     want = per_pair_sums(D)
     assert (P == want[0]).all() and (Fm == want[1]).all()
+
+
+@pytest.mark.parametrize("q, n", [(2, 12), (3, 7)])
+def test_gram_f_is_exact_past_two_to_the_24(q, n):
+    """One N-level column, N = q^n, each symbol once, beside 100 q-level
+    columns: on the Gram route, F of a pair with the big column is
+    2 N (s_i s_j - N), and for the column against itself 2 N (N^2 - N),
+    far past 2^24.  At 2187 = 3^7 runs float32 block sums of F would round;
+    at 4096 runs every level is a power of two and they would not, so that
+    case checks the run limit."""
+    field = default_field(q)
+    N = q ** n
+    small_cols = realize(field, n, h_set(field, n)[:100]).matrix
+    big = np.random.default_rng(3).permutation(N)
+    D = Design(np.column_stack([big, small_cols]), [N] + [q] * 100)
+    assert not cells_sparse(D)
+    P, Fm = pair_gram_sums(D)
+    w = np.array([N * N] + [N * q] * 100)
+    assert (P[0] == N).all()
+    assert (Fm[0] == 2 * N * (w - N)).all()
+    rest = per_pair_sums(select_columns(D, range(1, 101)))
+    assert (P[1:, 1:] == rest[0]).all() and (Fm[1:, 1:] == rest[1]).all()
