@@ -26,7 +26,7 @@ from .design_core import (Design, PairClass, branch_fraction, cell_table,
                           read_design, realize, remove_fully_aliased,
                           replace_column, row_juxtapose, select_columns,
                           write_design)
-from .gf import Field, default_field, enumerate_points, field_new
+from .gf import Field, default_field, enumerate_points
 from .poly_labels import (LinearForm, QuadraticLabel, eval_label, h_set,
                           label_str, parse_label, q1, q1_star, qh,
                           qh_substitution, qh_star)

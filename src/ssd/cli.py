@@ -34,42 +34,59 @@ def _int_list(spec: str) -> list[int]:
     return [int(v) for v in spec.split(",")]
 
 
+# flags each theorem reads besides --s, --modulus, --show-labels and --out:
+# (the one it requires, the optional ones)
+_THEOREM_FLAGS = {
+    "4": (None, ("n",)),
+    "5": (None, ("n", "hs", "dealias")),
+    "6": ("k", ("n", "hs", "dealias")),
+    "7": ("k", ("n", "hs", "dealias")),
+    "8": ("k", ("n", "branch", "levels")),
+    "9": ("k", ("n", "levels")),
+    "example3": ("branch", ()),
+}
+
+
+def _unread_flags(args, flags, read) -> str:
+    """The given flags of `flags` outside `read`, as '--a, --b' ('' if none)."""
+    return ", ".join(f"--{f}" for f in flags
+                     if f not in read and getattr(args, f) not in (None, False))
+
+
 def _cmd_construct(args) -> int:
-    if args.theorem in ("6", "7", "8", "9") and args.k is None:
-        print("--k is required for this construction", file=sys.stderr)
+    required, optional = _THEOREM_FLAGS[args.theorem]
+    if required and getattr(args, required) is None:
+        family = "the 18-run family" if required == "branch" else "this construction"
+        print(f"--{required} is required for {family}", file=sys.stderr)
+        return 2
+    unread = _unread_flags(args, ("n", "k", "hs", "branch", "levels", "dealias"),
+                           (required, *optional))
+    if unread:
+        print(f"--theorem {args.theorem} does not read {unread}", file=sys.stderr)
         return 2
     f = _field(args.s, args.modulus)
+    n = 3 if args.theorem == "example3" else 2 if args.n is None else args.n
+    hs = [parse_label(f, t, n) for t in args.hs.split(",")] if args.hs else None
+    g = _int_list(args.levels) if args.levels else None
+    branch = parse_label(f, args.branch, n) if args.branch else None
     if args.theorem == "4":
-        design = constructions.construct_thm4(f, args.n)
+        design = constructions.construct_thm4(f, n)
     elif args.theorem in ("5", "6", "7"):
-        hs = None
-        if args.hs:
-            hs = [parse_label(f, t, args.n) for t in args.hs.split(",")]
-        k = 2 if args.theorem == "5" else args.k
         build = (constructions.construct_thm7 if args.theorem == "7"
                  else constructions.construct_thm6)
-        design = build(f, args.n, k, hs)
+        design = build(f, n, 2 if args.theorem == "5" else args.k, hs)
         if args.dealias:
             design = remove_fully_aliased(design)
     elif args.theorem == "8":
-        g = _int_list(args.levels) if args.levels else None
-        branch = parse_label(f, args.branch, args.n) if args.branch else None
-        design = constructions.construct_thm8(f, args.n, args.k, branch, g)
+        design = constructions.construct_thm8(f, n, args.k, branch, g)
     elif args.theorem == "9":
-        g = _int_list(args.levels) if args.levels else None
-        design = constructions.construct_thm9(f, args.n, args.k, g)
-    elif args.theorem == "example3":
-        if not args.branch:
-            print("--branch is required for the 18-run family", file=sys.stderr)
-            return 2
-        branch = parse_label(f, args.branch, 3)
+        design = constructions.construct_thm9(f, n, args.k, g)
+    else:
         design, typ = constructions.construct_example3(f, branch)
         print(f"branch type {typ}")
-    else:  # pragma: no cover - argparse restricts the choices
-        return 2
     if args.show_labels and design.labels:
         for lab in design.labels:
-            print(lab if isinstance(lab, str) else label_str(f, lab))
+            print(label_str(f, lab))
     write_design(design, args.out)
     print(f"wrote {design.N}x{design.m} design to {args.out}")
     return 0
@@ -88,6 +105,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.levels:
+        unread = _unread_flags(args, ("m", "s"), ())
+        if unread:
+            print(f"--levels does not read {unread}", file=sys.stderr)
+            return 2
         levels = _int_list(args.levels)
         print(f"theorem10 = {fmt_frac(lb_theorem10(args.N, levels))}")
         return 0
@@ -215,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--theorem", required=True,
                    choices=["4", "5", "6", "7", "8", "9", "example3"])
     c.add_argument("--s", type=int, required=True, help="level count")
-    c.add_argument("--n", type=int, default=2, help="point-space dimension")
+    c.add_argument("--n", type=int, default=None,
+                   help="point-space dimension (default 2; example3 uses 3)")
     c.add_argument("--k", type=int)
     c.add_argument("--hs", help="comma-separated canonical forms for thm5/6/7")
     c.add_argument("--branch", help="branching column label")

@@ -1,6 +1,9 @@
 """Turnkey builders for the supersaturated design families, plus the shipped
 catalog of three-, four- and five-level designs with their expected exact
-aliasing histograms, and the verifier that recomputes every row.
+aliasing histograms, and the verifier that recomputes every row.  The
+catalog is the only table of expected values: each bundled reference file,
+and its quadratic-only sub-selection, is verified as the catalog row it
+reproduces.
 
 Builder summary (s = level count, runs over F_s^n):
 
@@ -35,8 +38,8 @@ from .design_core import (MAX_RUNS, Design, branch_fraction,
                           fully_aliased_pairs, pair_gram_sums, realize,
                           remove_fully_aliased, select_columns)
 from .gf import Field, default_field, point_count
-from .poly_labels import (LinearForm, QuadraticLabel, eval_labels, h_set, q1,
-                          q1_star, qh, qh_star, unit_form)
+from .poly_labels import (LinearForm, QuadraticLabel, eval_labels, h_set,
+                          label_str, q1, q1_star, qh, qh_star, unit_form)
 
 
 def construct_thm4(field: Field, n: int) -> Design:
@@ -58,6 +61,10 @@ def _juxtapose_companions(field: Field, n: int, k: int, hs, family) -> Design:
     if not 1 < k <= t:
         raise ValueError(f"k must lie in 2..{t}")
     hs = list(hs) if hs is not None else h_set(field, n)[:k]
+    for h in hs:
+        if not isinstance(h, LinearForm):
+            raise ValueError("the chosen forms must be linear, got "
+                             f"{label_str(field, h)!r}")
     if len(set(hs)) != len(hs):
         raise ValueError("the chosen forms must be distinct")
     if len(hs) != k:
@@ -201,8 +208,7 @@ class Recipe:
         return sum((v * c for v, c in self.expected_hist.items()), Fraction(0))
 
 
-def _F(a, b=1) -> Fraction:
-    return Fraction(a, b)
+_F = Fraction
 
 
 CATALOG_SPECS: tuple[Recipe, ...] = (
@@ -263,11 +269,8 @@ def build_recipe(recipe: Recipe, field: Field | None = None) -> Design:
 
 def catalog(field_map=None) -> list[tuple[Recipe, Design]]:
     """Build every catalog design (31 rows across the three level counts)."""
-    out = []
-    for recipe in CATALOG_SPECS:
-        f = field_map.get(recipe.s) if field_map else None
-        out.append((recipe, build_recipe(recipe, f)))
-    return out
+    fields = field_map or {}
+    return [(r, build_recipe(r, fields.get(r.s))) for r in CATALOG_SPECS]
 
 
 @dataclass(frozen=True)
@@ -300,75 +303,54 @@ def verify_design(recipe: Recipe, D: Design) -> RowResult:
         if cert.coincidence_spread > 1:
             problems.append(
                 f"coincidence spread {cert.coincidence_spread} > 1")
-    if problems:
-        return RowResult(recipe.row_id, False, "; ".join(problems))
-    return RowResult(recipe.row_id, True,
-                     f"A2 = {recipe.expected_a2}, "
-                     f"{_fmt_hist(recipe.expected_hist)}")
+    message = "; ".join(problems) or (f"A2 = {recipe.expected_a2}, "
+                                      f"{_fmt_hist(recipe.expected_hist)}")
+    return RowResult(recipe.row_id, not problems, message)
 
 
 def _fmt_hist(hist: dict) -> str:
-    if not hist:
-        return "{}"
     parts = [f"{v}: {c}" for v, c in sorted(hist.items())]
     return "{" + ", ".join(parts) + "}"
 
 
 def catalog_verify(field_map=None, rows=None) -> list[RowResult]:
     """Verify every catalog row; returns one result per row."""
-    out = []
-    for recipe, design in rows if rows is not None else catalog(field_map):
-        out.append(verify_design(recipe, design))
-    return out
+    rows = rows if rows is not None else catalog(field_map)
+    return [verify_design(recipe, design) for recipe, design in rows]
 
 
 # -- bundled reference tables -------------------------------------------------------
 
-APPENDIX_FILES = {
-    6: "appendix_table6.ssd",
-    7: "appendix_table7.ssd",
-    8: "appendix_table8.ssd",
-}
-
-# expected invariants of the bundled files: (A2, full histogram incl. zero,
-# 0-based columns to drop for the quadratic-only subdesign, its A2, its hist)
-APPENDIX_EXPECT = {
-    6: (_F(48), {_F(0): 30, _F(4, 9): 54, _F(2, 3): 36},
-        (0, 4, 8, 12), _F(24), {_F(0): 12, _F(4, 9): 54}),
-    7: (_F(45), {_F(0): 60, _F(1): 45}, None, None, None),
-    8: (_F(360), {_F(0): 105, _F(16, 25): 375, _F(4, 5): 150},
-        (0, 6, 12, 18, 24, 30), _F(240), {_F(0): 60, _F(16, 25): 375}),
+# table number -> (file, row id of the catalog row it reproduces, 0-based
+# columns dropped for its quadratic-only sub-selection, that row's id)
+APPENDIX = {
+    6: ("appendix_table6.ssd", "s3/N9/m16/thm6/k4", (0, 4, 8, 12),
+        "s3/N9/m12/thm7/k4"),
+    7: ("appendix_table7.ssd", "s4/N16/m15/thm6-dealias/k5", (), None),
+    8: ("appendix_table8.ssd", "s5/N25/m36/thm6/k6", (0, 6, 12, 18, 24, 30),
+        "s5/N25/m30/thm7/k6"),
 }
 
 
 def load_appendix(which: int) -> Design:
     """Load one of the bundled reference designs (9-, 16- or 25-run)."""
-    name = APPENDIX_FILES[which]
+    name = APPENDIX[which][0]
     text = importlib.resources.files("ssd").joinpath("data", name).read_text()
     return design_from_text(text)
 
 
 def verify_appendix(which: int) -> RowResult:
-    """Evaluate a bundled file and compare with its recorded invariants."""
-    a2_exp, hist_exp, drop, sub_a2, sub_hist = APPENDIX_EXPECT[which]
+    """Verify a bundled file and its sub-selection as the catalog rows they are."""
+    name, row_id, drop, sub_id = APPENDIX[which]
+    recipes = {r.row_id: r for r in CATALOG_SPECS}
     D = load_appendix(which)
-    problems = []
-    rep = criteria.aggregate_stats(D)
-    if rep.A2 != a2_exp:
-        problems.append(f"A2 {rep.A2} != {a2_exp}")
-    if rep.histogram != hist_exp:
-        problems.append(f"histogram mismatch: {_fmt_hist(rep.histogram)}")
-    if drop is not None:
-        sub = criteria.aggregate_stats(
-            select_columns(D, [i for i in range(D.m) if i not in drop]))
-        if sub.A2 != sub_a2:
-            problems.append(f"subdesign A2 {sub.A2} != {sub_a2}")
-        if sub.histogram != sub_hist:
-            problems.append("subdesign histogram mismatch")
-    row_id = f"bundled/{APPENDIX_FILES[which]}"
-    if problems:
-        return RowResult(row_id, False, "; ".join(problems))
-    return RowResult(row_id, True, f"A2 = {a2_exp}, {_fmt_hist(hist_exp)}")
+    results = [verify_design(recipes[row_id], D)]
+    if drop:
+        keep = [i for i in range(D.m) if i not in drop]
+        results.append(verify_design(recipes[sub_id], select_columns(D, keep)))
+    problems = [f"{r.row_id}: {r.message}" for r in results if not r.ok]
+    return RowResult(f"bundled/{name}", not problems,
+                     "; ".join(problems) or results[0].message)
 
 
 def dealias_check(field: Field, n: int, k: int) -> dict:

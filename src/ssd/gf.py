@@ -266,11 +266,6 @@ class Field:
         return f"GF({self.order}, modulus={list(self.modulus)})"
 
 
-def field_new(s: int, modulus=None) -> Field:
-    """Construct GF(s) for a prime power s, with an optional modulus override."""
-    return Field(s, modulus)
-
-
 _FIELD_CACHE: dict[int, Field] = {}
 
 

@@ -78,11 +78,13 @@ def test_thm7_takes_hs(tmp_path, capsys):
     (["branch", "--s", "3", "--n", "1", "--branch", "X1", "--levels", "0"],
      "the branch keeps no column"),
     (["construct", "--theorem", "7", "--s", "3", "--n", "3", "--k", "2",
-      "--hs", "X1,X2,X3"], "expected 2 forms, got 3")],
+      "--hs", "X1,X2,X3"], "expected 2 forms, got 3"),
+    (["construct", "--theorem", "6", "--s", "3", "--n", "2", "--k", "2",
+      "--hs", "X1^2+X2,X2"], "the chosen forms must be linear, got 'X1^2+X2'")],
     ids=["thm9-n0", "branch-q1-n0", "thm8-repeated-levels",
          "thm9-repeated-levels", "branch-repeated-levels",
          "branch-repeated-levels-three", "thm8-n1",
-         "branch-n1", "thm7-form-count"])
+         "branch-n1", "thm7-form-count", "thm6-quadratic-hs"])
 def test_degenerate_constructions_are_errors(tmp_path, capsys, argv, err):
     d = tmp_path / "d.ssd"
     assert run([*argv, "--out", str(d)]) == 1
@@ -101,6 +103,31 @@ def test_bound_command(capsys):
 
 def test_bound_usage_error(capsys):
     assert run(["bound", "--N", "9"]) == 2
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["construct", "--theorem", "9", "--s", "3", "--n", "2", "--k", "2",
+      "--branch", "X1"], "--theorem 9 does not read --branch"),
+    (["construct", "--theorem", "4", "--s", "3", "--k", "5", "--hs", "X1",
+      "--levels", "0", "--dealias"],
+     "--theorem 4 does not read --k, --hs, --levels, --dealias"),
+    (["construct", "--theorem", "8", "--s", "3", "--k", "2", "--hs", "X1"],
+     "--theorem 8 does not read --hs"),
+    (["construct", "--theorem", "5", "--s", "3", "--k", "7"],
+     "--theorem 5 does not read --k"),
+    (["construct", "--theorem", "example3", "--s", "3", "--branch", "X1",
+      "--n", "5", "--k", "4"], "--theorem example3 does not read --n, --k"),
+    (["bound", "--N", "9", "--levels", "3,3", "--m", "5", "--s", "3"],
+     "--levels does not read --m, --s")],
+    ids=["thm9-branch", "thm4-companion-flags", "thm8-hs", "thm5-k",
+         "example3-n-k", "bound-levels-m-s"])
+def test_unread_flags_are_usage_errors(tmp_path, capsys, argv, err):
+    d = tmp_path / "d.ssd"
+    out = ["--out", str(d)] if argv[0] == "construct" else []
+    assert run([*argv, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{err}\n" and captured.out == ""
+    assert not d.exists()
 
 
 def test_branch_command(tmp_path):

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ssd.constructions import (CATALOG_SPECS, catalog_verify,
@@ -208,6 +209,31 @@ def test_appendix_files_verify():
         assert row.ok, row.message
 
 
+@pytest.mark.parametrize("which,col,failing", [
+    (6, 0, ["s3/N9/m16/thm6/k4"]),
+    (6, 1, ["s3/N9/m16/thm6/k4", "s3/N9/m12/thm7/k4"]),
+    (7, 2, ["s4/N16/m15/thm6-dealias/k5"]),
+    (8, 1, ["s5/N25/m36/thm6/k6", "s5/N25/m30/thm7/k6"])])
+def test_appendix_with_swapped_symbols_fails(monkeypatch, which, col, failing):
+    # swapping two different symbols of one column keeps it balanced but
+    # moves its aliasing away from the catalog rows the file reproduces;
+    # column 0 of table 6 is not in its quadratic-only sub-selection
+    import ssd.constructions as constructions
+    from ssd.design_core import Design
+    D = load_appendix(which)
+    M = D.matrix.copy()
+    r = int(np.flatnonzero(M[:, col] != M[0, col])[0])
+    M[[0, r], col] = M[[r, 0], col]
+    monkeypatch.setattr(constructions, "load_appendix",
+                        lambda w: Design(M, D.levels))
+    row = verify_appendix(which)
+    assert not row.ok
+    assert row.row_id == f"bundled/appendix_table{which}.ssd"
+    assert "histogram mismatch" in row.message
+    named = {r.row_id for r in CATALOG_SPECS if f"{r.row_id}: " in row.message}
+    assert named == set(failing)
+
+
 def test_appendix_file_shapes():
     assert (load_appendix(6).N, load_appendix(6).m) == (9, 16)
     assert (load_appendix(7).N, load_appendix(7).m) == (16, 15)
@@ -217,7 +243,6 @@ def test_appendix_file_shapes():
 def test_companion_arrays_have_constant_coincidences(gf3, gf4):
     # every saturated companion array shares the constant coincidence count
     # (N - s)/(s(s - 1)) of the linear family
-    import numpy as np
     from ssd.design_core import coincidences, realize
     from ssd.poly_labels import qh
     for f, n in ((gf3, 2), (gf3, 3), (gf4, 2)):

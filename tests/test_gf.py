@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssd.gf import (DEFAULT_MODULI, MAX_ORDER, Field, _poly_mod, _poly_mul,
-                    default_field, enumerate_points, field_new)
+                    default_field, enumerate_points)
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -36,9 +36,9 @@ def test_gf4_default_modulus_is_the_unique_irreducible_quadratic():
 
 def test_not_prime_power():
     with pytest.raises(ValueError, match="not a prime power"):
-        field_new(6)
+        Field(6)
     with pytest.raises(ValueError, match="not a prime power"):
-        field_new(12)
+        Field(12)
 
 
 def test_reducible_modulus_rejected():
@@ -221,4 +221,4 @@ def test_order_limit():
     with pytest.raises(ValueError, match="exceeds the supported 4096"):
         Field(4099)
     with pytest.raises(ValueError, match="exceeds the supported 4096"):
-        field_new(2**13)
+        Field(2**13)
