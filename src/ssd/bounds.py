@@ -18,21 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .criteria import CriteriaReport, _e_s2
+from .criteria import CriteriaReport
 
 
-def _check_shape(N: int, levels, name: str = "s") -> None:
+def _check_shape(N: int, m: int, levels, name: str = "s") -> None:
     """Reject the shapes the bounds are undefined on, naming the bad argument."""
     if N < 2:
         raise ValueError(f"run count N must be at least 2, got {N}")
     for s in levels:
         if s < 2:
             raise ValueError(f"level count {name} must be at least 2, got {s}")
+    if m < 1:
+        raise ValueError(f"column count m must be at least 1, got {m}")
 
 
 def lb_lemma2(N: int, m: int, s: int) -> Fraction:
     """Baseline equal-level bound m(s-1)(ms-m-N+1)/(2(N-1)); may be negative."""
-    _check_shape(N, (s,))
+    _check_shape(N, m, (s,))
     if N % s:
         raise ValueError("run count must be divisible by the level count")
     return Fraction(m * (s - 1) * (m * s - m - N + 1), 2 * (N - 1))
@@ -40,7 +42,7 @@ def lb_lemma2(N: int, m: int, s: int) -> Fraction:
 
 def eta_fraction(N: int, m: int, s: int) -> Fraction:
     """Fractional part of the mean coincidence count m(N-s)/((N-1)s)."""
-    _check_shape(N, (s,))
+    _check_shape(N, m, (s,))
     k1 = Fraction(m * (N - s), (N - 1) * s)
     return k1 - (k1.numerator // k1.denominator)
 
@@ -54,7 +56,7 @@ def lb_theorem1(N: int, m: int, s: int) -> Fraction:
 def lb_theorem10(N: int, levels) -> Fraction:
     """Mixed-level bound (T - m)(T - m - N + 1)/(2(N-1)) with T = sum levels."""
     levels = [int(s) for s in levels]
-    _check_shape(N, levels, "in levels")
+    _check_shape(N, len(levels), levels, "in levels")
     for s in levels:
         if N % s:
             raise ValueError("run count must be divisible by every level count")
@@ -68,7 +70,7 @@ def lb_es2(N: int, m: int) -> Fraction:
     The bound is informative only for supersaturated designs (m > N - 1);
     below saturation the formula is nonpositive and 0 is returned.
     """
-    _check_shape(N, ())
+    _check_shape(N, m, ())
     if m < 2:
         raise ValueError("need at least two columns")
     raw = Fraction(N * N * (m - N + 1), (m - 1) * (N - 1))
@@ -116,7 +118,7 @@ def certify(stats: CriteriaReport) -> BoundReport:
         supersaturated = sum(levels) - m > N - 1
     two_level = all(s == 2 for s in levels)
     es2_bound = lb_es2(N, m) if two_level else None
-    achieved_es2 = (_e_s2(N, m, a2) == es2_bound) if two_level else None
+    achieved_es2 = (stats.E_s2 == es2_bound) if two_level else None
     return BoundReport(
         a2=a2,
         theorem1_raw=t1_raw, theorem1=t1, lemma2=l2,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from .design_core import (branch_fraction, column_levels, read_design,
                           write_design)
 from .gf import Field, default_field
 from .poly_labels import h_set, label_str, parse_label, q1
-from .report import fmt_frac
 
 
 def _field(s: int, modulus_spec: str | None) -> Field:
@@ -31,7 +29,11 @@ def _field(s: int, modulus_spec: str | None) -> Field:
 
 
 def _int_list(spec: str) -> list[int]:
-    return [int(v) for v in spec.split(",")]
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"expected comma-separated integers, got {spec!r}") from None
 
 
 # flags each theorem reads besides --s, --modulus, --show-labels and --out:
@@ -50,7 +52,7 @@ _THEOREM_FLAGS = {
 def _unread_flags(args, flags, read) -> str:
     """The given flags of `flags` outside `read`, as '--a, --b' ('' if none)."""
     return ", ".join(f"--{f}" for f in flags
-                     if f not in read and getattr(args, f) not in (None, False))
+                     if f not in read and getattr(args, f) is not None)
 
 
 def _cmd_construct(args) -> int:
@@ -66,9 +68,10 @@ def _cmd_construct(args) -> int:
         return 2
     f = _field(args.s, args.modulus)
     n = 3 if args.theorem == "example3" else 2 if args.n is None else args.n
-    hs = [parse_label(f, t, n) for t in args.hs.split(",")] if args.hs else None
-    g = _int_list(args.levels) if args.levels else None
-    branch = parse_label(f, args.branch, n) if args.branch else None
+    hs = (None if args.hs is None
+          else [parse_label(f, t, n) for t in args.hs.split(",")])
+    g = None if args.levels is None else _int_list(args.levels)
+    branch = None if args.branch is None else parse_label(f, args.branch, n)
     if args.theorem == "4":
         design = constructions.construct_thm4(f, n)
     elif args.theorem in ("5", "6", "7"):
@@ -104,24 +107,26 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.levels:
+    """Print every applicable bound; all are worked out before any is printed."""
+    N, m, s = args.N, args.m, args.s
+    if args.levels is not None:
         unread = _unread_flags(args, ("m", "s"), ())
         if unread:
             print(f"--levels does not read {unread}", file=sys.stderr)
             return 2
-        levels = _int_list(args.levels)
-        print(f"theorem10 = {fmt_frac(lb_theorem10(args.N, levels))}")
-        return 0
-    if args.s is None or args.m is None:
+        lines = [f"theorem10 = {lb_theorem10(N, _int_list(args.levels))}"]
+    elif s is None or m is None:
         print("either --levels or both --m and --s are required",
               file=sys.stderr)
         return 2
-    t1 = lb_theorem1(args.N, args.m, args.s)
-    print(f"theorem1 = {fmt_frac(max(t1, Fraction(0)))} (raw {fmt_frac(t1)})")
-    print(f"lemma2 = {fmt_frac(lb_lemma2(args.N, args.m, args.s))}")
-    print(f"theorem10 = {fmt_frac(lb_theorem10(args.N, [args.s] * args.m))}")
-    if args.s == 2:
-        print(f"eq1_es2 = {fmt_frac(lb_es2(args.N, args.m))}")
+    else:
+        t1 = lb_theorem1(N, m, s)
+        lines = [f"theorem1 = {max(t1, Fraction(0))} (raw {t1})",
+                 f"lemma2 = {lb_lemma2(N, m, s)}",
+                 f"theorem10 = {lb_theorem10(N, [s] * m)}"]
+        if s == 2:
+            lines.append(f"eq1_es2 = {lb_es2(N, m)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -150,9 +155,7 @@ def _cmd_replace(args) -> int:
             t //= args.oa_levels
             r += 1
         if t != 1:
-            print(f"{s_old} is not a power of {args.oa_levels}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"{s_old} is not a power of {args.oa_levels}")
         table = realize(f_new, r, h_set(f_new, r)).matrix
     else:
         print("one of --table or --oa-levels is required", file=sys.stderr)
@@ -164,20 +167,12 @@ def _cmd_replace(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    budget = args.budget
-    if budget is None:
-        spec = os.environ.get("SSD_BUDGET", str(oracle.DEFAULT_BUDGET))
-        try:
-            budget = int(spec)
-        except ValueError:
-            raise ValueError(
-                f"SSD_BUDGET must be an integer, got {spec!r}") from None
-    res = oracle.exhaustive_min_a2(args.N, args.s, args.m, budget,
+    res = oracle.exhaustive_min_a2(args.N, args.s, args.m, args.budget,
                                    stop_at_bound=not args.full)
     if res.best_a2 is None:
-        raise ValueError(
-            f"no complete design within the budget of {budget} evaluations")
-    print(f"best A2 = {fmt_frac(res.best_a2)}")
+        raise ValueError("no complete design within the budget of "
+                         f"{args.budget} evaluations")
+    print(f"best A2 = {res.best_a2}")
     print(f"exhaustive = {res.exhaustive}, certified = {res.certified}, "
           f"evaluations = {res.evaluations}")
     return 0
@@ -243,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--branch", help="branching column label")
     c.add_argument("--levels", help="kept level classes, e.g. 0,1")
     c.add_argument("--modulus", help="field modulus c0,c1,... (constant first)")
-    c.add_argument("--dealias", action="store_true",
+    # unset is None, as for every other flag that _unread_flags tests
+    c.add_argument("--dealias", action="store_true", default=None,
                    help="drop one column of each fully aliased pair")
     c.add_argument("--show-labels", action="store_true")
     c.add_argument("--out", required=True)
@@ -287,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     om.add_argument("--N", type=int, required=True)
     om.add_argument("--s", type=int, required=True)
     om.add_argument("--m", type=int, required=True)
-    om.add_argument("--budget", type=int, default=None,
-                    help="candidate evaluations (default SSD_BUDGET env)")
+    om.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+                    help="candidate evaluations (default %(default)s)")
     om.add_argument("--full", action="store_true",
                     help="do not stop early at the lower bound")
     om.set_defaults(func=_cmd_oracle)

@@ -139,11 +139,14 @@ class Design:
         return self.matrix.shape[1]
 
     def __repr__(self):
-        if len(set(self.levels)) == 1:
-            lv = f"{self.levels[0]}^{self.m}"
-        else:
-            lv = " ".join(map(str, self.levels))
-        return f"Design({self.N} runs, {lv})"
+        return f"Design({self.N} runs, {level_profile(self.levels)})"
+
+
+def level_profile(levels) -> str:
+    """Level counts as printed: "s^m" when all are equal, else in column order."""
+    if len(set(levels)) == 1:
+        return f"{levels[0]}^{len(levels)}"
+    return " ".join(map(str, levels))
 
 
 def _check_design_size(N: int, m: int) -> None:
@@ -306,27 +309,15 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     if table.shape[0] != s_old:
         raise ValueError(
             f"replacement table needs {s_old} rows, got {table.shape[0]}")
-    new_levels = []
-    for j in range(table.shape[1]):
-        col = table[:, j]
-        lv = int(col.max()) + 1
-        if col.min() < 0:
-            raise ValueError("replacement symbols must be nonnegative")
-        if s_old % lv:
-            raise ValueError(f"{lv} levels cannot balance over {s_old} rows")
-        counts = np.bincount(col, minlength=lv)
-        if not (counts == s_old // lv).all():
-            raise ValueError(f"replacement table column {j} is unbalanced")
-        new_levels.append(lv)
-    block = table[D.matrix[:, col_index], :]
+    try:
+        new = Design(table, table.max(axis=0) + 1)
+    except ValueError as exc:
+        raise ValueError(f"replacement table: {exc}") from None
+    block = new.matrix[D.matrix[:, col_index], :]
     matrix = np.concatenate(
         [D.matrix[:, :col_index], block, D.matrix[:, col_index + 1:]], axis=1)
-    levels = D.levels[:col_index] + tuple(new_levels) + D.levels[col_index + 1:]
-    labels = None
-    if D.labels is not None:
-        mid = tuple(f"replaced({col_index}:{j})" for j in range(table.shape[1]))
-        labels = D.labels[:col_index] + mid + D.labels[col_index + 1:]
-    return Design(_frozen(matrix), levels, labels=labels)
+    levels = D.levels[:col_index] + new.levels + D.levels[col_index + 1:]
+    return Design(_frozen(matrix), levels)
 
 
 # -- structural checks ------------------------------------------------------------

@@ -335,7 +335,7 @@ def parse_label(field: Field, text: str, n: int | None = None) -> Label:
         else:
             linear_terms.append(term)
     merged = parse_linear("+".join(linear_terms)) if linear_terms else LinearForm((0,) * n)
-    if quad_base is None:
+    if quad_base is None or quad_base.is_zero:  # a squared zero form vanishes
         if merged.is_zero:
             raise ValueError(f"zero label {text!r}")
         return merged

@@ -1,7 +1,9 @@
-"""Machine-readable evaluation reports.
+"""Evaluation reports: one exact report, encoded as text or as JSON.
 
-Rationals are always emitted as reduced {"num", "den"} integer pairs; the
-JSON text is byte-stable for identical inputs and flags.
+`build_report` returns a design's criteria and bound certificate, every
+number an exact Fraction.  The text encoder prints each with `str`; the JSON
+encoder emits each as a reduced {"num", "den"} integer pair, and its text is
+byte-stable for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import criteria
-from .design_core import Design
+from .design_core import Design, level_profile
+
+Report = tuple[criteria.CriteriaReport, bounds_mod.BoundReport]
+
+
+def build_report(D: Design, gwlp_jmax: int | None = None) -> Report:
+    """Full evaluation of a design: its criteria and their bounds."""
+    rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax)
+    return rep, bounds_mod.certify(rep)
 
 
 def _rat(x: Fraction | None):
@@ -20,10 +30,8 @@ def _rat(x: Fraction | None):
     return {"num": x.numerator, "den": x.denominator}
 
 
-def build_report(D: Design, gwlp_jmax: int | None = None) -> dict:
-    """Full evaluation of a design: criteria, histogram, bounds, flags."""
-    rep = criteria.aggregate_stats(D, gwlp_jmax=gwlp_jmax)
-    cert = bounds_mod.certify(rep)
+def report_to_json(report: Report) -> str:
+    rep, cert = report
     hist = [{"value": _rat(v), "count": c} for v, c in rep.histogram.items()]
     out = {
         "N": rep.N,
@@ -55,48 +63,28 @@ def build_report(D: Design, gwlp_jmax: int | None = None) -> dict:
         },
         "achieves_theorem1": cert.achieved_theorem1,
     }
-    return out
+    return json.dumps(out, indent=2) + "\n"
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
-def fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def report_to_text(report: dict) -> str:
+def report_to_text(report: Report) -> str:
     """Human-readable summary mirroring the catalog tables (value: count)."""
-    lines = []
-    levels = report["levels"]
-    if len(set(levels)) == 1:
-        profile = f"{levels[0]}^{report['m']}"
-    else:
-        profile = " ".join(map(str, levels))
-    lines.append(f"design: {report['N']} runs, levels {profile}")
-    a2 = Fraction(report["A2"]["num"], report["A2"]["den"])
-    lines.append(f"overall A2 = {fmt_frac(a2)}")
-    lines.append("projected A2 histogram:")
-    for item in report["projected_A2_histogram"]:
-        v = Fraction(item["value"]["num"], item["value"]["den"])
-        lines.append(f"  {fmt_frac(v)}: {item['count']}")
+    rep, cert = report
+    lines = [f"design: {rep.N} runs, levels {level_profile(rep.levels)}",
+             f"overall A2 = {rep.A2}",
+             "projected A2 histogram:"]
+    lines += [f"  {v}: {c}" for v, c in rep.histogram.items()]
     for key in ("ave_chi2", "max_chi2", "ave_f", "max_f", "E_d2", "max_d2"):
-        v = Fraction(report[key]["num"], report[key]["den"])
-        lines.append(f"{key} = {fmt_frac(v)} ({float(v):.4f})")
+        v = getattr(rep, key)
+        lines.append(f"{key} = {v} ({float(v):.4f})")
     lines.append("gwlp prefix: "
-                 + ", ".join(f"A{i + 1} = {a:.6g}"
-                             for i, a in enumerate(report["gwlp"])))
-    if report["E_s2"] is not None:
-        es2 = Fraction(report["E_s2"]["num"], report["E_s2"]["den"])
-        lines.append(f"E(s^2) = {fmt_frac(es2)}")
-    b = report["bounds"]
-    if b["theorem1"] is not None:
-        t1 = Fraction(b["theorem1"]["num"], b["theorem1"]["den"])
-        lines.append(f"bound (equal levels) = {fmt_frac(t1)}, "
-                     f"achieved = {b['achieved_theorem1']}")
-    t10 = Fraction(b["theorem10"]["num"], b["theorem10"]["den"])
-    lines.append(f"bound (level profile) = {fmt_frac(t10)}, "
-                 f"achieved = {b['achieved_theorem10']}")
-    lines.append(f"coincidence spread = {b['coincidence_spread']}")
+                 + ", ".join(f"A{i + 1} = {float(a):.6g}"
+                             for i, a in enumerate(rep.gwlp)))
+    if rep.E_s2 is not None:
+        lines.append(f"E(s^2) = {rep.E_s2}")
+    if cert.theorem1 is not None:
+        lines.append(f"bound (equal levels) = {cert.theorem1}, "
+                     f"achieved = {cert.achieved_theorem1}")
+    lines.append(f"bound (level profile) = {cert.theorem10}, "
+                 f"achieved = {cert.achieved_theorem10}")
+    lines.append(f"coincidence spread = {cert.coincidence_spread}")
     return "\n".join(lines) + "\n"

@@ -125,7 +125,12 @@ def test_certify_requires_balance():
     (lambda: lb_theorem1(0, 2, 2), "run count N must be at least 2, got 0"),
     (lambda: lb_theorem10(4, [2, -2]),
      "level count in levels must be at least 2, got -2"),
-    (lambda: lb_es2(1, 3), "run count N must be at least 2, got 1")])
+    (lambda: lb_es2(1, 3), "run count N must be at least 2, got 1"),
+    (lambda: lb_lemma2(9, 0, 3), "column count m must be at least 1, got 0"),
+    (lambda: eta_fraction(9, -4, 3), "column count m must be at least 1, got -4"),
+    (lambda: lb_theorem1(9, -4, 3), "column count m must be at least 1, got -4"),
+    (lambda: lb_theorem10(9, []), "column count m must be at least 1, got 0"),
+    (lambda: lb_es2(4, 0), "column count m must be at least 1, got 0")])
 def test_bounds_reject_degenerate_shapes(call, match):
     with pytest.raises(ValueError, match=match):
         call()

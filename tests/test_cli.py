@@ -80,11 +80,28 @@ def test_thm7_takes_hs(tmp_path, capsys):
     (["construct", "--theorem", "7", "--s", "3", "--n", "3", "--k", "2",
       "--hs", "X1,X2,X3"], "expected 2 forms, got 3"),
     (["construct", "--theorem", "6", "--s", "3", "--n", "2", "--k", "2",
-      "--hs", "X1^2+X2,X2"], "the chosen forms must be linear, got 'X1^2+X2'")],
+      "--hs", "X1^2+X2,X2"], "the chosen forms must be linear, got 'X1^2+X2'"),
+    # an empty flag value reaches the flag's parser
+    (["construct", "--theorem", "example3", "--s", "3", "--branch="],
+     "empty label"),
+    (["construct", "--theorem", "8", "--s", "3", "--k", "2", "--branch="],
+     "empty label"),
+    (["construct", "--theorem", "5", "--s", "3", "--hs="], "empty label"),
+    (["construct", "--theorem", "6", "--s", "3", "--k", "2", "--hs="],
+     "empty label"),
+    (["construct", "--theorem", "8", "--s", "3", "--k", "2", "--levels="],
+     "expected comma-separated integers, got ''"),
+    (["construct", "--theorem", "9", "--s", "3", "--k", "2", "--levels=0,x"],
+     "expected comma-separated integers, got '0,x'"),
+    (["branch", "--s", "3", "--n", "2", "--branch", "X1", "--levels="],
+     "expected comma-separated integers, got ''")],
     ids=["thm9-n0", "branch-q1-n0", "thm8-repeated-levels",
          "thm9-repeated-levels", "branch-repeated-levels",
          "branch-repeated-levels-three", "thm8-n1",
-         "branch-n1", "thm7-form-count", "thm6-quadratic-hs"])
+         "branch-n1", "thm7-form-count", "thm6-quadratic-hs",
+         "example3-empty-branch", "thm8-empty-branch", "thm5-empty-hs",
+         "thm6-empty-hs", "thm8-empty-levels", "thm9-levels-not-integers",
+         "branch-empty-levels"])
 def test_degenerate_constructions_are_errors(tmp_path, capsys, argv, err):
     d = tmp_path / "d.ssd"
     assert run([*argv, "--out", str(d)]) == 1
@@ -118,9 +135,14 @@ def test_bound_usage_error(capsys):
     (["construct", "--theorem", "example3", "--s", "3", "--branch", "X1",
       "--n", "5", "--k", "4"], "--theorem example3 does not read --n, --k"),
     (["bound", "--N", "9", "--levels", "3,3", "--m", "5", "--s", "3"],
-     "--levels does not read --m, --s")],
+     "--levels does not read --m, --s"),
+    (["construct", "--theorem", "4", "--s", "3", "--k", "0"],
+     "--theorem 4 does not read --k"),
+    (["bound", "--N", "9", "--levels", "3,3", "--m", "0"],
+     "--levels does not read --m")],
     ids=["thm9-branch", "thm4-companion-flags", "thm8-hs", "thm5-k",
-         "example3-n-k", "bound-levels-m-s"])
+         "example3-n-k", "bound-levels-m-s", "thm4-k-zero",
+         "bound-levels-m-zero"])
 def test_unread_flags_are_usage_errors(tmp_path, capsys, argv, err):
     d = tmp_path / "d.ssd"
     out = ["--out", str(d)] if argv[0] == "construct" else []
@@ -128,6 +150,15 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.err == f"{err}\n" and captured.out == ""
     assert not d.exists()
+
+
+def test_construct_squared_zero_form_is_its_linear_part(tmp_path, capsys):
+    d = tmp_path / "d.ssd"
+    assert run(["construct", "--theorem", "6", "--s", "3", "--k", "2",
+                "--hs", "(X1+2*X1)^2+X2,X1", "--show-labels",
+                "--out", str(d)]) == 0
+    labels = capsys.readouterr().out.splitlines()
+    assert labels[0] == "X2" and labels[4] == "X1"
 
 
 def test_branch_command(tmp_path):
@@ -147,6 +178,18 @@ def test_replace_command(tmp_path):
                 "--out", str(out)]) == 0
     D = read_design(out)
     assert D.levels[:4] == (3, 3, 3, 3) and D.m == 23
+
+
+def test_replace_oa_levels_not_a_root_is_an_error_line(tmp_path, capsys):
+    d = tmp_path / "d.ssd"
+    out = tmp_path / "out.ssd"
+    assert run(["construct", "--theorem", "4", "--s", "9", "--n", "2",
+                "--out", str(d)]) == 0
+    capsys.readouterr()
+    assert run(["replace", str(d), "--col", "0", "--oa-levels", "2",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: 9 is not a power of 2\n"
+    assert not out.exists()
 
 
 def test_oracle_command(capsys):
@@ -449,12 +492,10 @@ def test_oracle_budget_spent_before_any_design(capsys, argv, budget):
         f"error: no complete design within the budget of {budget} evaluations\n")
 
 
-def test_oracle_budget_variable_must_be_an_integer(capsys, monkeypatch):
+def test_oracle_budget_is_read_from_the_flag_only(capsys, monkeypatch):
     monkeypatch.setenv("SSD_BUDGET", "abc")
-    assert run(["oracle", "min-a2", "--N", "6", "--s", "3", "--m", "3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: SSD_BUDGET must be an integer, got 'abc'\n"
+    assert run(["oracle", "min-a2", "--N", "6", "--s", "3", "--m", "3"]) == 0
+    assert capsys.readouterr().out.startswith("best A2 = ")
 
 
 def test_oracle_searches_deeper_than_the_recursion_limit(capsys):
@@ -478,10 +519,18 @@ def test_oracle_rejects_negative_level_count(capsys):
     (["--N", "4", "--m", "2", "--s", "0"], "level count s must be at least 2, got 0"),
     (["--N", "1", "--m", "2", "--s", "2"], "run count N must be at least 2, got 1"),
     (["--N", "4", "--levels", "2,1"],
-     "level count in levels must be at least 2, got 1")])
+     "level count in levels must be at least 2, got 1"),
+    (["--N", "9", "--levels="], "expected comma-separated integers, got ''"),
+    (["--N", "9", "--m", "-4", "--s", "3"],
+     "column count m must be at least 1, got -4"),
+    (["--N", "9", "--m", "0", "--s", "3"],
+     "column count m must be at least 1, got 0"),
+    # the bounds before E(s^2) are not printed either
+    (["--N", "4", "--m", "1", "--s", "2"], "need at least two columns")])
 def test_bound_rejects_degenerate_shapes(capsys, argv, err):
     assert run(["bound", *argv]) == 1
-    assert capsys.readouterr().err == f"error: {err}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n" and captured.out == ""
 
 
 def test_evaluate_has_no_allow_unbalanced_flag(tmp_path, capsys):

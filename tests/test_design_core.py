@@ -162,6 +162,18 @@ def test_replace_column_shapes_and_errors(gf3):
             replace_column(D, bad, np.arange(3)[:, None])
     out = replace_column(D, 1, oa)
     assert out.m == 5 and out.levels == (3, 3, 3, 3, 3)
+    assert out.labels is None
+
+
+@pytest.mark.parametrize("table,err", [
+    ([[0], [2], [2]], "column 0 is unbalanced"),
+    ([[0, 0], [0, 1], [0, 0]], "column 0 must have at least 2 levels"),
+    ([[0, 0], [1, 1], [1, 0]], "run count 3 not divisible by 2 levels of column 0"),
+    ([[0, -1], [1, 1], [2, 2]], "column 1 has symbols outside 0..2")])
+def test_replace_column_checks_the_table_as_a_design(gf3, table, err):
+    D = realize(gf3, 2, h_set(gf3, 2))
+    with pytest.raises(ValueError, match=f"^replacement table: {err}$"):
+        replace_column(D, 0, np.array(table))
 
 
 def test_replace_preserves_a2_four_to_two(gf4, gf2):

@@ -1,14 +1,16 @@
-"""`ssd evaluate --json` pinned against committed reports.
+"""`ssd evaluate` and `ssd evaluate --json` pinned against committed reports.
 
 Each `tests/data/golden/<name>.ssd` has the report `<name>.json` that
-`ssd evaluate <name>.ssd --json <name>.json` wrote for it.  The inputs are
+`ssd evaluate <name>.ssd --json <name>.json` wrote for it, and the text
+report `<name>.txt` that `ssd evaluate <name>.ssd` printed.  The inputs are
 the three bundled tables, a mixed 9/3-level design (thm6 over GF(9), n = 2,
 k = 2, with both `h` columns replaced by OA(9, 4, 3, 2)), a two-level
 design (thm4 over GF(2), n = 4), so E(s^2) and its bound are covered, and
 thm6 over GF(7), n = 2, k = 8 (49 x 64), whose pair sums take the
 cell-count route of the pair kernel.
 
-Every key must match exactly except `gwlp`: it is now exact, but the
+The text report must match byte for byte.  Every JSON key must match
+exactly except `gwlp`: it is now exact, but the
 committed values were written by a floating character route whose last
 bits depended on the BLAS in use, so it is compared to 1e-9 * max(1, A2).
 """
@@ -39,3 +41,9 @@ def test_evaluate_report_matches_golden(tmp_path, name):
     assert len(got["gwlp"]) == len(want["gwlp"])
     for g, w in zip(got["gwlp"], want["gwlp"]):
         assert abs(g - w) <= tol
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.ssd")))
+def test_evaluate_text_matches_golden(capsys, name):
+    assert run(["evaluate", str(GOLDEN / f"{name}.ssd")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()

@@ -211,6 +211,13 @@ def test_parse_rejects_garbage(gf3):
             parse_label(gf3, bad, 2)
 
 
+def test_parse_squared_zero_form_vanishes(gf3):
+    # X1 + 2*X1 is the zero form over GF(3), so its square drops out
+    assert parse_label(gf3, "(X1+2*X1)^2+X2", 2) == unit_form(2, 1)
+    with pytest.raises(ValueError, match="^zero label"):
+        parse_label(gf3, "(X1+2*X1)^2", 2)
+
+
 def test_dependent_forms_fully_aliased(gf5):
     f1 = LinearForm((1, 2))
     f2 = LinearForm((2, 4))
