@@ -114,20 +114,25 @@ def _cmd_bound(args) -> int:
         if unread:
             print(f"--levels does not read {unread}", file=sys.stderr)
             return 2
-        lines = [f"theorem10 = {lb_theorem10(N, _int_list(args.levels))}"]
+        levels = _int_list(args.levels)
+        lines = [_clamped("theorem10", lb_theorem10(N, levels))]
     elif s is None or m is None:
         print("either --levels or both --m and --s are required",
               file=sys.stderr)
         return 2
     else:
-        t1 = lb_theorem1(N, m, s)
-        lines = [f"theorem1 = {max(t1, Fraction(0))} (raw {t1})",
-                 f"lemma2 = {lb_lemma2(N, m, s)}",
-                 f"theorem10 = {lb_theorem10(N, [s] * m)}"]
+        lines = [_clamped("theorem1", lb_theorem1(N, m, s)),
+                 _clamped("lemma2", lb_lemma2(N, m, s)),
+                 _clamped("theorem10", lb_theorem10(N, [s] * m))]
         if s == 2:
             lines.append(f"eq1_es2 = {lb_es2(N, m)}")
     print("\n".join(lines))
     return 0
+
+
+def _clamped(name: str, bound: Fraction) -> str:
+    """A lower bound on the nonnegative A2, clamped at 0, with its raw value."""
+    return f"{name} = {max(bound, Fraction(0))} (raw {bound})"
 
 
 def _cmd_branch(args) -> int:

@@ -56,8 +56,8 @@ COINCIDENCE_BLOCK_CELLS = 1 << 21
 # counted with bincount; beyond it the blocks are reduced by np.unique.
 JOINT_BINS_MAX = 1 << 22
 # Symbols per block where the design matrix is walked a block at a time:
-# rows for the text writer, whole columns for the balance and relabelling
-# checks.  Bounds their temporaries.
+# whole rows for the text writer and the balance check, whole columns for
+# the relabelling check.  Bounds their temporaries.
 MATRIX_BLOCK_CELLS = 1 << 16
 
 ORTHOGONAL = "orthogonal"
@@ -77,22 +77,25 @@ class PairClass:
 class Design:
     """N x m symbol matrix; column i takes values 0..levels[i]-1.
 
-    The matrix is a read-only copy of the input, so writing to the input or
-    to a view of it cannot change the design; only an int64 C-contiguous
-    array that owns its data and is already read-only (such as another
-    design's matrix) is taken without a copy, which is how the constructors
-    below hand over the fresh arrays they build.  is_balanced is settled by the
-    constructor; nothing else is kept.
+    The matrix is stored in the narrowest unsigned dtype that holds a symbol,
+    symbol_dtype(levels): uint8 up to 256 levels, uint16 up to MAX_RUNS.
+    Code that builds a number from symbols, such as x_i s_j + x_j, widens
+    them first.  The matrix is a read-only copy of the input, so writing to
+    the input or to a view of it cannot change the design; only a
+    C-contiguous array of that dtype that owns its data and is already
+    read-only (such as another design's matrix) is taken without a copy,
+    which is how the constructors below hand over the fresh arrays they
+    build.  The symbol range is checked on the input, before it is
+    narrowed.  is_balanced is settled by the constructor; nothing else is
+    kept.
     """
 
     __slots__ = ("matrix", "levels", "labels", "is_balanced")
 
     def __init__(self, matrix, levels, labels=None, require_balanced=True):
-        m = matrix
-        if not (isinstance(m, np.ndarray) and m.dtype == np.int64
-                and m.flags.c_contiguous and m.flags.owndata
-                and not m.flags.writeable):
-            m = np.array(matrix, dtype=np.int64, order="C")
+        m = np.asarray(matrix)
+        if m.dtype.kind not in "iu":
+            m = np.asarray(matrix, dtype=np.int64)
         if m.ndim != 2:
             raise ValueError("design matrix must be two-dimensional")
         N, cols = m.shape
@@ -113,10 +116,15 @@ class Design:
             i = bad[0]
             raise ValueError(f"run count {N} not divisible by {levels[i]} "
                              f"levels of column {i}")
+        # on the input's own dtype: narrowing first would wrap 300 to 44
         bad = np.flatnonzero((m.min(axis=0) < 0) | (m.max(axis=0) >= lev))
         if bad.size:
             i = bad[0]
             raise ValueError(f"column {i} has symbols outside 0..{levels[i] - 1}")
+        dtype = symbol_dtype(levels)
+        if not (m is matrix and m.dtype == dtype and m.flags.c_contiguous
+                and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=dtype, order="C")
         unbalanced = _first_unbalanced(m, lev)
         if require_balanced and unbalanced is not None:
             raise ValueError(f"column {unbalanced} is unbalanced")
@@ -156,31 +164,32 @@ def _check_design_size(N: int, m: int) -> None:
                          f"{MAX_RUNS}x{MAX_COLUMNS}")
 
 
+def symbol_dtype(levels) -> np.dtype:
+    """The narrowest unsigned dtype that holds every symbol of the levels."""
+    return np.min_scalar_type(max(levels, default=1) - 1)
+
+
 def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
     """First column whose symbols are not equally frequent, or None.
 
-    Symbols must already lie in range.  One bincount per tile of whole
-    columns, each column shifted into its own bins in one code buffer of
-    at most N x _column_tile(N) entries.
+    Symbols must already lie in range.  Each column's symbols are shifted
+    into its own bins, and each block of about MATRIX_BLOCK_CELLS contiguous
+    symbols (whole rows) is counted with one bincount into one code buffer.
     """
-    N = matrix.shape[0]
-    tile = _column_tile(N)
-    codes = np.empty(N * min(tile, len(lev)), dtype=np.int64)
-    for c0 in range(0, len(lev), tile):
-        tl = lev[c0:c0 + tile]
-        starts = np.cumsum(tl) - tl
-        block = codes[:N * len(tl)].reshape(N, len(tl))
-        np.add(matrix[:, c0:c0 + tile], starts, out=block)
-        counts = np.bincount(codes[:block.size], minlength=int(tl.sum()))
-        off = np.logical_or.reduceat(counts != np.repeat(N // tl, tl), starts)
-        if off.any():
-            return c0 + int(np.argmax(off))
-    return None
-
-
-def _column_tile(N: int) -> int:
-    """Columns per tile of the balance and relabelling checks."""
-    return max(1, MATRIX_BLOCK_CELLS // N)
+    N, m = matrix.shape
+    if not m:
+        return None
+    starts = np.cumsum(lev) - lev
+    L = int(lev.sum())
+    rows = max(1, MATRIX_BLOCK_CELLS // m)
+    codes = np.empty(min(rows, N) * m, dtype=np.intp)
+    counts = np.zeros(L, dtype=np.intp)
+    for r0 in range(0, N, rows):
+        block = matrix[r0:r0 + rows]
+        np.add(block, starts, out=codes[:block.size].reshape(block.shape))
+        counts += np.bincount(codes[:block.size], minlength=L)
+    off = np.logical_or.reduceat(counts != np.repeat(N // lev, lev), starts)
+    return int(np.argmax(off)) if off.any() else None
 
 
 # -- construction ---------------------------------------------------------------
@@ -314,9 +323,10 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     except ValueError as exc:
         raise ValueError(f"replacement table: {exc}") from None
     block = new.matrix[D.matrix[:, col_index], :]
-    matrix = np.concatenate(
-        [D.matrix[:, :col_index], block, D.matrix[:, col_index + 1:]], axis=1)
     levels = D.levels[:col_index] + new.levels + D.levels[col_index + 1:]
+    matrix = np.concatenate(
+        [D.matrix[:, :col_index], block, D.matrix[:, col_index + 1:]], axis=1,
+        dtype=symbol_dtype(levels))
     return Design(_frozen(matrix), levels)
 
 
@@ -488,10 +498,11 @@ def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     The pairs i <= j are taken in row-major order, in chunks of at least
     one pair whose N codes per pair and s_i s_j bins per pair both stay
     within PAIR_CELL_BUDGET.  The columns are read as the rows of the
-    transposed m x N matrix.  Counts are int64 throughout.
+    transposed m x N matrix, widened to int64 once, so the codes and the
+    counts are int64 throughout.
     """
     m, N = D.m, D.N
-    X = np.ascontiguousarray(D.matrix.T)
+    X = np.ascontiguousarray(D.matrix.T, dtype=np.int64)
     lev = np.asarray(D.levels, dtype=np.int64)
     first = np.arange(m)
     first = first * m - first * (first - 1) // 2       # index of pair (i, i)
@@ -609,7 +620,7 @@ def _mirror_upper(M: np.ndarray) -> np.ndarray:
 def cell_table(D: Design, i: int, j: int) -> np.ndarray:
     """s_i x s_j table counting how often each symbol pair appears."""
     si, sj = D.levels[i], D.levels[j]
-    code = D.matrix[:, i] * sj + D.matrix[:, j]
+    code = D.matrix[:, i].astype(np.int64) * sj + D.matrix[:, j]
     return np.bincount(code, minlength=si * sj).reshape(si, sj)
 
 
@@ -621,7 +632,8 @@ def pair_a2_from_sumsq(sumsq: int, N: int, si: int, sj: int) -> Fraction:
 def classify_columns(x: np.ndarray, y: np.ndarray, si: int, sj: int) -> PairClass:
     """Classify two columns by the cell-count pattern of their pair table."""
     N = len(x)
-    tab = np.bincount(np.asarray(x) * sj + np.asarray(y), minlength=si * sj)
+    tab = np.bincount(np.asarray(x, dtype=np.int64) * sj + np.asarray(y),
+                      minlength=si * sj)
     a2 = pair_a2_from_sumsq(int((tab.astype(np.int64)**2).sum()), N, si, sj)
     if a2 == 0:
         return PairClass(ORTHOGONAL, a2)
@@ -671,10 +683,10 @@ def _relabelled_copies(D: Design) -> list[list[int]]:
     columns are relabellings exactly when their renamed columns agree."""
     rows = np.arange(D.N, dtype=np.uint16)      # N <= MAX_RUNS < 2^16
     classes = {}
-    tile = _column_tile(D.N)
+    tile = max(1, MATRIX_BLOCK_CELLS // D.N)
     for c0 in range(0, D.m, tile):
         X = D.matrix[:, c0:c0 + tile].T
-        first = np.full((len(X), X.max() + 1), D.N, dtype=np.uint16)
+        first = np.full((len(X), int(X.max()) + 1), D.N, dtype=np.uint16)
         np.minimum.at(first, (np.arange(len(X))[:, None], X), rows)
         for k, col in enumerate(np.take_along_axis(first, X, axis=1), c0):
             classes.setdefault((D.levels[k], col.tobytes()), []).append(k)
@@ -690,9 +702,11 @@ def _text_blocks(D: Design):
     """The text of D as bytes: the header, then one block of rows at a time.
 
     Each symbol has a fixed-width record in a byte table, its digits and a
-    space (a newline in the last column) padded with NUL bytes, so a block
-    of about MATRIX_BLOCK_CELLS symbols becomes text with one take; the padding
-    is stripped unless every symbol has a single digit.
+    space (a newline in the last column) padded with NUL bytes to 2, 4 or 8
+    bytes.  Through an unsigned view of the table, a block of about
+    MATRIX_BLOCK_CELLS symbols becomes text with one take of whole records,
+    indexed from one reused workspace; the padding is stripped unless every
+    symbol has a single digit.
     """
     yield (f"{FORMAT_HEADER}\n{D.N} {D.m}\n"
            f"{' '.join(map(str, D.levels))}\n").encode("ascii")
@@ -700,18 +714,20 @@ def _text_blocks(D: Design):
         yield b"\n" * D.N
         return
     s = max(D.levels)
-    width = len(str(s - 1)) + 1
+    # the smallest power of two above the digits of the widest symbol
+    width = 1 << len(str(s - 1)).bit_length()
     records = [f"{v} " for v in range(s)] + [f"{v}\n" for v in range(s)]
-    table = np.array(records, dtype=f"S{width}").view(np.uint8)
-    table = table.reshape(2 * s, width)
-    last = np.zeros(D.m, dtype=np.int64)
+    table = np.array(records, dtype=f"S{width}").view(f"u{width}")
+    last = np.zeros(D.m, dtype=np.intp)
     last[-1] = s
     rows = max(1, MATRIX_BLOCK_CELLS // D.m)
+    index = np.empty(min(rows, D.N) * D.m, dtype=np.intp)
     for r0 in range(0, D.N, rows):
-        text = table.take(D.matrix[r0:r0 + rows] + last, axis=0).ravel()
-        if width > 2:
-            text = text[text != 0]
-        yield text.tobytes()
+        block = D.matrix[r0:r0 + rows]
+        codes = index[:block.size]
+        np.add(block, last, out=codes.reshape(block.shape))
+        text = table.take(codes).tobytes()
+        yield text if width == 2 else text.translate(None, b"\0")
 
 
 def design_to_text(D: Design) -> str:
@@ -724,7 +740,10 @@ def design_from_text(text: str, allow_unbalanced=False) -> Design:
 
 def _design_from_stream(fh, allow_unbalanced: bool) -> Design:
     """Read the three header lines with readline, then parse the body lines
-    with one np.loadtxt; the text is never held as one string.
+    with one np.loadtxt; the text is never held as one string.  The body is
+    read as int32, wide enough that a symbol out of range, such as -1 or
+    70000, reaches the Design's range check, which sees it before the
+    matrix is narrowed; a token that int32 cannot hold is malformed.
 
     loadtxt gets the body as a list of lines, not the stream: parsing the
     stream line by line left a long-lived process faulting in fresh pages
@@ -740,7 +759,7 @@ def _design_from_stream(fh, allow_unbalanced: bool) -> Design:
         # empty body only warns too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            matrix = np.loadtxt(fh.readlines(), dtype=np.int64, ndmin=2,
+            matrix = np.loadtxt(fh.readlines(), dtype=np.int32, ndmin=2,
                                 comments=None)
     except (ValueError, Warning) as exc:
         raise ValueError(f"malformed design file: {exc}") from exc
@@ -748,7 +767,7 @@ def _design_from_stream(fh, allow_unbalanced: bool) -> Design:
         raise ValueError(f"expected {m} level entries, found {len(levels)}")
     if matrix.shape != (N, m):
         raise ValueError(f"expected {N} rows of {m} symbols")
-    return Design(_frozen(matrix), levels, require_balanced=not allow_unbalanced)
+    return Design(matrix, levels, require_balanced=not allow_unbalanced)
 
 
 def _header_line(fh) -> str:

@@ -186,7 +186,8 @@ def eval_label(field: Field, label: Label, point) -> int:
 
 
 def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
-    """Evaluate labels at every point of F_s^n: an int64 matrix, one column each.
+    """Evaluate labels at every point of F_s^n, one column each, in the dtype
+    of the field's tables (the Design's symbol dtype for s levels).
 
     Rows follow enumerate_points order; with rows (indices into that order)
     only those points are kept.  Each distinct linear form, whether a linear
@@ -227,7 +228,7 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
 
     v = np.arange(s)
     sq = mul[v[None, :], add[v[None, :], v[:, None]]]
-    out = np.empty((R, len(spec)), dtype=np.int64)
+    out = np.empty((R, len(spec)), dtype=add.dtype)
     step = max(1, EVAL_BLOCK_CELLS // max(R, 1))
     for j0 in range(0, len(spec), step):
         j = slice(j0, j0 + step)

@@ -122,6 +122,21 @@ def test_bound_usage_error(capsys):
     assert run(["bound", "--N", "9"]) == 2
 
 
+@pytest.mark.parametrize("argv,lines", [
+    (["--m", "2", "--s", "3"],
+     ["theorem1 = 0 (raw 0)", "lemma2 = 0 (raw -1)", "theorem10 = 0 (raw -1)"]),
+    (["--levels", "3,3"], ["theorem10 = 0 (raw -1)"]),
+    (["--m", "8", "--s", "3"],
+     ["theorem1 = 8 (raw 8)", "lemma2 = 8 (raw 8)", "theorem10 = 8 (raw 8)"])],
+    ids=["equal-levels", "profile", "positive"])
+def test_bound_prints_every_bound_clamped_with_its_raw_value(capsys, argv,
+                                                             lines):
+    # A2 >= 0, so a negative lower bound is printed as 0, raw value beside it
+    assert run(["bound", "--N", "9", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines and captured.err == ""
+
+
 @pytest.mark.parametrize("argv,err", [
     (["construct", "--theorem", "9", "--s", "3", "--n", "2", "--k", "2",
       "--branch", "X1"], "--theorem 9 does not read --branch"),

@@ -342,6 +342,31 @@ def test_text_writer_matches_per_row_join(tmp_path_factory, D):
     path = tmp_path_factory.mktemp("text") / "d.ssd"
     write_design(D, path)
     assert path.read_bytes() == want.encode("ascii")
+    if not D.m:
+        return      # the reader takes the empty levels line for a blank one
+    back = read_design(path, allow_unbalanced=True)
+    assert back.matrix.shape == D.matrix.shape and back.levels == D.levels
+    assert (back.matrix == D.matrix).all()
+    assert back.matrix.dtype == np.min_scalar_type(max(D.levels) - 1)
+
+
+@pytest.mark.parametrize("token,verdict", [
+    ("-1", "column 0 has symbols outside 0..1"),
+    ("+1", None),
+    ("1.0", "malformed design file: could not convert string '1.0' to int32"),
+    ("70000", "column 0 has symbols outside 0..1"),
+    (str(10**24), "malformed design file: could not convert string "
+                  f"'{10**24}' to int32")])
+def test_reader_verdict_on_a_body_token(token, verdict):
+    """A symbol the int32 body holds reaches the Design's range check;
+    one it cannot hold, or one that is not an integer, is malformed."""
+    text = f"# ssd v1\n2 1\n2\n{token}\n0\n"
+    if verdict is None:
+        assert design_from_text(text).matrix.tolist() == [[1], [0]]
+        return
+    with pytest.raises(ValueError) as exc:
+        design_from_text(text, allow_unbalanced=True)
+    assert str(exc.value).startswith(verdict)
 
 
 def test_text_writer_spans_row_blocks(gf4):
