@@ -8,8 +8,7 @@ pair of columns is fully aliased.
 """
 
 from ssd import (aggregate_stats, certify, classify_pair, construct_thm4,
-                 construct_thm6, default_field, label_str,
-                 projected_a2_histogram, select_columns)
+                 construct_thm6, default_field, label_str, select_columns)
 
 f = default_field(3)
 D = construct_thm4(f, 2)
@@ -30,8 +29,9 @@ print(f"\nlower bound = {cert.theorem1}, achieved = {cert.achieved_theorem1} "
 # pushing further: four companion arrays side by side give 16 columns in
 # 9 runs, and their 12 quadratic columns alone form the best 12-column design
 D16 = construct_thm6(f, 2, 4)
-print(f"\n{D16}: A2 = {aggregate_stats(D16, gwlp_jmax=1).A2}, histogram",
-      {str(v): c for v, c in projected_a2_histogram(D16).items()})
+rep16 = aggregate_stats(D16, gwlp_jmax=1)
+print(f"\n{D16}: A2 = {rep16.A2}, histogram",
+      {str(v): c for v, c in rep16.histogram.items()})
 quad = select_columns(D16, [i for i in range(16) if i % 4 != 0])
 quad_cert = certify(aggregate_stats(quad, gwlp_jmax=1))
 print(f"quadratic 12-column subdesign: A2 = {quad_cert.a2}, bound "

@@ -7,25 +7,25 @@ sum(levels) - m, which replacement preserves).  At desk scale, an
 independent exhaustive search confirms the lower bound is attainable.
 """
 
-from ssd import (certify, construct_thm6, default_field, h_set,
-                 lb_theorem10, realize, replace_column)
-from ssd.criteria import a2_overall, aggregate_stats, projected_a2_histogram
+from ssd import (aggregate_stats, certify, construct_thm6, default_field,
+                 h_set, lb_theorem10, realize, replace_column)
 from ssd.oracle import exhaustive_min_a2, periodicity_spot_check
 
 f9, f3 = default_field(9), default_field(3)
 D = construct_thm6(f9, 2, 10)
-print(f"parent design: {D}, A2 = {a2_overall(D)}, "
+print(f"parent design: {D}, A2 = {aggregate_stats(D).A2}, "
       f"profile bound = {lb_theorem10(81, D.levels)}")
 
 table = realize(f3, 2, h_set(f3, 2)).matrix
 mixed = D
 for k in range(3):
     mixed = replace_column(mixed, 4 * k, table)
-cert = certify(aggregate_stats(mixed))
+rep = aggregate_stats(mixed)
+cert = certify(rep)
 print(f"after replacing 3 columns: {mixed}")
 print(f"  A2 = {cert.a2}, profile bound = {cert.theorem10}, "
       f"achieved = {cert.achieved_theorem10}")
-print(f"  worst projected A2 = {max(projected_a2_histogram(mixed))}")
+print(f"  worst projected A2 = {max(rep.histogram)}")
 
 print("\nbrute force at desk scale:")
 for N, s, m in ((6, 3, 2), (6, 3, 3)):

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from . import constructions, oracle, report
 from .bounds import lb_es2, lb_lemma2, lb_theorem1, lb_theorem10
-from .design_core import (branch_fraction, column_levels, read_design,
-                          realize, remove_fully_aliased, replace_column,
-                          write_design)
+from .design_core import (branch_fraction, check_branch_labels,
+                          column_levels, read_design, realize,
+                          remove_fully_aliased, replace_column, write_design)
 from .gf import Field, default_field
 from .poly_labels import h_set, label_str, parse_label, q1
 
@@ -137,6 +137,8 @@ def _clamped(name: str, bound: Fraction) -> str:
 
 def _cmd_branch(args) -> int:
     f = _field(args.s, args.modulus)
+    # either family has (s^n - 1)/(s - 1) labels: checked before any is built
+    check_branch_labels((f.order ** args.n - 1) // (f.order - 1))
     labels = h_set(f, args.n) if args.family == "h" else q1(f, args.n)
     branch = parse_label(f, args.branch, args.n)
     g = _int_list(args.levels)

@@ -25,17 +25,16 @@ catalog ships those designs de-aliased (drop one column of each pair).
 from __future__ import annotations
 
 import importlib.resources
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
 from . import criteria
-from .bounds import certify, lb_theorem1
+from .bounds import certify
 from .design_core import (MAX_RUNS, Design, branch_fraction,
                           check_fraction_runs, design_from_text,
-                          fully_aliased_pairs, pair_gram_sums, realize,
+                          fully_aliased_pairs, realize,
                           remove_fully_aliased, select_columns)
 from .gf import Field, default_field, point_count
 from .poly_labels import (LinearForm, QuadraticLabel, eval_labels, h_set,
@@ -150,37 +149,6 @@ def construct_example3(field: Field, branch_label) -> tuple[Design, int]:
     canonical = labels[hit[0]]
     design = branch_fraction(field, 3, labels, canonical, (0, 1))
     return design, example3_branch_type(canonical)
-
-
-def corollary2_check(field: Field) -> tuple[Design, dict]:
-    """Full quadratic-only juxtaposition at n = 2 for odd s, with its report.
-
-    The report carries the computed overall A2, the two printed closed forms
-    (s+1)s(s-1)^2/2 and C(s+1,2)(s^2-2s+1) (algebraically identical), and the
-    per-column dependency degrees: s-1 orthogonal and s^2 partially aliased
-    partners at (s-1)^2/s^2.
-    """
-    s = field.order
-    if s % 2 == 0:
-        raise ValueError("defined for odd level counts only")
-    D = construct_thm7(field, 2, s + 1)
-    a2 = criteria.a2_overall(D)
-    # projected A2 = X / N^2 with X = s^2 P - N^2; off the diagonal only
-    X = s * s * pair_gram_sums(D)[0] - D.N * D.N
-    np.fill_diagonal(X, -1)
-    orth = (X == 0).sum(axis=1)
-    partial = (s * s * X == (s - 1) ** 2 * D.N * D.N).sum(axis=1)
-    degrees_ok = bool((orth == s - 1).all() and (partial == s * s).all())
-    product_form = Fraction((s + 1) * s * (s - 1) ** 2, 2)
-    pair_form = Fraction(math.comb(s + 1, 2) * (s * s - 2 * s + 1))
-    return D, {
-        "a2": a2,
-        "product_form": product_form,
-        "pair_form": pair_form,
-        "matches_product_form": a2 == product_form,
-        "matches_pair_form": a2 == pair_form,
-        "per_column_degrees_ok": degrees_ok,
-    }
 
 
 # -- the shipped catalog -----------------------------------------------------------
@@ -352,19 +320,3 @@ def verify_appendix(which: int) -> RowResult:
     return RowResult(f"bundled/{name}", not problems,
                      "; ".join(problems) or results[0].message)
 
-
-def dealias_check(field: Field, n: int, k: int) -> dict:
-    """The four-level de-aliasing bookkeeping: pair count before, size after."""
-    before = construct_thm6(field, n, k)
-    pairs = fully_aliased_pairs(before)
-    after = remove_fully_aliased(before)
-    a2 = criteria.a2_overall(after)
-    bound = lb_theorem1(after.N, after.m, field.order)
-    return {
-        "aliased_pairs": len(pairs),
-        "m_after": after.m,
-        "a2_after": a2,
-        "bound": bound,
-        "achieves_bound": a2 == bound,
-        "design": after,
-    }

@@ -1,5 +1,6 @@
-"""Aliasing criteria: power moments, exact overall/projected A2, chi-square,
-f and d^2 aggregates, generalized wordlength patterns, and E(s^2).
+"""Aliasing criteria, read from one exact report: overall A2 and its
+projected histogram, chi-square, f and d^2 aggregates, the generalized
+wordlength pattern, E(s^2) and the row coincidence counts (aggregate_stats).
 
 Exact rational arithmetic is the source of truth everywhere a bound or a
 catalog value is compared: projected A2 of a balanced pair (c_i, c_j) is
@@ -28,8 +29,8 @@ Xu & Wu (2001, Ann. Statist. 29), A_j = N^-2 sum over ordered row pairs
 (a = b included) of [z^j] prod_g (1 - z)^{d_g} (1 + (s_g - 1) z)^{m_g - d_g},
 with d_g the number of the m_g columns of level group g where the rows
 differ.  So one joint coincidence histogram gives every A_j, for any level
-profile.  The Z_s characters exp(2 pi i u x / s), u != 0, give a floating
-cross-check for j <= 2 that needs no field, never the authority.
+profile.  The independent routes these values are checked against (per-pair
+tables, Z_s characters, real contrasts) live in ssd.oracle.
 """
 
 from __future__ import annotations
@@ -41,48 +42,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import (Design, _coincidence_totals, _upper_pair_sums,
-                          cell_table, coincidence_counts,
-                          joint_coincidence_counts, level_groups,
-                          pair_a2_from_sumsq)
+from .design_core import (Design, joint_coincidence_counts, level_groups,
+                          pair_gram_sums)
 
 GWLP_DEFAULT_JMAX = 3
 
 
-def _require_balanced(D: Design) -> None:
+def _require_evaluable(D: Design) -> None:
     if not D.is_balanced:
         raise ValueError("requires a balanced design")
-
-
-def _require_evaluable(D: Design) -> None:
-    _require_balanced(D)
     if D.m < 2:
         raise ValueError("need at least two columns")
-
-
-def power_moment(D: Design, t: int) -> Fraction:
-    """t-th power moment of the row coincidence counts, exact."""
-    if t < 1:
-        raise ValueError("the moment order must be positive")
-    return _moment(coincidence_counts(D), D.N, t)
-
-
-def _moment(counts: dict[int, int], N: int, t: int) -> Fraction:
-    return Fraction(sum(c * v**t for v, c in counts.items()), N * (N - 1) // 2)
-
-
-def projected_a2(D: Design, i: int, j: int) -> Fraction:
-    """Exact projected A2 of a column pair, by cell counting."""
-    tab = cell_table(D, i, j).astype(np.int64)
-    return pair_a2_from_sumsq(int((tab * tab).sum()), D.N,
-                              D.levels[i], D.levels[j])
 
 
 def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X = s_i s_j P - N^2, the denominators s_i s_j and F over the pairs
     i < j, row-major: every pairwise statistic of the design.  Reads the
-    upper triangles of the pair kernel's sums, unmirrored."""
-    P, F = _upper_pair_sums(D)
+    upper triangles of the pair kernel's sums."""
+    P, F = pair_gram_sums(D)
     upper = np.triu(np.ones(P.shape, dtype=bool), 1)
     lev = np.asarray(D.levels, dtype=np.int64)
     s_i, s_j = np.broadcast_arrays(lev[:, None], lev)
@@ -90,70 +67,18 @@ def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return den * P[upper] - D.N * D.N, den, F[upper]
 
 
-def projected_a2_histogram(D: Design) -> Counter:
-    """Projected A2 value -> count over all C(m, 2) pairs, zeros included;
-    keys ascend."""
-    return _histogram(_pair_numerators(D)[0], D.N)
-
-
-def _histogram(X: np.ndarray, N: int) -> Counter:
+def _histogram(X: np.ndarray, N: int) -> dict:
+    """Projected A2 value -> pair count, keys ascending."""
     vals, counts = np.unique(X, return_counts=True)
-    return Counter({Fraction(v, N * N): c
-                    for v, c in zip(vals.tolist(), counts.tolist())})
-
-
-def a2_overall(D: Design) -> Fraction:
-    """Exact overall A2.
-
-    With equal levels this is the closed form in the second power moment
-    (_a2_closed_form); with mixed levels it is the sum of all pairwise
-    projected values.  Both routes agree exactly on balanced designs.
-    """
-    _require_balanced(D)
-    if len(set(D.levels)) > 1:
-        return a2_overall_from_pairs(D)
-    return _a2_closed_form(D.N, D.m, D.levels[0], coincidence_counts(D))
+    return {Fraction(v, N * N): c for v, c in zip(vals.tolist(), counts.tolist())}
 
 
 def _a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> Fraction:
     """[(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N), K2 the second
-    power moment of the coincidence counts."""
-    return ((N - 1) * s * s * _moment(counts, N, 2) + m * m * s * s
+    power moment of the coincidence counts over the C(N, 2) row pairs."""
+    K2 = Fraction(sum(c * v * v for v, c in counts.items()), N * (N - 1) // 2)
+    return ((N - 1) * s * s * K2 + m * m * s * s
             - N * m * (m + s - 1)) / Fraction(2 * N)
-
-
-def a2_overall_from_pairs(D: Design) -> Fraction:
-    """Overall A2 as the sum of all pairwise projected values."""
-    _require_balanced(D)
-    return Fraction(int(_pair_numerators(D)[0].sum()), D.N * D.N)
-
-
-def pair_dependency_stats(D: Design, i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(chi2, f, d2) of one pair, exact.
-
-    chi2 = sum (n_ab - e)^2 / e and d2 = sum (n_ab - e)^2 with e = N/(s_i s_j);
-    f = sum |n_ab - e|.  For equal levels d2 = (N/s^2) chi2.
-    """
-    tab = cell_table(D, i, j).astype(np.int64)
-    N = D.N
-    si, sj = D.levels[i], D.levels[j]
-    ssq = int((tab * tab).sum())
-    chi2 = Fraction(si * sj * ssq - N * N, N)
-    e = Fraction(N, si * sj)
-    f = sum((abs(Fraction(int(v)) - e) for v in tab.ravel()), Fraction(0))
-    d2 = Fraction(si * sj * ssq - N * N, si * sj)
-    return chi2, f, d2
-
-
-def dependency_summary(D: Design) -> dict[str, Fraction]:
-    """Averages and maxima of chi2, f and d2 over all C(m, 2) pairs, exact.
-
-    Keys are the CriteriaReport field names.  Reads the integer numerators of
-    the Gram kernel (P and F of pair_gram_sums); d2 and f are summed and
-    maximised per denominator s_i s_j.
-    """
-    _require_evaluable(D)
-    return _summary(*_pair_numerators(D), D.N, D.levels)
 
 
 def _summary(X: np.ndarray, den: np.ndarray, F: np.ndarray, N: int,
@@ -178,45 +103,13 @@ def _summary(X: np.ndarray, den: np.ndarray, F: np.ndarray, N: int,
     }
 
 
-def e_s2(D: Design) -> Fraction:
-    """E(s^2) of a two-level design: N^2 A2 / C(m, 2)."""
-    if any(s != 2 for s in D.levels):
-        raise ValueError("E(s^2) is defined for two-level designs only")
-    if D.m < 2:
-        raise ValueError("need at least two columns")
-    return _e_s2(D.N, D.m, a2_overall(D))
-
-
-def _e_s2(N: int, m: int, a2: Fraction) -> Fraction:
-    """E(s^2) = N^2 A2 / C(m, 2) of an N-run, m-column two-level design."""
-    return Fraction(N * N) * a2 / math.comb(m, 2)
-
-
-# -- character route ------------------------------------------------------------
-
-def _unit_char_rows(s: int) -> np.ndarray:
-    """(s-1) x s table of chi_u(x) = exp(2 pi i (u x mod s) / s), u != 0."""
-    chi = np.exp(2j * np.pi * np.arange(s) / s)
-    return chi[np.outer(np.arange(1, s), np.arange(s)) % s]
-
-
-def projected_a2_char(D: Design, i: int, j: int) -> float:
-    """Projected A2 via Z_s characters (floating cross-check)."""
-    a = _unit_char_rows(D.levels[i])[:, D.matrix[:, i]]
-    b = _unit_char_rows(D.levels[j])[:, D.matrix[:, j]]
-    return float((np.abs(a @ b.T) ** 2).sum()) / (D.N * D.N)
-
-
-def char_a2_matrix(D: Design) -> np.ndarray:
-    """m x m float matrix of character-route projected A2 values (all pairs)."""
-    rows = {s: _unit_char_rows(s) for s in set(D.levels)}
-    C = np.concatenate([rows[s][:, D.matrix[:, k]].T
-                        for k, s in enumerate(D.levels)], axis=1)
-    starts = np.cumsum([0] + [s - 1 for s in D.levels[:-1]])
-    sq = np.abs(C.T @ C) ** 2
-    red = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
-    np.fill_diagonal(red, 0.0)
-    return red / (D.N * D.N)
+def _coincidence_totals(joint: dict[tuple[int, ...], int]) -> dict[int, int]:
+    """Row-pair coincidence count -> row pairs, keys ascending: each key of
+    a joint coincidence histogram summed over its level groups."""
+    out = Counter()
+    for key, c in joint.items():
+        out[sum(key)] += c
+    return dict(sorted(out.items()))
 
 
 # -- wordlength pattern ------------------------------------------------------------
@@ -243,17 +136,6 @@ def _times(a: list[int], b: list[int], jmax: int) -> list[int]:
         for k, bk in enumerate(b[:len(out) - i]):
             out[i + k] += ai * bk
     return out
-
-
-def gwlp(D: Design, jmax: int = GWLP_DEFAULT_JMAX) -> list[Fraction]:
-    """Generalized wordlength pattern prefix [A_1 .. A_jmax], exact."""
-    _check_jmax(D, jmax)
-    return _gwlp(D, joint_coincidence_counts(D), jmax)
-
-
-def _check_jmax(D: Design, jmax: int) -> None:
-    if jmax < 1 or jmax > D.m:
-        raise ValueError("jmax must lie in 1..m")
 
 
 def _gwlp(D: Design, joint: dict[tuple[int, ...], int],
@@ -329,7 +211,8 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     N, m = D.N, D.m
     if gwlp_jmax is None:
         gwlp_jmax = min(GWLP_DEFAULT_JMAX, m)
-    _check_jmax(D, gwlp_jmax)
+    if not 1 <= gwlp_jmax <= m:
+        raise ValueError("jmax must lie in 1..m")
     X, den, F = _pair_numerators(D)
     a2 = Fraction(int(X.sum()), N * N)
     joint = joint_coincidence_counts(D)
@@ -338,9 +221,10 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     if (len(set(D.levels)) == 1
             and _a2_closed_form(N, m, D.levels[0], counts) != a2):
         raise AssertionError("overall A2 disagrees with the pairwise sum")
-    es2 = _e_s2(N, m, a2) if all(s == 2 for s in D.levels) else None
+    # E(s^2) = N^2 A2 / C(m, 2), defined for two-level designs
+    es2 = N * N * a2 / math.comb(m, 2) if set(D.levels) == {2} else None
     return CriteriaReport(
         N=N, m=m, levels=D.levels,
-        A2=a2, histogram=dict(_histogram(X, N)),
+        A2=a2, histogram=_histogram(X, N),
         **_summary(X, den, F, N, D.levels),
         gwlp=pattern, E_s2=es2, coincidences=counts)

@@ -5,10 +5,12 @@ optional label provenance.  Everything downstream (criteria, bounds, the
 catalog) works on this type.  It keeps no evaluation state: the Gram sums P
 and F (pair_gram_sums) and the joint row coincidence histogram
 (joint_coincidence_counts) are computed on every call, so each caller asks
-once and hands the result on.  The module also holds the structural pair
-machinery: two-column cell tables, the pair kernel whose integer sums drive
-every exact pairwise aliasing value, the row-tiled coincidence kernel, pair
-classification, and the plain text serialisation format.
+once and hands the result on.  The module also holds the two kernels that
+every exact aliasing value is read from: the pair kernel, whose integer
+sums give each pairwise statistic, and the row-tiled coincidence kernel;
+besides them, pair classification, de-aliasing and the plain text
+serialisation format.  The independent references these kernels are
+checked against live in ssd.oracle.
 
 The pair kernel has two exact routes, chosen by one rule (cells_sparse).
 When the cell tables of the pairs i <= j have at least as many cells as
@@ -101,6 +103,8 @@ class Design:
         N, cols = m.shape
         if N == 0:
             raise ValueError("a design needs at least one run")
+        if cols == 0:
+            raise ValueError("a design needs at least one column")
         levels = tuple(int(s) for s in levels)
         if len(levels) != cols:
             raise ValueError("one level count per column is required")
@@ -166,7 +170,7 @@ def _check_design_size(N: int, m: int) -> None:
 
 def symbol_dtype(levels) -> np.dtype:
     """The narrowest unsigned dtype that holds every symbol of the levels."""
-    return np.min_scalar_type(max(levels, default=1) - 1)
+    return np.min_scalar_type(max(levels) - 1)
 
 
 def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
@@ -177,8 +181,6 @@ def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
     symbols (whole rows) is counted with one bincount into one code buffer.
     """
     N, m = matrix.shape
-    if not m:
-        return None
     starts = np.cumsum(lev) - lev
     L = int(lev.sum())
     rows = max(1, MATRIX_BLOCK_CELLS // m)
@@ -193,6 +195,11 @@ def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
 
 
 # -- construction ---------------------------------------------------------------
+
+def _frozen(A: np.ndarray) -> np.ndarray:
+    A.setflags(write=False)
+    return A
+
 
 def realize(field: Field, n: int, labels) -> Design:
     """Evaluate the labels at every point of F_s^n, one column per label.
@@ -222,17 +229,6 @@ def column_juxtapose(*designs: Design) -> Design:
     return Design(_frozen(matrix), levels, labels=labels)
 
 
-def row_juxtapose(*designs: Design) -> Design:
-    """Stack designs on top of each other; level profiles must agree."""
-    if not designs:
-        raise ValueError("nothing to juxtapose")
-    levels = designs[0].levels
-    if any(d.levels != levels for d in designs):
-        raise ValueError("level profiles differ across the juxtaposed designs")
-    matrix = np.concatenate([d.matrix for d in designs], axis=0)
-    return Design(_frozen(matrix), levels, labels=designs[0].labels)
-
-
 def select_columns(D: Design, indices) -> Design:
     """The design of the given columns, in the given order, balanced or not."""
     indices = list(indices)
@@ -248,6 +244,14 @@ def check_fraction_runs(runs: int) -> None:
     if runs > MAX_RUNS:
         raise ValueError(f"the fraction keeps {runs} runs, more than "
                          f"the supported {MAX_RUNS}")
+
+
+def check_branch_labels(count: int) -> None:
+    """Reject a branch of `count` labels that can keep more than
+    MAX_COLUMNS columns: it drops at least the branching label."""
+    if count - 1 > MAX_COLUMNS:
+        raise ValueError(f"branching {count} labels keeps more than "
+                         f"the supported {MAX_COLUMNS} columns")
 
 
 def branch_fraction(field: Field, n: int, labels, branch_label: Label,
@@ -268,10 +272,7 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
         raise ValueError("the kept levels must be distinct")
     if len(g) >= s or any(v < 0 or v >= s for v in g):
         raise ValueError(f"kept levels must be a proper subset of 0..{s - 1}")
-    # the branch drops at least one label, so this bounds the columns kept
-    if len(labels) - 1 > MAX_COLUMNS:
-        raise ValueError(f"branching {len(labels)} labels keeps more than "
-                         f"the supported {MAX_COLUMNS} columns")
+    check_branch_labels(len(labels))
     # a nonempty level of a label column holds a multiple of s^(n-1) points,
     # so no fraction of more than s * MAX_RUNS points fits in MAX_RUNS runs
     point_count(field, n, s * MAX_RUNS)
@@ -330,46 +331,7 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     return Design(_frozen(matrix), levels)
 
 
-# -- structural checks ------------------------------------------------------------
-
-def is_oa(D: Design, t: int) -> bool:
-    """True when every t-column projection is equireplicated."""
-    if t < 1 or t > D.m:
-        return False
-    N = D.N
-    for combo in itertools.combinations(range(D.m), t):
-        size = 1
-        for i in combo:
-            size *= D.levels[i]
-        if N % size:
-            return False
-        code = np.zeros(N, dtype=np.int64)
-        for i in combo:
-            code = code * D.levels[i] + D.matrix[:, i]
-        counts = np.bincount(code, minlength=size)
-        if not (counts == N // size).all():
-            return False
-    return True
-
-
-def coincidences(D: Design, weights=None) -> np.ndarray:
-    """N x N matrix of row coincidence counts (zero diagonal).
-
-    With weights (one per column, e.g. the level counts), each agreement in
-    column k contributes weights[k] instead of 1.  A dense reference for
-    small designs: evaluation reads the row-tiled joint_coincidence_counts.
-    """
-    B, starts = _one_hot(D)
-    if weights is not None:
-        w = np.repeat(np.asarray(weights, dtype=np.float64),
-                      [s for s in D.levels])
-        delta = (B * w[None, :]) @ B.T
-    else:
-        delta = B @ B.T
-    delta = np.rint(delta).astype(np.int64)
-    np.fill_diagonal(delta, 0)
-    return delta
-
+# -- the two kernels --------------------------------------------------------------
 
 def level_groups(D: Design) -> tuple[tuple[int, int], ...]:
     """(level count, number of columns) of each level group, levels ascending."""
@@ -387,26 +349,6 @@ def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
     so no N x N array exists.  The products are agreement counts <= m,
     exact in float32.
     """
-    return _row_coincidences(D)
-
-
-def coincidence_counts(D: Design) -> dict[int, int]:
-    """Row-pair coincidence count -> number of row pairs with that count.
-
-    Keys ascend.  The total over the groups of joint_coincidence_counts.
-    """
-    return _coincidence_totals(joint_coincidence_counts(D))
-
-
-def _coincidence_totals(joint: dict[tuple[int, ...], int]) -> dict[int, int]:
-    """Sum each key of a joint coincidence histogram over its level groups."""
-    out = Counter()
-    for key, c in joint.items():
-        out[sum(key)] += c
-    return dict(sorted(out.items()))
-
-
-def _row_coincidences(D: Design) -> dict[tuple[int, ...], int]:
     B = _one_hot(D)[0]
     groups = level_groups(D)
     if len(groups) == 1:
@@ -455,12 +397,14 @@ def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Integer m x m sums over the cell tables n_ab of every column pair:
+    """Integer m x m upper triangles of sums over the cell tables n_ab of
+    the column pairs i <= j:
 
         P[i, j] = sum_ab n_ab^2    and    F[i, j] = sum_ab |s_i s_j n_ab - N|
 
     give every pairwise statistic exactly.  Diagonal entries refer to a
-    column against itself.  Two exact routes, chosen by cells_sparse:
+    column against itself; entries below the diagonal are unspecified.
+    Two exact routes, chosen by cells_sparse:
 
     - cell count, when the tables hold at most one run per cell on average:
       each chunk of column pairs i <= j is one bincount of the codes
@@ -473,13 +417,6 @@ def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
 
     Either way no L x L or pairs x N temporary exists.
     """
-    P, F = _upper_pair_sums(D)
-    return _mirror_upper(P), _mirror_upper(F)
-
-
-def _upper_pair_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """P and F of pair_gram_sums for every pair i <= j, by the route that
-    cells_sparse picks.  Entries below the diagonal are not defined."""
     route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
     return route(D)
 
@@ -607,34 +544,15 @@ def _gram_tiles(bounds: np.ndarray, N: int) -> list[tuple[int, int]]:
     return tiles
 
 
-def _frozen(A: np.ndarray) -> np.ndarray:
-    A.setflags(write=False)
-    return A
+# -- pair classes and de-aliasing -----------------------------------------------
 
-
-def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    M = np.triu(M)
-    return M + np.triu(M, 1).T
-
-
-def cell_table(D: Design, i: int, j: int) -> np.ndarray:
-    """s_i x s_j table counting how often each symbol pair appears."""
-    si, sj = D.levels[i], D.levels[j]
-    code = D.matrix[:, i].astype(np.int64) * sj + D.matrix[:, j]
-    return np.bincount(code, minlength=si * sj).reshape(si, sj)
-
-
-def pair_a2_from_sumsq(sumsq: int, N: int, si: int, sj: int) -> Fraction:
-    """Exact projected A2 of a balanced pair from its cell sum of squares."""
-    return Fraction(si * sj * int(sumsq) - N * N, N * N)
-
-
-def classify_columns(x: np.ndarray, y: np.ndarray, si: int, sj: int) -> PairClass:
-    """Classify two columns by the cell-count pattern of their pair table."""
-    N = len(x)
-    tab = np.bincount(np.asarray(x, dtype=np.int64) * sj + np.asarray(y),
+def classify_pair(D: Design, i: int, j: int) -> PairClass:
+    """Classify columns i and j by the cell-count pattern of their pair
+    table, with the exact projected A2 (si sj sum n_ab^2 - N^2) / N^2."""
+    N, si, sj = D.N, D.levels[i], D.levels[j]
+    tab = np.bincount(D.matrix[:, i].astype(np.int64) * sj + D.matrix[:, j],
                       minlength=si * sj)
-    a2 = pair_a2_from_sumsq(int((tab.astype(np.int64)**2).sum()), N, si, sj)
+    a2 = Fraction(si * sj * int((tab * tab).sum()) - N * N, N * N)
     if a2 == 0:
         return PairClass(ORTHOGONAL, a2)
     if si != sj:
@@ -652,11 +570,6 @@ def classify_columns(x: np.ndarray, y: np.ndarray, si: int, sj: int) -> PairClas
         if len(nz) == len(semi) and (nz == np.array(semi)).all():
             return PairClass(SEMI_ORTHOGONAL, a2)
     return PairClass(PARTIAL, a2)
-
-
-def classify_pair(D: Design, i: int, j: int) -> PairClass:
-    return classify_columns(D.matrix[:, i], D.matrix[:, j],
-                            D.levels[i], D.levels[j])
 
 
 def fully_aliased_pairs(D: Design) -> list[tuple[int, int]]:
@@ -710,9 +623,6 @@ def _text_blocks(D: Design):
     """
     yield (f"{FORMAT_HEADER}\n{D.N} {D.m}\n"
            f"{' '.join(map(str, D.levels))}\n").encode("ascii")
-    if not D.m:
-        yield b"\n" * D.N
-        return
     s = max(D.levels)
     # the smallest power of two above the digits of the widest symbol
     width = 1 << len(str(s - 1)).bit_length()

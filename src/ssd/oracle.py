@@ -1,12 +1,21 @@
-"""Independent brute-force verifiers.
+"""Independent references and brute-force verifiers.
 
 Everything here recomputes from first principles, sharing no code path with
-the criteria module: pair tables are counted row by row in plain Python, the
-minimum-A2 search enumerates balanced columns directly, and the wordlength
-cross-check builds real orthonormal contrasts instead of characters.  The
-search fixes the first column to the canonical sorted pattern (any design can
-be row-permuted into that form) and enumerates the remaining columns in
-nondecreasing rank order, which removes column-permutation symmetry.
+the kernels of design_core or with criteria; of the other modules only the
+command line imports it, to run the search.  The tests compare each
+reference with the code it checks: the row-by-row pair tables (pair_table,
+with pair_a2_from_table and pair_dependency_stats reading A2, chi2, f and
+d2 off them by definition) with pair_gram_sums; the Z_s character route
+exp(2 pi i u x / s), u != 0 (char_a2_matrix, floating) with the report's
+histogram; the dense row-compared coincidences with
+joint_coincidence_counts; is_oa with strength; the real-contrast
+gwlp_bruteforce with the report's wordlength pattern; and the minimum-A2
+search with the lower bounds.
+
+The search fixes the first column to the canonical sorted pattern (any
+design can be row-permuted into that form) and enumerates the remaining
+columns in nondecreasing rank order, which removes column-permutation
+symmetry.
 
 The search works in integers scaled by N^2, where a pair of s-level columns
 contributes s^2 * sum(n_ab^2) - N^2.  For balanced columns c and d,
@@ -46,9 +55,71 @@ def pair_table(D: Design, i: int, j: int) -> list[list[int]]:
 
 
 def pair_a2_from_table(tab, N: int) -> Fraction:
+    """Projected A2 (s_i s_j sum n_ab^2 - N^2) / N^2 of a pair table."""
     si, sj = len(tab), len(tab[0])
     ssq = sum(v * v for row in tab for v in row)
     return Fraction(si * sj * ssq - N * N, N * N)
+
+
+def pair_dependency_stats(D: Design, i: int,
+                          j: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(chi2, f, d2) of one pair from its table, exact, by the definitions
+
+        chi2 = sum (n_ab - e)^2 / e,  f = sum |n_ab - e|,  d2 = sum (n_ab - e)^2
+
+    with e = N / (s_i s_j)."""
+    cells = [v for row in pair_table(D, i, j) for v in row]
+    e = Fraction(D.N, len(cells))
+    d2 = sum(((v - e) ** 2 for v in cells), Fraction(0))
+    f = sum((abs(v - e) for v in cells), Fraction(0))
+    return d2 / e, f, d2
+
+
+def _unit_char_rows(s: int) -> np.ndarray:
+    """(s-1) x s table of chi_u(x) = exp(2 pi i (u x mod s) / s), u != 0."""
+    chi = np.exp(2j * np.pi * np.arange(s) / s)
+    return chi[np.outer(np.arange(1, s), np.arange(s)) % s]
+
+
+def char_a2_matrix(D: Design) -> np.ndarray:
+    """m x m float matrix of character-route projected A2 values (all pairs)."""
+    rows = {s: _unit_char_rows(s) for s in set(D.levels)}
+    C = np.concatenate([rows[s][:, D.matrix[:, k]].T
+                        for k, s in enumerate(D.levels)], axis=1)
+    starts = np.cumsum([0] + [s - 1 for s in D.levels[:-1]])
+    sq = np.abs(C.T @ C) ** 2
+    red = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+    np.fill_diagonal(red, 0.0)
+    return red / (D.N * D.N)
+
+
+def coincidences(D: Design, weights=None) -> np.ndarray:
+    """N x N matrix of row coincidence counts (zero diagonal), each row
+    compared with every row.  With weights (one per column, e.g. the level
+    counts), an agreement in column k counts weights[k] instead of 1."""
+    X = D.matrix.astype(np.int64)
+    w = np.asarray(np.ones(D.m) if weights is None else weights, dtype=np.int64)
+    delta = np.array([(X == row) @ w for row in X])
+    np.fill_diagonal(delta, 0)
+    return delta
+
+
+def is_oa(D: Design, t: int) -> bool:
+    """True when every t-column projection is equireplicated."""
+    if t < 1 or t > D.m:
+        return False
+    N = D.N
+    for combo in itertools.combinations(range(D.m), t):
+        size = math.prod(D.levels[i] for i in combo)
+        if N % size:
+            return False
+        code = np.zeros(N, dtype=np.int64)
+        for i in combo:
+            code = code * D.levels[i] + D.matrix[:, i]
+        counts = np.bincount(code, minlength=size)
+        if not (counts == N // size).all():
+            return False
+    return True
 
 
 @dataclass

@@ -15,15 +15,14 @@ import pytest
 from ssd.bounds import certify, lb_theorem1, lb_theorem10
 from ssd.constructions import (CATALOG_SPECS, catalog, catalog_verify,
                                construct_example3, construct_thm4,
-                               construct_thm6, construct_thm8, dealias_check,
+                               construct_thm6, construct_thm8,
                                verify_appendix)
-from ssd.criteria import (a2_overall, aggregate_stats, char_a2_matrix, gwlp,
-                          projected_a2_histogram)
-from ssd.design_core import (classify_pair, pair_a2_from_sumsq as pair_a2_sq,
-                             pair_gram_sums, realize, replace_column,
-                             select_columns)
+from ssd.criteria import aggregate_stats
+from ssd.design_core import (classify_pair, fully_aliased_pairs,
+                             pair_gram_sums, realize, remove_fully_aliased,
+                             replace_column, select_columns)
 from ssd.gf import Field, default_field
-from ssd.oracle import exhaustive_min_a2, gwlp_bruteforce
+from ssd.oracle import char_a2_matrix, exhaustive_min_a2, gwlp_bruteforce
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              h_set, q1, unit_form)
 
@@ -32,32 +31,39 @@ def _ok(num, text):
     print(f"[criterion {num:2d}] PASS - {text}")
 
 
+def pair_a2_sq(sumsq, N, si, sj):
+    """Projected A2 of a pair from the sum of squares of its cell counts."""
+    return F(si * sj * sumsq - N * N, N * N)
+
+
 def test_c01_nine_run_seven_column_family(gf3):
     D = construct_thm4(gf3, 2)
     assert (D.N, D.m) == (9, 7)
-    assert a2_overall(D) == 6
+    rep = aggregate_stats(D)
+    assert rep.A2 == 6
     kinds = [classify_pair(D, i, j)
              for i in range(7) for j in range(i + 1, 7)]
     assert not [k for k in kinds if k.kind == "fully_aliased"]
     semi = [k for k in kinds if k.kind == "semi_orthogonal"]
     assert len(semi) == 9 and all(k.a2 == F(2, 3) for k in semi)
-    cert = certify(aggregate_stats(D))
+    cert = certify(rep)
     assert cert.theorem1 == 6 and cert.achieved_theorem1
     _ok(1, "9-run 7-column design: A2 = 6, nine pairs at 2/3, bound achieved")
 
 
 def test_c02_sixteen_column_family_and_quadratic_subdesign(gf3):
     D = construct_thm6(gf3, 2, 4)
-    assert a2_overall(D) == 48
-    hist = projected_a2_histogram(D)
-    assert dict(hist) == {F(0): 30, F(4, 9): 54, F(2, 3): 36}
-    # per-column dependency degrees, split by linear/quadratic provenance
+    rep = aggregate_stats(D)
+    assert rep.A2 == 48
+    assert rep.histogram == {F(0): 30, F(4, 9): 54, F(2, 3): 36}
+    # per-column dependency degrees, split by linear/quadratic provenance,
+    # from the upper triangle of the pair kernel's P
     P = pair_gram_sums(D)[0]
     linear_cols = [i for i, lab in enumerate(D.labels)
                    if isinstance(lab, LinearForm)]
     quad_cols = [i for i in range(D.m) if i not in linear_cols]
     for i in range(D.m):
-        vals = [pair_a2_sq(int(P[i, j]), D.N, 3, 3)
+        vals = [pair_a2_sq(int(P[min(i, j), max(i, j)]), D.N, 3, 3)
                 for j in range(D.m) if j != i]
         partial = sum(v == F(4, 9) for v in vals)
         semi = sum(v == F(2, 3) for v in vals)
@@ -65,9 +71,9 @@ def test_c02_sixteen_column_family_and_quadratic_subdesign(gf3):
             assert (partial, semi) == (0, 9)
         else:
             assert (partial, semi) == (9, 3)
-    quad = select_columns(D, quad_cols)
-    assert a2_overall(quad) == 24
-    assert dict(projected_a2_histogram(quad)) == {F(0): 12, F(4, 9): 54}
+    quad = aggregate_stats(select_columns(D, quad_cols))
+    assert quad.A2 == 24
+    assert quad.histogram == {F(0): 12, F(4, 9): 54}
     _ok(2, "16-column family: A2 = 48 {4/9:54, 2/3:36, 0:30}; quadratic "
            "12-column subdesign: A2 = 24 {4/9:54}; aliasing degrees match")
 
@@ -87,12 +93,14 @@ def test_c03_full_catalog_reproduction():
 
 
 def test_c04_four_level_dealiasing(gf4):
-    r2 = dealias_check(gf4, 2, 5)
-    assert r2["aliased_pairs"] == 10 and r2["m_after"] == 15
-    assert r2["a2_after"] == 45 == lb_theorem1(16, 15, 4)
-    r3 = dealias_check(gf4, 3, 21)
-    assert r3["aliased_pairs"] == 210 and r3["m_after"] == 231
-    assert r3["a2_after"] == 3465 == lb_theorem1(64, 231, 4)
+    for n, k, pairs, m, a2 in ((2, 5, 10, 15, 45), (3, 21, 210, 231, 3465)):
+        before = construct_thm6(gf4, n, k)
+        assert len(fully_aliased_pairs(before)) == pairs
+        after = remove_fully_aliased(before)
+        assert after.m == m
+        cert = certify(aggregate_stats(after, gwlp_jmax=1))
+        assert cert.a2 == a2 == lb_theorem1(4**n, m, 4)
+        assert cert.achieved_theorem1
     _ok(4, "four-level de-aliasing: 10 pairs -> 15 cols A2 = 45; "
            "210 pairs -> 231 cols A2 = 3465; both bounds achieved")
 
@@ -101,7 +109,7 @@ def test_c05_eighteen_run_branch_types(gf3):
     expected = {1: (54, 0, 12), 2: (36, 27, 3), 3: (42, 18, 6)}
     for lab in q1(gf3, 3):
         D, typ = construct_example3(gf3, lab)
-        hist = projected_a2_histogram(D)
+        hist = aggregate_stats(D).histogram
         got = (hist.get(F(0), 0), hist.get(F(1, 6), 0), hist.get(F(1, 2), 0))
         assert got == expected[typ]
     _ok(5, "18-run branch types reproduce (54,0,12), (36,27,3), (42,18,6) "
@@ -158,17 +166,19 @@ def test_c08_mixed_levels_by_replacement(gf9, gf3):
     t0 = time.monotonic()
     D = construct_thm6(gf9, 2, 10)
     assert (D.N, D.m) == (81, 100)
-    assert a2_overall(D) == 3600 == lb_theorem10(81, [9] * 100)
-    assert max(projected_a2_histogram(D)) == F(8, 9)
+    rep = aggregate_stats(D)
+    assert rep.A2 == 3600 == lb_theorem10(81, [9] * 100)
+    assert max(rep.histogram) == F(8, 9)
     table = realize(gf3, 2, h_set(gf3, 2)).matrix
     for i in (1, 50, 99):
         mixed = D
         for k in range(i):
             mixed = replace_column(mixed, 4 * k, table)
         assert mixed.m == 100 + 3 * i
-        assert a2_overall(mixed) == 3600
-        assert max(projected_a2_histogram(mixed)) <= F(8, 9)
-        cert = certify(aggregate_stats(mixed))
+        rep = aggregate_stats(mixed)
+        assert rep.A2 == 3600
+        assert max(rep.histogram) <= F(8, 9)
+        cert = certify(rep)
         assert cert.theorem10 == 3600 and cert.achieved_theorem10
     elapsed = time.monotonic() - t0
     assert elapsed < 60
@@ -233,14 +243,15 @@ def test_c10_dual_route_equivalence(catalog_rows):
                 for j in range(i + 1, D.m):
                     exact = pair_a2_sq(int(P[i, j]), D.N, si, D.levels[j])
                     assert abs(ch[i, j] - float(exact)) < 1e-9
-            a2c = gwlp(D, 2)[1]
-            assert abs(a2c - float(a2_overall(D))) < 1e-6
+            rep = aggregate_stats(D, gwlp_jmax=2)
+            assert abs(rep.gwlp[1] - float(rep.A2)) < 1e-6
     # a 9-level design built under the alternate modulus has other symbols
     # but the same wordlength A2
     nines = [construct_thm4(f, 2) for f in (default_field(9), ALT_FIELDS[9])]
     assert (nines[0].matrix != nines[1].matrix).any()
     for nine in nines:
-        assert abs(gwlp(nine, 2)[1] - float(a2_overall(nine))) < 1e-6
+        rep = aggregate_stats(nine, gwlp_jmax=2)
+        assert abs(rep.gwlp[1] - float(rep.A2)) < 1e-6
     _ok(10, "character route = counting route (1e-9/pair) and wordlength "
             "A2 = overall A2 (1e-6) on all 31 designs, built under default "
             "and alternate moduli")
@@ -252,7 +263,7 @@ def test_c11_oracle_tightness(gf3):
     r3 = exhaustive_min_a2(6, 3, 3, stop_at_bound=False)
     assert r3.exhaustive and r3.best_a2 == F(3, 2) == lb_theorem1(6, 3, 3)
     for D in (construct_thm8(gf3, 2, 2), construct_thm4(gf3, 2)):
-        pattern = gwlp(D, 3)
+        pattern = aggregate_stats(D).gwlp
         for j in (1, 2, 3):
             assert gwlp_bruteforce(D, j) == pytest.approx(pattern[j - 1],
                                                           abs=1e-9)
@@ -314,8 +325,8 @@ def test_extra_recorded_observations(gf3, capsys):
     # the two saturated families branch differently at n = 3 (structural
     # difference witness)
     from ssd.constructions import construct_thm8 as t8, construct_thm9 as t9
-    h_hist = dict(projected_a2_histogram(t8(gf3, 3, 2)))
-    q_hist = dict(projected_a2_histogram(t9(gf3, 3, 2)))
+    h_hist = aggregate_stats(t8(gf3, 3, 2)).histogram
+    q_hist = aggregate_stats(t9(gf3, 3, 2)).histogram
     assert h_hist != q_hist
     _ok(0, "recorded: shift identity observed at N=9; the two saturated "
            "families yield different fraction histograms at n=3")

@@ -5,7 +5,7 @@ import pytest
 from ssd.bounds import (certify, eta_fraction, lb_es2, lb_lemma2,
                         lb_theorem1, lb_theorem10)
 from ssd.constructions import construct_thm4, construct_thm6
-from ssd.criteria import a2_overall, aggregate_stats
+from ssd.criteria import aggregate_stats
 from ssd.design_core import column_juxtapose, realize, select_columns
 from ssd.gf import default_field
 from ssd.poly_labels import h_set
@@ -108,7 +108,7 @@ def test_certify_mixed_profile(gf3):
     cert = certify(aggregate_stats(mixed))
     assert cert.theorem1 is None and cert.achieved_theorem1 is None
     assert cert.theorem10_raw == lb_theorem10(81, mixed.levels)
-    assert a2_overall(mixed) == cert.a2
+    assert cert.a2 == 80      # s^2 - 1 of the parent: replacement keeps it
 
 
 def test_certify_requires_balance():

@@ -254,8 +254,8 @@ def test_construct_with_alternate_modulus(tmp_path):
     B = read_design(d2)
     assert (A.N, A.m) == (B.N, B.m)
     assert (A.matrix != B.matrix).any()  # different symbol encoding ...
-    from ssd.criteria import a2_overall
-    assert a2_overall(A) == a2_overall(B)  # ... same invariants
+    from ssd.criteria import aggregate_stats
+    assert aggregate_stats(A).A2 == aggregate_stats(B).A2  # ... same invariants
 
 
 def test_construct_rejects_prime_field_modulus(tmp_path, capsys):
@@ -329,7 +329,8 @@ def test_verify_catalog_under_the_gf4_modulus(capsys):
 def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
     # GF(27) lies above the old dense-table limit of 25; construct and the
     # character route both run on the field's tables there
-    from ssd.criteria import projected_a2, projected_a2_char
+    from ssd.design_core import classify_pair, select_columns
+    from ssd.oracle import char_a2_matrix
     d = tmp_path / "g27.ssd"
     r = tmp_path / "g27.json"
     assert run(["construct", "--theorem", "4", "--s", "27", "--n", "2",
@@ -341,8 +342,9 @@ def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
     assert rep["achieves_theorem1"] is True
     assert rep["gwlp"][1] == pytest.approx(702, abs=1e-9)
     D = read_design(d)
-    assert projected_a2_char(D, 0, 54) == pytest.approx(
-        float(projected_a2(D, 0, 54)), abs=1e-9)
+    pair = select_columns(D, [0, 54])
+    assert char_a2_matrix(pair)[0, 1] == pytest.approx(
+        float(classify_pair(D, 0, 54).a2), abs=1e-9)
 
 
 def test_evaluate_any_level_counts(tmp_path):
@@ -389,6 +391,25 @@ def test_construct_rejects_oversize_point_space_first(tmp_path, capsys,
     assert run(["construct", "--theorem", *theorem, "--s", "3", "--n", "12",
                 "--out", str(d)]) == 1
     assert capsys.readouterr().err == message
+    assert not d.exists()
+
+
+@pytest.mark.parametrize("family", ["h", "q1"])
+def test_branch_rejects_oversize_label_family_first(tmp_path, capsys,
+                                                    monkeypatch, family):
+    # both families have (3^12 - 1)/2 = 265720 labels
+    from ssd import cli
+
+    def no_labels(*args):
+        raise AssertionError("label set built for a rejected branch")
+    for name in ("h_set", "q1"):
+        monkeypatch.setattr(cli, name, no_labels)
+    d = tmp_path / "b.ssd"
+    assert run(["branch", "--s", "3", "--n", "12", "--family", family,
+                "--branch", "X1", "--levels", "0", "--out", str(d)]) == 1
+    assert capsys.readouterr().err == (
+        "error: branching 265720 labels keeps more than the supported "
+        "4096 columns\n")
     assert not d.exists()
 
 
@@ -587,7 +608,7 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
                         ("", "error: out of memory\n")):
         def out_of_memory(D, detail=detail):
             raise MemoryError(detail)
-        monkeypatch.setattr(criteria, "_upper_pair_sums", out_of_memory)
+        monkeypatch.setattr(criteria, "pair_gram_sums", out_of_memory)
         assert run(["evaluate", str(d)]) == 1
         assert capsys.readouterr().err == err
 
@@ -617,7 +638,7 @@ def test_internal_fault_is_an_error_line(tmp_path, capsys, monkeypatch):
                         ("", "error: evaluate: RuntimeError\n")):
         def fault(D, detail=detail):
             raise RuntimeError(detail)
-        monkeypatch.setattr(criteria, "_upper_pair_sums", fault)
+        monkeypatch.setattr(criteria, "pair_gram_sums", fault)
         assert run(["evaluate", str(d)]) == 1
         captured = capsys.readouterr()
         assert captured.err == err

@@ -1,19 +1,30 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from ssd import criteria
+from ssd.bounds import certify
 from ssd.constructions import (CATALOG_SPECS, catalog_verify,
                                construct_example3, construct_thm4,
                                construct_thm5, construct_thm6, construct_thm7,
-                               construct_thm8, construct_thm9,
-                               corollary2_check, dealias_check, load_appendix,
+                               construct_thm8, construct_thm9, load_appendix,
                                verify_appendix)
-from ssd.criteria import a2_overall, a2_overall_from_pairs, projected_a2_histogram
-from ssd.design_core import classify_pair, fully_aliased_pairs
+from ssd.criteria import aggregate_stats
+from ssd.design_core import (classify_pair, fully_aliased_pairs,
+                             pair_gram_sums, remove_fully_aliased)
 from ssd.gf import Field, default_field
 from ssd.poly_labels import h_set, label_str, parse_label, q1
+
+
+def a2(D):
+    return aggregate_stats(D, gwlp_jmax=1).A2
+
+
+def histogram(D):
+    return aggregate_stats(D, gwlp_jmax=1).histogram
 
 
 def test_thm4_shapes_and_orthogonal_first_column():
@@ -22,7 +33,7 @@ def test_thm4_shapes_and_orthogonal_first_column():
         D = construct_thm4(f, n)
         t = (s**n - 1) // (s - 1)
         assert (D.N, D.m) == (s**n, 2 * t - 1)
-        assert a2_overall(D) == s**n - s
+        assert a2(D) == s**n - s
         # the first column is orthogonal to every other column
         assert all(classify_pair(D, 0, j).a2 == 0 for j in range(1, D.m))
         assert not fully_aliased_pairs(D)
@@ -44,10 +55,14 @@ def test_thm4_semi_orthogonal_pair_counts():
     (27, None), (27, (1, 2, 0, 1)), (29, None), (31, None),
     (32, None), (32, (1, 0, 1, 0, 0, 1)), (49, None), (49, (1, 0, 1))])
 def test_closed_forms_above_25_levels(s, modulus):
-    # thm4: A2 = s^2 - s; thm6 with k = 2: A2 = s^2 - 1, under any modulus
+    # thm4: A2 = s^2 - s; thm6 with k = 2: A2 = s^2 - 1, under any modulus;
+    # the sum of the pair kernel's values, without the coincidence pass
+    def pairwise_a2(D):
+        P = pair_gram_sums(D)[0][np.triu_indices(D.m, 1)]
+        return F(int((s * s * P - D.N**2).sum()), D.N**2)
     f = Field(s, modulus)
-    assert a2_overall_from_pairs(construct_thm4(f, 2)) == s * s - s
-    assert a2_overall_from_pairs(construct_thm6(f, 2, 2)) == s * s - 1
+    assert pairwise_a2(construct_thm4(f, 2)) == s * s - s
+    assert pairwise_a2(construct_thm6(f, 2, 2)) == s * s - 1
 
 
 def test_thm6_choice_independence():
@@ -55,7 +70,7 @@ def test_thm6_choice_independence():
     H = h_set(f, 3)
     ref = None
     for pair in ([H[0], H[1]], [H[0], H[2]], [H[5], H[11]]):
-        hist = dict(projected_a2_histogram(construct_thm6(f, 3, 2, pair)))
+        hist = histogram(construct_thm6(f, 3, 2, pair))
         if ref is None:
             ref = hist
         assert hist == ref
@@ -78,7 +93,7 @@ def test_thm7_odd_only_and_no_aliasing():
     f = default_field(3)
     D = construct_thm7(f, 2, 4)
     assert (D.N, D.m) == (9, 12)
-    assert a2_overall(D) == 24
+    assert a2(D) == 24
     assert not fully_aliased_pairs(D)
 
 
@@ -99,8 +114,8 @@ def test_thm8_formulas():
         f = default_field(s)
         D = construct_thm8(f, n, k)
         assert (D.N, D.m) == (k * s**(n - 1), (s**n - s) // (s - 1))
-        assert a2_overall(D) == F((s**n - s) * (s - k), 2 * k)
-        hist = projected_a2_histogram(D)
+        assert a2(D) == F((s**n - s) * (s - k), 2 * k)
+        hist = histogram(D)
         assert hist.get(F(s - k, k), 0) == (s**n - s) // 2
     with pytest.raises(ValueError, match="kept level classes"):
         construct_thm8(default_field(3), 2, 3)
@@ -124,7 +139,7 @@ def test_example3_types():
     for lab in q1(f, 3):
         D, typ = construct_example3(f, lab)
         assert (D.N, D.m) == (18, 12)
-        hist = projected_a2_histogram(D)
+        hist = histogram(D)
         got = {v: hist.get(v, 0) for v in expected[typ]}
         assert got == expected[typ], label_str(f, lab)
         seen.add(typ)
@@ -138,57 +153,66 @@ def test_example3_type2_minimizes_worst_aliasing():
     worst = {}
     for lab in q1(f, 3):
         D, typ = construct_example3(f, lab)
-        hist = projected_a2_histogram(D)
+        hist = histogram(D)
         worst[typ] = hist[F(1, 2)]
     assert worst[2] < worst[3] < worst[1]
 
 
 def test_corollary2(gf3, gf5):
-    for f, a2 in ((gf3, 24), (gf5, 240)):
-        D, rep = corollary2_check(f)
+    # the full quadratic-only juxtaposition at n = 2 for odd s meets both
+    # printed closed forms (s+1)s(s-1)^2/2 and C(s+1,2)(s^2-2s+1), and every
+    # column has s - 1 orthogonal and s^2 partially aliased partners at
+    # (s-1)^2/s^2
+    for f, want in ((gf3, 24), (gf5, 240)):
         s = f.order
+        D = construct_thm7(f, 2, s + 1)
         assert (D.N, D.m) == (s * s, (s + 1) * s)
-        # the two printed closed forms coincide; the design matches both
-        assert rep["product_form"] == rep["pair_form"] == a2
-        assert rep["matches_product_form"] and rep["matches_pair_form"]
-        assert rep["per_column_degrees_ok"]
+        assert a2(D) == want == F((s + 1) * s * (s - 1) ** 2, 2) \
+            == math.comb(s + 1, 2) * (s * s - 2 * s + 1)
+        for i in range(D.m):
+            degrees = Counter(classify_pair(D, i, j).a2
+                              for j in range(D.m) if j != i)
+            assert degrees == {0: s - 1, F((s - 1) ** 2, s * s): s * s}
     with pytest.raises(ValueError, match="odd"):
-        corollary2_check(default_field(4))
+        construct_thm7(default_field(4), 2, 5)
 
 
 def test_dealias_bookkeeping_small(gf4):
-    rep = dealias_check(gf4, 2, 5)
-    assert rep["aliased_pairs"] == 10
-    assert rep["m_after"] == 15
-    assert rep["a2_after"] == 45 == rep["bound"]
-    assert rep["achieves_bound"]
+    before = construct_thm6(gf4, 2, 5)
+    assert len(fully_aliased_pairs(before)) == 10
+    after = remove_fully_aliased(before)
+    assert after.m == 15
+    cert = certify(aggregate_stats(after))
+    assert cert.a2 == 45 == cert.theorem1 and cert.achieved_theorem1
 
 
-def test_dealias_check_runs_one_gram_pass(gf4, call_counter):
-    """De-aliasing groups relabelled columns without a pair pass, so only
-    the coincidences of the de-aliased design's A2 build a one-hot matrix."""
+def test_dealiasing_runs_no_pair_pass(gf4, call_counter):
+    """De-aliasing groups relabelled columns without a pair pass, and builds
+    no one-hot matrix."""
     from ssd import design_core
     calls, count = call_counter
     count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums")
     for n, k in ((2, 5), (3, 2)):
+        before = construct_thm6(gf4, n, k)
         calls.clear()
-        rep = dealias_check(gf4, n, k)
-        assert rep["achieves_bound"]
-        assert calls == Counter({"_one_hot": 1})
+        after = remove_fully_aliased(before)
+        assert after.m == before.m - len(fully_aliased_pairs(before))
+        assert calls == Counter()
 
 
 def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):
     from ssd import design_core
     from ssd.constructions import verify_design
     calls, count = call_counter
-    count(design_core, "_row_coincidences", "_cell_count_sums",
-          "_gram_tile_sums")
+    count(criteria, "joint_coincidence_counts")
+    count(design_core, "_cell_count_sums", "_gram_tile_sums")
     for recipe, D in catalog_rows:
         calls.clear()
         assert verify_design(recipe, D).ok
         route = ("_cell_count_sums" if design_core.cells_sparse(D)
                  else "_gram_tile_sums")
-        assert calls == Counter({"_row_coincidences": 1, route: 1}), recipe.row_id
+        assert calls == Counter({"joint_coincidence_counts": 1, route: 1}), \
+            recipe.row_id
 
 
 def test_catalog_has_31_rows_and_verifies(catalog_rows):
@@ -243,20 +267,19 @@ def test_appendix_file_shapes():
 def test_companion_arrays_have_constant_coincidences(gf3, gf4):
     # every saturated companion array shares the constant coincidence count
     # (N - s)/(s(s - 1)) of the linear family
-    from ssd.design_core import coincidences, realize
+    from ssd.design_core import joint_coincidence_counts, realize
     from ssd.poly_labels import qh
     for f, n in ((gf3, 2), (gf3, 3), (gf4, 2)):
         s = f.order
         expect = (s**n - s) // (s * (s - 1))
         for h in h_set(f, n):
             D = realize(f, n, qh(f, h, n))
-            off = coincidences(D)[np.triu_indices(D.N, 1)]
-            assert (off == expect).all()
+            assert joint_coincidence_counts(D) == {(expect,): math.comb(D.N, 2)}
 
 
 def test_branch_families_distinguish_the_two_saturated_arrays(gf3):
     # the linear and quadratic saturated arrays yield different fraction
     # histograms at n = 3, witnessing that they are structurally different
-    h_frac = dict(projected_a2_histogram(construct_thm8(gf3, 3, 2)))
-    q_frac = dict(projected_a2_histogram(construct_thm9(gf3, 3, 2)))
+    h_frac = histogram(construct_thm8(gf3, 3, 2))
+    q_frac = histogram(construct_thm9(gf3, 3, 2))
     assert h_frac != q_frac

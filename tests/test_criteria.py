@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssd import criteria
 from ssd.constructions import construct_thm4, construct_thm6, construct_thm8
-from ssd.criteria import (a2_overall, a2_overall_from_pairs, aggregate_stats,
-                          char_a2_matrix, e_s2, gwlp, krawtchouk,
-                          pair_dependency_stats, power_moment, projected_a2,
-                          projected_a2_char, projected_a2_histogram,
-                          round_half_away, strength)
-from ssd.design_core import Design, column_juxtapose, realize, select_columns
+from ssd.criteria import aggregate_stats, krawtchouk, round_half_away, strength
+from ssd.design_core import (Design, column_juxtapose,
+                             joint_coincidence_counts, pair_gram_sums,
+                             realize, select_columns)
 from ssd.gf import Field, default_field
-from ssd.oracle import gwlp_bruteforce
+from ssd.oracle import (char_a2_matrix, coincidences, gwlp_bruteforce, is_oa,
+                        pair_a2_from_table, pair_dependency_stats, pair_table)
 from ssd.poly_labels import h_set
 
 
@@ -24,51 +24,73 @@ def ssd937(gf3):
     return construct_thm4(gf3, 2)
 
 
+def kernel_a2(D, i, j):
+    """Projected A2 of columns i < j from the pair kernel's P."""
+    P = pair_gram_sums(D)[0]
+    si, sj = D.levels[i], D.levels[j]
+    return F(si * sj * int(P[i, j]) - D.N**2, D.N**2)
+
+
+def oracle_a2(D, i, j):
+    return pair_a2_from_table(pair_table(D, i, j), D.N)
+
+
+def moment(rep, t):
+    """t-th power moment of the report's row coincidence counts."""
+    return F(sum(c * v**t for v, c in rep.coincidences.items()),
+             math.comb(rep.N, 2))
+
+
 def test_power_moments(gf3, ssd937):
-    H = realize(gf3, 2, h_set(gf3, 2))
-    assert power_moment(H, 1) == 1 and power_moment(H, 2) == 1
-    assert power_moment(ssd937, 1) == F(7, 4)   # m(N-s)/((N-1)s)
-    one = select_columns(H, [0])
-    with pytest.raises(ValueError):
-        power_moment(one, 0)
+    rep = aggregate_stats(realize(gf3, 2, h_set(gf3, 2)))
+    assert rep.coincidences == {1: 36}
+    assert moment(rep, 1) == 1 and moment(rep, 2) == 1
+    assert moment(aggregate_stats(ssd937), 1) == F(7, 4)   # m(N-s)/((N-1)s)
 
 
 def test_power_moment_single_column_all_distinct(gf3):
     D = realize(gf3, 1, h_set(gf3, 1))
-    assert power_moment(D, 1) == 0
+    assert joint_coincidence_counts(D) == {(0,): 3}
 
 
 def test_a2_overall_values(gf3, ssd937):
-    assert a2_overall(ssd937) == 6
+    assert aggregate_stats(ssd937).A2 == 6
     D16 = construct_thm6(gf3, 2, 4)
-    assert a2_overall(D16) == 48
+    assert aggregate_stats(D16).A2 == 48
     quad = select_columns(D16, [i for i in range(16) if i % 4 != 0])
-    assert a2_overall(quad) == 24
+    assert aggregate_stats(quad).A2 == 24
     H = realize(gf3, 2, h_set(gf3, 2))
-    assert a2_overall(H) == 0
+    assert aggregate_stats(H).A2 == 0
 
 
 def test_a2_closed_form_equals_pairwise(gf3, gf4, ssd937):
+    # the report's pairwise sum, its closed form in the second power moment,
+    # and the sum of the row-counted pair values agree
     for D in (ssd937, construct_thm6(gf3, 2, 3), construct_thm8(gf4, 2, 2)):
-        assert a2_overall(D) == a2_overall_from_pairs(D)
+        rep = aggregate_stats(D)
+        assert criteria._a2_closed_form(D.N, D.m, D.levels[0],
+                                        rep.coincidences) == rep.A2
+        assert rep.A2 == sum(oracle_a2(D, i, j) for i in range(D.m)
+                             for j in range(i + 1, D.m))
 
 
 def test_a2_requires_balanced():
     D = Design([[0], [0], [0], [1]], [2], require_balanced=False)
     with pytest.raises(ValueError, match="balanced"):
-        a2_overall(D)
+        aggregate_stats(D)
 
 
 def test_projected_a2_values(gf3, ssd937):
     H = realize(gf3, 2, h_set(gf3, 2))
     dup = column_juxtapose(H, H)
-    assert projected_a2(dup, 0, 4) == 2          # fully aliased: s - 1
-    assert projected_a2(ssd937, 1, 4) == F(2, 3)  # semi-orthogonal, s odd
-    assert projected_a2(ssd937, 0, 1) == 0
+    for a2 in (kernel_a2, oracle_a2):
+        assert a2(dup, 0, 4) == 2          # fully aliased: s - 1
+        assert a2(ssd937, 1, 4) == F(2, 3)  # semi-orthogonal, s odd
+        assert a2(ssd937, 0, 1) == 0
 
 
 def test_projected_a2_histogram_totals(ssd937):
-    hist = projected_a2_histogram(ssd937)
+    hist = aggregate_stats(ssd937).histogram
     assert sum(hist.values()) == math.comb(7, 2)
     assert hist[F(2, 3)] == 9 and hist[F(0)] == 12
 
@@ -87,7 +109,7 @@ def test_chi2_equals_n_times_a2(ssd937):
     for i in range(ssd937.m):
         for j in range(i + 1, ssd937.m):
             chi2, _, d2 = pair_dependency_stats(ssd937, i, j)
-            assert chi2 == 9 * projected_a2(ssd937, i, j)
+            assert chi2 == 9 * oracle_a2(ssd937, i, j)
             assert d2 == chi2                    # N/s^2 = 1 here
 
 
@@ -113,29 +135,35 @@ def test_aggregate_identities_mixed_levels(gf3):
 
 
 def test_weighted_coincidence_identity(gf3):
-    # J2 = N^2 A2 + N [N m (m-1) + N sum(s) - (sum s)^2] / 2 on mixed designs
-    from ssd.design_core import coincidences, replace_column
+    # J2 = N^2 A2 + N [N m (m-1) + N sum(s) - (sum s)^2] / 2 on mixed designs,
+    # and the weighted dense counts are the level-weighted joint histogram
+    from ssd.design_core import level_groups, replace_column
     D = construct_thm6(default_field(4), 2, 2)
     table = realize(default_field(2), 2, h_set(default_field(2), 2)).matrix
     mixed = replace_column(D, 0, table)
     N, m = mixed.N, mixed.m
     T = sum(mixed.levels)
-    dw = coincidences(mixed, weights=mixed.levels)
-    j1 = int(dw[np.triu_indices(N, 1)].sum())
-    j2 = int((dw[np.triu_indices(N, 1)].astype(object)**2).sum())
+    dw = coincidences(mixed, weights=mixed.levels)[np.triu_indices(N, 1)]
+    j1 = int(dw.sum())
+    j2 = int((dw.astype(object)**2).sum())
     assert j1 == N * (N * m - T) // 2
-    assert F(j2) == N * N * a2_overall(mixed) + F(N * (N * m * (m - 1) + N * T - T * T), 2)
+    assert F(j2) == (N * N * aggregate_stats(mixed).A2
+                     + F(N * (N * m * (m - 1) + N * T - T * T), 2))
+    weighted = Counter()
+    for key, c in joint_coincidence_counts(mixed).items():
+        weighted[sum(s * k for (s, _), k in zip(level_groups(mixed), key))] += c
+    assert Counter(dw.tolist()) == weighted
 
 
 def test_e_s2(gf2):
     # two identical two-level columns: every pair contributes s_ij^2 = N^2
     col = [0, 0, 1, 1]
     D = Design(np.array([col, col]).T, (2, 2))
-    assert e_s2(D) == 16
+    assert aggregate_stats(D).E_s2 == 16
     H = realize(gf2, 2, h_set(gf2, 2))
-    assert e_s2(H) == 0
-    with pytest.raises(ValueError, match="two-level"):
-        e_s2(realize(default_field(3), 2, h_set(default_field(3), 2)))
+    assert aggregate_stats(H).E_s2 == 0
+    three = realize(default_field(3), 2, h_set(default_field(3), 2))
+    assert aggregate_stats(three).E_s2 is None
 
 
 def test_es2_bound_achieved_by_branching(gf2):
@@ -143,14 +171,15 @@ def test_es2_bound_achieved_by_branching(gf2):
     from ssd.bounds import lb_es2
     D = construct_thm8(gf2, 3, 1)
     assert (D.N, D.m) == (4, 6)
-    assert e_s2(D) == lb_es2(4, 6) == F(16, 5)
+    assert aggregate_stats(D).E_s2 == lb_es2(4, 6) == F(16, 5)
 
 
 def test_projected_a2_char_agrees(ssd937):
+    ch = char_a2_matrix(ssd937)
     for i in range(ssd937.m):
         for j in range(i + 1, ssd937.m):
-            assert projected_a2_char(ssd937, i, j) == pytest.approx(
-                float(projected_a2(ssd937, i, j)), abs=1e-9)
+            assert ch[i, j] == pytest.approx(float(kernel_a2(ssd937, i, j)),
+                                             abs=1e-9)
 
 
 def test_projected_a2_char_fully_aliased_four_level(gf4):
@@ -158,24 +187,37 @@ def test_projected_a2_char_fully_aliased_four_level(gf4):
     from ssd.design_core import fully_aliased_pairs
     pairs = fully_aliased_pairs(D)
     assert len(pairs) == 1
-    i, j = pairs[0]
-    assert projected_a2_char(D, i, j) == pytest.approx(3.0, abs=1e-9)
+    assert char_a2_matrix(D)[pairs[0]] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_char_route_any_level_count():
     # Z_6 characters need no field: a fully aliased 6-level pair gives s - 1
     M = np.arange(6).reshape(6, 1) % 6
     D = Design(np.concatenate([M, M], axis=1), (6, 6))
-    assert projected_a2_char(D, 0, 1) == pytest.approx(
-        float(projected_a2(D, 0, 1)), abs=1e-9)
+    assert aggregate_stats(D).A2 == 5
+    assert char_a2_matrix(D)[0, 1] == pytest.approx(5.0, abs=1e-9)
+
+
+def char_values_match_histogram(D):
+    """The character route's pair values, sorted, against the report's
+    histogram expanded in ascending order."""
+    ch = np.sort(char_a2_matrix(D)[np.triu_indices(D.m, 1)])
+    hist = aggregate_stats(D, gwlp_jmax=1).histogram
+    want = [float(v) for v, c in sorted(hist.items()) for _ in range(c)]
+    assert ch.tolist() == pytest.approx(want, abs=1e-9)
 
 
 def test_char_matrix_matches_pairwise(ssd937):
+    char_values_match_histogram(ssd937)
     ch = char_a2_matrix(ssd937)
     for i in range(ssd937.m):
         for j in range(i + 1, ssd937.m):
-            assert ch[i, j] == pytest.approx(float(projected_a2(ssd937, i, j)),
+            assert ch[i, j] == pytest.approx(float(oracle_a2(ssd937, i, j)),
                                              abs=1e-9)
+
+
+def gwlp(D, jmax):
+    return aggregate_stats(D, gwlp_jmax=jmax).gwlp
 
 
 def test_gwlp_strength_characterization():
@@ -237,16 +279,16 @@ def test_gwlp_exact_a2_and_char_matrix_on_golden_mixed():
     from ssd.design_core import read_design
     D = read_design(Path(__file__).parent / "data" / "golden" / "mixed_9x3.ssd")
     assert len(set(D.levels)) == 2
-    pattern = gwlp(D, 3)
+    rep = aggregate_stats(D)
+    pattern = rep.gwlp
     assert all(isinstance(a, F) for a in pattern)
-    assert pattern[0] == 0 and pattern[1] == a2_overall_from_pairs(D)
+    assert pattern[0] == 0 and pattern[1] == rep.A2
+    char_values_match_histogram(D)
     assert float(np.triu(char_a2_matrix(D), 1).sum()) == pytest.approx(
         float(pattern[1]), abs=1e-9)
 
 
 def test_strength_matches_is_oa(catalog_rows):
-    from ssd.design_core import is_oa
-
     def reference(D):
         t = 0
         while t < D.m and is_oa(D, t + 1):
@@ -286,18 +328,17 @@ def any_level_designs(draw):
 @given(any_level_designs())
 def test_gwlp_matches_real_contrasts_for_any_levels(D):
     jmax = min(D.m, 4)
-    pattern = gwlp(D, jmax)
+    rep = aggregate_stats(D, gwlp_jmax=jmax)
     for j in range(1, jmax + 1):
-        assert float(pattern[j - 1]) == pytest.approx(gwlp_bruteforce(D, j),
-                                                      abs=1e-9)
-    assert pattern[0] == 0
-    assert pattern[1] == a2_overall_from_pairs(D)
+        assert float(rep.gwlp[j - 1]) == pytest.approx(gwlp_bruteforce(D, j),
+                                                       abs=1e-9)
+    assert rep.gwlp[0] == 0
+    assert rep.gwlp[1] == rep.A2
 
 
 @settings(max_examples=25, deadline=None)
 @given(any_level_designs())
 def test_strength_matches_is_oa_on_mixed_designs(D):
-    from ssd.design_core import is_oa
     t = 0
     while t < D.m and is_oa(D, t + 1):
         t += 1
@@ -318,15 +359,14 @@ def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
     overall A2 once: by the pairwise sum, cross-checked by the closed form
     with equal levels.  The wordlength pattern and the coincidence totals
     both read the one histogram."""
-    from ssd import criteria, design_core
+    from ssd import design_core
     from ssd.design_core import cells_sparse, replace_column
     from ssd.report import build_report
 
     calls, count = call_counter
-    count(design_core, "_one_hot", "_row_coincidences", "_cell_count_sums",
-          "_gram_tile_sums")
-    count(criteria, "_pair_numerators", "_a2_closed_form", "coincidence_counts",
-          "a2_overall", "a2_overall_from_pairs", "power_moment", "gwlp")
+    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums")
+    count(criteria, "joint_coincidence_counts", "_pair_numerators",
+          "_a2_closed_form")
     equal = construct_thm6(gf3, 2, 2)
     mixed = replace_column(construct_thm6(gf9, 2, 2), 0,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
@@ -337,22 +377,20 @@ def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
         calls.clear()
         build_report(D)
         assert calls == Counter({"_one_hot": one_hots, route: 1,
-                                 "_row_coincidences": 1,
+                                 "joint_coincidence_counts": 1,
                                  "_pair_numerators": 1,
                                  "_a2_closed_form": closed})
     # an out-of-range depth is rejected before any pass
     calls.clear()
-    for call in (lambda: build_report(equal, gwlp_jmax=0),
-                 lambda: criteria.gwlp(equal, equal.m + 1)):
+    for jmax in (0, equal.m + 1):
         with pytest.raises(ValueError, match=r"^jmax must lie in 1\.\.m$"):
-            call()
-    assert calls == Counter({"gwlp": 1})
+            build_report(equal, gwlp_jmax=jmax)
+    assert calls == Counter()
 
 
 def test_strength_reads_one_histogram(gf3, call_counter):
-    from ssd import design_core
     calls, count = call_counter
-    count(design_core, "_row_coincidences")
+    count(criteria, "joint_coincidence_counts")
     # strength 2 takes the prefixes of length 1, 2 and 4
     assert strength(realize(gf3, 3, h_set(gf3, 3))) == 2
-    assert calls == Counter({"_row_coincidences": 1})
+    assert calls == Counter({"joint_coincidence_counts": 1})

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssd.design_core import MAX_RUNS, classify_columns, is_oa, realize
+from ssd.design_core import MAX_RUNS, classify_pair, realize
 from ssd.gf import Field, default_field, enumerate_points
+from ssd.oracle import is_oa
 from ssd.poly_labels import (LinearForm, QuadraticLabel, add_forms,
                              eval_label, eval_labels, forms_dependent, h_set,
                              label_str, parse_label, q1, q1_star, qh,
@@ -223,10 +224,10 @@ def test_dependent_forms_fully_aliased(gf5):
     f2 = LinearForm((2, 4))
     f3 = LinearForm((1, 0))
     assert forms_dependent(gf5, f2, f1)
-    c1, c2, c3 = eval_labels(gf5, [f1, f2, f3], 2).T
-    assert classify_columns(c1, c2, 5, 5).kind == "fully_aliased"
+    D = realize(gf5, 2, [f1, f2, f3])
+    assert classify_pair(D, 0, 1).kind == "fully_aliased"
     assert not forms_dependent(gf5, f1, f3)
-    assert classify_columns(c1, c3, 5, 5).kind == "orthogonal"
+    assert classify_pair(D, 0, 2).kind == "orthogonal"
 
 
 @pytest.mark.parametrize("s,n", [(3, 2), (3, 3), (4, 2), (5, 2)])

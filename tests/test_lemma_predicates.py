@@ -11,12 +11,17 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ssd.design_core import classify_columns, pair_a2_from_sumsq
+from ssd.design_core import Design, classify_pair
 from ssd.gf import default_field, enumerate_points
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              forms_dependent, l_set, unit_form)
 
 CASES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
+
+
+def pair_a2_from_sumsq(sumsq, N, si, sj):
+    """Projected A2 of a pair from the sum of squares of its cell counts."""
+    return F(si * sj * sumsq - N * N, N * N)
 
 
 def column(f, lab, pts):
@@ -35,9 +40,9 @@ def pair_a2(f, lab1, lab2, pts):
 
 
 def classify(f, lab1, lab2, pts):
-    c1 = column(f, lab1, pts)
-    c2 = column(f, lab2, pts)
-    return classify_columns(c1, c2, f.order, f.order)
+    cols = np.column_stack([column(f, lab1, pts), column(f, lab2, pts)])
+    pair = Design(cols, (f.order, f.order), require_balanced=False)
+    return classify_pair(pair, 0, 1)
 
 
 def embed_tail(form: LinearForm, n: int, offset: int) -> LinearForm:
@@ -186,11 +191,11 @@ def test_lemma12_s4_family_totals_force_the_exception(gf4):
     # fully aliased pair and 4^n - 4 pairs at value 1; these totals pin the
     # mirrored-pair classification down
     from ssd.constructions import construct_thm6
-    from ssd.criteria import a2_overall, projected_a2_histogram
+    from ssd.criteria import aggregate_stats
     for n in (2, 3):
-        D = construct_thm6(gf4, n, 2)
-        hist = projected_a2_histogram(D)
-        assert a2_overall(D) == 4**n - 1
+        rep = aggregate_stats(construct_thm6(gf4, n, 2))
+        hist = rep.histogram
+        assert rep.A2 == 4**n - 1
         assert hist[F(3)] == 1
         assert hist[F(1)] == 4**n - 4
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -10,8 +11,8 @@ import pytest
 from ssd.bounds import lb_theorem1
 from ssd.cli import run
 from ssd.constructions import construct_thm4, construct_thm8
-from ssd.criteria import a2_overall, gwlp, projected_a2
-from ssd.design_core import Design, pair_gram_sums, realize
+from ssd.criteria import aggregate_stats
+from ssd.design_core import Design, cells_sparse, pair_gram_sums, realize
 from ssd.gf import default_field
 from ssd.oracle import (DEFAULT_BUDGET, exhaustive_min_a2, gwlp_bruteforce,
                         pair_table, pair_a2_from_table, periodicity_spot_check)
@@ -50,13 +51,19 @@ def test_pair_table_margins(catalog_rows):
 
 
 def test_pair_routes_agree_everywhere(catalog_rows):
-    # the row-iteration route must equal the counting route on every pair
-    # of every shipped design (two independent implementations)
+    # the row-iteration route must equal the pair kernel on every pair of
+    # every shipped design (two independent implementations), and the
+    # catalog takes both routes of the kernel
+    routes = set()
     for recipe, D in catalog_rows:
+        routes.add(cells_sparse(D))
+        P = pair_gram_sums(D)[0]
+        s = D.levels[0]
         for i in range(D.m):
             for j in range(i + 1, D.m):
                 assert pair_a2_from_table(pair_table(D, i, j), D.N) \
-                    == projected_a2(D, i, j)
+                    == F(s * s * int(P[i, j]) - D.N**2, D.N**2)
+    assert routes == {True, False}
 
 
 def test_exhaustive_min_632():
@@ -106,7 +113,7 @@ def test_periodicity_spot_check():
 
 def test_gwlp_bruteforce_matches_character_route(gf3):
     for D in (construct_thm8(gf3, 2, 2), construct_thm4(gf3, 2)):
-        pattern = gwlp(D, 3)
+        pattern = aggregate_stats(D).gwlp
         for j in (1, 2, 3):
             assert gwlp_bruteforce(D, j) == pytest.approx(pattern[j - 1],
                                                           abs=1e-9)
@@ -117,7 +124,7 @@ def test_gwlp_bruteforce_mixed_levels():
     f4, f2 = default_field(4), default_field(2)
     D = rz(f4, 2, h_set(f4, 2)[:3])
     mixed = replace_column(D, 0, rz(f2, 2, h_set(f2, 2)).matrix)
-    pattern = gwlp(mixed, 2)
+    pattern = aggregate_stats(mixed, gwlp_jmax=2).gwlp
     assert gwlp_bruteforce(mixed, 2) == pytest.approx(pattern[1], abs=1e-9)
 
 
@@ -139,7 +146,9 @@ def test_search_matches_pinned_results(case):
         assert res.design is None
     else:
         assert res.design.matrix.tolist() == case["matrix"]
-        assert a2_overall(res.design) == res.best_a2
+        # a single column has no pair, and the report needs two columns
+        want = aggregate_stats(res.design).A2 if res.design.m > 1 else 0
+        assert res.best_a2 == want
 
 
 @pytest.mark.parametrize("case", [c for c in PINNED["cases"] if c["stdout"]],
@@ -194,3 +203,40 @@ def test_rejects_degenerate_shapes():
         exhaustive_min_a2(6, 1, 2)
     with pytest.raises(ValueError, match="at least the level count"):
         exhaustive_min_a2(2, 4, 2)
+
+
+# every module but the oracle itself and the command line, which runs it
+PROGRAM_MODULES = ("gf", "poly_labels", "design_core", "criteria", "bounds",
+                   "constructions", "report")
+
+
+def _imports_oracle(node):
+    """True when an import statement brings in ssd.oracle or a name of it."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["ssd", "oracle"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module in ("oracle", "ssd.oracle"):
+            return True
+        return (module == "" or module == "ssd") and any(
+            a.name == "oracle" for a in node.names)
+    return False
+
+
+def test_no_program_module_imports_the_oracle():
+    """The references stay apart from the code they check: no module that
+    builds, evaluates or bounds a design imports ssd.oracle."""
+    import ssd
+    root = Path(ssd.__file__).parent
+    for name in PROGRAM_MODULES:
+        tree = ast.parse((root / f"{name}.py").read_text())
+        bad = [node.lineno for node in ast.walk(tree) if _imports_oracle(node)]
+        assert not bad, f"ssd/{name}.py imports ssd.oracle on lines {bad}"
+    # the check itself sees each spelling of the import
+    for line in ("from .oracle import pair_table", "from . import oracle",
+                 "from ssd.oracle import is_oa", "from ssd import oracle",
+                 "import ssd.oracle", "import ssd.oracle as o"):
+        assert _imports_oracle(ast.parse(line).body[0]), line
+    for line in ("from . import criteria", "from .design_core import Design",
+                 "import ssd"):
+        assert not _imports_oracle(ast.parse(line).body[0]), line

@@ -1,4 +1,7 @@
-"""Both routes of the pair kernel against independent per-pair cell counting."""
+"""Both routes of the pair kernel against independent per-pair cell counting.
+
+pair_gram_sums fills the upper triangles i <= j only, so every comparison
+reads those entries."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -9,15 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd import design_core
-from ssd.criteria import (a2_overall_from_pairs, dependency_summary,
-                          pair_dependency_stats, projected_a2,
-                          projected_a2_histogram)
-from ssd.design_core import (FULLY_ALIASED, Design, cell_table, cells_sparse,
+from ssd.criteria import aggregate_stats
+from ssd.design_core import (FULLY_ALIASED, Design, cells_sparse,
                              classify_pair, fully_aliased_pairs,
                              pair_gram_sums, realize, remove_fully_aliased,
                              select_columns)
 from ssd.gf import default_field
+from ssd.oracle import pair_a2_from_table, pair_dependency_stats, pair_table
 from ssd.poly_labels import h_set
+
+
+def cell_table(D, i, j):
+    """The s_i x s_j cell counts of a pair, by one bincount."""
+    si, sj = D.levels[i], D.levels[j]
+    codes = D.matrix[:, i].astype(np.int64) * sj + D.matrix[:, j]
+    return np.bincount(codes, minlength=si * sj).reshape(si, sj)
+
+
+def upper(M):
+    """The entries i <= j of a square matrix, row-major."""
+    return M[np.triu_indices(len(M))]
 
 
 @st.composite
@@ -57,31 +71,31 @@ def test_kernel_matches_per_pair_counting(case):
     D, dup = case
     N, lev = D.N, D.levels
     P, Fm = pair_gram_sums(D)
-    assert (P == P.T).all() and (Fm == Fm.T).all()
     hist = Counter()
     chi2s, fs, d2s = [], [], []
     for i in range(D.m):
-        tab = cell_table(D, i, i).astype(np.int64)
+        tab = cell_table(D, i, i)
         assert P[i, i] == (tab * tab).sum()
         for j in range(i + 1, D.m):
             den = lev[i] * lev[j]
-            tab = cell_table(D, i, j).astype(np.int64)
+            tab = cell_table(D, i, j)
             assert P[i, j] == (tab * tab).sum()
             assert Fm[i, j] == np.abs(den * tab - N).sum()
             X = den * int(P[i, j]) - N * N
             chi2, f, d2 = pair_dependency_stats(D, i, j)
             assert (chi2, f, d2) == (F(X, N), F(int(Fm[i, j]), den), F(X, den))
-            hist[projected_a2(D, i, j)] += 1
+            hist[pair_a2_from_table(pair_table(D, i, j), N)] += 1
             chi2s.append(chi2)
             fs.append(f)
             d2s.append(d2)
-    assert projected_a2_histogram(D) == hist
-    assert a2_overall_from_pairs(D) == sum(v * c for v, c in hist.items())
+    rep = aggregate_stats(D, gwlp_jmax=1)
+    assert rep.histogram == hist
+    assert rep.A2 == sum(v * c for v, c in hist.items())
     npairs = len(chi2s)
-    assert dependency_summary(D) == {
-        "ave_chi2": sum(chi2s) / npairs, "max_chi2": max(chi2s),
-        "ave_f": sum(fs) / npairs, "max_f": max(fs),
-        "E_d2": sum(d2s) / npairs, "max_d2": max(d2s)}
+    assert (rep.ave_chi2, rep.max_chi2, rep.ave_f, rep.max_f, rep.E_d2,
+            rep.max_d2) == (sum(chi2s) / npairs, max(chi2s),
+                            sum(fs) / npairs, max(fs),
+                            sum(d2s) / npairs, max(d2s))
     expected = [(i, j) for i in range(D.m) for j in range(i + 1, D.m)
                 if classify_pair(D, i, j).kind == FULLY_ALIASED]
     assert dup in expected
@@ -90,22 +104,26 @@ def test_kernel_matches_per_pair_counting(case):
 
 
 def per_pair_sums(D):
-    """P and F of every pair i <= j (mirrored) from its own cell table."""
-    P = np.zeros((D.m, D.m), dtype=np.int64)
-    Fm = np.zeros((D.m, D.m), dtype=np.int64)
+    """P and F of every pair i <= j, row-major, each from its own cell table."""
+    P, Fm = [], []
     for i in range(D.m):
         for j in range(i, D.m):
-            tab = cell_table(D, i, j).astype(np.int64)
-            P[i, j] = P[j, i] = (tab * tab).sum()
-            Fm[i, j] = Fm[j, i] = np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum()
-    return P, Fm
+            tab = cell_table(D, i, j)
+            P.append((tab * tab).sum())
+            Fm.append(np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum())
+    return np.array(P), np.array(Fm)
+
+
+def upper_sums(D):
+    """The upper triangles of pair_gram_sums, row-major."""
+    return tuple(upper(M) for M in pair_gram_sums(D))
 
 
 def forced_sums(D, sparse):
-    """pair_gram_sums of D on the chosen route."""
+    """upper_sums of D on the chosen route."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design_core, "cells_sparse", lambda D: sparse)
-        return pair_gram_sums(D)
+        return upper_sums(D)
 
 
 @st.composite
@@ -206,6 +224,15 @@ def test_both_routes_match_cell_tables(D):
         P, Fm = forced_sums(D, sparse)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert P.dtype == Fm.dtype == np.int64
+    # the oracle's row-counted statistics give the same sums
+    pairs = [(i, j) for i in range(D.m) for j in range(i, D.m)]
+    for (i, j), p, f in zip(pairs, *want):
+        if i < j:
+            den = D.levels[i] * D.levels[j]
+            X = den * int(p) - D.N ** 2
+            assert pair_dependency_stats(D, i, j) == (F(X, D.N), F(int(f), den),
+                                                      F(X, den))
+            assert pair_a2_from_table(pair_table(D, i, j), D.N) == F(X, D.N ** 2)
 
 
 def test_cell_count_chunks_stay_within_budget(monkeypatch):
@@ -228,7 +255,7 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(design_core, "PAIR_CELL_BUDGET", budget)
             mp.setattr(design_core.np, "bincount", counting)
-            P, Fm = pair_gram_sums(D)
+            P, Fm = upper_sums(D)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert len(chunks) > 1
         assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) + 1) // 2
@@ -245,7 +272,7 @@ def test_catalog_designs_give_equal_sums_on_both_routes(catalog_rows):
         sparse = forced_sums(D, True)
         dense = forced_sums(D, False)
         assert all((a == b).all() for a, b in zip(sparse, dense)), recipe.row_id
-        natural = pair_gram_sums(D)
+        natural = upper_sums(D)
         assert all((a == b).all() for a, b in zip(natural, sparse)), recipe.row_id
     assert routes == {True, False}
 
@@ -279,7 +306,7 @@ def test_gram_tiles_stay_within_budget(monkeypatch):
     for budget in (1, 4, 10, 20, 40):
         plans = recorded_gram_tiles(monkeypatch)
         monkeypatch.setattr(design_core, "GRAM_TILE_CELLS", budget)
-        P, Fm = pair_gram_sums(D)
+        P, Fm = upper_sums(D)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         (tiles,) = plans
         assert len(tiles) > 1
@@ -304,9 +331,9 @@ def test_float32_gram_is_exact_up_to_two_to_the_24(monkeypatch):
     plans = recorded_gram_tiles(monkeypatch)
     # tiles of 31 one-hot rows: 15 columns each
     monkeypatch.setattr(design_core, "GRAM_TILE_CELLS", 1)
-    P, Fm = pair_gram_sums(D)
+    P, Fm = upper_sums(D)
     assert len(plans[0]) == 5
-    assert P[0, 0] == 2 ** 23 and P[-1, -1] == 2 ** 24
+    assert P[0] == 2 ** 23 and P[-1] == 2 ** 24
     want = per_pair_sums(D)
     assert (P == want[0]).all() and (Fm == want[1]).all()
 
@@ -330,4 +357,5 @@ def test_gram_f_is_exact_past_two_to_the_24(q, n):
     assert (P[0] == N).all()
     assert (Fm[0] == 2 * N * (w - N)).all()
     rest = per_pair_sums(select_columns(D, range(1, 101)))
-    assert (P[1:, 1:] == rest[0]).all() and (Fm[1:, 1:] == rest[1]).all()
+    assert (upper(P[1:, 1:]) == rest[0]).all()
+    assert (upper(Fm[1:, 1:]) == rest[1]).all()
