@@ -137,8 +137,12 @@ def _clamped(name: str, bound: Fraction) -> str:
 
 def _cmd_branch(args) -> int:
     f = _field(args.s, args.modulus)
-    # either family has (s^n - 1)/(s - 1) labels: checked before any is built
-    check_branch_labels((f.order ** args.n - 1) // (f.order - 1))
+    s, n = f.order, args.n
+    # either family has (s^n - 1)/(s - 1) labels: checked before any is built.
+    # From n = 13 on that is at least 2^13 - 1 whatever s is, so the count is
+    # worked out at n = 13 and named by its formula.
+    check_branch_labels((s ** min(n, 13) - 1) // (s - 1),
+                        f"({s}^{n} - 1)/{s - 1}" if n > 13 else None)
     labels = h_set(f, args.n) if args.family == "h" else q1(f, args.n)
     branch = parse_label(f, args.branch, args.n)
     g = _int_list(args.levels)

@@ -246,11 +246,12 @@ def check_fraction_runs(runs: int) -> None:
                          f"the supported {MAX_RUNS}")
 
 
-def check_branch_labels(count: int) -> None:
+def check_branch_labels(count: int, shown: str | None = None) -> None:
     """Reject a branch of `count` labels that can keep more than
-    MAX_COLUMNS columns: it drops at least the branching label."""
+    MAX_COLUMNS columns: it drops at least the branching label.  The
+    message names the count as `shown` when given."""
     if count - 1 > MAX_COLUMNS:
-        raise ValueError(f"branching {count} labels keeps more than "
+        raise ValueError(f"branching {shown or count} labels keeps more than "
                          f"the supported {MAX_COLUMNS} columns")
 
 

@@ -18,22 +18,18 @@ from ssd.constructions import (CATALOG_SPECS, catalog, catalog_verify,
                                construct_thm6, construct_thm8,
                                verify_appendix)
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (classify_pair, fully_aliased_pairs,
-                             pair_gram_sums, realize, remove_fully_aliased,
-                             replace_column, select_columns)
+from ssd.design_core import (classify_pair, fully_aliased_pairs, realize,
+                             remove_fully_aliased, replace_column,
+                             select_columns)
 from ssd.gf import Field, default_field
-from ssd.oracle import char_a2_matrix, exhaustive_min_a2, gwlp_bruteforce
+from ssd.oracle import (char_a2_matrix, exhaustive_min_a2, gwlp_bruteforce,
+                        pair_a2_from_table)
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              h_set, q1, unit_form)
 
 
 def _ok(num, text):
     print(f"[criterion {num:2d}] PASS - {text}")
-
-
-def pair_a2_sq(sumsq, N, si, sj):
-    """Projected A2 of a pair from the sum of squares of its cell counts."""
-    return F(si * sj * sumsq - N * N, N * N)
 
 
 def test_c01_nine_run_seven_column_family(gf3):
@@ -56,15 +52,12 @@ def test_c02_sixteen_column_family_and_quadratic_subdesign(gf3):
     rep = aggregate_stats(D)
     assert rep.A2 == 48
     assert rep.histogram == {F(0): 30, F(4, 9): 54, F(2, 3): 36}
-    # per-column dependency degrees, split by linear/quadratic provenance,
-    # from the upper triangle of the pair kernel's P
-    P = pair_gram_sums(D)[0]
+    # per-column dependency degrees, split by linear/quadratic provenance
     linear_cols = [i for i, lab in enumerate(D.labels)
                    if isinstance(lab, LinearForm)]
     quad_cols = [i for i in range(D.m) if i not in linear_cols]
     for i in range(D.m):
-        vals = [pair_a2_sq(int(P[min(i, j), max(i, j)]), D.N, 3, 3)
-                for j in range(D.m) if j != i]
+        vals = [classify_pair(D, i, j).a2 for j in range(D.m) if j != i]
         partial = sum(v == F(4, 9) for v in vals)
         semi = sum(v == F(2, 3) for v in vals)
         if i in linear_cols:
@@ -236,12 +229,10 @@ ALT_FIELDS = {4: Field(4, (1, 1, 1)),      # the unique quadratic modulus
 def test_c10_dual_route_equivalence(catalog_rows):
     for rows in (catalog_rows, catalog(ALT_FIELDS)):
         for recipe, D in rows:
-            P = pair_gram_sums(D)[0]
             ch = char_a2_matrix(D)
             for i in range(D.m):
-                si = D.levels[i]
                 for j in range(i + 1, D.m):
-                    exact = pair_a2_sq(int(P[i, j]), D.N, si, D.levels[j])
+                    exact = classify_pair(D, i, j).a2
                     assert abs(ch[i, j] - float(exact)) < 1e-9
             rep = aggregate_stats(D, gwlp_jmax=2)
             assert abs(rep.gwlp[1] - float(rep.A2)) < 1e-6
@@ -278,8 +269,8 @@ def test_c12_pairwise_dependency_predicates():
     for a1, a2 in itertools.product(f4.elements(), repeat=2):
         c1, c2 = eval_labels(f4, [QuadraticLabel(x1, a1, x2),
                                   QuadraticLabel(x2, a2, x1)], 2).T
-        tab = np.bincount(c1 * 4 + c2, minlength=16).astype(np.int64)
-        got = pair_a2_sq(int((tab * tab).sum()), 16, 4, 4)
+        tab = np.bincount(c1 * 4 + c2, minlength=16).reshape(4, 4)
+        got = pair_a2_from_table(tab.tolist(), 16)
         if a1 == a2 == 0:
             assert got == 3
         elif a1 and a2 and a2 != f4.mul(a1, a1):
@@ -304,9 +295,8 @@ def test_c12_pairwise_dependency_predicates():
                                       LinearForm((0, 2, 1)))
                 rows = pts @ s ** np.arange(2, -1, -1)
                 c1, c2 = eval_labels(f, [lab1, lab2], 3, rows).T
-                tab = np.bincount(c1 * s + c2,
-                                  minlength=s * s).astype(np.int64)
-                got = pair_a2_sq(int((tab * tab).sum()), len(pts), s, s)
+                tab = np.bincount(c1 * s + c2, minlength=s * s).reshape(s, s)
+                got = pair_a2_from_table(tab.tolist(), len(pts))
                 assert got == F(s - k, k * s), (s, G)
     _ok(12, "dependency predicates verified (4-level trichotomy in its "
             "consistent form; branched value (s-k)/(ks)); deep suites in "

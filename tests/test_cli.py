@@ -395,9 +395,13 @@ def test_construct_rejects_oversize_point_space_first(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("family", ["h", "q1"])
+@pytest.mark.parametrize("n, count", [("12", "265720"),
+                                      ("100000", "(3^100000 - 1)/2")])
 def test_branch_rejects_oversize_label_family_first(tmp_path, capsys,
-                                                    monkeypatch, family):
-    # both families have (3^12 - 1)/2 = 265720 labels
+                                                    monkeypatch, family, n,
+                                                    count):
+    # both families have (3^n - 1)/2 labels; past n = 13 the count is named
+    # by its formula
     from ssd import cli
 
     def no_labels(*args):
@@ -405,10 +409,10 @@ def test_branch_rejects_oversize_label_family_first(tmp_path, capsys,
     for name in ("h_set", "q1"):
         monkeypatch.setattr(cli, name, no_labels)
     d = tmp_path / "b.ssd"
-    assert run(["branch", "--s", "3", "--n", "12", "--family", family,
+    assert run(["branch", "--s", "3", "--n", n, "--family", family,
                 "--branch", "X1", "--levels", "0", "--out", str(d)]) == 1
     assert capsys.readouterr().err == (
-        "error: branching 265720 labels keeps more than the supported "
+        f"error: branching {count} labels keeps more than the supported "
         "4096 columns\n")
     assert not d.exists()
 

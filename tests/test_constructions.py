@@ -198,6 +198,9 @@ def test_dealiasing_runs_no_pair_pass(gf4, call_counter):
         after = remove_fully_aliased(before)
         assert after.m == before.m - len(fully_aliased_pairs(before))
         assert calls == Counter()
+        # the de-aliased design reaches the theorem-1 bound
+        cert = certify(aggregate_stats(after, gwlp_jmax=1))
+        assert cert.a2 == cert.theorem1 and cert.achieved_theorem1
 
 
 def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):

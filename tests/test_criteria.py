@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from ssd import criteria
 from ssd.constructions import construct_thm4, construct_thm6, construct_thm8
 from ssd.criteria import aggregate_stats, krawtchouk, round_half_away, strength
-from ssd.design_core import (Design, column_juxtapose,
-                             joint_coincidence_counts, pair_gram_sums,
-                             realize, select_columns)
+from ssd.design_core import (Design, classify_pair, column_juxtapose,
+                             joint_coincidence_counts, realize,
+                             select_columns)
 from ssd.gf import Field, default_field
 from ssd.oracle import (char_a2_matrix, coincidences, gwlp_bruteforce, is_oa,
                         pair_a2_from_table, pair_dependency_stats, pair_table)
@@ -22,13 +22,6 @@ from ssd.poly_labels import h_set
 @pytest.fixture(scope="module")
 def ssd937(gf3):
     return construct_thm4(gf3, 2)
-
-
-def kernel_a2(D, i, j):
-    """Projected A2 of columns i < j from the pair kernel's P."""
-    P = pair_gram_sums(D)[0]
-    si, sj = D.levels[i], D.levels[j]
-    return F(si * sj * int(P[i, j]) - D.N**2, D.N**2)
 
 
 def oracle_a2(D, i, j):
@@ -83,10 +76,10 @@ def test_a2_requires_balanced():
 def test_projected_a2_values(gf3, ssd937):
     H = realize(gf3, 2, h_set(gf3, 2))
     dup = column_juxtapose(H, H)
-    for a2 in (kernel_a2, oracle_a2):
-        assert a2(dup, 0, 4) == 2          # fully aliased: s - 1
-        assert a2(ssd937, 1, 4) == F(2, 3)  # semi-orthogonal, s odd
-        assert a2(ssd937, 0, 1) == 0
+    for D, i, j, want in ((dup, 0, 4, 2),             # fully aliased: s - 1
+                          (ssd937, 1, 4, F(2, 3)),    # semi-orthogonal, s odd
+                          (ssd937, 0, 1, 0)):
+        assert classify_pair(D, i, j).a2 == oracle_a2(D, i, j) == want
 
 
 def test_projected_a2_histogram_totals(ssd937):
@@ -178,8 +171,8 @@ def test_projected_a2_char_agrees(ssd937):
     ch = char_a2_matrix(ssd937)
     for i in range(ssd937.m):
         for j in range(i + 1, ssd937.m):
-            assert ch[i, j] == pytest.approx(float(kernel_a2(ssd937, i, j)),
-                                             abs=1e-9)
+            want = float(classify_pair(ssd937, i, j).a2)
+            assert ch[i, j] == pytest.approx(want, abs=1e-9)
 
 
 def test_projected_a2_char_fully_aliased_four_level(gf4):

@@ -13,15 +13,17 @@ import pytest
 
 from ssd.design_core import Design, classify_pair
 from ssd.gf import default_field, enumerate_points
+from ssd.oracle import pair_a2_from_table
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              forms_dependent, l_set, unit_form)
 
 CASES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 
 
-def pair_a2_from_sumsq(sumsq, N, si, sj):
-    """Projected A2 of a pair from the sum of squares of its cell counts."""
-    return F(si * sj * sumsq - N * N, N * N)
+def columns_a2(c1, c2, s):
+    """Projected A2 of two s-level columns, from their pair table."""
+    tab = np.bincount(c1 * s + c2, minlength=s * s).reshape(s, s)
+    return pair_a2_from_table(tab.tolist(), len(c1))
 
 
 def column(f, lab, pts):
@@ -33,10 +35,7 @@ def column(f, lab, pts):
 
 def pair_a2(f, lab1, lab2, pts):
     s = f.order
-    c1 = column(f, lab1, pts)
-    c2 = column(f, lab2, pts)
-    tab = np.bincount(c1 * s + c2, minlength=s * s).astype(np.int64)
-    return pair_a2_from_sumsq(int((tab * tab).sum()), len(pts), s, s)
+    return columns_a2(column(f, lab1, pts), column(f, lab2, pts), s)
 
 
 def classify(f, lab1, lab2, pts):
@@ -230,10 +229,7 @@ def test_lemma13_branched_linear_pairs(s, n):
                             expect = F(s - k, k)
                         else:
                             continue
-                        tab = np.bincount(cols[a1, hi] * s + cols[a2, hj],
-                                          minlength=s * s).astype(np.int64)
-                        got = pair_a2_from_sumsq(int((tab * tab).sum()),
-                                                 len(pts), s, s)
+                        got = columns_a2(cols[a1, hi], cols[a2, hj], s)
                         assert got == expect, (s, n, G, a1, a2)
 
 
@@ -264,18 +260,12 @@ def test_lemma14_quadratic_branch_pairs(s, n):
             qcols = {a: column(
                 f, QuadraticLabel(x1, a, x2), pts) for a in f.elements()}
 
-            def a2_of(c1, c2):
-                tab = np.bincount(c1 * s + c2,
-                                  minlength=s * s).astype(np.int64)
-                return pair_a2_from_sumsq(int((tab * tab).sum()),
-                                          len(pts), s, s)
-
             # the plain coordinate against every shifted quadratic
             for a1 in f.elements():
-                assert a2_of(x1col, qcols[a1]) == value
+                assert columns_a2(x1col, qcols[a1], s) == value
             # two shifted quadratics with different shifts
             for a1, a2 in itertools.combinations(f.elements(), 2):
-                assert a2_of(qcols[a1], qcols[a2]) == value
+                assert columns_a2(qcols[a1], qcols[a2], s) == value
             if n < 3:
                 continue
             h = unit_form(n, 2)  # the canonical trailing form X3
@@ -288,7 +278,7 @@ def test_lemma14_quadratic_branch_pairs(s, n):
                     itertools.product(f.elements(), repeat=2), 2):
                 if b1 == b2:
                     continue
-                got = a2_of(gcols[a1, b1], gcols[a2, b2])
+                got = columns_a2(gcols[a1, b1], gcols[a2, b2], s)
                 if s % 2:
                     assert got == F(s - k, k * s), (s, G, a1, b1, a2, b2)
                 elif a1 != a2:

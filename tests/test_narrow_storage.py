@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from ssd import design_core
 from ssd.criteria import strength
-from ssd.design_core import (FULLY_ALIASED, Design, classify_pair,
+from ssd.design_core import (FULLY_ALIASED, ORTHOGONAL, PARTIAL,
+                             SEMI_ORTHOGONAL, Design, classify_pair,
                              fully_aliased_pairs, joint_coincidence_counts,
                              level_groups, pair_gram_sums)
 from ssd.oracle import char_a2_matrix, is_oa, pair_table
@@ -113,6 +114,21 @@ def reference_table(X, levels, i, j):
     return np.bincount(codes, minlength=si * sj).reshape(si, sj)
 
 
+def reference_kind(tab, N):
+    """The pair class of a cell table by its nonzero cell counts."""
+    si, sj = tab.shape
+    cells = Counter(v for v in tab.ravel().tolist() if v)
+    if N % (si * sj) == 0 and cells == {N // (si * sj): si * sj}:
+        return ORTHOGONAL
+    if si != sj:
+        return PARTIAL
+    s, c = si, N // (si * si)
+    if cells == {N // s: s}:
+        return FULLY_ALIASED
+    semi = {c: s, 2 * c: s * (s - 1) // 2} if s % 2 else {2 * c: s * s // 2}
+    return SEMI_ORTHOGONAL if N % (s * s) == 0 and cells == semi else PARTIAL
+
+
 def check_cell_tables_and_classes(D):
     X = wide(D)
     for i, j in itertools.combinations_with_replacement(range(D.m), 2):
@@ -121,6 +137,7 @@ def check_cell_tables_and_classes(D):
         got = classify_pair(D, i, j)
         sumsq = int((tab * tab).sum())
         assert got.a2 == F(D.levels[i] * D.levels[j] * sumsq - D.N**2, D.N**2)
+        assert got.kind == reference_kind(tab, D.N)
 
 
 def check_pair_gram_sums(D):
