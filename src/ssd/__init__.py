@@ -22,8 +22,8 @@ from .design_core import (Design, PairClass, branch_fraction, classify_pair,
                           remove_fully_aliased, replace_column,
                           select_columns, write_design)
 from .gf import Field, default_field, enumerate_points
-from .poly_labels import (LinearForm, QuadraticLabel, eval_label, h_set,
-                          label_str, parse_label, q1, q1_star, qh,
-                          qh_substitution, qh_star)
+from .poly_labels import (LinearForm, QuadraticLabel, h_set, label_str,
+                          parse_label, q1, q1_star, qh, qh_substitution,
+                          qh_star)
 
 __version__ = "1.0.0"

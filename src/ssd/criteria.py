@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .design_core import (Design, joint_coincidence_counts, level_groups,
-                          pair_gram_sums)
+                          pair_gram_sums, pair_starts)
 
 GWLP_DEFAULT_JMAX = 3
 
@@ -55,16 +55,25 @@ def _require_evaluable(D: Design) -> None:
         raise ValueError("need at least two columns")
 
 
-def _pair_numerators(D: Design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_numerators(D: Design) -> tuple[np.ndarray, int | np.ndarray,
+                                          np.ndarray]:
     """X = s_i s_j P - N^2, the denominators s_i s_j and F over the pairs
-    i < j, row-major: every pairwise statistic of the design.  Reads the
-    upper triangles of the pair kernel's sums."""
+    i < j, row-major: every pairwise statistic of the design.  X is the
+    pair kernel's P vector, rewritten in place; the denominators are one
+    integer when the levels are equal, else a vector written one row i of
+    pairs at a time."""
     P, F = pair_gram_sums(D)
-    upper = np.triu(np.ones(P.shape, dtype=bool), 1)
-    lev = np.asarray(D.levels, dtype=np.int64)
-    s_i, s_j = np.broadcast_arrays(lev[:, None], lev)
-    den = s_i[upper] * s_j[upper]
-    return den * P[upper] - D.N * D.N, den, F[upper]
+    if len(set(D.levels)) == 1:
+        den = D.levels[0] ** 2
+    else:
+        lev = np.asarray(D.levels, dtype=np.int64)
+        den = np.empty_like(P)
+        starts = pair_starts(D.m)
+        for i in range(D.m - 1):
+            np.multiply(lev[i + 1:], lev[i], out=den[starts[i]:starts[i + 1]])
+    P *= den
+    P -= D.N * D.N
+    return P, den, F
 
 
 def _histogram(X: np.ndarray, N: int) -> dict:
@@ -81,16 +90,18 @@ def _a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> Fraction:
             - N * m * (m + s - 1)) / Fraction(2 * N)
 
 
-def _summary(X: np.ndarray, den: np.ndarray, F: np.ndarray, N: int,
+def _summary(X: np.ndarray, den, F: np.ndarray, N: int,
              levels) -> dict[str, Fraction]:
     npairs = len(X)
     f_sum = d2_sum = f_max = d2_max = Fraction(0)
-    levels = set(levels)
-    for d in {a * b for a in levels for b in levels}:
-        sel = den == d
-        if not sel.any():
-            continue
-        Xd, Fd = X[sel], F[sel]
+    if np.ndim(den) == 0:
+        groups = [(den, X, F)]
+    else:
+        levels = set(levels)
+        groups = [(d, X[sel], F[sel])
+                  for d in {a * b for a in levels for b in levels}
+                  if (sel := den == d).any()]
+    for d, Xd, Fd in groups:
         d2_sum += Fraction(int(Xd.sum()), d)
         f_sum += Fraction(int(Fd.sum()), d)
         d2_max = max(d2_max, Fraction(int(Xd.max()), d))

@@ -12,18 +12,19 @@ besides them, pair classification, de-aliasing and the plain text
 serialisation format.  The independent references these kernels are
 checked against live in ssd.oracle.
 
-The pair kernel has two exact routes, chosen by one rule (cells_sparse).
-When the cell tables of the pairs i <= j have at least as many cells as
-runs in total, sum_{i <= j} s_i s_j >= N m (m + 1) / 2, most cells are
-empty and each chunk of pairs is counted with one int64 bincount.
-Otherwise the tables are blocks of the one-hot Gram matrix, computed by a
-float32 matrix product in tiles of whole design columns, each about
-GRAM_TILE_CELLS * N Gram cells, in one workspace per call.  With
-N <= 4096, a Gram entry is a count n <= N and a block's sum of squares is
-at most N^2 <= 2^24, integers that float32 holds and adds exactly.  F is
-read from the hinge sum 2 sum_ab max(N - s_i s_j n_ab, 0), equal to
-sum_ab |s_i s_j n_ab - N| because sum_ab n_ab = N; each term lies in
-[0, N], exact in float32, and the block sums that can exceed 2^24 run in
+The pair kernel returns its sums for the pairs i < j as row-major
+vectors.  It has two exact routes, chosen by one rule (cells_sparse) that
+compares time estimates fitted on both.  The cell-count route counts each
+chunk of pairs with one int64 bincount.  The Gram route reads the tables
+as blocks of the one-hot Gram matrix, with the columns in ascending level
+order, computed by a float32 matrix product in tiles of columns of one
+level, each about GRAM_TILE_CELLS * N Gram cells, in one workspace per
+call.  With N <= 4096, a Gram entry is a count n <= N and a block's sum
+of squares is at most N^2 <= 2^24, integers that float32 holds and adds
+exactly.  F is read from the hinge sum 2 sum_ab max(N - s_i s_j n_ab, 0),
+equal to sum_ab |s_i s_j n_ab - N| because sum_ab n_ab = N; each term
+lies in [0, N], exact in float32.  A block sum of hinge terms is at most
+s_i s_j N, and the level groups where that can pass 2^24 are summed in
 float64.  The coincidence kernel's products are agreement counts
 <= m <= 4096.
 """
@@ -58,8 +59,8 @@ COINCIDENCE_BLOCK_CELLS = 1 << 21
 # counted with bincount; beyond it the blocks are reduced by np.unique.
 JOINT_BINS_MAX = 1 << 22
 # Symbols per block where the design matrix is walked a block at a time:
-# whole rows for the text writer and the balance check, whole columns for
-# the relabelling check.  Bounds their temporaries.
+# whole rows for the text writer, the balance check and the one-hot matrix,
+# whole columns for the relabelling check.  Bounds their temporaries.
 MATRIX_BLOCK_CELLS = 1 << 16
 
 ORTHOGONAL = "orthogonal"
@@ -350,14 +351,10 @@ def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
     so no N x N array exists.  The products are agreement counts <= m,
     exact in float32.
     """
-    B = _one_hot(D)[0]
+    B = _one_hot(D)
     groups = level_groups(D)
-    if len(groups) == 1:
-        slabs = [B]
-    else:
-        owner = np.repeat(np.asarray(D.levels), D.levels)
-        slabs = [B[:, owner == s] for s, _ in groups]
-        del B
+    edges = np.cumsum([0] + [s * mg for s, mg in groups])
+    slabs = [B[:, a:b] for a, b in zip(edges, edges[1:])]
     radix = [mg + 1 for _, mg in groups]
     bins = math.prod(radix)
     counted = bins <= JOINT_BINS_MAX
@@ -383,165 +380,246 @@ def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
     return dict(zip(keys, acc[codes].tolist()))
 
 
-def _one_hot(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Row indicator matrix (N, sum levels) and the per-column start offsets.
+def _level_order(D: Design) -> np.ndarray:
+    """Column indices in ascending level order; equal levels keep their
+    order, so this is the identity when the levels already ascend."""
+    return np.argsort(D.levels, kind="stable")
+
+
+def _one_hot(D: Design) -> np.ndarray:
+    """Row indicator matrix (N, sum levels) of the columns in _level_order,
+    each column's s indicator columns in symbol order, filled a block of
+    about MATRIX_BLOCK_CELLS symbols (whole rows) at a time.
 
     float32: every product of it read here is an integer count <= 2^24,
     which float32 holds exactly.
     """
-    starts = np.concatenate([[0], np.cumsum(D.levels)])[:-1]
-    total = int(sum(D.levels))
-    B = np.zeros((D.N, total), dtype=np.float32)
-    idx = D.matrix + starts[None, :]
-    B[np.arange(D.N)[:, None], idx] = 1.0
-    return B, starts
+    levels = sorted(D.levels)
+    X = D.matrix if list(D.levels) == levels else D.matrix[:, _level_order(D)]
+    L = sum(levels)
+    B = np.zeros((D.N, L), dtype=np.float32)
+    starts = np.cumsum(levels) - levels
+    rows = max(1, MATRIX_BLOCK_CELLS // D.m)
+    for r0 in range(0, D.N, rows):
+        hot = X[r0:r0 + rows] + starts
+        hot += (np.arange(r0, r0 + len(hot)) * L)[:, None]
+        B.reshape(-1)[hot] = 1.0
+    return B
 
 
 def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Integer m x m upper triangles of sums over the cell tables n_ab of
-    the column pairs i <= j:
+    """Integer sums over the cell tables n_ab of the column pairs i < j,
 
-        P[i, j] = sum_ab n_ab^2    and    F[i, j] = sum_ab |s_i s_j n_ab - N|
+        P = sum_ab n_ab^2    and    F = sum_ab |s_i s_j n_ab - N|,
 
-    give every pairwise statistic exactly.  Diagonal entries refer to a
-    column against itself; entries below the diagonal are unspecified.
-    Two exact routes, chosen by cells_sparse:
+    as two int64 vectors in row-major pair order, the order of
+    np.triu_indices(m, 1): pair (i, j) is entry
+    i m - i (i + 1) / 2 + j - i - 1.  They give every pairwise statistic
+    exactly.  Two exact routes, chosen by cells_sparse:
 
-    - cell count, when the tables hold at most one run per cell on average:
-      each chunk of column pairs i <= j is one bincount of the codes
-      x_i s_j + x_j shifted into the chunk's own bins, and P and F are
-      per-pair reduceat sums of the counts;
+    - cell count, when cells_sparse estimates it no slower: each chunk of
+      pairs is one bincount of the codes x_i s_j + x_j, shifted into the
+      pair's own bins, and P and F are per-pair sums of the counts;
     - one-hot Gram otherwise: the (i, j) block of G = B^T B is the cell
-      table, so P and F are block sums of G, computed in tiles of whole
-      design columns against the columns from the tile onwards, each tile
-      about GRAM_TILE_CELLS * N Gram cells.
+      table, so P and F are block sums of G.  The columns are taken in
+      ascending level order, in tiles of columns of one level, each
+      multiplied against the columns after its first, each about
+      GRAM_TILE_CELLS * N Gram cells.
 
-    Either way no L x L or pairs x N temporary exists.
+    Either way no m x m, L x L or pairs x N temporary exists.
     """
     route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
     return route(D)
 
 
 def cells_sparse(D: Design) -> bool:
-    """True when the pair cell tables i <= j hold at most one run per cell
-    on average: sum_{i <= j} s_i s_j >= N m (m + 1) / 2."""
-    L = sum(D.levels)
-    cells = (L * L + sum(s * s for s in D.levels)) // 2
-    return cells >= D.N * D.m * (D.m + 1) // 2
+    """True when counting each pair's cells is estimated to take no longer
+    than the Gram tiles.
+
+    The estimates are in ns, fitted on timings of both routes over the
+    catalog, the N = s^2 families for s = 3..32, thm4 for n = 3..10, the
+    benchmark's evaluate shapes and column subsets of the 4096-run designs
+    (2-vCPU Xeon, numpy 2.4, one BLAS thread): counting takes about 7 ns
+    per code and 2 ns per bin, 7 N m (m - 1) / 2 + 2 sum_{i<j} s_i s_j;
+    the Gram tiles take about N / 50 + 4 ns per Gram entry they compute
+    (the pairs' cells and the blocks below them within a tile), plus
+    20 us.  On those shapes the chosen route was never the slower one.
+    """
+    N, m = D.N, D.m
+    bounds = [0, *itertools.accumulate(sorted(D.levels))]
+    L = bounds[-1]
+    cells = (L * L - sum(s * s for s in D.levels)) // 2
+    entries = sum((bounds[c1] - bounds[c0]) * (L - bounds[c0 + 1])
+                  for c0, c1 in _gram_tiles(level_groups(D), N))
+    return (7 * N * m * (m - 1) // 2 + 2 * cells
+            <= entries * (N / 50 + 4) + 20000)
+
+
+def pair_starts(m: int) -> np.ndarray:
+    """Entry of pair (i, i + 1) in the row-major pair vectors of
+    pair_gram_sums, i = 0..m: row i of the pairs is the entries
+    starts[i] .. starts[i + 1] - 1."""
+    i = np.arange(m + 1)
+    return i * m - i * (i + 1) // 2
 
 
 def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Upper triangles of P and F by counting each pair's cells.
+    """P and F by counting each pair's cells.
 
-    The pairs i <= j are taken in row-major order, in chunks of at least
+    The pairs i < j are taken in row-major order, in chunks of at least
     one pair whose N codes per pair and s_i s_j bins per pair both stay
-    within PAIR_CELL_BUDGET.  The columns are read as the rows of the
-    transposed m x N matrix, widened to int64 once, so the codes and the
-    counts are int64 throughout.
+    within PAIR_CELL_BUDGET.  A chunk is filled one run of columns j of
+    one row i at a time, from slices of the transposed m x N matrix (with
+    equal levels s, one add of row i of its s-fold to the run), so no
+    pair index array exists; each chunk's sums go straight into its slice
+    of the pair vectors.  The matrix and its s-fold are int32 (codes are
+    below s_i s_j <= 2^24), the codes and counts int64.
     """
     m, N = D.m, D.N
-    X = np.ascontiguousarray(D.matrix.T, dtype=np.int64)
+    X = np.ascontiguousarray(D.matrix.T, dtype=np.int32)
     lev = np.asarray(D.levels, dtype=np.int64)
-    first = np.arange(m)
-    first = first * m - first * (first - 1) // 2       # index of pair (i, i)
-    npairs = m * (m + 1) // 2
+    equal = len(set(D.levels)) == 1
+    XS = X * np.int32(lev[0]) if equal else None
     per = max(1, PAIR_CELL_BUDGET // max(N, int(lev.max()) ** 2))
-    P = np.zeros((m, m), dtype=np.int64)
-    F = np.zeros((m, m), dtype=np.int64)
-    for p0 in range(0, npairs, per):
-        p = np.arange(p0, min(p0 + per, npairs))
-        i = np.searchsorted(first, p, side="right") - 1
-        j = i + p - first[i]
-        cells = lev[i] * lev[j]
-        off = np.cumsum(cells) - cells
-        codes = X.take(i, axis=0)
-        codes *= lev[j, None]
-        codes += X.take(j, axis=0)
-        codes += off[:, None]
-        n = np.bincount(codes.ravel(), minlength=int(off[-1] + cells[-1]))
-        P[i, j] = np.add.reduceat(n * n, off)
-        n *= np.repeat(cells, cells)
+    P = np.empty(m * (m - 1) // 2, dtype=np.int64)
+    F = np.empty_like(P)
+    codes = np.empty((per, N), dtype=np.int64)
+    cells = np.full(per, lev[0] ** 2)                   # s_i s_j per pair
+
+    def flush(p, k):
+        c, w = codes[:k], cells[:k]
+        off = np.cumsum(w) - w
+        c += off[:, None]
+        n = np.bincount(c.ravel(), minlength=int(off[-1] + w[-1]))
+        P[p:p + k] = np.add.reduceat(n * n, off)
+        n *= np.repeat(w, w)
         n -= N
         np.abs(n, out=n)
-        F[i, j] = np.add.reduceat(n, off)
+        F[p:p + k] = np.add.reduceat(n, off)
+
+    p = k = 0
+    for i in range(m - 1):
+        j = i + 1
+        while j < m:
+            j1 = min(m, j + per - k)
+            c = codes[k:k + j1 - j]
+            if equal:
+                np.add(XS[i], X[j:j1], out=c)
+            else:
+                np.multiply(lev[j:j1, None], X[i], out=c)
+                c += X[j:j1]
+                np.multiply(lev[j:j1], lev[i], out=cells[k:k + j1 - j])
+            k += j1 - j
+            j = j1
+            if k == per:
+                flush(p, k)
+                p, k = p + k, 0
+    if k:
+        flush(p, k)
     return P, F
 
 
 def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Upper block rows of P and F from tiles of the float32 one-hot Gram.
+    """P and F from tiles of the float32 one-hot Gram.
 
-    Each tile of _gram_tiles is multiplied against the one-hot columns from
-    the tile on.  Every tile writes its Gram block and one intermediate into
-    one float32 workspace sized for the tallest tile; its row block sums
-    are one product with the tile's 0/1 row-to-column indicator, and its
-    column block sums are float64 reduceat sums into fixed buffers.
+    The columns are walked in _level_order, so each level group is one run
+    of the one-hot matrix, and each tile of _gram_tiles is t columns of
+    one level s0: its h = t s0 one-hot rows are multiplied against the
+    one-hot columns of the columns after its first, where the pairs of
+    its first column start.  Every tile writes its Gram block and its
+    hinge terms into one float32 workspace sized for the largest block.
+    Its row block sums are one reduction over the s0 rows of each tile
+    column; its column block sums are, per level group of s levels, one
+    product of the row sums, viewed as (columns, s) blocks, with a vector
+    of s ones.  The sums of sorted columns (c, c'), c < c', go to the pair
+    (min, max) of their original indices: one slice per tile when the
+    levels already ascend, else one scatter.
 
     Exact: Gram entries are counts n <= N.  Summed over a block, n^2 gives
-    P[i, j] <= N^2 <= 2^24.  Since sum_ab n_ab = N over the s_i s_j cells
-    of a table, F = 2 sum_ab max(N - s_i s_j n_ab, 0), and each term lies
-    in [0, N]: s_j n <= 2^24 is exact in float32, and rounding its product
-    by s_i cannot take a value >= N below N.  A row block sum is then at
-    most N^2 <= 2^24 for either term (sum_a n_ab^2 <= (sum_a n_ab)^2, and
-    s_i hinge terms of at most N each), a sum of nonnegative integers that
-    float32 gets exactly in any order; the column block sums, up to
-    s_i s_j N, run in float64.
+    P <= N^2 <= 2^24.  Since sum_ab n_ab = N over the s_i s_j cells of a
+    table, F = 2 sum_ab max(N - s_i s_j n_ab, 0), and each term lies in
+    [0, N]: s_i s_j <= 2^24 is exact in float32, and so is its product by
+    n whenever that is below N <= 2^24, while rounding cannot take a
+    product >= N below N.  A row block sum is then at most N^2 <= 2^24 for
+    either term (sum_a n_ab^2 <= (sum_a n_ab)^2, and s_i hinge terms of at
+    most N each), a sum of nonnegative integers that float32 gets exactly
+    in any order.  So is a column block sum of P, and one of the hinge
+    terms, at most s_i s_j N, when s_i s_j N <= 2^24; otherwise that
+    group's column block sums run in float64.
     """
-    B, starts = _one_hot(D)
     m, N = D.m, D.N
-    L = B.shape[1]
-    bounds = np.append(starts, L)
-    tiles = _gram_tiles(bounds, N)
-    rows_max = max(bounds[c1] - bounds[c0] for c0, c1 in tiles)
+    groups = level_groups(D)
+    tiles = _gram_tiles(groups, N)
+    levels = sorted(D.levels)
+    bounds = [0, *itertools.accumulate(levels)]
+    L = bounds[-1]
+    firsts = [0, *itertools.accumulate(mg for _, mg in groups)]
+    runs = [(s, a, b) for (s, _), a, b in zip(groups, firsts, firsts[1:])]
+    # tile (c0, c1) against the columns from c0 + 1 on: h x w Gram entries
+    shapes = [(bounds[c1] - bounds[c0], L - bounds[c0 + 1])
+              for c0, c1 in tiles]
     cols_max = max(c1 - c0 for c0, c1 in tiles)
-    work = np.empty((2, rows_max * L), dtype=np.float32)
-    indicator = np.empty(cols_max * rows_max, dtype=np.float32)
-    row_sums = np.empty(cols_max * L, dtype=np.float32)
-    block_sums = np.empty(cols_max * m, dtype=np.float64)
-    weight = np.repeat(np.asarray(D.levels, dtype=np.float32), D.levels)
-    P = np.zeros((m, m), dtype=np.int64)
-    F = np.zeros((m, m), dtype=np.int64)
-    for c0, c1 in tiles:
-        r0, r1 = bounds[c0], bounds[c1]
-        h, w, t = r1 - r0, L - r0, c1 - c0
-        G = work[0, :h * w].reshape(h, w)
-        H = work[1, :h * w].reshape(h, w)
-        np.matmul(B[:, r0:r1].T, B[:, r0:], out=G)
-        E = indicator[:t * h].reshape(t, h)
-        E.fill(0)
-        E[np.repeat(np.arange(t), D.levels[c0:c1]), np.arange(h)] = 1
-        R = row_sums[:t * w].reshape(t, w)
-        S = block_sums[:t * (m - c0)].reshape(t, m - c0)
-        cols = starts[c0:] - r0
-        np.multiply(G, G, out=H)
-        np.matmul(E, H, out=R)
-        P[c0:c1, c0:] = np.add.reduceat(R, cols, axis=1, dtype=np.float64,
-                                        out=S)
-        np.multiply(G, weight[r0:], out=H)
-        np.multiply(H, weight[r0:r1, None], out=H)
+    B = _one_hot(D)
+    work = np.empty((2, max(h * w for h, w in shapes)), dtype=np.float32)
+    row_sums = np.empty((2, cols_max * (L - levels[0])), dtype=np.float32)
+    sums = np.empty((2, cols_max, m - 1), dtype=np.int64)
+    weight = np.repeat(np.asarray(levels, dtype=np.float32), levels)
+    # tile column k and column c0 + 1 + l form a pair when l >= k
+    later = np.arange(m - 1) >= np.arange(cols_max)[:, None]
+    starts = pair_starts(m)
+    order = None if list(D.levels) == levels else _level_order(D)
+    P = np.empty(m * (m - 1) // 2, dtype=np.int64)
+    F = np.empty_like(P)
+    for (c0, c1), (h, w) in zip(tiles, shapes):
+        s0, t = levels[c0], c1 - c0
+        r0, r1, r2 = bounds[c0], bounds[c1], bounds[c0 + 1]
+        both = work[:, :h * w].reshape(2, h, w)
+        G, H = both
+        np.matmul(B[:, r0:r1].T, B[:, r2:], out=G)
+        np.multiply(G, s0 * weight[r2:], out=H)
         np.subtract(N, H, out=H)
         np.maximum(H, 0, out=H)
-        np.matmul(E, H, out=R)
-        np.add.reduceat(R, cols, axis=1, dtype=np.float64, out=S)
-        F[c0:c1, c0:] = np.multiply(S, 2, out=S)
+        np.multiply(G, G, out=G)
+        R = row_sums[:, :t * w].reshape(2, t, w)
+        np.add.reduce(both.reshape(2, t, s0, w), axis=2, out=R)
+        S = sums[:, :t, :m - c0 - 1]
+        for s, a, b in runs:
+            a = max(a, c0 + 1)
+            if a < b:
+                ones = np.ones(s, np.float32 if s0 * s * N <= 1 << 24
+                               else np.float64)
+                blocks = R[:, :, bounds[a] - r2:bounds[b] - r2]
+                S[:, :, a - c0 - 1:b - c0 - 1] = (
+                    blocks.reshape(2, t, b - a, s) @ ones)
+        pairs = later[:t, :m - c0 - 1]
+        if order is None:
+            dest = slice(starts[c0], starts[c1])
+        else:
+            i, j = order[c0:c1, None], order[c0 + 1:]
+            lo, hi = np.minimum(i, j)[pairs], np.maximum(i, j)[pairs]
+            dest = starts[lo] + hi - lo - 1
+        P[dest] = S[0][pairs]
+        F[dest] = S[1][pairs]
+    F *= 2
     return P, F
 
 
-def _gram_tiles(bounds: np.ndarray, N: int) -> list[tuple[int, int]]:
-    """Tiles (c0, c1) of the Gram route, in column order.
+def _gram_tiles(groups, N: int) -> list[tuple[int, int]]:
+    """Tiles (c0, c1) of the Gram route over the columns in _level_order,
+    given the level_groups.
 
-    bounds[c] is the first one-hot row of design column c, and bounds[-1]
-    is L.  A tile is a run of whole columns of at most
+    A tile is a run of columns of one level s and at most
     GRAM_TILE_CELLS * N / L one-hot rows, or a single column that alone
     is taller, so its Gram block has about GRAM_TILE_CELLS * N cells:
     few enough to stay in cache at small N, enough for full-speed matrix
-    products at large N.
+    products at large N.  The last tile of a level may be shorter.
     """
-    height = max(1, GRAM_TILE_CELLS * N // int(bounds[-1]))
-    tiles, c0 = [], 0
-    while c0 < len(bounds) - 1:
-        c1 = int(np.searchsorted(bounds, bounds[c0] + height, side="right"))
-        tiles.append((c0, max(c0 + 1, c1 - 1)))
-        c0 = tiles[-1][1]
+    height = max(1, GRAM_TILE_CELLS * N // sum(s * mg for s, mg in groups))
+    tiles, a = [], 0
+    for s, mg in groups:
+        step = max(1, height // s)
+        tiles += [(c, min(c + step, a + mg)) for c in range(a, a + mg, step)]
+        a += mg
     return tiles
 
 

@@ -73,15 +73,6 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                out[i + j] = (out[i + j] + ac * bc) % p
-    return _poly_trim(out)
-
-
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Exhaustive trial division by every monic polynomial of degree <= r/2."""
     r = len(mod) - 1

@@ -9,8 +9,11 @@ d2 off them by definition) with pair_gram_sums; the Z_s character route
 exp(2 pi i u x / s), u != 0 (char_a2_matrix, floating) with the report's
 histogram; the dense row-compared coincidences with
 joint_coincidence_counts; is_oa with strength; the real-contrast
-gwlp_bruteforce with the report's wordlength pattern; and the minimum-A2
-search with the lower bounds.
+gwlp_bruteforce with the report's wordlength pattern; the minimum-A2
+search with the lower bounds; the point-by-point eval_label with the
+label evaluation of poly_labels; l_set and forms_dependent, every nonzero
+linear form and the dependency test, with the label lemmas; and the
+schoolbook poly_mul with the field tables.
 
 The search fixes the first column to the canonical sorted pattern (any
 design can be row-permuted into that form) and enumerates the remaining
@@ -40,6 +43,8 @@ import numpy as np
 
 from .bounds import lb_theorem1
 from .design_core import MAX_COLUMNS, Design
+from .gf import Field
+from .poly_labels import Label, LinearForm, scale_form
 
 DEFAULT_BUDGET = 10**8
 MAX_CANDIDATES = 2_000_000
@@ -293,3 +298,50 @@ def gwlp_bruteforce(D: Design, j: int) -> float:
                 col = col * bases[k][:, u]
             total += col.sum() ** 2
     return total / (D.N * D.N)
+
+
+# -- label and field references ------------------------------------------------
+
+def eval_label(field: Field, label: Label, point) -> int:
+    """Evaluate a label at a single point of F_s^n."""
+    if isinstance(label, LinearForm):
+        acc = 0
+        for c, x in zip(label.coeffs, point):
+            if c:
+                acc = field.add(acc, field.mul(c, int(x)))
+        return acc
+    v = eval_label(field, label.ell, point)
+    out = field.add(field.mul(v, v), field.mul(label.a, v))
+    return field.add(out, eval_label(field, label.g, point))
+
+
+def l_set(field: Field, n: int) -> list[LinearForm]:
+    """All nonzero linear forms in X1..Xn (every nonzero scalar multiple)."""
+    s = field.order
+    return [LinearForm(tuple(reversed(rev)))
+            for rev in itertools.product(range(s), repeat=n)
+            if any(rev)]
+
+
+def forms_dependent(field: Field, f1: LinearForm, f2: LinearForm) -> bool:
+    """True when f1 = c*f2 for some nonzero c (both nonzero)."""
+    if f1.is_zero or f2.is_zero:
+        return False
+    i = f2.last_nonzero()
+    if f1.coeffs[i] == 0:
+        return False
+    c = field.div(f1.coeffs[i], f2.coeffs[i])
+    return scale_form(field, c, f2) == f1
+
+
+def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """Product of two polynomials over GF(p), coefficients lowest degree
+    first, with trailing zero coefficients dropped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ac in enumerate(a):
+        if ac:
+            for j, bc in enumerate(b):
+                out[i + j] = (out[i + j] + ac * bc) % p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out

@@ -80,17 +80,6 @@ def add_forms(field: Field, f1: LinearForm, f2: LinearForm) -> LinearForm:
     return LinearForm(tuple(field.add(a, b) for a, b in zip(f1.coeffs, f2.coeffs)))
 
 
-def forms_dependent(field: Field, f1: LinearForm, f2: LinearForm) -> bool:
-    """True when f1 = c*f2 for some nonzero c (both nonzero)."""
-    if f1.is_zero or f2.is_zero:
-        return False
-    i = f2.last_nonzero()
-    if f1.coeffs[i] == 0:
-        return False
-    c = field.div(f1.coeffs[i], f2.coeffs[i])
-    return scale_form(field, c, f2) == f1
-
-
 def h_set(field: Field, n: int) -> list[LinearForm]:
     """All nonzero linear forms in X1..Xn whose last nonzero coefficient is 1.
 
@@ -104,14 +93,6 @@ def h_set(field: Field, n: int) -> list[LinearForm]:
     return [LinearForm(tuple(reversed(head)) + (1,) + (0,) * (n - k - 1))
             for k in range(n)
             for head in itertools.product(range(field.order), repeat=k)]
-
-
-def l_set(field: Field, n: int) -> list[LinearForm]:
-    """All nonzero linear forms in X1..Xn (every nonzero scalar multiple)."""
-    s = field.order
-    return [LinearForm(tuple(reversed(rev)))
-            for rev in itertools.product(range(s), repeat=n)
-            if any(rev)]
 
 
 def qh_substitution(field: Field, h: LinearForm, n: int) -> list[LinearForm]:
@@ -171,19 +152,6 @@ def q1(field: Field, n: int) -> list[Label]:
 
 
 # -- evaluation ---------------------------------------------------------------
-
-def eval_label(field: Field, label: Label, point) -> int:
-    """Evaluate a label at a single point of F_s^n."""
-    if isinstance(label, LinearForm):
-        acc = 0
-        for c, x in zip(label.coeffs, point):
-            if c:
-                acc = field.add(acc, field.mul(c, int(x)))
-        return acc
-    v = eval_label(field, label.ell, point)
-    out = field.add(field.mul(v, v), field.mul(label.a, v))
-    return field.add(out, eval_label(field, label.g, point))
-
 
 def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     """Evaluate labels at every point of F_s^n, one column each, in the dtype

@@ -58,7 +58,7 @@ def test_closed_forms_above_25_levels(s, modulus):
     # thm4: A2 = s^2 - s; thm6 with k = 2: A2 = s^2 - 1, under any modulus;
     # the sum of the pair kernel's values, without the coincidence pass
     def pairwise_a2(D):
-        P = pair_gram_sums(D)[0][np.triu_indices(D.m, 1)]
+        P = pair_gram_sums(D)[0]
         return F(int((s * s * P - D.N**2).sum()), D.N**2)
     f = Field(s, modulus)
     assert pairwise_a2(construct_thm4(f, 2)) == s * s - s

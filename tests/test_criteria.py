@@ -361,7 +361,9 @@ def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
     count(criteria, "joint_coincidence_counts", "_pair_numerators",
           "_a2_closed_form")
     equal = construct_thm6(gf3, 2, 2)
-    mixed = replace_column(construct_thm6(gf9, 2, 2), 0,
+    # k = 3: at k = 2 the two routes take about equal time and the rule
+    # counts cells
+    mixed = replace_column(construct_thm6(gf9, 2, 3), 0,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
     for D, route, one_hots, closed in (
             (equal, "_cell_count_sums", 1, 1),

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from ssd.design_core import MAX_RUNS, classify_pair, realize
 from ssd.gf import Field, default_field, enumerate_points
-from ssd.oracle import is_oa
+from ssd.oracle import eval_label, forms_dependent, is_oa
 from ssd.poly_labels import (LinearForm, QuadraticLabel, add_forms,
-                             eval_label, eval_labels, forms_dependent, h_set,
-                             label_str, parse_label, q1, q1_star, qh,
-                             qh_substitution, qh_star, scale_form, unit_form)
+                             eval_labels, h_set, label_str, parse_label, q1,
+                             q1_star, qh, qh_substitution, qh_star,
+                             scale_form, unit_form)
 
 
 def strs(field, labels):

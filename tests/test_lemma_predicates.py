@@ -13,9 +13,9 @@ import pytest
 
 from ssd.design_core import Design, classify_pair
 from ssd.gf import default_field, enumerate_points
-from ssd.oracle import pair_a2_from_table
+from ssd.oracle import forms_dependent, l_set, pair_a2_from_table
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
-                             forms_dependent, l_set, unit_form)
+                             unit_form)
 
 CASES = [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 

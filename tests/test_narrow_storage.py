@@ -143,10 +143,12 @@ def check_cell_tables_and_classes(D):
 def check_pair_gram_sums(D):
     X, lev, N = wide(D), D.levels, D.N
     P, Fm = pair_gram_sums(D)
-    for i, j in itertools.combinations_with_replacement(range(D.m), 2):
+    pairs = list(itertools.combinations(range(D.m), 2))
+    assert len(P) == len(Fm) == len(pairs)
+    for (i, j), p, f in zip(pairs, P, Fm):
         tab = reference_table(X, lev, i, j)
-        assert P[i, j] == (tab * tab).sum()
-        assert Fm[i, j] == np.abs(lev[i] * lev[j] * tab - N).sum()
+        assert p == (tab * tab).sum()
+        assert f == np.abs(lev[i] * lev[j] * tab - N).sum()
 
 
 def check_joint_coincidences(D):

@@ -59,10 +59,10 @@ def test_pair_routes_agree_everywhere(catalog_rows):
         routes.add(cells_sparse(D))
         P = pair_gram_sums(D)[0]
         s = D.levels[0]
-        for i in range(D.m):
-            for j in range(i + 1, D.m):
-                assert pair_a2_from_table(pair_table(D, i, j), D.N) \
-                    == F(s * s * int(P[i, j]) - D.N**2, D.N**2)
+        pairs = itertools.combinations(range(D.m), 2)
+        for (i, j), p in zip(pairs, P.tolist(), strict=True):
+            assert pair_a2_from_table(pair_table(D, i, j), D.N) \
+                == F(s * s * p - D.N**2, D.N**2)
     assert routes == {True, False}
 
 
@@ -173,7 +173,12 @@ def _brute_min_scaled(N, s, m):
         return 0
     cols = [c for c in itertools.product(range(s), repeat=N)
             if all(c.count(v) == N // s for v in range(s))]
-    P, _ = pair_gram_sums(Design(np.array(cols).T, (s,) * len(cols)))
+    # the pair kernel's sums over the pairs of distinct candidates, and
+    # N^2 / s for a balanced column against itself
+    P = np.full((len(cols), len(cols)), N * N // s)
+    P[np.triu_indices(len(cols), 1)] = pair_gram_sums(
+        Design(np.array(cols).T, (s,) * len(cols)))[0]
+    P = np.triu(P) + np.triu(P, 1).T
     pair = s * s * P - N * N
     combos = np.array(list(itertools.combinations_with_replacement(
         range(len(cols)), m)))

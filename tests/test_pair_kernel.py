@@ -1,8 +1,10 @@
 """Both routes of the pair kernel against independent per-pair cell counting.
 
-pair_gram_sums fills the upper triangles i <= j only, so every comparison
-reads those entries."""
+pair_gram_sums returns the sums of the pairs i < j as row-major vectors, the
+order of itertools.combinations(range(m), 2), so every comparison walks the
+pairs in that order."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd import design_core
+from ssd.constructions import construct_thm4, construct_thm6
 from ssd.criteria import aggregate_stats
 from ssd.design_core import (FULLY_ALIASED, Design, cells_sparse,
                              classify_pair, fully_aliased_pairs,
@@ -20,11 +23,6 @@ from ssd.design_core import (FULLY_ALIASED, Design, cells_sparse,
 from ssd.gf import default_field
 from ssd.oracle import pair_a2_from_table, pair_dependency_stats, pair_table
 from ssd.poly_labels import h_set
-
-
-def upper(M):
-    """The entries i <= j of a square matrix, row-major."""
-    return M[np.triu_indices(len(M))]
 
 
 @st.composite
@@ -66,21 +64,19 @@ def test_kernel_matches_per_pair_counting(case):
     P, Fm = pair_gram_sums(D)
     hist = Counter()
     chi2s, fs, d2s = [], [], []
-    for i in range(D.m):
-        tab = np.array(pair_table(D, i, i))
-        assert P[i, i] == (tab * tab).sum()
-        for j in range(i + 1, D.m):
-            den = lev[i] * lev[j]
-            tab = np.array(pair_table(D, i, j))
-            assert P[i, j] == (tab * tab).sum()
-            assert Fm[i, j] == np.abs(den * tab - N).sum()
-            X = den * int(P[i, j]) - N * N
-            chi2, f, d2 = pair_dependency_stats(D, i, j)
-            assert (chi2, f, d2) == (F(X, N), F(int(Fm[i, j]), den), F(X, den))
-            hist[pair_a2_from_table(tab.tolist(), N)] += 1
-            chi2s.append(chi2)
-            fs.append(f)
-            d2s.append(d2)
+    pairs = itertools.combinations(range(D.m), 2)
+    for (i, j), p, f_sum in zip(pairs, P.tolist(), Fm.tolist(), strict=True):
+        den = lev[i] * lev[j]
+        tab = np.array(pair_table(D, i, j))
+        assert p == (tab * tab).sum()
+        assert f_sum == np.abs(den * tab - N).sum()
+        X = den * p - N * N
+        chi2, f, d2 = pair_dependency_stats(D, i, j)
+        assert (chi2, f, d2) == (F(X, N), F(f_sum, den), F(X, den))
+        hist[pair_a2_from_table(tab.tolist(), N)] += 1
+        chi2s.append(chi2)
+        fs.append(f)
+        d2s.append(d2)
     rep = aggregate_stats(D, gwlp_jmax=1)
     assert rep.histogram == hist
     assert rep.A2 == sum(v * c for v, c in hist.items())
@@ -97,26 +93,20 @@ def test_kernel_matches_per_pair_counting(case):
 
 
 def per_pair_sums(D):
-    """P and F of every pair i <= j, row-major, each from its own cell table."""
+    """P and F of every pair i < j, row-major, each from its own cell table."""
     P, Fm = [], []
-    for i in range(D.m):
-        for j in range(i, D.m):
-            tab = np.array(pair_table(D, i, j))
-            P.append((tab * tab).sum())
-            Fm.append(np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum())
-    return np.array(P), np.array(Fm)
-
-
-def upper_sums(D):
-    """The upper triangles of pair_gram_sums, row-major."""
-    return tuple(upper(M) for M in pair_gram_sums(D))
+    for i, j in itertools.combinations(range(D.m), 2):
+        tab = np.array(pair_table(D, i, j))
+        P.append((tab * tab).sum())
+        Fm.append(np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum())
+    return np.array(P, dtype=np.int64), np.array(Fm, dtype=np.int64)
 
 
 def forced_sums(D, sparse):
-    """upper_sums of D on the chosen route."""
+    """pair_gram_sums of D on the chosen route."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design_core, "cells_sparse", lambda D: sparse)
-        return upper_sums(D)
+        return pair_gram_sums(D)
 
 
 @st.composite
@@ -149,7 +139,7 @@ def gram_aliased_pairs(D):
     P = pair_gram_sums(D)[0]
     lev = np.asarray(D.levels)
     i, j = np.triu_indices(D.m, 1)
-    hit = (lev[i] == lev[j]) & (lev[i] * P[i, j] == D.N * D.N)
+    hit = (lev[i] == lev[j]) & (lev[i] * P == D.N * D.N)
     return list(zip(i[hit].tolist(), j[hit].tolist()))
 
 
@@ -185,7 +175,8 @@ def test_fully_aliased_pairs_of_unbalanced_columns():
 def regime_designs(draw):
     """Random designs with mixed levels, unbalanced columns allowed, either
     sparse (every pair has at least N cells) or dense (every pair has
-    fewer)."""
+    fewer).  Either way both routes are taken by force: which one
+    cells_sparse picks depends on timings, not on this split."""
     sparse = draw(st.booleans())
     if sparse:
         N, choices = draw(st.sampled_from([(12, [4, 6, 12]), (24, [6, 8, 12, 24]),
@@ -204,9 +195,7 @@ def regime_designs(draw):
         else:
             col = [rnd.randrange(s) for _ in range(N)]
         cols.append(col)
-    D = Design(np.array(cols).T, levels, require_balanced=False)
-    assert cells_sparse(D) == sparse
-    return D
+    return Design(np.array(cols).T, levels, require_balanced=False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,14 +207,13 @@ def test_both_routes_match_cell_tables(D):
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert P.dtype == Fm.dtype == np.int64
     # the oracle's row-counted statistics give the same sums
-    pairs = [(i, j) for i in range(D.m) for j in range(i, D.m)]
+    pairs = itertools.combinations(range(D.m), 2)
     for (i, j), p, f in zip(pairs, *want):
-        if i < j:
-            den = D.levels[i] * D.levels[j]
-            X = den * int(p) - D.N ** 2
-            assert pair_dependency_stats(D, i, j) == (F(X, D.N), F(int(f), den),
-                                                      F(X, den))
-            assert pair_a2_from_table(pair_table(D, i, j), D.N) == F(X, D.N ** 2)
+        den = D.levels[i] * D.levels[j]
+        X = den * int(p) - D.N ** 2
+        assert pair_dependency_stats(D, i, j) == (F(X, D.N), F(int(f), den),
+                                                  F(X, den))
+        assert pair_a2_from_table(pair_table(D, i, j), D.N) == F(X, D.N ** 2)
 
 
 def test_cell_count_chunks_stay_within_budget(monkeypatch):
@@ -248,10 +236,10 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(design_core, "PAIR_CELL_BUDGET", budget)
             mp.setattr(design_core.np, "bincount", counting)
-            P, Fm = upper_sums(D)
+            P, Fm = pair_gram_sums(D)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert len(chunks) > 1
-        assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) + 1) // 2
+        assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) - 1) // 2
         for pairs, bins in chunks:
             assert pairs == 1 or max(pairs * N, bins) <= budget
         # a 12 x 12 table has 144 cells: below that budget it is a chunk alone
@@ -265,7 +253,7 @@ def test_catalog_designs_give_equal_sums_on_both_routes(catalog_rows):
         sparse = forced_sums(D, True)
         dense = forced_sums(D, False)
         assert all((a == b).all() for a, b in zip(sparse, dense)), recipe.row_id
-        natural = upper_sums(D)
+        natural = pair_gram_sums(D)
         assert all((a == b).all() for a, b in zip(natural, sparse)), recipe.row_id
     assert routes == {True, False}
 
@@ -276,79 +264,134 @@ def recorded_gram_tiles(mp):
     plans = []
     plan = design_core._gram_tiles
 
-    def recording(bounds, N):
-        plans.append(plan(bounds, N))
+    def recording(groups, N):
+        plans.append(plan(groups, N))
         return plans[-1]
     mp.setattr(design_core, "_gram_tiles", recording)
     return plans
 
 
 def test_gram_tiles_stay_within_budget(monkeypatch):
-    """A small budget splits the columns into many Gram tiles of uneven
-    height, each within the budget unless it is one column taller than
-    the budget alone; the workspace fits the tallest tile, not the first."""
+    """A small budget splits the columns, taken in ascending level order,
+    into many Gram tiles of one level each and of uneven height, each
+    within the budget unless it is one column taller than the budget
+    alone; the workspace fits the tallest tile, not the first."""
     rng = np.random.default_rng(9)
     levels = [3, 9, 3, 3, 9, 9, 3, 9, 3, 3, 3, 9, 9, 3]
     N = 81
     cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
     D = Design(np.array(cols).T, levels)
-    assert not cells_sparse(D)
     want = per_pair_sums(D)
+    ascending = sorted(levels)
     L = sum(levels)
     uneven = False
     for budget in (1, 4, 10, 20, 40):
-        plans = recorded_gram_tiles(monkeypatch)
         monkeypatch.setattr(design_core, "GRAM_TILE_CELLS", budget)
-        P, Fm = upper_sums(D)
+        plans = recorded_gram_tiles(monkeypatch)
+        P, Fm = forced_sums(D, False)
         assert (P == want[0]).all() and (Fm == want[1]).all()
-        (tiles,) = plans
+        tiles = plans[-1]
         assert len(tiles) > 1
         assert [c0 for c0, _ in tiles] == [0] + [c1 for _, c1 in tiles[:-1]]
         assert tiles[-1][1] == len(levels)
-        heights = [sum(levels[c0:c1]) for c0, c1 in tiles]
+        heights = [sum(ascending[c0:c1]) for c0, c1 in tiles]
         for (c0, c1), h in zip(tiles, heights):
+            assert len(set(ascending[c0:c1])) == 1
             assert c1 - c0 == 1 or h <= budget * N // L
         uneven |= max(heights) > heights[0]
     assert uneven
 
 
+@st.composite
+def interleaved_designs(draw):
+    """Random designs whose levels are interleaved and unsorted: the pattern
+    2, 9, 3, 9, 2 and then up to 30 more columns of 2, 3, 6, 9 or 18 levels;
+    balanced or not."""
+    N = draw(st.sampled_from([18, 36]))
+    levels = [2, 9, 3, 9, 2] + draw(st.lists(st.sampled_from([2, 3, 6, 9, 18]),
+                                             max_size=30))
+    rnd = draw(st.randoms(use_true_random=False))
+    balanced = draw(st.booleans())
+    cols = []
+    for s in levels:
+        if balanced:
+            col = [v for v in range(s) for _ in range(N // s)]
+            rnd.shuffle(col)
+        else:
+            col = [rnd.randrange(s) for _ in range(N)]
+        cols.append(col)
+    return Design(np.array(cols).T, levels, require_balanced=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(interleaved_designs(), st.sampled_from([1, 8, 512]))
+def test_gram_route_walks_unsorted_levels(D, budget):
+    """The Gram route takes the columns in ascending level order and writes
+    each pair's sums to the pair of its original columns, so it matches
+    the oracle's row-counted tables in the original column order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design_core, "GRAM_TILE_CELLS", budget)
+        P, Fm = forced_sums(D, False)
+    pairs = itertools.combinations(range(D.m), 2)
+    for (i, j), p, f in zip(pairs, P.tolist(), Fm.tolist(), strict=True):
+        tab = np.array(pair_table(D, i, j))
+        assert p == (tab * tab).sum()
+        assert f == np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum()
+
+
 def test_float32_gram_is_exact_up_to_two_to_the_24(monkeypatch):
-    """At 4096 runs and two levels a balanced column against itself gives
-    P = 2 * 2048^2 = 2^23 and a constant column P = 4096^2 = 2^24, the
-    largest sum the float32 Gram tiles must hold exactly."""
+    """At 4096 runs and two levels a balanced column against a constant one
+    gives P = 2 * 2048^2 = 2^23, and a pair of constant columns
+    P = 4096^2 = 2^24, the largest sum the float32 Gram tiles must hold
+    exactly."""
     gf2 = default_field(2)
     H = realize(gf2, 12, h_set(gf2, 12)[:65]).matrix
-    D = Design(np.column_stack([H, np.zeros(4096, dtype=np.int64)]),
-               [2] * 66, require_balanced=False)
-    assert not cells_sparse(D)
+    zeros = np.zeros((4096, 2), dtype=np.int64)
+    D = Design(np.column_stack([H, zeros]), [2] * 67, require_balanced=False)
     plans = recorded_gram_tiles(monkeypatch)
-    # tiles of 31 one-hot rows: 15 columns each
+    # tiles of 30 one-hot rows: 15 columns each
     monkeypatch.setattr(design_core, "GRAM_TILE_CELLS", 1)
-    P, Fm = upper_sums(D)
+    P, Fm = forced_sums(D, False)
     assert len(plans[0]) == 5
-    assert P[0] == 2 ** 23 and P[-1] == 2 ** 24
+    assert P[64] == 2 ** 23 and P[-1] == 2 ** 24
     want = per_pair_sums(D)
     assert (P == want[0]).all() and (Fm == want[1]).all()
 
 
-@pytest.mark.parametrize("q, n", [(2, 12), (3, 7)])
-def test_gram_f_is_exact_past_two_to_the_24(q, n):
-    """One N-level column, N = q^n, each symbol once, beside 100 q-level
-    columns: on the Gram route, F of a pair with the big column is
-    2 N (s_i s_j - N), and for the column against itself 2 N (N^2 - N),
-    far past 2^24.  At 2187 = 3^7 runs float32 block sums of F would round;
-    at 4096 runs every level is a power of two and they would not, so that
-    case checks the run limit."""
-    field = default_field(q)
+@pytest.mark.parametrize("q, n, t", [(2, 12, 2), (3, 7, 3), (3, 7, 27)],
+                         ids=["2-12", "3-7", "3-7-27"])
+def test_gram_f_is_exact_past_two_to_the_24(q, n, t):
+    """One N-level column, N = q^n, each symbol once, ahead of 30 balanced
+    t-level columns, so the Gram route writes it last: F of a pair with the
+    big column is 2 N (N t - N), twice a hinge block sum of N^2 (t - 1).
+    That is 2^24 at 4096 runs and t = 2, and 2 * 62178597 at 2187 runs and
+    t = 27: an odd multiple of 2 past 2^25, so no float32 block sum can
+    hold it.  The cell-count route gives the same sums."""
     N = q ** n
-    small_cols = realize(field, n, h_set(field, n)[:100]).matrix
-    big = np.random.default_rng(3).permutation(N)
-    D = Design(np.column_stack([big, small_cols]), [N] + [q] * 100)
-    assert not cells_sparse(D)
-    P, Fm = pair_gram_sums(D)
-    w = np.array([N * N] + [N * q] * 100)
-    assert (P[0] == N).all()
-    assert (Fm[0] == 2 * N * (w - N)).all()
-    rest = per_pair_sums(select_columns(D, range(1, 101)))
-    assert (upper(P[1:, 1:]) == rest[0]).all()
-    assert (upper(Fm[1:, 1:]) == rest[1]).all()
+    rng = np.random.default_rng(3)
+    small = [rng.permutation(np.repeat(np.arange(t), N // t)) for _ in range(30)]
+    D = Design(np.column_stack([rng.permutation(N), *small]), [N] + [t] * 30)
+    half = N * N * (t - 1)
+    if t == 27:
+        assert half > 2 ** 24 and int(np.float32(half)) != half
+    rest = per_pair_sums(select_columns(D, range(1, 31)))
+    for sparse in (False, True):
+        P, Fm = forced_sums(D, sparse)
+        assert (P[:30] == N).all()
+        assert (Fm[:30] == 2 * half).all()
+        assert (P[30:] == rest[0]).all() and (Fm[30:] == rest[1]).all()
+
+
+@pytest.mark.parametrize("build, cells", [
+    (lambda: construct_thm6(default_field(3), 2, 2), True),        # 9 x 8
+    (lambda: construct_thm4(default_field(5), 2), True),           # 25 x 11
+    (lambda: construct_thm6(default_field(7), 2, 8), False),       # 49 x 64
+    (lambda: construct_thm6(default_field(4), 3, 5), False),       # 64 x 105
+    (lambda: construct_thm4(default_field(32), 2), True),          # 1024 x 65
+    (lambda: construct_thm4(default_field(64), 2), True),          # 4096 x 129
+    (lambda: construct_thm4(default_field(4), 5), False),          # 1024 x 681
+])
+def test_route_rule_on_timed_shapes(build, cells):
+    """The route cells_sparse picks for shapes whose two routes were timed
+    apart by at least 10%."""
+    assert cells_sparse(build()) == cells
