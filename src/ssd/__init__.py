@@ -16,11 +16,10 @@ from .constructions import (Recipe, build_recipe, catalog, catalog_verify,
                             construct_thm8, construct_thm9, load_appendix,
                             verify_appendix)
 from .design_core import (Design, PairClass, branch_fraction, classify_pair,
-                          column_juxtapose, design_from_text, design_to_text,
-                          fully_aliased_pairs, joint_coincidence_counts,
-                          pair_gram_sums, read_design, realize,
-                          remove_fully_aliased, replace_column,
-                          select_columns, write_design)
+                          column_juxtapose, design_from_text, design_sums,
+                          design_to_text, fully_aliased_pairs, level_sorted,
+                          read_design, realize, remove_fully_aliased,
+                          replace_column, select_columns, write_design)
 from .gf import Field, default_field, enumerate_points
 from .poly_labels import (LinearForm, QuadraticLabel, h_set, label_str,
                           parse_label, q1, q1_star, qh, qh_substitution,

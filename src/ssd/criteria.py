@@ -12,8 +12,9 @@ power moment K2 (equal levels) and the sum of all projected values.
 
 Every pairwise statistic is an integer numerator over a known denominator.
 With P = sum_ab n_ab^2 and F = sum_ab |s_i s_j n_ab - N| from one pass of
-the pair kernel (design_core.pair_gram_sums: cell counts or one-hot Gram
-tiles), and X = s_i s_j P - N^2:
+the kernel entry (design_core.design_sums: cell counts or one-hot Gram
+tiles, over the columns in ascending level order, which no multiset
+statistic depends on), and X = s_i s_j P - N^2:
 
     chi2 = X / N,   A2 = X / N^2,   d2 = X / (s_i s_j),   f = F / (s_i s_j).
 
@@ -42,8 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import (Design, joint_coincidence_counts, level_groups,
-                          pair_gram_sums, pair_starts)
+from .design_core import Design, design_sums, level_groups, pair_starts
 
 GWLP_DEFAULT_JMAX = 3
 
@@ -55,25 +55,24 @@ def _require_evaluable(D: Design) -> None:
         raise ValueError("need at least two columns")
 
 
-def _pair_numerators(D: Design) -> tuple[np.ndarray, int | np.ndarray,
-                                          np.ndarray]:
-    """X = s_i s_j P - N^2, the denominators s_i s_j and F over the pairs
-    i < j, row-major: every pairwise statistic of the design.  X is the
-    pair kernel's P vector, rewritten in place; the denominators are one
-    integer when the levels are equal, else a vector written one row i of
-    pairs at a time."""
-    P, F = pair_gram_sums(D)
+def _pair_numerators(D: Design, P: np.ndarray) -> tuple[np.ndarray,
+                                                        int | np.ndarray]:
+    """X = s_i s_j P - N^2 and the denominators s_i s_j over the pairs
+    i < j of D's columns in ascending level order, row-major, as
+    design_sums gives P.  X is P, rewritten in place; the denominators are
+    one integer when the levels are equal, else a vector written one row i
+    of pairs at a time."""
     if len(set(D.levels)) == 1:
         den = D.levels[0] ** 2
     else:
-        lev = np.asarray(D.levels, dtype=np.int64)
+        lev = np.sort(np.asarray(D.levels, dtype=np.int64))
         den = np.empty_like(P)
         starts = pair_starts(D.m)
         for i in range(D.m - 1):
             np.multiply(lev[i + 1:], lev[i], out=den[starts[i]:starts[i + 1]])
     P *= den
     P -= D.N * D.N
-    return P, den, F
+    return P, den
 
 
 def _histogram(X: np.ndarray, N: int) -> dict:
@@ -172,7 +171,7 @@ def _gwlp(D: Design, joint: dict[tuple[int, ...], int],
 def strength(D: Design) -> int:
     """Largest t with every t-column projection equireplicated: the leading
     zeros of [A_1 .. A_m], read from one histogram in doubling prefixes."""
-    joint = joint_coincidence_counts(D)
+    joint = design_sums(D)[2]
     jmax = 1
     while jmax < 2 * D.m:
         pattern = _gwlp(D, joint, min(jmax, D.m))
@@ -213,10 +212,10 @@ class CriteriaReport:
 def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     """Evaluate every pairwise criterion of a design, exactly.
 
-    gwlp_jmax=None gives the wordlength prefix up to min(3, m).  The pair
-    numerators and the joint coincidence histogram are each derived once;
+    gwlp_jmax=None gives the wordlength prefix up to min(3, m).  One call
+    of design_sums gives the pair sums and the joint coincidence histogram;
     with equal levels the closed form of the overall A2 cross-checks the
-    pairwise sum.
+    pairwise sum.  The report's levels stay in column order.
     """
     _require_evaluable(D)
     N, m = D.N, D.m
@@ -224,9 +223,9 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
         gwlp_jmax = min(GWLP_DEFAULT_JMAX, m)
     if not 1 <= gwlp_jmax <= m:
         raise ValueError("jmax must lie in 1..m")
-    X, den, F = _pair_numerators(D)
+    P, F, joint = design_sums(D)
+    X, den = _pair_numerators(D, P)
     a2 = Fraction(int(X.sum()), N * N)
-    joint = joint_coincidence_counts(D)
     pattern = tuple(_gwlp(D, joint, gwlp_jmax))
     counts = _coincidence_totals(joint)
     if (len(set(D.levels)) == 1

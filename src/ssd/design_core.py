@@ -2,31 +2,23 @@
 
 A Design is an immutable N x m symbol matrix with per-column level counts and
 optional label provenance.  Everything downstream (criteria, bounds, the
-catalog) works on this type.  It keeps no evaluation state: the Gram sums P
-and F (pair_gram_sums) and the joint row coincidence histogram
-(joint_coincidence_counts) are computed on every call, so each caller asks
-once and hands the result on.  The module also holds the two kernels that
-every exact aliasing value is read from: the pair kernel, whose integer
-sums give each pairwise statistic, and the row-tiled coincidence kernel;
-besides them, pair classification, de-aliasing and the plain text
-serialisation format.  The independent references these kernels are
-checked against live in ssd.oracle.
+catalog) works on this type.  It keeps no evaluation state: the pair sums P
+and F and the joint row coincidence histogram come from one kernel entry,
+design_sums, computed on every call, so each caller asks once and hands the
+result on.  Besides it, the module holds pair classification, de-aliasing
+and the plain text serialisation format.  The independent references the
+kernels are checked against live in ssd.oracle.
 
-The pair kernel returns its sums for the pairs i < j as row-major
-vectors.  It has two exact routes, chosen by one rule (cells_sparse) that
-compares time estimates fitted on both.  The cell-count route counts each
-chunk of pairs with one int64 bincount.  The Gram route reads the tables
-as blocks of the one-hot Gram matrix, with the columns in ascending level
-order, computed by a float32 matrix product in tiles of columns of one
-level, each about GRAM_TILE_CELLS * N Gram cells, in one workspace per
-call.  With N <= 4096, a Gram entry is a count n <= N and a block's sum
-of squares is at most N^2 <= 2^24, integers that float32 holds and adds
-exactly.  F is read from the hinge sum 2 sum_ab max(N - s_i s_j n_ab, 0),
-equal to sum_ab |s_i s_j n_ab - N| because sum_ab n_ab = N; each term
-lies in [0, N], exact in float32.  A block sum of hinge terms is at most
-s_i s_j N, and the level groups where that can pass 2^24 are summed in
-float64.  The coincidence kernel's products are agreement counts
-<= m <= 4096.
+Every value read from the kernels is a multiset statistic over column
+pairs or row pairs, so design_sums sorts the columns into ascending level
+order once (level_sorted) and builds one float32 one-hot matrix of them,
+which the Gram route of the pair sums and the coincidence pass both read.
+The pair sums have two exact routes, chosen by one rule (cells_sparse)
+that compares time estimates fitted on both: one int64 bincount per chunk
+of pairs, or float32 matrix products in tiles of columns of one level.
+Every float32 value the Gram tiles or the coincidence pass read is an
+integer of at most 2^24, which float32 holds and adds exactly; the hinge
+sums of F that can pass 2^24 are summed in float64 (_gram_tile_sums).
 """
 
 from __future__ import annotations
@@ -89,18 +81,24 @@ class Design:
     read-only (such as another design's matrix) is taken without a copy,
     which is how the constructors below hand over the fresh arrays they
     build.  The symbol range is checked on the input, before it is
-    narrowed.  is_balanced is settled by the constructor; nothing else is
-    kept.
+    narrowed, and a float input must hold integers, which are cast.
+    is_balanced is settled by the constructor; nothing else is kept.
     """
 
     __slots__ = ("matrix", "levels", "labels", "is_balanced")
 
     def __init__(self, matrix, levels, labels=None, require_balanced=True):
         m = np.asarray(matrix)
-        if m.dtype.kind not in "iu":
-            m = np.asarray(matrix, dtype=np.int64)
         if m.ndim != 2:
             raise ValueError("design matrix must be two-dimensional")
+        if m.dtype.kind == "f":
+            # before any cast, which would truncate 0.5 to 0 and warn on NaN
+            bad = np.flatnonzero(~(np.isfinite(m) & (m == np.trunc(m))).all(0))
+            if bad.size:
+                raise ValueError(f"column {bad[0]} has symbols that are not "
+                                 "integers")
+        if m.dtype.kind not in "iu":
+            m = m.astype(np.int64)
         N, cols = m.shape
         if N == 0:
             raise ValueError("a design needs at least one run")
@@ -315,7 +313,7 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     so overall balance is preserved and the column count grows by t - 1.
     """
     s_old = column_levels(D, col_index)
-    table = np.asarray(table, dtype=np.int64)
+    table = np.asarray(table)
     if table.ndim == 1:
         table = table[:, None]
     if table.shape[0] != s_old:
@@ -333,25 +331,86 @@ def replace_column(D: Design, col_index: int, table) -> Design:
     return Design(_frozen(matrix), levels)
 
 
-# -- the two kernels --------------------------------------------------------------
+# -- the kernel entry -------------------------------------------------------------
 
 def level_groups(D: Design) -> tuple[tuple[int, int], ...]:
     """(level count, number of columns) of each level group, levels ascending."""
     return tuple(sorted(Counter(D.levels).items()))
 
 
-def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
-    """Per-level-group coincidence vector -> number of row pairs a < b.
+def level_sorted(D: Design) -> Design:
+    """D with its columns in ascending level order, equal levels in their
+    own order (a stable argsort): D itself when the levels already ascend."""
+    if list(D.levels) == sorted(D.levels):
+        return D
+    return select_columns(D, np.argsort(D.levels, kind="stable"))
 
-    Entry g of a key counts the columns of level group g (level_groups
-    order) in which the two rows agree; with equal levels the key is the
-    1-tuple of the plain coincidence count.  Keys ascend.  Row-tiled: each
-    block of COINCIDENCE_BLOCK_CELLS // N rows is multiplied against the
-    rows from the block on, per group column slice of the one-hot matrix,
-    so no N x N array exists.  The products are agreement counts <= m,
-    exact in float32.
+
+def design_sums(D: Design) -> tuple[np.ndarray, np.ndarray,
+                                    dict[tuple[int, ...], int]]:
+    """(P, F, joint): every exact sum an evaluation reads, over the columns
+    of level_sorted(D), whose one one-hot matrix both passes share.
+
+    P and F are integer sums over the cell tables n_ab of the pairs i < j
+    of the sorted columns,
+
+        P = sum_ab n_ab^2    and    F = sum_ab |s_i s_j n_ab - N|,
+
+    as two int64 vectors in row-major pair order, the order of
+    np.triu_indices(m, 1): pair (i, j) is entry
+    i m - i (i + 1) / 2 + j - i - 1.  Every statistic read from them is
+    a multiset over the pairs, so the column order cannot change it.  Two
+    exact routes, chosen by cells_sparse:
+
+    - cell count, when cells_sparse estimates it no slower: each chunk of
+      pairs is one bincount of the codes x_i s_j + x_j, shifted into the
+      pair's own bins, and P and F are per-pair sums of the counts;
+    - one-hot Gram otherwise: the (i, j) block of G = B^T B is the cell
+      table, so P and F are block sums of G, in tiles of columns of one
+      level, each multiplied against the columns after its first, each
+      about GRAM_TILE_CELLS * N Gram cells.
+
+    joint maps each per-level-group coincidence vector to its number of
+    row pairs a < b: entry g of a key counts the columns of level group g
+    (level_groups order) in which the two rows agree; with equal levels
+    the key is the 1-tuple of the plain coincidence count.  Keys ascend.
+
+    No m x m, L x L, pairs x N or N x N temporary exists.
     """
-    B = _one_hot(D)
+    S = level_sorted(D)
+    B = _one_hot(S)
+    P, F = _cell_count_sums(S) if cells_sparse(S) else _gram_tile_sums(S, B)
+    return P, F, _joint_coincidences(S, B)
+
+
+def _one_hot(D: Design) -> np.ndarray:
+    """Row indicator matrix (N, sum levels), each column's s indicator
+    columns in symbol order, filled a block of about MATRIX_BLOCK_CELLS
+    symbols (whole rows) at a time.
+
+    float32: every product of it read here is an integer count <= 2^24,
+    which float32 holds exactly.
+    """
+    L = sum(D.levels)
+    B = np.zeros((D.N, L), dtype=np.float32)
+    starts = np.cumsum(D.levels) - D.levels
+    rows = max(1, MATRIX_BLOCK_CELLS // D.m)
+    for r0 in range(0, D.N, rows):
+        hot = D.matrix[r0:r0 + rows] + starts
+        hot += (np.arange(r0, r0 + len(hot)) * L)[:, None]
+        B.reshape(-1)[hot] = 1.0
+    return B
+
+
+def _joint_coincidences(D: Design, B: np.ndarray) -> dict[tuple[int, ...], int]:
+    """The joint coincidence histogram of D, whose levels ascend, from its
+    one-hot matrix B.
+
+    Row-tiled: each block of COINCIDENCE_BLOCK_CELLS // N rows is
+    multiplied against the rows from the block on, per group column slice
+    of B, so no N x N array exists.  The products are agreement counts
+    <= m, exact in float32.
+    """
     groups = level_groups(D)
     edges = np.cumsum([0] + [s * mg for s, mg in groups])
     slabs = [B[:, a:b] for a, b in zip(edges, edges[1:])]
@@ -380,58 +439,6 @@ def joint_coincidence_counts(D: Design) -> dict[tuple[int, ...], int]:
     return dict(zip(keys, acc[codes].tolist()))
 
 
-def _level_order(D: Design) -> np.ndarray:
-    """Column indices in ascending level order; equal levels keep their
-    order, so this is the identity when the levels already ascend."""
-    return np.argsort(D.levels, kind="stable")
-
-
-def _one_hot(D: Design) -> np.ndarray:
-    """Row indicator matrix (N, sum levels) of the columns in _level_order,
-    each column's s indicator columns in symbol order, filled a block of
-    about MATRIX_BLOCK_CELLS symbols (whole rows) at a time.
-
-    float32: every product of it read here is an integer count <= 2^24,
-    which float32 holds exactly.
-    """
-    levels = sorted(D.levels)
-    X = D.matrix if list(D.levels) == levels else D.matrix[:, _level_order(D)]
-    L = sum(levels)
-    B = np.zeros((D.N, L), dtype=np.float32)
-    starts = np.cumsum(levels) - levels
-    rows = max(1, MATRIX_BLOCK_CELLS // D.m)
-    for r0 in range(0, D.N, rows):
-        hot = X[r0:r0 + rows] + starts
-        hot += (np.arange(r0, r0 + len(hot)) * L)[:, None]
-        B.reshape(-1)[hot] = 1.0
-    return B
-
-
-def pair_gram_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Integer sums over the cell tables n_ab of the column pairs i < j,
-
-        P = sum_ab n_ab^2    and    F = sum_ab |s_i s_j n_ab - N|,
-
-    as two int64 vectors in row-major pair order, the order of
-    np.triu_indices(m, 1): pair (i, j) is entry
-    i m - i (i + 1) / 2 + j - i - 1.  They give every pairwise statistic
-    exactly.  Two exact routes, chosen by cells_sparse:
-
-    - cell count, when cells_sparse estimates it no slower: each chunk of
-      pairs is one bincount of the codes x_i s_j + x_j, shifted into the
-      pair's own bins, and P and F are per-pair sums of the counts;
-    - one-hot Gram otherwise: the (i, j) block of G = B^T B is the cell
-      table, so P and F are block sums of G.  The columns are taken in
-      ascending level order, in tiles of columns of one level, each
-      multiplied against the columns after its first, each about
-      GRAM_TILE_CELLS * N Gram cells.
-
-    Either way no m x m, L x L or pairs x N temporary exists.
-    """
-    route = _cell_count_sums if cells_sparse(D) else _gram_tile_sums
-    return route(D)
-
-
 def cells_sparse(D: Design) -> bool:
     """True when counting each pair's cells is estimated to take no longer
     than the Gram tiles.
@@ -457,7 +464,7 @@ def cells_sparse(D: Design) -> bool:
 
 def pair_starts(m: int) -> np.ndarray:
     """Entry of pair (i, i + 1) in the row-major pair vectors of
-    pair_gram_sums, i = 0..m: row i of the pairs is the entries
+    design_sums, i = 0..m: row i of the pairs is the entries
     starts[i] .. starts[i + 1] - 1."""
     i = np.arange(m + 1)
     return i * m - i * (i + 1) // 2
@@ -519,21 +526,20 @@ def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     return P, F
 
 
-def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """P and F from tiles of the float32 one-hot Gram.
+def _gram_tile_sums(D: Design, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and F from tiles of the float32 one-hot Gram of D, whose levels
+    ascend, given its one-hot matrix B.
 
-    The columns are walked in _level_order, so each level group is one run
-    of the one-hot matrix, and each tile of _gram_tiles is t columns of
-    one level s0: its h = t s0 one-hot rows are multiplied against the
-    one-hot columns of the columns after its first, where the pairs of
-    its first column start.  Every tile writes its Gram block and its
-    hinge terms into one float32 workspace sized for the largest block.
-    Its row block sums are one reduction over the s0 rows of each tile
-    column; its column block sums are, per level group of s levels, one
-    product of the row sums, viewed as (columns, s) blocks, with a vector
-    of s ones.  The sums of sorted columns (c, c'), c < c', go to the pair
-    (min, max) of their original indices: one slice per tile when the
-    levels already ascend, else one scatter.
+    Each level group is one run of B, and each tile of _gram_tiles is t
+    columns of one level s0: its h = t s0 one-hot rows are multiplied
+    against the one-hot columns of the columns after its first, where the
+    pairs of its first column start.  Every tile writes its Gram block and
+    its hinge terms into one float32 workspace sized for the largest
+    block.  Its row block sums are one reduction over the s0 rows of each
+    tile column; its column block sums are, per level group of s levels,
+    one product of the row sums, viewed as (columns, s) blocks, with a
+    vector of s ones.  The pairs of a tile's columns are one slice of the
+    pair vectors.
 
     Exact: Gram entries are counts n <= N.  Summed over a block, n^2 gives
     P <= N^2 <= 2^24.  Since sum_ab n_ab = N over the s_i s_j cells of a
@@ -547,10 +553,9 @@ def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     terms, at most s_i s_j N, when s_i s_j N <= 2^24; otherwise that
     group's column block sums run in float64.
     """
-    m, N = D.m, D.N
+    m, N, levels = D.m, D.N, D.levels
     groups = level_groups(D)
     tiles = _gram_tiles(groups, N)
-    levels = sorted(D.levels)
     bounds = [0, *itertools.accumulate(levels)]
     L = bounds[-1]
     firsts = [0, *itertools.accumulate(mg for _, mg in groups)]
@@ -559,7 +564,6 @@ def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     shapes = [(bounds[c1] - bounds[c0], L - bounds[c0 + 1])
               for c0, c1 in tiles]
     cols_max = max(c1 - c0 for c0, c1 in tiles)
-    B = _one_hot(D)
     work = np.empty((2, max(h * w for h, w in shapes)), dtype=np.float32)
     row_sums = np.empty((2, cols_max * (L - levels[0])), dtype=np.float32)
     sums = np.empty((2, cols_max, m - 1), dtype=np.int64)
@@ -567,7 +571,6 @@ def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     # tile column k and column c0 + 1 + l form a pair when l >= k
     later = np.arange(m - 1) >= np.arange(cols_max)[:, None]
     starts = pair_starts(m)
-    order = None if list(D.levels) == levels else _level_order(D)
     P = np.empty(m * (m - 1) // 2, dtype=np.int64)
     F = np.empty_like(P)
     for (c0, c1), (h, w) in zip(tiles, shapes):
@@ -592,21 +595,15 @@ def _gram_tile_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
                 S[:, :, a - c0 - 1:b - c0 - 1] = (
                     blocks.reshape(2, t, b - a, s) @ ones)
         pairs = later[:t, :m - c0 - 1]
-        if order is None:
-            dest = slice(starts[c0], starts[c1])
-        else:
-            i, j = order[c0:c1, None], order[c0 + 1:]
-            lo, hi = np.minimum(i, j)[pairs], np.maximum(i, j)[pairs]
-            dest = starts[lo] + hi - lo - 1
-        P[dest] = S[0][pairs]
-        F[dest] = S[1][pairs]
+        P[starts[c0]:starts[c1]] = S[0][pairs]
+        F[starts[c0]:starts[c1]] = S[1][pairs]
     F *= 2
     return P, F
 
 
 def _gram_tiles(groups, N: int) -> list[tuple[int, int]]:
-    """Tiles (c0, c1) of the Gram route over the columns in _level_order,
-    given the level_groups.
+    """Tiles (c0, c1) of the Gram route over the columns in ascending level
+    order, given the level_groups.
 
     A tile is a run of columns of one level s and at most
     GRAM_TILE_CELLS * N / L one-hot rows, or a single column that alone

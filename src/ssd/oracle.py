@@ -5,15 +5,15 @@ the kernels of design_core or with criteria; of the other modules only the
 command line imports it, to run the search.  The tests compare each
 reference with the code it checks: the row-by-row pair tables (pair_table,
 with pair_a2_from_table and pair_dependency_stats reading A2, chi2, f and
-d2 off them by definition) with pair_gram_sums; the Z_s character route
-exp(2 pi i u x / s), u != 0 (char_a2_matrix, floating) with the report's
-histogram; the dense row-compared coincidences with
-joint_coincidence_counts; is_oa with strength; the real-contrast
-gwlp_bruteforce with the report's wordlength pattern; the minimum-A2
-search with the lower bounds; the point-by-point eval_label with the
-label evaluation of poly_labels; l_set and forms_dependent, every nonzero
-linear form and the dependency test, with the label lemmas; and the
-schoolbook poly_mul with the field tables.
+d2 off them by definition) with design_sums, pairs of level_sorted(D);
+the Z_s character route exp(2 pi i u x / s), u != 0 (char_a2_matrix,
+floating) with the report's histogram; the dense row-compared
+coincidences with design_sums' joint histogram; is_oa with strength; the
+real-contrast gwlp_bruteforce with the report's wordlength pattern; the
+minimum-A2 search with the lower bounds; the point-by-point eval_label
+with the label evaluation of poly_labels; l_set and forms_dependent,
+every nonzero linear form and the dependency test, with the label
+lemmas; and the schoolbook poly_mul with the field tables.
 
 The search fixes the first column to the canonical sorted pattern (any
 design can be row-permuted into that form) and enumerates the remaining

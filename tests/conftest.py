@@ -1,6 +1,19 @@
+import warnings
 from collections import Counter
 
 import pytest
+
+# When an @given test fails, hypothesis imports its patch writer, whose
+# libcst and mypy_extensions imports raise DeprecationWarnings; under the
+# "error" warnings filter that import would end the run with an
+# INTERNALERROR and leave every later test unrun.  Import it once here,
+# with those warnings ignored; it is optional.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from ssd.constructions import catalog
 from ssd.gf import default_field

@@ -612,7 +612,7 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
                         ("", "error: out of memory\n")):
         def out_of_memory(D, detail=detail):
             raise MemoryError(detail)
-        monkeypatch.setattr(criteria, "pair_gram_sums", out_of_memory)
+        monkeypatch.setattr(criteria, "design_sums", out_of_memory)
         assert run(["evaluate", str(d)]) == 1
         assert capsys.readouterr().err == err
 
@@ -642,7 +642,7 @@ def test_internal_fault_is_an_error_line(tmp_path, capsys, monkeypatch):
                         ("", "error: evaluate: RuntimeError\n")):
         def fault(D, detail=detail):
             raise RuntimeError(detail)
-        monkeypatch.setattr(criteria, "pair_gram_sums", fault)
+        monkeypatch.setattr(criteria, "design_sums", fault)
         assert run(["evaluate", str(d)]) == 1
         captured = capsys.readouterr()
         assert captured.err == err

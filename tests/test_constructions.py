@@ -13,8 +13,8 @@ from ssd.constructions import (CATALOG_SPECS, catalog_verify,
                                construct_thm8, construct_thm9, load_appendix,
                                verify_appendix)
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (classify_pair, fully_aliased_pairs,
-                             pair_gram_sums, remove_fully_aliased)
+from ssd.design_core import (classify_pair, design_sums, fully_aliased_pairs,
+                             remove_fully_aliased)
 from ssd.gf import Field, default_field
 from ssd.poly_labels import h_set, label_str, parse_label, q1
 
@@ -56,9 +56,9 @@ def test_thm4_semi_orthogonal_pair_counts():
     (32, None), (32, (1, 0, 1, 0, 0, 1)), (49, None), (49, (1, 0, 1))])
 def test_closed_forms_above_25_levels(s, modulus):
     # thm4: A2 = s^2 - s; thm6 with k = 2: A2 = s^2 - 1, under any modulus;
-    # the sum of the pair kernel's values, without the coincidence pass
+    # the sum of the pair kernel's values
     def pairwise_a2(D):
-        P = pair_gram_sums(D)[0]
+        P = design_sums(D)[0]
         return F(int((s * s * P - D.N**2).sum()), D.N**2)
     f = Field(s, modulus)
     assert pairwise_a2(construct_thm4(f, 2)) == s * s - s
@@ -207,15 +207,15 @@ def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):
     from ssd import design_core
     from ssd.constructions import verify_design
     calls, count = call_counter
-    count(criteria, "joint_coincidence_counts")
-    count(design_core, "_cell_count_sums", "_gram_tile_sums")
+    count(criteria, "design_sums")
+    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums")
     for recipe, D in catalog_rows:
         calls.clear()
         assert verify_design(recipe, D).ok
         route = ("_cell_count_sums" if design_core.cells_sparse(D)
                  else "_gram_tile_sums")
-        assert calls == Counter({"joint_coincidence_counts": 1, route: 1}), \
-            recipe.row_id
+        assert calls == Counter({"design_sums": 1, "_one_hot": 1,
+                                 route: 1}), recipe.row_id
 
 
 def test_catalog_has_31_rows_and_verifies(catalog_rows):
@@ -270,14 +270,14 @@ def test_appendix_file_shapes():
 def test_companion_arrays_have_constant_coincidences(gf3, gf4):
     # every saturated companion array shares the constant coincidence count
     # (N - s)/(s(s - 1)) of the linear family
-    from ssd.design_core import joint_coincidence_counts, realize
+    from ssd.design_core import realize
     from ssd.poly_labels import qh
     for f, n in ((gf3, 2), (gf3, 3), (gf4, 2)):
         s = f.order
         expect = (s**n - s) // (s * (s - 1))
         for h in h_set(f, n):
             D = realize(f, n, qh(f, h, n))
-            assert joint_coincidence_counts(D) == {(expect,): math.comb(D.N, 2)}
+            assert design_sums(D)[2] == {(expect,): math.comb(D.N, 2)}
 
 
 def test_branch_families_distinguish_the_two_saturated_arrays(gf3):

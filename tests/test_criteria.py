@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from ssd import criteria
 from ssd.constructions import construct_thm4, construct_thm6, construct_thm8
 from ssd.criteria import aggregate_stats, krawtchouk, round_half_away, strength
 from ssd.design_core import (Design, classify_pair, column_juxtapose,
-                             joint_coincidence_counts, realize,
+                             design_sums, realize, replace_column,
                              select_columns)
 from ssd.gf import Field, default_field
 from ssd.oracle import (char_a2_matrix, coincidences, gwlp_bruteforce, is_oa,
@@ -43,7 +44,7 @@ def test_power_moments(gf3, ssd937):
 
 def test_power_moment_single_column_all_distinct(gf3):
     D = realize(gf3, 1, h_set(gf3, 1))
-    assert joint_coincidence_counts(D) == {(0,): 3}
+    assert design_sums(D)[2] == {(0,): 3}
 
 
 def test_a2_overall_values(gf3, ssd937):
@@ -143,7 +144,7 @@ def test_weighted_coincidence_identity(gf3):
     assert F(j2) == (N * N * aggregate_stats(mixed).A2
                      + F(N * (N * m * (m - 1) + N * T - T * T), 2))
     weighted = Counter()
-    for key, c in joint_coincidence_counts(mixed).items():
+    for key, c in design_sums(mixed)[2].items():
         weighted[sum(s * k for (s, _), k in zip(level_groups(mixed), key))] += c
     assert Counter(dw.tolist()) == weighted
 
@@ -346,33 +347,32 @@ def test_round_half_away():
 
 
 def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
-    """One report runs one pair route and one coincidence pass, which builds
-    one one-hot matrix; the Gram route builds one more, the cell-count
-    route none.  It extracts the pair numerators once and works out the
-    overall A2 once: by the pairwise sum, cross-checked by the closed form
-    with equal levels.  The wordlength pattern and the coincidence totals
-    both read the one histogram."""
+    """One report calls the kernel entry once, which builds one one-hot
+    matrix on either route and runs one pair route and one coincidence
+    pass.  It extracts the pair numerators once and works out the overall
+    A2 once: by the pairwise sum, cross-checked by the closed form with
+    equal levels.  The wordlength pattern and the coincidence totals both
+    read the one histogram."""
     from ssd import design_core
     from ssd.design_core import cells_sparse, replace_column
     from ssd.report import build_report
 
     calls, count = call_counter
-    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums")
-    count(criteria, "joint_coincidence_counts", "_pair_numerators",
-          "_a2_closed_form")
+    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums",
+          "_joint_coincidences")
+    count(criteria, "design_sums", "_pair_numerators", "_a2_closed_form")
     equal = construct_thm6(gf3, 2, 2)
     # k = 3: at k = 2 the two routes take about equal time and the rule
-    # counts cells
-    mixed = replace_column(construct_thm6(gf9, 2, 3), 0,
+    # counts cells; 3-level columns in the middle, so the levels are sorted
+    mixed = replace_column(construct_thm6(gf9, 2, 3), 5,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
-    for D, route, one_hots, closed in (
-            (equal, "_cell_count_sums", 1, 1),
-            (mixed, "_gram_tile_sums", 2, 0)):
+    for D, route, closed in ((equal, "_cell_count_sums", 1),
+                             (mixed, "_gram_tile_sums", 0)):
         assert cells_sparse(D) == (route == "_cell_count_sums")
         calls.clear()
         build_report(D)
-        assert calls == Counter({"_one_hot": one_hots, route: 1,
-                                 "joint_coincidence_counts": 1,
+        assert calls == Counter({"_one_hot": 1, route: 1,
+                                 "_joint_coincidences": 1, "design_sums": 1,
                                  "_pair_numerators": 1,
                                  "_a2_closed_form": closed})
     # an out-of-range depth is rejected before any pass
@@ -385,7 +385,50 @@ def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
 
 def test_strength_reads_one_histogram(gf3, call_counter):
     calls, count = call_counter
-    count(criteria, "joint_coincidence_counts")
+    count(criteria, "design_sums")
     # strength 2 takes the prefixes of length 1, 2 and 4
     assert strength(realize(gf3, 3, h_set(gf3, 3))) == 2
-    assert calls == Counter({"joint_coincidence_counts": 1})
+    assert calls == Counter({"design_sums": 1})
+
+
+@st.composite
+def permuted_designs(draw):
+    """(D, a column-permuted copy of D): random balanced designs with
+    unsorted levels in {2, 3, 4, 6, 12}, or a 9/3-level design with its
+    3-level columns in the middle, and either pair route."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.integers(0, 4)):
+        N = draw(st.sampled_from([12, 24]))
+        m = draw(st.integers(2, 72))
+        levels = draw(st.lists(st.sampled_from([2, 3, 4, 6, 12]),
+                               min_size=m, max_size=m))
+        cols = []
+        for s in levels:
+            cols.append([v for v in range(s) for _ in range(N // s)])
+            rnd.shuffle(cols[-1])
+        D = Design(np.array(cols).T, levels)
+    else:
+        gf3, gf9 = default_field(3), default_field(9)
+        D = replace_column(construct_thm6(gf9, 2, 3), 5,
+                           realize(gf3, 2, h_set(gf3, 2)).matrix)
+    order = list(range(D.m))
+    rnd.shuffle(order)
+    return D, select_columns(D, order), draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(permuted_designs())
+def test_column_order_does_not_change_a_report(case):
+    """Every reported value is a multiset statistic over column pairs or
+    row pairs, so permuting the columns changes only the levels' order,
+    on either pair route."""
+    from ssd import design_core
+    from ssd.report import build_report, report_to_json
+    D, E, sparse = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design_core, "cells_sparse", lambda D: sparse)
+        want, got = (json.loads(report_to_json(build_report(X)))
+                     for X in (D, E))
+    assert want.pop("levels") == list(D.levels)
+    assert got.pop("levels") == list(E.levels)
+    assert got == want

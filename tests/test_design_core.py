@@ -10,10 +10,9 @@ from ssd.criteria import aggregate_stats, strength
 from ssd.design_core import (MATRIX_BLOCK_CELLS, Design,
                              branch_fraction, classify_pair,
                              column_juxtapose, design_from_text,
-                             design_to_text, fully_aliased_pairs,
-                             joint_coincidence_counts, read_design, realize,
-                             remove_fully_aliased, replace_column,
-                             select_columns, write_design)
+                             design_sums, design_to_text, fully_aliased_pairs,
+                             read_design, realize, remove_fully_aliased,
+                             replace_column, select_columns, write_design)
 from ssd.gf import default_field
 from ssd.oracle import coincidences, is_oa, pair_table
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
@@ -178,6 +177,38 @@ def test_replace_column_checks_the_table_as_a_design(gf3, table, err):
         replace_column(D, 0, np.array(table))
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0.5], [1.7]], [[0, 0], [1, 0.5]], [[0], [np.nan]], [[np.inf], [0]],
+    [[0], [-np.inf]]], ids=["fractions", "one-fraction", "nan", "inf", "-inf"])
+def test_design_refuses_symbols_that_are_not_integers(matrix):
+    """A cast would truncate 0.5 to 0 and warn on NaN, so a float matrix
+    is checked before it is narrowed, naming the first column at fault."""
+    col = len(matrix[0]) - 1
+    with pytest.raises(ValueError, match=f"^column {col} has symbols that "
+                                         "are not integers$"):
+        Design(np.array(matrix), [2] * len(matrix[0]))
+
+
+def test_design_casts_integral_floats():
+    D = Design(np.array([[0.0, 1.0], [1.0, 0.0]]), [2, 2])
+    assert D.matrix.tolist() == [[0, 1], [1, 0]]
+    assert D.matrix.dtype == np.uint8
+
+
+@pytest.mark.parametrize("table", [[[0.9], [1.2]], [[0, 1], [1, 0.5]],
+                                   [[np.nan], [1]], [[0], [np.inf]]],
+                         ids=["fractions", "one-fraction", "nan", "inf"])
+def test_replace_column_refuses_a_table_that_is_not_integral(gf2, table):
+    D = realize(gf2, 2, h_set(gf2, 2))
+    col = len(table[0]) - 1
+    with pytest.raises(ValueError, match=f"^replacement table: column {col} "
+                                         "has symbols that are not integers$"):
+        replace_column(D, 0, table)
+    # integral floats are cast
+    out = replace_column(D, 0, [[1.0], [0.0]])
+    assert out.matrix[:, 0].tolist() == (1 - D.matrix[:, 0]).tolist()
+
+
 def test_replace_preserves_a2_four_to_two(gf4, gf2):
     # swap a 4-level column for the saturated 4-run 2-level array
     from ssd.constructions import construct_thm4
@@ -200,7 +231,7 @@ def test_coincidences_saturated(gf3):
     delta = coincidences(H)
     off = delta[np.triu_indices(9, 1)]
     assert (off == 1).all()          # (N - s)/(s(s-1)) = 1
-    assert joint_coincidence_counts(H) == {(1,): 36}
+    assert design_sums(H)[2] == {(1,): 36}
     H3 = realize(gf3, 3, h_set(gf3, 3))
     off3 = coincidences(H3)[np.triu_indices(27, 1)]
     assert (off3 == 4).all()         # (27 - 3)/6
@@ -233,7 +264,7 @@ def test_joint_coincidences_match_dense_reference(gf3, gf9, monkeypatch):
     dup = Design([[0, 0, 1], [0, 0, 1], [1, 1, 0], [1, 1, 0]], (2, 2, 2))
     for D in (equal, mixed, dup):
         want = _dense_joint(D)
-        assert joint_coincidence_counts(D) == want
+        assert design_sums(D)[2] == want
         vals, counts = np.unique(coincidences(D)[np.triu_indices(D.N, 1)],
                                  return_counts=True)
         assert aggregate_stats(D).coincidences == dict(
@@ -243,8 +274,8 @@ def test_joint_coincidences_match_dense_reference(gf3, gf9, monkeypatch):
                             ("JOINT_BINS_MAX", 0)):
             with monkeypatch.context() as mp:
                 mp.setattr(design_core, name, value)
-                assert joint_coincidence_counts(D) == want
-    assert list(joint_coincidence_counts(equal)) == [
+                assert design_sums(D)[2] == want
+    assert list(design_sums(equal)[2]) == [
         (k,) for k in aggregate_stats(equal).coincidences]
 
 
@@ -429,11 +460,11 @@ def test_read_design_reads_the_open_file(tmp_path):
 MEASURE_COINCIDENCE_RSS = """
 import resource
 from ssd.constructions import construct_thm4
-from ssd.design_core import joint_coincidence_counts
+from ssd.design_core import design_sums
 from ssd.gf import default_field
 D = construct_thm4(default_field(64), 2)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-counts = joint_coincidence_counts(D)
+counts = design_sums(D)[2]
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(D.N, D.m, (after - before) // 1024, counts)
 """
@@ -441,9 +472,10 @@ print(D.N, D.m, (after - before) // 1024, counts)
 
 @pytest.mark.slow
 def test_coincidence_pass_memory_at_4096_runs():
-    """The row-tiled pass on GF(64) thm4 (4096 x 129, one-hot 4096 x 8256)
-    holds the one-hot matrix and one row block, never N x N: the dense
-    matrix and its integer copy raised peak RSS by about 650 MB."""
+    """The kernel entry on GF(64) thm4 (4096 x 129, one-hot 4096 x 8256,
+    cell-count route) holds the one-hot matrix, the pair vectors and one
+    row block of the coincidence pass, never N x N: the dense matrix and
+    its integer copy raised peak RSS by about 650 MB."""
     import os
     import subprocess
     import sys

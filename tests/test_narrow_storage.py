@@ -21,8 +21,8 @@ from ssd import design_core
 from ssd.criteria import strength
 from ssd.design_core import (FULLY_ALIASED, ORTHOGONAL, PARTIAL,
                              SEMI_ORTHOGONAL, Design, classify_pair,
-                             fully_aliased_pairs, joint_coincidence_counts,
-                             level_groups, pair_gram_sums)
+                             design_sums, fully_aliased_pairs, level_groups,
+                             level_sorted)
 from ssd.oracle import char_a2_matrix, is_oa, pair_table
 
 # (run counts, the level counts a widest column takes) per storage dtype;
@@ -140,9 +140,12 @@ def check_cell_tables_and_classes(D):
         assert got.kind == reference_kind(tab, D.N)
 
 
-def check_pair_gram_sums(D):
+def check_pair_sums(D):
+    """The pair sums against the tables of the level-sorted columns, whose
+    widest column comes last."""
+    P, Fm, _ = design_sums(D)
+    D = level_sorted(D)
     X, lev, N = wide(D), D.levels, D.N
-    P, Fm = pair_gram_sums(D)
     pairs = list(itertools.combinations(range(D.m), 2))
     assert len(P) == len(Fm) == len(pairs)
     for (i, j), p, f in zip(pairs, P, Fm):
@@ -169,7 +172,7 @@ def check_joint_coincidences(D):
     keys = np.flatnonzero(counts)
     want = dict(zip(zip(*(k.tolist() for k in np.unravel_index(keys, radix))),
                     counts[keys].tolist()))
-    assert joint_coincidence_counts(D) == want
+    assert design_sums(D)[2] == want
 
 
 def check_fully_aliased_pairs(D):
@@ -207,7 +210,7 @@ def test_cell_table_and_classify_pair_widen(dtype):
 @by_dtype
 def test_pair_gram_sums_widen_on_either_route(dtype, sparse, monkeypatch):
     monkeypatch.setattr(design_core, "cells_sparse", lambda D: sparse)
-    on_designs(dtype, check_pair_gram_sums, 4096 if sparse else GRAM_RUNS)
+    on_designs(dtype, check_pair_sums, 4096 if sparse else GRAM_RUNS)
 
 
 @by_dtype

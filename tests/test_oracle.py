@@ -12,7 +12,7 @@ from ssd.bounds import lb_theorem1
 from ssd.cli import run
 from ssd.constructions import construct_thm4, construct_thm8
 from ssd.criteria import aggregate_stats
-from ssd.design_core import Design, cells_sparse, pair_gram_sums, realize
+from ssd.design_core import Design, cells_sparse, design_sums, realize
 from ssd.gf import default_field
 from ssd.oracle import (DEFAULT_BUDGET, exhaustive_min_a2, gwlp_bruteforce,
                         pair_table, pair_a2_from_table, periodicity_spot_check)
@@ -57,7 +57,7 @@ def test_pair_routes_agree_everywhere(catalog_rows):
     routes = set()
     for recipe, D in catalog_rows:
         routes.add(cells_sparse(D))
-        P = pair_gram_sums(D)[0]
+        P = design_sums(D)[0]
         s = D.levels[0]
         pairs = itertools.combinations(range(D.m), 2)
         for (i, j), p in zip(pairs, P.tolist(), strict=True):
@@ -176,7 +176,7 @@ def _brute_min_scaled(N, s, m):
     # the pair kernel's sums over the pairs of distinct candidates, and
     # N^2 / s for a balanced column against itself
     P = np.full((len(cols), len(cols)), N * N // s)
-    P[np.triu_indices(len(cols), 1)] = pair_gram_sums(
+    P[np.triu_indices(len(cols), 1)] = design_sums(
         Design(np.array(cols).T, (s,) * len(cols)))[0]
     P = np.triu(P) + np.triu(P, 1).T
     pair = s * s * P - N * N

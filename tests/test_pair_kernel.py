@@ -1,8 +1,8 @@
 """Both routes of the pair kernel against independent per-pair cell counting.
 
-pair_gram_sums returns the sums of the pairs i < j as row-major vectors, the
-order of itertools.combinations(range(m), 2), so every comparison walks the
-pairs in that order."""
+design_sums returns the sums of the pairs i < j of level_sorted(D) as
+row-major vectors, the order of itertools.combinations(range(m), 2), so
+every comparison walks the pairs of the sorted columns in that order."""
 
 import itertools
 from collections import Counter
@@ -17,9 +17,9 @@ from ssd import design_core
 from ssd.constructions import construct_thm4, construct_thm6
 from ssd.criteria import aggregate_stats
 from ssd.design_core import (FULLY_ALIASED, Design, cells_sparse,
-                             classify_pair, fully_aliased_pairs,
-                             pair_gram_sums, realize, remove_fully_aliased,
-                             select_columns)
+                             classify_pair, design_sums, fully_aliased_pairs,
+                             level_sorted, pair_starts, realize,
+                             remove_fully_aliased)
 from ssd.gf import default_field
 from ssd.oracle import pair_a2_from_table, pair_dependency_stats, pair_table
 from ssd.poly_labels import h_set
@@ -60,18 +60,19 @@ def mixed_designs(draw):
 @given(mixed_designs())
 def test_kernel_matches_per_pair_counting(case):
     D, dup = case
-    N, lev = D.N, D.levels
-    P, Fm = pair_gram_sums(D)
+    S = level_sorted(D)
+    N, lev = S.N, S.levels
+    P, Fm, _ = design_sums(D)
     hist = Counter()
     chi2s, fs, d2s = [], [], []
     pairs = itertools.combinations(range(D.m), 2)
     for (i, j), p, f_sum in zip(pairs, P.tolist(), Fm.tolist(), strict=True):
         den = lev[i] * lev[j]
-        tab = np.array(pair_table(D, i, j))
+        tab = np.array(pair_table(S, i, j))
         assert p == (tab * tab).sum()
         assert f_sum == np.abs(den * tab - N).sum()
         X = den * p - N * N
-        chi2, f, d2 = pair_dependency_stats(D, i, j)
+        chi2, f, d2 = pair_dependency_stats(S, i, j)
         assert (chi2, f, d2) == (F(X, N), F(f_sum, den), F(X, den))
         hist[pair_a2_from_table(tab.tolist(), N)] += 1
         chi2s.append(chi2)
@@ -103,10 +104,10 @@ def per_pair_sums(D):
 
 
 def forced_sums(D, sparse):
-    """pair_gram_sums of D on the chosen route."""
+    """P and F of design_sums(D) on the chosen route."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design_core, "cells_sparse", lambda D: sparse)
-        return pair_gram_sums(D)
+        return design_sums(D)[:2]
 
 
 @st.composite
@@ -135,12 +136,15 @@ def planted_copy_designs(draw):
 
 def gram_aliased_pairs(D):
     """The pair-kernel criterion for balanced designs: equal levels and
-    projected A2 = s - 1, i.e. s P[i, j] = N^2."""
-    P = pair_gram_sums(D)[0]
-    lev = np.asarray(D.levels)
+    projected A2 = s - 1, i.e. s P[i, j] = N^2.  The kernel's pairs are
+    those of the level-sorted columns, a stable sort, so a pair of equal
+    levels keeps its order when mapped back to D's columns."""
+    P = design_sums(D)[0]
+    order = np.argsort(D.levels, kind="stable")
+    lev = np.asarray(D.levels)[order]
     i, j = np.triu_indices(D.m, 1)
     hit = (lev[i] == lev[j]) & (lev[i] * P == D.N * D.N)
-    return list(zip(i[hit].tolist(), j[hit].tolist()))
+    return sorted(zip(order[i[hit]].tolist(), order[j[hit]].tolist()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,6 +205,7 @@ def regime_designs(draw):
 @settings(max_examples=40, deadline=None)
 @given(regime_designs())
 def test_both_routes_match_cell_tables(D):
+    D = level_sorted(D)
     want = per_pair_sums(D)
     for sparse in (True, False):
         P, Fm = forced_sums(D, sparse)
@@ -218,7 +223,9 @@ def test_both_routes_match_cell_tables(D):
 
 def test_cell_count_chunks_stay_within_budget(monkeypatch):
     """A small budget splits the pairs into many bincount chunks, each within
-    the budget unless it holds a single pair whose table alone exceeds it."""
+    the budget unless it holds a single pair whose table alone exceeds it.
+    The route is called on its own, so no other bincount is counted; it
+    takes the columns in any order."""
     rng = np.random.default_rng(5)
     levels = [12, 4, 6, 12, 4, 6, 12]
     N = 12
@@ -236,7 +243,7 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(design_core, "PAIR_CELL_BUDGET", budget)
             mp.setattr(design_core.np, "bincount", counting)
-            P, Fm = pair_gram_sums(D)
+            P, Fm = design_core._cell_count_sums(D)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert len(chunks) > 1
         assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) - 1) // 2
@@ -253,7 +260,7 @@ def test_catalog_designs_give_equal_sums_on_both_routes(catalog_rows):
         sparse = forced_sums(D, True)
         dense = forced_sums(D, False)
         assert all((a == b).all() for a, b in zip(sparse, dense)), recipe.row_id
-        natural = pair_gram_sums(D)
+        natural = design_sums(D)[:2]
         assert all((a == b).all() for a, b in zip(natural, sparse)), recipe.row_id
     assert routes == {True, False}
 
@@ -281,7 +288,7 @@ def test_gram_tiles_stay_within_budget(monkeypatch):
     N = 81
     cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
     D = Design(np.array(cols).T, levels)
-    want = per_pair_sums(D)
+    want = per_pair_sums(level_sorted(D))
     ascending = sorted(levels)
     L = sum(levels)
     uneven = False
@@ -326,17 +333,20 @@ def interleaved_designs(draw):
 @settings(max_examples=30, deadline=None)
 @given(interleaved_designs(), st.sampled_from([1, 8, 512]))
 def test_gram_route_walks_unsorted_levels(D, budget):
-    """The Gram route takes the columns in ascending level order and writes
-    each pair's sums to the pair of its original columns, so it matches
-    the oracle's row-counted tables in the original column order."""
+    """The Gram route takes the columns in ascending level order, so it
+    matches the oracle's row-counted tables of level_sorted(D)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design_core, "GRAM_TILE_CELLS", budget)
         P, Fm = forced_sums(D, False)
-    pairs = itertools.combinations(range(D.m), 2)
+    S = level_sorted(D)
+    assert sorted(S.levels) == list(S.levels)
+    assert sorted(map(tuple, S.matrix.T.tolist())) == sorted(
+        map(tuple, D.matrix.T.tolist()))
+    pairs = itertools.combinations(range(S.m), 2)
     for (i, j), p, f in zip(pairs, P.tolist(), Fm.tolist(), strict=True):
-        tab = np.array(pair_table(D, i, j))
+        tab = np.array(pair_table(S, i, j))
         assert p == (tab * tab).sum()
-        assert f == np.abs(D.levels[i] * D.levels[j] * tab - D.N).sum()
+        assert f == np.abs(S.levels[i] * S.levels[j] * tab - S.N).sum()
 
 
 def test_float32_gram_is_exact_up_to_two_to_the_24(monkeypatch):
@@ -362,7 +372,7 @@ def test_float32_gram_is_exact_up_to_two_to_the_24(monkeypatch):
                          ids=["2-12", "3-7", "3-7-27"])
 def test_gram_f_is_exact_past_two_to_the_24(q, n, t):
     """One N-level column, N = q^n, each symbol once, ahead of 30 balanced
-    t-level columns, so the Gram route writes it last: F of a pair with the
+    t-level columns, so the level sort puts it last: F of a pair with the
     big column is 2 N (N t - N), twice a hinge block sum of N^2 (t - 1).
     That is 2^24 at 4096 runs and t = 2, and 2 * 62178597 at 2187 runs and
     t = 27: an odd multiple of 2 past 2^25, so no float32 block sum can
@@ -374,12 +384,17 @@ def test_gram_f_is_exact_past_two_to_the_24(q, n, t):
     half = N * N * (t - 1)
     if t == 27:
         assert half > 2 ** 24 and int(np.float32(half)) != half
-    rest = per_pair_sums(select_columns(D, range(1, 31)))
+    S = level_sorted(D)
+    assert S.levels == (t,) * 30 + (N,)
+    # the pair (i, 30) of the sorted columns is the last of row i
+    big = pair_starts(31)[1:] - 1
+    rest = [np.delete(v, big) for v in per_pair_sums(S)]
     for sparse in (False, True):
         P, Fm = forced_sums(D, sparse)
-        assert (P[:30] == N).all()
-        assert (Fm[:30] == 2 * half).all()
-        assert (P[30:] == rest[0]).all() and (Fm[30:] == rest[1]).all()
+        assert (P[big] == N).all()
+        assert (Fm[big] == 2 * half).all()
+        assert (np.delete(P, big) == rest[0]).all()
+        assert (np.delete(Fm, big) == rest[1]).all()
 
 
 @pytest.mark.parametrize("build, cells", [
