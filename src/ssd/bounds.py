@@ -55,12 +55,13 @@ def lb_theorem1(N: int, m: int, s: int) -> Fraction:
 
 def lb_theorem10(N: int, levels) -> Fraction:
     """Mixed-level bound (T - m)(T - m - N + 1)/(2(N-1)) with T = sum levels."""
-    levels = [int(s) for s in levels]
-    _check_shape(N, len(levels), levels, "in levels")
-    for s in levels:
+    # each level once, in order of first appearance
+    distinct = [int(s) for s in dict.fromkeys(levels)]
+    _check_shape(N, len(levels), distinct, "in levels")
+    for s in distinct:
         if N % s:
             raise ValueError("run count must be divisible by every level count")
-    T, m = sum(levels), len(levels)
+    T, m = int(sum(levels)), len(levels)
     return Fraction((T - m) * (T - m - N + 1), 2 * (N - 1))
 
 
@@ -103,9 +104,10 @@ def certify(stats: CriteriaReport) -> BoundReport:
     is equivalent to the coincidence counts spreading by at most one.
     """
     N, m, levels, a2 = stats.N, stats.m, stats.levels, stats.A2
+    distinct = set(levels)
     t10_raw = lb_theorem10(N, levels)
     t10 = max(t10_raw, Fraction(0))
-    if len(set(levels)) == 1:
+    if len(distinct) == 1:
         s = levels[0]
         t1_raw = lb_theorem1(N, m, s)
         t1 = max(t1_raw, Fraction(0))
@@ -116,7 +118,7 @@ def certify(stats: CriteriaReport) -> BoundReport:
         t1_raw = t1 = l2 = None
         achieved1 = None
         supersaturated = sum(levels) - m > N - 1
-    two_level = all(s == 2 for s in levels)
+    two_level = distinct == {2}
     es2_bound = lb_es2(N, m) if two_level else None
     achieved_es2 = (stats.E_s2 == es2_bound) if two_level else None
     return BoundReport(

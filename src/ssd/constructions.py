@@ -34,7 +34,7 @@ from . import criteria
 from .bounds import certify
 from .design_core import (MAX_RUNS, Design, branch_fraction,
                           check_fraction_runs, design_from_text,
-                          fully_aliased_pairs, realize,
+                          level_profile, realize,
                           remove_fully_aliased, select_columns)
 from .gf import Field, default_field, point_count
 from .poly_labels import (LinearForm, QuadraticLabel, eval_labels, h_set,
@@ -249,11 +249,20 @@ class RowResult:
 
 
 def verify_design(recipe: Recipe, D: Design) -> RowResult:
-    """Recompute one catalog row and compare every expected invariant exactly."""
+    """Recompute one catalog row and compare every expected invariant
+    exactly, all read from the design's one report.
+
+    Every column has recipe.s levels and is balanced, so a pair's
+    projected A2 is at most s - 1, with equality exactly when one column
+    is a relabelling of the other: the design has a fully aliased pair
+    exactly when s - 1 is a value of its histogram."""
     problems = []
     if D.N != recipe.expected_N or D.m != recipe.expected_m:
         problems.append(f"shape {D.N}x{D.m} != "
                         f"{recipe.expected_N}x{recipe.expected_m}")
+    elif set(D.levels) != {recipe.s}:
+        problems.append(f"levels {level_profile(D.levels)} != "
+                        f"{recipe.s}^{recipe.expected_m}")
     else:
         rep = criteria.aggregate_stats(D)
         nonzero = {v: c for v, c in rep.histogram.items() if v != 0}
@@ -263,7 +272,7 @@ def verify_design(recipe: Recipe, D: Design) -> RowResult:
         cert = certify(rep)
         if cert.a2 != recipe.expected_a2:
             problems.append(f"A2 {cert.a2} != {recipe.expected_a2}")
-        if fully_aliased_pairs(D):
+        if rep.histogram.get(recipe.s - 1):
             problems.append("contains fully aliased pairs")
         if not cert.achieved_theorem1:
             problems.append(

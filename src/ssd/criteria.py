@@ -23,7 +23,8 @@ at most N^2 <= 2^24, so even the float32 Gram route holds them exactly.  At
 the 4096 x 4096 size limit the int64 sums stay far below 2^63
 (P <= N^2, F <= 2 s_i s_j N <= 2^37), and so do the sums of X < N^3 and of F
 over fewer than 2^23 pairs.  Sums and maxima of d2 and f are taken per
-denominator s_i s_j and the totals accumulate in Python integers (Fractions).
+denominator s_i s_j and stay Python integers over it until each reported
+value is built, once, as a Fraction (_summary).
 
 The wordlength pattern is exact too: by the MacWilliams-type identity of
 Xu & Wu (2001, Ann. Statist. 29), A_j = N^-2 sum over ordered row pairs
@@ -43,7 +44,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .design_core import Design, design_sums, level_groups, pair_starts
+from .design_core import (Design, design_sums, joint_coincidences,
+                          level_groups)
 
 GWLP_DEFAULT_JMAX = 3
 
@@ -55,24 +57,31 @@ def _require_evaluable(D: Design) -> None:
         raise ValueError("need at least two columns")
 
 
-def _pair_numerators(D: Design, P: np.ndarray) -> tuple[np.ndarray,
-                                                        int | np.ndarray]:
-    """X = s_i s_j P - N^2 and the denominators s_i s_j over the pairs
-    i < j of D's columns in ascending level order, row-major, as
-    design_sums gives P.  X is P, rewritten in place; the denominators are
-    one integer when the levels are equal, else a vector written one row i
-    of pairs at a time."""
-    if len(set(D.levels)) == 1:
-        den = D.levels[0] ** 2
+def _pair_numerators(D: Design, groups,
+                     P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = s_i s_j P - N^2 over the pairs i < j of D's columns in ascending
+    level order, row-major, as design_sums gives P, with their denominators
+    s_i s_j as runs: (dens, starts), one run for each row i of pairs and
+    each level group (level_groups order) of the later column, empty runs
+    dropped.  With equal levels s that is the one run of s^2.  X is P,
+    rewritten in place."""
+    if len(groups) == 1:
+        dens = np.array([groups[0][0] ** 2], dtype=np.int64)
+        starts = np.zeros(1, dtype=np.intp)
+        P *= dens[0]
     else:
-        lev = np.sort(np.asarray(D.levels, dtype=np.int64))
-        den = np.empty_like(P)
-        starts = pair_starts(D.m)
-        for i in range(D.m - 1):
-            np.multiply(lev[i + 1:], lev[i], out=den[starts[i]:starts[i + 1]])
-    P *= den
+        s, mg = np.array(groups, dtype=np.int64).T
+        last = np.cumsum(mg)
+        i = np.arange(D.m - 1)[:, None]
+        # row i pairs with the columns of each group from max(first, i + 1) on
+        lens = np.clip(last - np.maximum(last - mg, i + 1), 0, None).ravel()
+        dens = (np.repeat(s, mg)[:-1, None] * s).ravel()
+        run = lens > 0
+        dens, lens = dens[run], lens[run]
+        P *= np.repeat(dens, lens)
+        starts = np.cumsum(lens) - lens
     P -= D.N * D.N
-    return P, den
+    return P, dens, starts
 
 
 def _histogram(X: np.ndarray, N: int) -> dict:
@@ -81,35 +90,59 @@ def _histogram(X: np.ndarray, N: int) -> dict:
     return {Fraction(v, N * N): c for v, c in zip(vals.tolist(), counts.tolist())}
 
 
-def _a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> Fraction:
-    """[(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N), K2 the second
-    power moment of the coincidence counts over the C(N, 2) row pairs."""
-    K2 = Fraction(sum(c * v * v for v, c in counts.items()), N * (N - 1) // 2)
-    return ((N - 1) * s * s * K2 + m * m * s * s
-            - N * m * (m + s - 1)) / Fraction(2 * N)
+def _a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> int:
+    """2 N^2 A2 by the closed form in the second power moment K2 of the
+    coincidence counts over the C(N, 2) row pairs,
+
+        A2 = [(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N),
+
+    which with (N - 1) K2 = 2 sum_pairs c^2 / N is the integer
+    2 s^2 sum_pairs c^2 + N m^2 s^2 - N^2 m (m + s - 1)."""
+    sq = sum(c * v * v for v, c in counts.items())
+    return 2 * s * s * sq + N * m * m * s * s - N * N * m * (m + s - 1)
 
 
-def _summary(X: np.ndarray, den, F: np.ndarray, N: int,
-             levels) -> dict[str, Fraction]:
+def _summary(X: np.ndarray, F: np.ndarray, N: int, dens: np.ndarray,
+             starts: np.ndarray) -> dict[str, Fraction]:
+    """The chi2, f and d2 aggregates from the pair numerators X and F and
+    the runs of their denominators (dens, starts): f = F / d, d2 = X / d.
+
+    Each sum and maximum stays an integer over its denominator: the sums
+    of the runs are gathered per denominator, the per-denominator sums are
+    added over their lcm, the maxima are compared by cross-multiplication,
+    and each reported value is built as one Fraction."""
+    ufuncs = (np.add, np.add, np.maximum, np.maximum)
+    runs = [u.reduceat(v, starts) for u, v in zip(ufuncs, (X, F, X, F))]
+    ds = dens
+    if len(dens) > 1:
+        ds, cls = np.unique(dens, return_inverse=True)
+        per = np.zeros((4, len(ds)), dtype=np.int64)
+        for u, row, v in zip(ufuncs, per, runs):
+            u.at(row, cls, v)
+        runs = per
+    ds = ds.tolist()
+    x_sums, f_sums, x_maxs, f_maxs = (v.tolist() for v in runs)
+    lcm = math.lcm(*ds)
     npairs = len(X)
-    f_sum = d2_sum = f_max = d2_max = Fraction(0)
-    if np.ndim(den) == 0:
-        groups = [(den, X, F)]
-    else:
-        levels = set(levels)
-        groups = [(d, X[sel], F[sel])
-                  for d in {a * b for a in levels for b in levels}
-                  if (sel := den == d).any()]
-    for d, Xd, Fd in groups:
-        d2_sum += Fraction(int(Xd.sum()), d)
-        f_sum += Fraction(int(Fd.sum()), d)
-        d2_max = max(d2_max, Fraction(int(Xd.max()), d))
-        f_max = max(f_max, Fraction(int(Fd.max()), d))
+
+    def over_lcm(sums):
+        return sum(v * (lcm // d) for v, d in zip(sums, ds))
+
+    def largest(maxs):
+        # max of v / d, by v d' > v' d; every v / d here is at least 0
+        best = (0, 1)
+        for v, d in zip(maxs, ds):
+            if v * best[1] > best[0] * d:
+                best = (v, d)
+        return Fraction(*best)
+
     return {
-        "ave_chi2": Fraction(int(X.sum()), N * npairs),
-        "max_chi2": Fraction(int(X.max()), N),
-        "ave_f": f_sum / npairs, "max_f": f_max,
-        "E_d2": d2_sum / npairs, "max_d2": d2_max,
+        "ave_chi2": Fraction(sum(x_sums), N * npairs),
+        "max_chi2": Fraction(max(x_maxs), N),
+        "ave_f": Fraction(over_lcm(f_sums), lcm * npairs),
+        "max_f": largest(f_maxs),
+        "E_d2": Fraction(over_lcm(x_sums), lcm * npairs),
+        "max_d2": largest(x_maxs),
     }
 
 
@@ -148,14 +181,13 @@ def _times(a: list[int], b: list[int], jmax: int) -> list[int]:
     return out
 
 
-def _gwlp(D: Design, joint: dict[tuple[int, ...], int],
+def _gwlp(N: int, groups, joint: dict[tuple[int, ...], int],
           jmax: int) -> list[Fraction]:
-    """[A_1 .. A_jmax] from D's joint coincidence histogram: each key
-    (c_1 .. c_G), counted over ordered row pairs, adds its count times
-    prod_g P(m_g - c_g; m_g, s_g)."""
-    groups = level_groups(D)
+    """[A_1 .. A_jmax] from a joint coincidence histogram over the given
+    level_groups: each key (c_1 .. c_G), counted over ordered row pairs,
+    adds its count times prod_g P(m_g - c_g; m_g, s_g)."""
     ordered = Counter({key: 2 * c for key, c in joint.items()})
-    ordered[tuple(mg for _, mg in groups)] += D.N   # a = b agrees everywhere
+    ordered[tuple(mg for _, mg in groups)] += N   # a = b agrees everywhere
     tables = [{c: krawtchouk(mg - c, mg, s, jmax) for c in {k[g] for k in ordered}}
               for g, (s, mg) in enumerate(groups)]
     total = [0] * (jmax + 1)
@@ -165,16 +197,18 @@ def _gwlp(D: Design, joint: dict[tuple[int, ...], int],
             poly = _times(poly, table[c], jmax)
         for j, v in enumerate(poly):
             total[j] += v
-    return [Fraction(v, D.N * D.N) for v in total[1:]]
+    return [Fraction(v, N * N) for v in total[1:]]
 
 
 def strength(D: Design) -> int:
     """Largest t with every t-column projection equireplicated: the leading
-    zeros of [A_1 .. A_m], read from one histogram in doubling prefixes."""
-    joint = design_sums(D)[2]
+    zeros of [A_1 .. A_m], read from one coincidence histogram (no pair
+    sums) in doubling prefixes."""
+    joint = joint_coincidences(D)
+    groups = level_groups(D)
     jmax = 1
     while jmax < 2 * D.m:
-        pattern = _gwlp(D, joint, min(jmax, D.m))
+        pattern = _gwlp(D.N, groups, joint, min(jmax, D.m))
         if any(pattern):
             return next(j for j, a in enumerate(pattern) if a)
         jmax *= 2
@@ -184,11 +218,13 @@ def strength(D: Design) -> int:
 # -- aggregate report ------------------------------------------------------------
 
 def round_half_away(x: Fraction, digits: int = 2) -> float:
-    """Round a rational half away from zero at the given decimal precision."""
-    q = Fraction(10) ** digits
-    scaled = x * q
-    sign = -1 if scaled < 0 else 1
-    return float(sign * ((abs(scaled) + Fraction(1, 2)).__floor__()) / q)
+    """Round a rational half away from zero at digits >= 0 decimal places,
+    in integers: |x| 10^digits + 1/2 = (2 |n| 10^digits + d) / (2d) for
+    x = n / d, floored, then one correctly rounded division by 10^digits."""
+    q = 10 ** digits
+    n, d = x.numerator, x.denominator
+    r = (2 * abs(n) * q + d) // (2 * d)
+    return (-r if n < 0 else r) / q
 
 
 @dataclass(frozen=True)
@@ -224,17 +260,18 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     if not 1 <= gwlp_jmax <= m:
         raise ValueError("jmax must lie in 1..m")
     P, F, joint = design_sums(D)
-    X, den = _pair_numerators(D, P)
-    a2 = Fraction(int(X.sum()), N * N)
-    pattern = tuple(_gwlp(D, joint, gwlp_jmax))
+    groups = level_groups(D)
+    X, dens, starts = _pair_numerators(D, groups, P)
+    x_sum = int(X.sum())
+    pattern = tuple(_gwlp(N, groups, joint, gwlp_jmax))
     counts = _coincidence_totals(joint)
-    if (len(set(D.levels)) == 1
-            and _a2_closed_form(N, m, D.levels[0], counts) != a2):
+    if (len(groups) == 1
+            and _a2_closed_form(N, m, groups[0][0], counts) != 2 * x_sum):
         raise AssertionError("overall A2 disagrees with the pairwise sum")
     # E(s^2) = N^2 A2 / C(m, 2), defined for two-level designs
-    es2 = N * N * a2 / math.comb(m, 2) if set(D.levels) == {2} else None
+    es2 = Fraction(x_sum, math.comb(m, 2)) if groups == ((2, m),) else None
     return CriteriaReport(
         N=N, m=m, levels=D.levels,
-        A2=a2, histogram=_histogram(X, N),
-        **_summary(X, den, F, N, D.levels),
+        A2=Fraction(x_sum, N * N), histogram=_histogram(X, N),
+        **_summary(X, F, N, dens, starts),
         gwlp=pattern, E_s2=es2, coincidences=counts)

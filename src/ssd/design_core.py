@@ -5,9 +5,11 @@ optional label provenance.  Everything downstream (criteria, bounds, the
 catalog) works on this type.  It keeps no evaluation state: the pair sums P
 and F and the joint row coincidence histogram come from one kernel entry,
 design_sums, computed on every call, so each caller asks once and hands the
-result on.  Besides it, the module holds pair classification, de-aliasing
-and the plain text serialisation format.  The independent references the
-kernels are checked against live in ssd.oracle.
+result on; a caller that needs only the histogram (criteria.strength) asks
+joint_coincidences, which runs no pair route.  Besides them, the module
+holds pair classification, de-aliasing and the plain text serialisation
+format.  The independent references the kernels are checked against live
+in ssd.oracle.
 
 Every value read from the kernels is a multiset statistic over column
 pairs or row pairs, so design_sums sorts the columns into ascending level
@@ -370,17 +372,29 @@ def design_sums(D: Design) -> tuple[np.ndarray, np.ndarray,
       level, each multiplied against the columns after its first, each
       about GRAM_TILE_CELLS * N Gram cells.
 
-    joint maps each per-level-group coincidence vector to its number of
-    row pairs a < b: entry g of a key counts the columns of level group g
-    (level_groups order) in which the two rows agree; with equal levels
-    the key is the 1-tuple of the plain coincidence count.  Keys ascend.
+    joint is the histogram of joint_coincidences.  The level groups and
+    the Gram tile plan are worked out once here and handed to the route
+    rule and to both passes.
 
     No m x m, L x L, pairs x N or N x N temporary exists.
     """
     S = level_sorted(D)
+    groups = level_groups(S)
+    tiles = _gram_tiles(groups, S.N)
     B = _one_hot(S)
-    P, F = _cell_count_sums(S) if cells_sparse(S) else _gram_tile_sums(S, B)
-    return P, F, _joint_coincidences(S, B)
+    P, F = (_cell_count_sums(S) if cells_sparse(S, tiles)
+            else _gram_tile_sums(S, B, groups, tiles))
+    return P, F, _joint_coincidences(S, B, groups)
+
+
+def joint_coincidences(D: Design) -> dict[tuple[int, ...], int]:
+    """The joint coincidence histogram of D, and no pair sums: it maps each
+    per-level-group coincidence vector to its number of row pairs a < b.
+    Entry g of a key counts the columns of level group g (level_groups
+    order) in which the two rows agree; with equal levels the key is the
+    1-tuple of the plain coincidence count.  Keys ascend."""
+    S = level_sorted(D)
+    return _joint_coincidences(S, _one_hot(S), level_groups(S))
 
 
 def _one_hot(D: Design) -> np.ndarray:
@@ -402,16 +416,16 @@ def _one_hot(D: Design) -> np.ndarray:
     return B
 
 
-def _joint_coincidences(D: Design, B: np.ndarray) -> dict[tuple[int, ...], int]:
+def _joint_coincidences(D: Design, B: np.ndarray,
+                        groups) -> dict[tuple[int, ...], int]:
     """The joint coincidence histogram of D, whose levels ascend, from its
-    one-hot matrix B.
+    one-hot matrix B and its level_groups.
 
     Row-tiled: each block of COINCIDENCE_BLOCK_CELLS // N rows is
     multiplied against the rows from the block on, per group column slice
     of B, so no N x N array exists.  The products are agreement counts
     <= m, exact in float32.
     """
-    groups = level_groups(D)
     edges = np.cumsum([0] + [s * mg for s, mg in groups])
     slabs = [B[:, a:b] for a, b in zip(edges, edges[1:])]
     radix = [mg + 1 for _, mg in groups]
@@ -439,9 +453,9 @@ def _joint_coincidences(D: Design, B: np.ndarray) -> dict[tuple[int, ...], int]:
     return dict(zip(keys, acc[codes].tolist()))
 
 
-def cells_sparse(D: Design) -> bool:
+def cells_sparse(D: Design, tiles=None) -> bool:
     """True when counting each pair's cells is estimated to take no longer
-    than the Gram tiles.
+    than the Gram tiles (D's _gram_tiles plan, worked out when not given).
 
     The estimates are in ns, fitted on timings of both routes over the
     catalog, the N = s^2 families for s = 3..32, thm4 for n = 3..10, the
@@ -456,8 +470,10 @@ def cells_sparse(D: Design) -> bool:
     bounds = [0, *itertools.accumulate(sorted(D.levels))]
     L = bounds[-1]
     cells = (L * L - sum(s * s for s in D.levels)) // 2
+    if tiles is None:
+        tiles = _gram_tiles(level_groups(D), N)
     entries = sum((bounds[c1] - bounds[c0]) * (L - bounds[c0 + 1])
-                  for c0, c1 in _gram_tiles(level_groups(D), N))
+                  for c0, c1 in tiles)
     return (7 * N * m * (m - 1) // 2 + 2 * cells
             <= entries * (N / 50 + 4) + 20000)
 
@@ -526,19 +542,22 @@ def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     return P, F
 
 
-def _gram_tile_sums(D: Design, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_tile_sums(D: Design, B: np.ndarray, groups,
+                    tiles) -> tuple[np.ndarray, np.ndarray]:
     """P and F from tiles of the float32 one-hot Gram of D, whose levels
-    ascend, given its one-hot matrix B.
+    ascend, given its one-hot matrix B, its level_groups and their
+    _gram_tiles plan.
 
     Each level group is one run of B, and each tile of _gram_tiles is t
     columns of one level s0: its h = t s0 one-hot rows are multiplied
     against the one-hot columns of the columns after its first, where the
-    pairs of its first column start.  Every tile writes its Gram block and
-    its hinge terms into one float32 workspace sized for the largest
-    block.  Its row block sums are one reduction over the s0 rows of each
-    tile column; its column block sums are, per level group of s levels,
-    one product of the row sums, viewed as (columns, s) blocks, with a
-    vector of s ones.  The pairs of a tile's columns are one slice of the
+    pairs of its first column start.  Every tile writes its Gram block
+    into one float32 workspace sized for the largest block.  Its row block
+    sums of n^2 are one einsum over the s0 rows of each tile column, with
+    no n^2 temporary; the block then becomes its hinge terms in place, and
+    their row block sums are one reduction.  Its column block sums are,
+    per level group of s levels, one product of the row sums, viewed as
+    (columns, s) blocks, with a vector of s ones.  The pairs of a tile's columns are one slice of the
     pair vectors.
 
     Exact: Gram entries are counts n <= N.  Summed over a block, n^2 gives
@@ -554,8 +573,6 @@ def _gram_tile_sums(D: Design, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group's column block sums run in float64.
     """
     m, N, levels = D.m, D.N, D.levels
-    groups = level_groups(D)
-    tiles = _gram_tiles(groups, N)
     bounds = [0, *itertools.accumulate(levels)]
     L = bounds[-1]
     firsts = [0, *itertools.accumulate(mg for _, mg in groups)]
@@ -564,7 +581,7 @@ def _gram_tile_sums(D: Design, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shapes = [(bounds[c1] - bounds[c0], L - bounds[c0 + 1])
               for c0, c1 in tiles]
     cols_max = max(c1 - c0 for c0, c1 in tiles)
-    work = np.empty((2, max(h * w for h, w in shapes)), dtype=np.float32)
+    work = np.empty(max(h * w for h, w in shapes), dtype=np.float32)
     row_sums = np.empty((2, cols_max * (L - levels[0])), dtype=np.float32)
     sums = np.empty((2, cols_max, m - 1), dtype=np.int64)
     weight = np.repeat(np.asarray(levels, dtype=np.float32), levels)
@@ -576,15 +593,15 @@ def _gram_tile_sums(D: Design, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for (c0, c1), (h, w) in zip(tiles, shapes):
         s0, t = levels[c0], c1 - c0
         r0, r1, r2 = bounds[c0], bounds[c1], bounds[c0 + 1]
-        both = work[:, :h * w].reshape(2, h, w)
-        G, H = both
+        G = work[:h * w].reshape(h, w)
         np.matmul(B[:, r0:r1].T, B[:, r2:], out=G)
-        np.multiply(G, s0 * weight[r2:], out=H)
-        np.subtract(N, H, out=H)
-        np.maximum(H, 0, out=H)
-        np.multiply(G, G, out=G)
         R = row_sums[:, :t * w].reshape(2, t, w)
-        np.add.reduce(both.reshape(2, t, s0, w), axis=2, out=R)
+        rows = G.reshape(t, s0, w)
+        np.einsum("ksw,ksw->kw", rows, rows, out=R[0])
+        np.multiply(G, s0 * weight[r2:], out=G)
+        np.subtract(N, G, out=G)
+        np.maximum(G, 0, out=G)
+        np.add.reduce(rows, axis=1, out=R[1])
         S = sums[:, :t, :m - c0 - 1]
         for s, a, b in runs:
             a = max(a, c0 + 1)

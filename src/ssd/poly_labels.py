@@ -162,8 +162,11 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     label or the l or g of a quadratic one, is evaluated once over the whole
     grid as the add-outer of the rows mul[c_i, :], the first coordinate
     slowest.  A quadratic label is then sq[a, l] + g, where the s x s table
-    sq[a, v] = v (v + a) = v^2 + a v.  Forms are built, and the output
-    filled, a block of about EVAL_BLOCK_CELLS cells at a time.
+    sq[a, v] = v (v + a) = v^2 + a v: each block of output columns reads
+    the row sq[a, l] once per distinct (l, a) among its quadratic labels,
+    and finishes each column with one lookup of the flat add table.  Forms
+    are built, and the output filled, a block of about EVAL_BLOCK_CELLS
+    cells at a time.
     """
     s = field.order
     N = point_count(field, n, s * MAX_ORDER)
@@ -195,7 +198,10 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
         F[f0:f0 + step] = acc[:, keep]
 
     v = np.arange(s)
-    sq = mul[v[None, :], add[v[None, :], v[:, None]]]
+    # sq[a, v] s, so that add[sq[a, l], g] is flat[sq_s[a, l] + g]; its
+    # dtype is the narrowest that holds an index s^2 - 1 of the flat table
+    sq_s = mul[v[None, :], add[v[None, :], v[:, None]]].astype(
+        np.min_scalar_type(s * s - 1)) * s
     out = np.empty((R, len(spec)), dtype=add.dtype)
     step = max(1, EVAL_BLOCK_CELLS // max(R, 1))
     for j0 in range(0, len(spec), step):
@@ -203,7 +209,16 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
         vals = F[ell[j]]
         q = np.flatnonzero(a[j] >= 0)
         if q.size:
-            vals[q] = add[sq[a[j][q, None], vals[q]], F[g[j][q]]]
+            # one row sq[a, F_l] s per distinct (l, a) of the block, found
+            # with a dict: np.unique would page in numpy's sort code, which
+            # raises a construct-only process's peak RSS
+            keys = (ell[j][q] * s + a[j][q]).tolist()
+            row = {k: r for r, k in enumerate(dict.fromkeys(keys))}
+            la = np.array(list(row), dtype=np.intp)
+            sq_rows = sq_s[la[:, None] % s, F[la // s]]
+            idx = sq_rows[[row[k] for k in keys]]
+            idx += F[g[j][q]]
+            vals[q] = flat[idx]
         out[:, j] = vals.T
     return out
 

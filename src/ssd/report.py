@@ -8,7 +8,6 @@ byte-stable for identical inputs and flags.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -24,46 +23,66 @@ def build_report(D: Design, gwlp_jmax: int | None = None) -> Report:
     return rep, bounds_mod.certify(rep)
 
 
-def _rat(x: Fraction | None):
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+def _rat(x: Fraction | None, pad: str) -> str:
+    """A rational as a JSON {"num", "den"} object whose key line is
+    indented by pad, or null."""
     if x is None:
-        return None
-    return {"num": x.numerator, "den": x.denominator}
+        return "null"
+    return (f'{{\n{pad}  "num": {x.numerator},\n'
+            f'{pad}  "den": {x.denominator}\n{pad}}}')
 
 
 def report_to_json(report: Report) -> str:
+    """The report as JSON, written in one formatting pass over its fixed
+    schema.  The text is json.dumps(obj, indent=2) + "\n" for the object
+    obj it decodes to, the reference the tests hold it to."""
     rep, cert = report
-    hist = [{"value": _rat(v), "count": c} for v, c in rep.histogram.items()]
-    out = {
-        "N": rep.N,
-        "m": rep.m,
-        "levels": list(rep.levels),
-        "A2": _rat(rep.A2),
-        "projected_A2_histogram": hist,
-        "ave_chi2": _rat(rep.ave_chi2),
-        "max_chi2": _rat(rep.max_chi2),
-        "ave_f": _rat(rep.ave_f),
-        "max_f": _rat(rep.max_f),
-        "ave_f_2dp": criteria.round_half_away(rep.ave_f),
-        "ave_chi2_2dp": criteria.round_half_away(rep.ave_chi2),
-        "E_d2": _rat(rep.E_d2),
-        "max_d2": _rat(rep.max_d2),
-        "gwlp": [float(a) for a in rep.gwlp],
-        "E_s2": _rat(rep.E_s2),
-        "bounds": {
-            "theorem1": _rat(cert.theorem1),
-            "theorem1_raw": _rat(cert.theorem1_raw),
-            "lemma2": _rat(cert.lemma2),
-            "theorem10": _rat(cert.theorem10),
-            "eq1_es2": _rat(cert.eq1_es2),
-            "achieved_theorem1": cert.achieved_theorem1,
-            "achieved_theorem10": cert.achieved_theorem10,
-            "achieved_es2": cert.achieved_es2,
-            "coincidence_spread": cert.coincidence_spread,
-            "supersaturated": cert.supersaturated,
-        },
-        "achieves_theorem1": cert.achieved_theorem1,
-    }
-    return json.dumps(out, indent=2) + "\n"
+    lit = _JSON_LITERAL
+    levels = ",\n    ".join(map(str, rep.levels))
+    gwlp = ",\n    ".join(repr(float(a)) for a in rep.gwlp)
+    hist = ",\n".join(f'    {{\n      "value": {_rat(v, "      ")},\n'
+                      f'      "count": {c}\n    }}'
+                      for v, c in rep.histogram.items())
+    return f"""{{
+  "N": {rep.N},
+  "m": {rep.m},
+  "levels": [
+    {levels}
+  ],
+  "A2": {_rat(rep.A2, "  ")},
+  "projected_A2_histogram": [
+{hist}
+  ],
+  "ave_chi2": {_rat(rep.ave_chi2, "  ")},
+  "max_chi2": {_rat(rep.max_chi2, "  ")},
+  "ave_f": {_rat(rep.ave_f, "  ")},
+  "max_f": {_rat(rep.max_f, "  ")},
+  "ave_f_2dp": {criteria.round_half_away(rep.ave_f)!r},
+  "ave_chi2_2dp": {criteria.round_half_away(rep.ave_chi2)!r},
+  "E_d2": {_rat(rep.E_d2, "  ")},
+  "max_d2": {_rat(rep.max_d2, "  ")},
+  "gwlp": [
+    {gwlp}
+  ],
+  "E_s2": {_rat(rep.E_s2, "  ")},
+  "bounds": {{
+    "theorem1": {_rat(cert.theorem1, "    ")},
+    "theorem1_raw": {_rat(cert.theorem1_raw, "    ")},
+    "lemma2": {_rat(cert.lemma2, "    ")},
+    "theorem10": {_rat(cert.theorem10, "    ")},
+    "eq1_es2": {_rat(cert.eq1_es2, "    ")},
+    "achieved_theorem1": {lit[cert.achieved_theorem1]},
+    "achieved_theorem10": {lit[cert.achieved_theorem10]},
+    "achieved_es2": {lit[cert.achieved_es2]},
+    "coincidence_spread": {cert.coincidence_spread},
+    "supersaturated": {lit[cert.supersaturated]}
+  }},
+  "achieves_theorem1": {lit[cert.achieved_theorem1]}
+}}
+"""
 
 
 def report_to_text(report: Report) -> str:

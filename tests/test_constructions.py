@@ -1,20 +1,24 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssd import criteria
 from ssd.bounds import certify
-from ssd.constructions import (CATALOG_SPECS, catalog_verify,
+from ssd.constructions import (CATALOG_SPECS, Recipe, catalog_verify,
                                construct_example3, construct_thm4,
                                construct_thm5, construct_thm6, construct_thm7,
                                construct_thm8, construct_thm9, load_appendix,
-                               verify_appendix)
+                               verify_appendix, verify_design)
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (classify_pair, design_sums, fully_aliased_pairs,
-                             remove_fully_aliased)
+from ssd.design_core import (Design, classify_pair, column_juxtapose,
+                             design_sums, fully_aliased_pairs,
+                             remove_fully_aliased, replace_column)
 from ssd.gf import Field, default_field
 from ssd.poly_labels import h_set, label_str, parse_label, q1
 
@@ -204,11 +208,12 @@ def test_dealiasing_runs_no_pair_pass(gf4, call_counter):
 
 
 def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):
+    """One report per row: one kernel entry, and no relabelling pass."""
     from ssd import design_core
-    from ssd.constructions import verify_design
     calls, count = call_counter
     count(criteria, "design_sums")
-    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums")
+    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums",
+          "_relabelled_copies")
     for recipe, D in catalog_rows:
         calls.clear()
         assert verify_design(recipe, D).ok
@@ -216,6 +221,72 @@ def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):
                  else "_gram_tile_sums")
         assert calls == Counter({"design_sums": 1, "_one_hot": 1,
                                  route: 1}), recipe.row_id
+
+
+ALIASED = "contains fully aliased pairs"
+
+
+def flags_aliasing(D: Design, s: int) -> bool:
+    """Whether verify_design reports fully aliased pairs in D, checked as
+    an s-level row of D's own shape."""
+    recipe = Recipe("thm6", s, 2, expected_N=D.N, expected_m=D.m)
+    return ALIASED in verify_design(recipe, D).message
+
+
+def test_verify_design_reads_aliasing_from_its_report(catalog_rows):
+    """The verifier's fully-aliased check, read from the report's histogram
+    (the value s - 1), agrees with fully_aliased_pairs on every catalog
+    design, and on each with a relabelled copy of a column appended."""
+    for recipe, D in catalog_rows:
+        s = recipe.s
+        shift = (np.arange(s) + 1) % s
+        copy = Design(shift[D.matrix[:, [D.m // 2]]], [s])
+        planted = column_juxtapose(D, copy)
+        assert fully_aliased_pairs(planted), recipe.row_id
+        for X in (D, planted):
+            assert flags_aliasing(X, s) == bool(fully_aliased_pairs(X)), \
+                recipe.row_id
+
+
+def test_verify_design_checks_levels_first(catalog_rows):
+    """A design with a column of other levels fails on its levels, before
+    any report is read."""
+    recipe, D = next((r, D) for r, D in catalog_rows if r.s == 4)
+    oa = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    X = replace_column(D, 0, oa)
+    row = dataclasses.replace(recipe, expected_m=X.m)
+    result = verify_design(row, X)
+    assert not result.ok
+    assert result.message == f"levels {' '.join(map(str, X.levels))} != 4^{X.m}"
+
+
+@st.composite
+def planted_copies(draw):
+    """(D, s): random balanced s-level designs, most with a relabelled copy
+    of one column placed among the others."""
+    rnd = draw(st.randoms(use_true_random=False))
+    s = draw(st.sampled_from([2, 3, 4, 5]))
+    N = s * draw(st.integers(1, 8))
+    m = draw(st.integers(2, 12))
+    cols = []
+    for _ in range(m):
+        cols.append([v for v in range(s) for _ in range(N // s)])
+        rnd.shuffle(cols[-1])
+    if draw(st.integers(0, 3)):
+        perm = list(range(s))
+        rnd.shuffle(perm)
+        at = draw(st.integers(0, m))
+        cols.insert(at, [perm[v] for v in cols[draw(st.integers(0, m - 1))]])
+    return Design(np.array(cols).T, [s] * len(cols)), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_copies())
+def test_histogram_flags_exactly_the_relabelled_copies(case):
+    D, s = case
+    pairs = fully_aliased_pairs(D)
+    assert (F(s - 1) in aggregate_stats(D, gwlp_jmax=1).histogram) == bool(pairs)
+    assert flags_aliasing(D, s) == bool(pairs)
 
 
 def test_catalog_has_31_rows_and_verifies(catalog_rows):

@@ -63,7 +63,7 @@ def test_a2_closed_form_equals_pairwise(gf3, gf4, ssd937):
     for D in (ssd937, construct_thm6(gf3, 2, 3), construct_thm8(gf4, 2, 2)):
         rep = aggregate_stats(D)
         assert criteria._a2_closed_form(D.N, D.m, D.levels[0],
-                                        rep.coincidences) == rep.A2
+                                        rep.coincidences) == 2 * D.N**2 * rep.A2
         assert rep.A2 == sum(oracle_a2(D, i, j) for i in range(D.m)
                              for j in range(i + 1, D.m))
 
@@ -344,6 +344,91 @@ def test_round_half_away():
     assert round_half_away(F(25, 1000)) == 0.03
     assert round_half_away(F(-25, 1000)) == -0.03
     assert round_half_away(F(36, 11)) == 3.27
+    assert round_half_away(F(1, 8)) == 0.13
+    assert round_half_away(F(-1, 8)) == -0.13
+
+
+def round_half_away_by_fractions(x, digits):
+    """The reference: scale, add a half to the magnitude and floor, all in
+    Fractions."""
+    q = F(10) ** digits
+    scaled = x * q
+    sign = -1 if scaled < 0 else 1
+    return float(sign * ((abs(scaled) + F(1, 2)).__floor__()) / q)
+
+
+@st.composite
+def rationals_and_digits(draw):
+    """(x, digits): any rational, or an exact half at that precision, of
+    either sign."""
+    digits = draw(st.integers(0, 6))
+    half = st.integers(-10**9, 10**9).map(
+        lambda k: F(2 * k + 1, 2 * 10**digits))
+    return draw(st.fractions(max_denominator=10**12) | half), digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals_and_digits())
+def test_integer_rounding_matches_the_fraction_formula(case):
+    x, digits = case
+    assert round_half_away(x, digits) == round_half_away_by_fractions(x, digits)
+
+
+@st.composite
+def reported_designs(draw):
+    """(D, gwlp_jmax): random balanced designs of mixed level profiles, or
+    of two levels only, so that E(s^2) and its bound are reported, with a
+    wordlength depth anywhere in 1..m."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        N = draw(st.sampled_from([12, 24]))
+        choices = [2, 3, 4, 6, 12]
+    else:
+        N = draw(st.sampled_from([4, 8, 12, 16]))
+        choices = [2]
+    m = draw(st.integers(2, 14))
+    levels = draw(st.lists(st.sampled_from(choices), min_size=m, max_size=m))
+    cols = []
+    for s in levels:
+        cols.append([v for v in range(s) for _ in range(N // s)])
+        rnd.shuffle(cols[-1])
+    return Design(np.array(cols).T, levels), draw(st.integers(1, m))
+
+
+def json_rational(x, want):
+    """A decoded {"num", "den"} object is the reduced form of want."""
+    if want is None:
+        return x is None
+    return (x["num"], x["den"]) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reported_designs())
+def test_json_report_is_the_reference_encoding(case):
+    """report_to_json writes the text json.dumps(..., indent=2) gives for
+    the object it decodes to, and every decoded rational is the report's
+    own Fraction, reduced."""
+    from ssd.report import build_report, report_to_json
+    D, jmax = case
+    rep, cert = report = build_report(D, gwlp_jmax=jmax)
+    text = report_to_json(report)
+    out = json.loads(text)
+    assert text == json.dumps(out, indent=2) + "\n"
+    for key in ("A2", "ave_chi2", "max_chi2", "ave_f", "max_f", "E_d2",
+                "max_d2", "E_s2"):
+        assert json_rational(out[key], getattr(rep, key)), key
+    for key in ("theorem1", "theorem1_raw", "lemma2", "theorem10", "eq1_es2"):
+        assert json_rational(out["bounds"][key], getattr(cert, key)), key
+    hist = out["projected_A2_histogram"]
+    assert [h["count"] for h in hist] == list(rep.histogram.values())
+    assert all(json_rational(h["value"], v) for h, v in zip(hist, rep.histogram))
+    assert out["gwlp"] == [float(a) for a in rep.gwlp]
+    assert len(out["gwlp"]) == jmax
+    assert (out["ave_f_2dp"], out["ave_chi2_2dp"]) == (
+        round_half_away(rep.ave_f), round_half_away(rep.ave_chi2))
+    assert (out["E_s2"] is None) == (set(D.levels) != {2})
+    assert out["bounds"]["achieved_es2"] == cert.achieved_es2
+    assert out["achieves_theorem1"] == cert.achieved_theorem1
 
 
 def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
@@ -383,12 +468,22 @@ def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
     assert calls == Counter()
 
 
-def test_strength_reads_one_histogram(gf3, call_counter):
+def test_strength_reads_one_histogram(gf3, gf9, call_counter):
+    """strength reads one coincidence histogram, from one one-hot matrix,
+    and runs no pair route, with equal and with mixed levels."""
+    from ssd import design_core
     calls, count = call_counter
-    count(criteria, "design_sums")
+    count(criteria, "design_sums", "joint_coincidences")
+    count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums",
+          "_joint_coincidences")
+    mixed = replace_column(construct_thm6(gf9, 2, 2), 3,
+                           realize(gf3, 2, h_set(gf3, 2)).matrix)
     # strength 2 takes the prefixes of length 1, 2 and 4
-    assert strength(realize(gf3, 3, h_set(gf3, 3))) == 2
-    assert calls == Counter({"design_sums": 1})
+    for D, t in ((realize(gf3, 3, h_set(gf3, 3)), 2), (mixed, 1)):
+        calls.clear()
+        assert strength(D) == t
+        assert calls == Counter({"joint_coincidences": 1, "_one_hot": 1,
+                                 "_joint_coincidences": 1})
 
 
 @st.composite
@@ -426,7 +521,7 @@ def test_column_order_does_not_change_a_report(case):
     from ssd.report import build_report, report_to_json
     D, E, sparse = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design_core, "cells_sparse", lambda D: sparse)
+        mp.setattr(design_core, "cells_sparse", lambda D, tiles=None: sparse)
         want, got = (json.loads(report_to_json(build_report(X)))
                      for X in (D, E))
     assert want.pop("levels") == list(D.levels)

@@ -7,6 +7,11 @@ symbol widths (that design with column 3 replaced by a 2-level saturated
 array), and a design the writer splits into several row blocks (thm6 over
 GF(16), k = 17, stored gzipped).  The command's file, `write_design`,
 `design_to_text` and `ssd export` must all reproduce them.
+
+The thm8 and thm9 fractions (linear labels, and quadratic labels over one
+and over three coordinates, each at the default and another modulus) were
+written by the label evaluator that took two 2-D lookups per quadratic cell,
+before it read each quadratic row sq[a, l] once per block.
 """
 
 import gzip
@@ -29,6 +34,19 @@ CASES = {
          "--oa-levels", "2"],
     "thm6_s16_n2_k17.ssd.gz":
         ["construct", "--theorem", "6", "--s", "16", "--n", "2", "--k", "17"],
+    "thm8_s9_n3_k3.ssd.gz":
+        ["construct", "--theorem", "8", "--s", "9", "--n", "3", "--k", "3"],
+    "thm8_s9_n3_k3_mod211.ssd.gz":
+        ["construct", "--theorem", "8", "--s", "9", "--n", "3", "--k", "3",
+         "--branch", "X1+2*X2+X3", "--levels", "0,4,7", "--modulus", "2,1,1"],
+    "thm9_s16_n2_k5.ssd":
+        ["construct", "--theorem", "9", "--s", "16", "--n", "2", "--k", "5"],
+    "thm9_s16_n2_k5_mod10011.ssd":
+        ["construct", "--theorem", "9", "--s", "16", "--n", "2", "--k", "5",
+         "--levels", "1,5,9,12,15", "--modulus", "1,0,0,1,1"],
+    "thm9_s9_n3_k2_mod101.ssd.gz":
+        ["construct", "--theorem", "9", "--s", "9", "--n", "3", "--k", "2",
+         "--levels", "2,6", "--modulus", "1,0,1"],
 }
 
 

@@ -106,7 +106,7 @@ def per_pair_sums(D):
 def forced_sums(D, sparse):
     """P and F of design_sums(D) on the chosen route."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design_core, "cells_sparse", lambda D: sparse)
+        mp.setattr(design_core, "cells_sparse", lambda D, tiles=None: sparse)
         return design_sums(D)[:2]
 
 
