@@ -7,8 +7,9 @@ bound, so the design is optimal under generalized minimum aberration, and no
 pair of columns is fully aliased.
 """
 
-from ssd import (aggregate_stats, certify, classify_pair, construct_thm4,
-                 construct_thm6, default_field, label_str, select_columns)
+from ssd import (aggregate_stats, certify, construct_thm4, construct_thm6,
+                 default_field, label_str, select_columns)
+from ssd.oracle import classify_pair
 
 f = default_field(3)
 D = construct_thm4(f, 2)

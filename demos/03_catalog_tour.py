@@ -7,12 +7,11 @@ The three bundled reference tables round-trip through the text format.
 
 import time
 
-from ssd import catalog, catalog_verify, load_appendix, verify_appendix
+from ssd import catalog, load_appendix, verify_appendix, verify_design
 from ssd.criteria import aggregate_stats
 
 t0 = time.monotonic()
-rows = catalog()
-results = catalog_verify(rows=rows)
+results = [verify_design(recipe, D) for recipe, D in catalog()]
 dt = time.monotonic() - t0
 
 width = max(len(r.row_id) for r in results)

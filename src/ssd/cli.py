@@ -202,7 +202,8 @@ def _cmd_verify_catalog(args) -> int:
             raise ValueError("--modulus-levels must be one of "
                              f"{', '.join(map(str, levels))}, got {s}")
         field_map = {s: _field(s, args.modulus)}
-    results = constructions.catalog_verify(field_map)
+    results = [constructions.verify_design(r, D)
+               for r, D in constructions.catalog(field_map)]
     if not args.skip_appendix:
         results += [constructions.verify_appendix(w) for w in (6, 7, 8)]
     failures = 0

@@ -33,9 +33,8 @@ import numpy as np
 from . import criteria
 from .bounds import certify
 from .design_core import (MAX_RUNS, Design, branch_fraction,
-                          check_fraction_runs, design_from_text,
-                          level_profile, realize,
-                          remove_fully_aliased, select_columns)
+                          check_fraction_runs, level_profile, read_design,
+                          realize, remove_fully_aliased, select_columns)
 from .gf import Field, default_field, point_count
 from .poly_labels import (LinearForm, QuadraticLabel, eval_labels, h_set,
                           label_str, q1, q1_star, qh, qh_star, unit_form)
@@ -74,10 +73,6 @@ def _juxtapose_companions(field: Field, n: int, k: int, hs, family) -> Design:
 def construct_thm6(field: Field, n: int, k: int, hs=None) -> Design:
     """Column juxtaposition of k companion saturated arrays Q_h."""
     return _juxtapose_companions(field, n, k, hs, qh)
-
-
-def construct_thm5(field: Field, n: int, h1: LinearForm, h2: LinearForm) -> Design:
-    return construct_thm6(field, n, 2, [h1, h2])
 
 
 def construct_thm7(field: Field, n: int, k: int, hs=None) -> Design:
@@ -290,12 +285,6 @@ def _fmt_hist(hist: dict) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def catalog_verify(field_map=None, rows=None) -> list[RowResult]:
-    """Verify every catalog row; returns one result per row."""
-    rows = rows if rows is not None else catalog(field_map)
-    return [verify_design(recipe, design) for recipe, design in rows]
-
-
 # -- bundled reference tables -------------------------------------------------------
 
 # table number -> (file, row id of the catalog row it reproduces, 0-based
@@ -312,8 +301,9 @@ APPENDIX = {
 def load_appendix(which: int) -> Design:
     """Load one of the bundled reference designs (9-, 16- or 25-run)."""
     name = APPENDIX[which][0]
-    text = importlib.resources.files("ssd").joinpath("data", name).read_text()
-    return design_from_text(text)
+    resource = importlib.resources.files("ssd").joinpath("data", name)
+    with importlib.resources.as_file(resource) as path:
+        return read_design(path)
 
 
 def verify_appendix(which: int) -> RowResult:

@@ -7,9 +7,8 @@ and F and the joint row coincidence histogram come from one kernel entry,
 design_sums, computed on every call, so each caller asks once and hands the
 result on; a caller that needs only the histogram (criteria.strength) asks
 joint_coincidences, which runs no pair route.  Besides them, the module
-holds pair classification, de-aliasing and the plain text serialisation
-format.  The independent references the kernels are checked against live
-in ssd.oracle.
+holds de-aliasing and the plain text serialisation format.  The
+independent references the kernels are checked against live in ssd.oracle.
 
 Every value read from the kernels is a multiset statistic over column
 pairs or row pairs, so design_sums sorts the columns into ascending level
@@ -25,13 +24,10 @@ sums of F that can pass 2^24 are summed in float64 (_gram_tile_sums).
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,19 +52,6 @@ JOINT_BINS_MAX = 1 << 22
 # whole rows for the text writer, the balance check and the one-hot matrix,
 # whole columns for the relabelling check.  Bounds their temporaries.
 MATRIX_BLOCK_CELLS = 1 << 16
-
-ORTHOGONAL = "orthogonal"
-FULLY_ALIASED = "fully_aliased"
-SEMI_ORTHOGONAL = "semi_orthogonal"
-PARTIAL = "partial"
-
-
-@dataclass(frozen=True)
-class PairClass:
-    """Dependency class of a column pair, with its exact projected A2 value."""
-
-    kind: str
-    a2: Fraction
 
 
 class Design:
@@ -213,21 +196,6 @@ def realize(field: Field, n: int, labels) -> Design:
     _check_design_size(point_count(field, n, MAX_RUNS), len(labels))
     return Design(_frozen(eval_labels(field, labels, n)),
                   (field.order,) * len(labels), labels=labels)
-
-
-def column_juxtapose(*designs: Design) -> Design:
-    """Concatenate designs side by side; run counts must agree."""
-    if not designs:
-        raise ValueError("nothing to juxtapose")
-    N = designs[0].N
-    if any(d.N != N for d in designs):
-        raise ValueError("run counts differ across the juxtaposed designs")
-    matrix = np.concatenate([d.matrix for d in designs], axis=1)
-    levels = sum((d.levels for d in designs), ())
-    labels = None
-    if all(d.labels is not None for d in designs):
-        labels = sum((d.labels for d in designs), ())
-    return Design(_frozen(matrix), levels, labels=labels)
 
 
 def select_columns(D: Design, indices) -> Design:
@@ -637,40 +605,7 @@ def _gram_tiles(groups, N: int) -> list[tuple[int, int]]:
     return tiles
 
 
-# -- pair classes and de-aliasing -----------------------------------------------
-
-def classify_pair(D: Design, i: int, j: int) -> PairClass:
-    """Classify columns i and j by the cell-count pattern of their pair
-    table, with the exact projected A2 (si sj sum n_ab^2 - N^2) / N^2."""
-    N, si, sj = D.N, D.levels[i], D.levels[j]
-    tab = np.bincount(D.matrix[:, i].astype(np.int64) * sj + D.matrix[:, j],
-                      minlength=si * sj)
-    a2 = Fraction(si * sj * int((tab * tab).sum()) - N * N, N * N)
-    if a2 == 0:
-        return PairClass(ORTHOGONAL, a2)
-    if si != sj:
-        return PairClass(PARTIAL, a2)
-    s = si
-    nz = np.sort(tab[tab > 0])
-    if len(nz) == s and (nz == N // s).all():
-        return PairClass(FULLY_ALIASED, a2)
-    if N % (s * s) == 0:
-        c = N // (s * s)
-        if s % 2:
-            semi = [c] * s + [2 * c] * (s * (s - 1) // 2)
-        else:
-            semi = [2 * c] * (s * s // 2)
-        if len(nz) == len(semi) and (nz == np.array(semi)).all():
-            return PairClass(SEMI_ORTHOGONAL, a2)
-    return PairClass(PARTIAL, a2)
-
-
-def fully_aliased_pairs(D: Design) -> list[tuple[int, int]]:
-    """All unordered pairs (i, j), i < j in row-major order, of columns with
-    equal levels that are identical up to a level permutation."""
-    return sorted(pair for copies in _relabelled_copies(D)
-                  for pair in itertools.combinations(copies, 2))
-
+# -- de-aliasing ------------------------------------------------------------------
 
 def remove_fully_aliased(D: Design) -> Design:
     """Drop the later column of every fully aliased pair (first index kept)."""
@@ -733,15 +668,7 @@ def _text_blocks(D: Design):
         yield text if width == 2 else text.translate(None, b"\0")
 
 
-def design_to_text(D: Design) -> str:
-    return b"".join(_text_blocks(D)).decode("ascii")
-
-
-def design_from_text(text: str, allow_unbalanced=False) -> Design:
-    return _design_from_stream(io.StringIO(text), allow_unbalanced)
-
-
-def _design_from_stream(fh, allow_unbalanced: bool) -> Design:
+def read_design(path, allow_unbalanced=False) -> Design:
     """Read the three header lines with readline, then parse the body lines
     with one np.loadtxt; the text is never held as one string.  The body is
     read as int32, wide enough that a symbol out of range, such as -1 or
@@ -753,19 +680,20 @@ def _design_from_stream(fh, allow_unbalanced: bool) -> Design:
     for its later large arrays (about 5x the minor faults and 40% more time
     for a 3840 x 272 thm8 build run after a 4096 x 545 read).
     """
-    if _header_line(fh) != FORMAT_HEADER:
-        raise ValueError(f"missing '{FORMAT_HEADER}' header line")
-    try:
-        N, m = map(int, _header_line(fh).split())
-        levels = tuple(map(int, _header_line(fh).split()))
-        # numpy < 2 only warns when it parses '1.0' as an integer, and an
-        # empty body only warns too
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            matrix = np.loadtxt(fh.readlines(), dtype=np.int32, ndmin=2,
-                                comments=None)
-    except (ValueError, Warning) as exc:
-        raise ValueError(f"malformed design file: {exc}") from exc
+    with open(path, "r", encoding="ascii") as fh:
+        if _header_line(fh) != FORMAT_HEADER:
+            raise ValueError(f"missing '{FORMAT_HEADER}' header line")
+        try:
+            N, m = map(int, _header_line(fh).split())
+            levels = tuple(map(int, _header_line(fh).split()))
+            # numpy < 2 only warns when it parses '1.0' as an integer, and
+            # an empty body only warns too
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                matrix = np.loadtxt(fh.readlines(), dtype=np.int32, ndmin=2,
+                                    comments=None)
+        except (ValueError, Warning) as exc:
+            raise ValueError(f"malformed design file: {exc}") from exc
     if len(levels) != m:
         raise ValueError(f"expected {m} level entries, found {len(levels)}")
     if matrix.shape != (N, m):
@@ -784,8 +712,3 @@ def _header_line(fh) -> str:
 def write_design(D: Design, path) -> None:
     with open(path, "wb") as fh:
         fh.writelines(_text_blocks(D))
-
-
-def read_design(path, allow_unbalanced=False) -> Design:
-    with open(path, "r", encoding="ascii") as fh:
-        return _design_from_stream(fh, allow_unbalanced)

@@ -5,15 +5,18 @@ the kernels of design_core or with criteria; of the other modules only the
 command line imports it, to run the search.  The tests compare each
 reference with the code it checks: the row-by-row pair tables (pair_table,
 with pair_a2_from_table and pair_dependency_stats reading A2, chi2, f and
-d2 off them by definition) with design_sums, pairs of level_sorted(D);
-the Z_s character route exp(2 pi i u x / s), u != 0 (char_a2_matrix,
-floating) with the report's histogram; the dense row-compared
-coincidences with design_sums' joint histogram; is_oa with strength; the
-real-contrast gwlp_bruteforce with the report's wordlength pattern; the
-minimum-A2 search with the lower bounds; the point-by-point eval_label
-with the label evaluation of poly_labels; l_set and forms_dependent,
-every nonzero linear form and the dependency test, with the label
-lemmas; and the schoolbook poly_mul with the field tables.
+d2 off them by definition, and classify_pair the pair's dependency class)
+with design_sums, pairs of level_sorted(D); fully_aliased_pairs, read off
+each pair's cell table, with remove_fully_aliased; the Z_s character
+route exp(2 pi i u x / s), u != 0 (char_a2_matrix, floating) with the
+report's histogram; the dense row-compared coincidences with
+design_sums' joint histogram; is_oa with strength; the real-contrast
+gwlp_bruteforce with the report's wordlength pattern; the minimum-A2
+search with the lower bounds; the point-by-point eval_label with the
+label evaluation of poly_labels; qh_substitution, the change of basis of
+Q_h as linear forms, with the positional rewrite of qh_star; l_set and
+forms_dependent, every nonzero linear form and the dependency test, with
+the label lemmas; and the schoolbook poly_mul with the field tables.
 
 The search fixes the first column to the canonical sorted pattern (any
 design can be row-permuted into that form) and enumerates the remaining
@@ -44,10 +47,15 @@ import numpy as np
 from .bounds import lb_theorem1
 from .design_core import MAX_COLUMNS, Design
 from .gf import Field
-from .poly_labels import Label, LinearForm, scale_form
+from .poly_labels import Label, LinearForm, scale_form, unit_form
 
 DEFAULT_BUDGET = 10**8
 MAX_CANDIDATES = 2_000_000
+
+ORTHOGONAL = "orthogonal"
+FULLY_ALIASED = "fully_aliased"
+SEMI_ORTHOGONAL = "semi_orthogonal"
+PARTIAL = "partial"
 
 
 def pair_table(D: Design, i: int, j: int) -> list[list[int]]:
@@ -78,6 +86,55 @@ def pair_dependency_stats(D: Design, i: int,
     d2 = sum(((v - e) ** 2 for v in cells), Fraction(0))
     f = sum((abs(v - e) for v in cells), Fraction(0))
     return d2 / e, f, d2
+
+
+@dataclass(frozen=True)
+class PairClass:
+    """Dependency class of a column pair, with its exact projected A2 value."""
+
+    kind: str
+    a2: Fraction
+
+
+def classify_pair(D: Design, i: int, j: int) -> PairClass:
+    """Classify columns i and j by the nonzero cell counts of their pair
+    table: fully aliased when s cells hold N / s runs each, semi-orthogonal
+    when (N = c s^2) s cells hold c and s(s - 1)/2 hold 2c for odd s, or
+    s^2 / 2 cells hold 2c for even s."""
+    tab = pair_table(D, i, j)
+    a2 = pair_a2_from_table(tab, D.N)
+    N, s = D.N, D.levels[i]
+    if a2 == 0:
+        return PairClass(ORTHOGONAL, a2)
+    if s != D.levels[j]:
+        return PairClass(PARTIAL, a2)
+    nz = sorted(v for row in tab for v in row if v)
+    if nz == [N // s] * s:
+        return PairClass(FULLY_ALIASED, a2)
+    c = N // (s * s)
+    semi = ([c] * s + [2 * c] * (s * (s - 1) // 2) if s % 2
+            else [2 * c] * (s * s // 2))
+    if N % (s * s) == 0 and nz == semi:
+        return PairClass(SEMI_ORTHOGONAL, a2)
+    return PairClass(PARTIAL, a2)
+
+
+def fully_aliased_pairs(D: Design) -> list[tuple[int, int]]:
+    """All pairs (i, j), i < j in row-major order, of columns with equal
+    levels that are relabellings of each other: every nonzero row and every
+    nonzero column of their cell table, one bincount, holds exactly one
+    nonzero cell, so the table has as many nonzero cells as each column
+    has symbols in use."""
+    X = D.matrix.T.astype(np.int64)
+    used = [np.count_nonzero(np.bincount(x)) for x in X]
+    pairs = []
+    for i in range(D.m):
+        code = X[i] * D.levels[i]
+        for j in range(i + 1, D.m):
+            if ((D.levels[j], used[j]) == (D.levels[i], used[i])
+                    and np.count_nonzero(np.bincount(code + X[j])) == used[i]):
+                pairs.append((i, j))
+    return pairs
 
 
 def _unit_char_rows(s: int) -> np.ndarray:
@@ -313,6 +370,15 @@ def eval_label(field: Field, label: Label, point) -> int:
     v = eval_label(field, label.ell, point)
     out = field.add(field.mul(v, v), field.mul(label.a, v))
     return field.add(out, eval_label(field, label.g, point))
+
+
+def qh_substitution(h: LinearForm, n: int) -> list[LinearForm]:
+    """Change of basis attached to h in H, as linear forms in X: Y1 = h,
+    Y2..Y(k+1) = X1..Xk and the coordinates after X(k+1) unchanged, k + 1
+    the position of h's last nonzero coefficient (which is 1)."""
+    k = h.last_nonzero()
+    return ([h] + [unit_form(n, i) for i in range(k)]
+            + [unit_form(n, i) for i in range(k + 1, n)])
 
 
 def l_set(field: Field, n: int) -> list[LinearForm]:

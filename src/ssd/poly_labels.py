@@ -95,34 +95,23 @@ def h_set(field: Field, n: int) -> list[LinearForm]:
             for head in itertools.product(range(field.order), repeat=k)]
 
 
-def qh_substitution(field: Field, h: LinearForm, n: int) -> list[LinearForm]:
-    """Change of basis attached to h in H: Y1 = h, then shifted coordinates.
+def qh_star(field: Field, h: LinearForm, n: int) -> list[QuadraticLabel]:
+    """Quadratic labels h^2 + a*h + g(Y2..Yn) of Q_h, in X coordinates.
 
-    Returns [Y1..Yn] as linear forms in X; the map is invertible because h's
-    last nonzero coefficient (position k, value 1) is covered only by Y1.
+    Ordered by a ascending, then g in canonical H(n-1) order.  Y2..Yn are
+    the coordinates other than that of h's last nonzero coefficient, in
+    order, so g is rewritten by writing its coefficients into their X
+    positions, with no field arithmetic.
     """
+    if n < 2:
+        raise ValueError("quadratic label sets need at least two variables")
     if h.n != n:
         raise ValueError("form has the wrong number of variables")
     k = h.last_nonzero()
     if k < 0 or h.coeffs[k] != 1:
         raise ValueError(
             "not a canonical form: the last nonzero coefficient must be 1")
-    ys = [h]
-    ys += [unit_form(n, i) for i in range(k)]          # Y2..Y(k+1) = X1..Xk
-    ys += [unit_form(n, i) for i in range(k + 1, n)]   # the rest unchanged
-    return ys
-
-
-def qh_star(field: Field, h: LinearForm, n: int) -> list[QuadraticLabel]:
-    """Quadratic labels h^2 + a*h + g(Y2..Yn) of Q_h, in X coordinates.
-
-    Ordered by a ascending, then g in canonical H(n-1) order.  Each of
-    Y2..Yn is a coordinate form, so g is rewritten by writing its
-    coefficients into their X positions, with no field arithmetic.
-    """
-    if n < 2:
-        raise ValueError("quadratic label sets need at least two variables")
-    pos = [y.last_nonzero() for y in qh_substitution(field, h, n)[1:]]
+    pos = [i for i in range(n) if i != k]
     tails = []
     for g in h_set(field, n - 1):
         c = [0] * n

@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from ssd.bounds import certify, lb_theorem1, lb_theorem10
-from ssd.constructions import (CATALOG_SPECS, catalog, catalog_verify,
-                               construct_example3, construct_thm4,
-                               construct_thm6, construct_thm8,
-                               verify_appendix)
+from ssd.constructions import (CATALOG_SPECS, catalog, construct_example3,
+                               construct_thm4, construct_thm6, construct_thm8,
+                               verify_appendix, verify_design)
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (classify_pair, fully_aliased_pairs, realize,
-                             remove_fully_aliased, replace_column,
+from ssd.design_core import (realize, remove_fully_aliased, replace_column,
                              select_columns)
 from ssd.gf import Field, default_field
-from ssd.oracle import (char_a2_matrix, exhaustive_min_a2, gwlp_bruteforce,
+from ssd.oracle import (char_a2_matrix, classify_pair, exhaustive_min_a2,
+                        fully_aliased_pairs, gwlp_bruteforce,
                         pair_a2_from_table)
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              h_set, q1, unit_form)
@@ -73,8 +72,7 @@ def test_c02_sixteen_column_family_and_quadratic_subdesign(gf3):
 
 def test_c03_full_catalog_reproduction():
     t0 = time.monotonic()
-    rows = catalog()
-    results = catalog_verify(rows=rows)
+    results = [verify_design(recipe, D) for recipe, D in catalog()]
     elapsed = time.monotonic() - t0
     assert len(results) == 31
     for row in results:

@@ -6,7 +6,7 @@ from ssd.bounds import (certify, eta_fraction, lb_es2, lb_lemma2,
                         lb_theorem1, lb_theorem10)
 from ssd.constructions import construct_thm4, construct_thm6
 from ssd.criteria import aggregate_stats
-from ssd.design_core import column_juxtapose, realize, select_columns
+from ssd.design_core import realize, select_columns
 from ssd.gf import default_field
 from ssd.poly_labels import h_set
 
@@ -80,12 +80,12 @@ def test_certify_iff_condition_breaks_with_duplicates(gf3):
     # adding ONE extra column also stays optimal; adding the same column
     # twice spreads the coincidences by two and loses the bound
     H = realize(gf3, 2, h_set(gf3, 2))
-    dup = column_juxtapose(H, H)
+    dup = select_columns(H, [0, 1, 2, 3] * 2)
     cert = certify(aggregate_stats(dup))
     assert cert.achieved_theorem1 and cert.coincidence_spread == 0
-    plus_one = column_juxtapose(H, select_columns(H, [0]))
+    plus_one = select_columns(H, [0, 1, 2, 3, 0])
     assert certify(aggregate_stats(plus_one)).achieved_theorem1
-    plus_two = column_juxtapose(H, select_columns(H, [0, 0]))
+    plus_two = select_columns(H, [0, 1, 2, 3, 0, 0])
     cert2 = certify(aggregate_stats(plus_two))
     assert not cert2.achieved_theorem1
     assert cert2.coincidence_spread > 1

@@ -81,6 +81,8 @@ def test_thm7_takes_hs(tmp_path, capsys):
       "--hs", "X1,X2,X3"], "expected 2 forms, got 3"),
     (["construct", "--theorem", "6", "--s", "3", "--n", "2", "--k", "2",
       "--hs", "X1^2+X2,X2"], "the chosen forms must be linear, got 'X1^2+X2'"),
+    (["construct", "--theorem", "5", "--s", "3", "--hs", "2*X1,X2"],
+     "not a canonical form: the last nonzero coefficient must be 1"),
     # an empty flag value reaches the flag's parser
     (["construct", "--theorem", "example3", "--s", "3", "--branch="],
      "empty label"),
@@ -99,6 +101,7 @@ def test_thm7_takes_hs(tmp_path, capsys):
          "thm9-repeated-levels", "branch-repeated-levels",
          "branch-repeated-levels-three", "thm8-n1",
          "branch-n1", "thm7-form-count", "thm6-quadratic-hs",
+         "thm5-noncanonical-hs",
          "example3-empty-branch", "thm8-empty-branch", "thm5-empty-hs",
          "thm6-empty-hs", "thm8-empty-levels", "thm9-levels-not-integers",
          "branch-empty-levels"])
@@ -329,8 +332,8 @@ def test_verify_catalog_under_the_gf4_modulus(capsys):
 def test_evaluate_large_field_uses_scalar_arithmetic(tmp_path):
     # GF(27) lies above the old dense-table limit of 25; construct and the
     # character route both run on the field's tables there
-    from ssd.design_core import classify_pair, select_columns
-    from ssd.oracle import char_a2_matrix
+    from ssd.design_core import select_columns
+    from ssd.oracle import char_a2_matrix, classify_pair
     d = tmp_path / "g27.ssd"
     r = tmp_path / "g27.json"
     assert run(["construct", "--theorem", "4", "--s", "27", "--n", "2",

@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 
 from ssd import criteria
 from ssd.bounds import certify
-from ssd.constructions import (CATALOG_SPECS, Recipe, catalog_verify,
-                               construct_example3, construct_thm4,
-                               construct_thm5, construct_thm6, construct_thm7,
+from ssd.constructions import (CATALOG_SPECS, Recipe, construct_example3,
+                               construct_thm4, construct_thm6, construct_thm7,
                                construct_thm8, construct_thm9, load_appendix,
                                verify_appendix, verify_design)
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (Design, classify_pair, column_juxtapose,
-                             design_sums, fully_aliased_pairs,
-                             remove_fully_aliased, replace_column)
+from ssd.design_core import (Design, design_sums, remove_fully_aliased,
+                             replace_column)
 from ssd.gf import Field, default_field
+from ssd.oracle import classify_pair, fully_aliased_pairs
 from ssd.poly_labels import h_set, label_str, parse_label, q1
 
 
@@ -78,7 +77,7 @@ def test_thm6_choice_independence():
         if ref is None:
             ref = hist
         assert hist == ref
-    assert construct_thm5(f, 3, H[0], H[1]).m == 26
+    assert construct_thm6(f, 3, 2, H[:2]).m == 26
 
 
 def test_thm6_validation():
@@ -241,7 +240,8 @@ def test_verify_design_reads_aliasing_from_its_report(catalog_rows):
         s = recipe.s
         shift = (np.arange(s) + 1) % s
         copy = Design(shift[D.matrix[:, [D.m // 2]]], [s])
-        planted = column_juxtapose(D, copy)
+        planted = Design(np.hstack([D.matrix, copy.matrix]),
+                         D.levels + copy.levels)
         assert fully_aliased_pairs(planted), recipe.row_id
         for X in (D, planted):
             assert flags_aliasing(X, s) == bool(fully_aliased_pairs(X)), \
@@ -291,8 +291,8 @@ def test_histogram_flags_exactly_the_relabelled_copies(case):
 
 def test_catalog_has_31_rows_and_verifies(catalog_rows):
     assert len(CATALOG_SPECS) == 31
-    results = catalog_verify(rows=catalog_rows)
-    for row in results:
+    for recipe, D in catalog_rows:
+        row = verify_design(recipe, D)
         assert row.ok, f"{row.row_id}: {row.message}"
 
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from ssd import criteria
 from ssd.constructions import construct_thm4, construct_thm6, construct_thm8
 from ssd.criteria import aggregate_stats, krawtchouk, round_half_away, strength
-from ssd.design_core import (Design, classify_pair, column_juxtapose,
-                             design_sums, realize, replace_column,
+from ssd.design_core import (Design, design_sums, realize, replace_column,
                              select_columns)
 from ssd.gf import Field, default_field
-from ssd.oracle import (char_a2_matrix, coincidences, gwlp_bruteforce, is_oa,
+from ssd.oracle import (char_a2_matrix, classify_pair, coincidences,
+                        fully_aliased_pairs, gwlp_bruteforce, is_oa,
                         pair_a2_from_table, pair_dependency_stats, pair_table)
 from ssd.poly_labels import h_set
 
@@ -76,11 +76,12 @@ def test_a2_requires_balanced():
 
 def test_projected_a2_values(gf3, ssd937):
     H = realize(gf3, 2, h_set(gf3, 2))
-    dup = column_juxtapose(H, H)
+    dup = Design(np.hstack([H.matrix, H.matrix]), H.levels * 2)
     for D, i, j, want in ((dup, 0, 4, 2),             # fully aliased: s - 1
                           (ssd937, 1, 4, F(2, 3)),    # semi-orthogonal, s odd
                           (ssd937, 0, 1, 0)):
-        assert classify_pair(D, i, j).a2 == oracle_a2(D, i, j) == want
+        assert aggregate_stats(select_columns(D, [i, j])).A2 \
+            == oracle_a2(D, i, j) == want
 
 
 def test_projected_a2_histogram_totals(ssd937):
@@ -91,7 +92,7 @@ def test_projected_a2_histogram_totals(ssd937):
 
 def test_pair_dependency_stats(gf3, ssd937):
     H = realize(gf3, 2, h_set(gf3, 2))
-    dup = column_juxtapose(H, H)
+    dup = Design(np.hstack([H.matrix, H.matrix]), H.levels * 2)
     chi2, f, d2 = pair_dependency_stats(dup, 0, 4)
     assert (chi2, f, d2) == (18, 12, 18)
     assert pair_dependency_stats(ssd937, 0, 1) == (0, 0, 0)
@@ -178,7 +179,6 @@ def test_projected_a2_char_agrees(ssd937):
 
 def test_projected_a2_char_fully_aliased_four_level(gf4):
     D = construct_thm6(gf4, 2, 2)
-    from ssd.design_core import fully_aliased_pairs
     pairs = fully_aliased_pairs(D)
     assert len(pairs) == 1
     assert char_a2_matrix(D)[pairs[0]] == pytest.approx(3.0, abs=1e-9)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from ssd import design_core
 from ssd.criteria import aggregate_stats, strength
-from ssd.design_core import (MATRIX_BLOCK_CELLS, Design,
-                             branch_fraction, classify_pair,
-                             column_juxtapose, design_from_text,
-                             design_sums, design_to_text, fully_aliased_pairs,
-                             read_design, realize, remove_fully_aliased,
-                             replace_column, select_columns, write_design)
+from ssd.design_core import (MATRIX_BLOCK_CELLS, Design, branch_fraction,
+                             design_sums, read_design, realize,
+                             remove_fully_aliased, replace_column,
+                             select_columns, write_design)
 from ssd.gf import default_field
-from ssd.oracle import coincidences, is_oa, pair_table
+from ssd.oracle import (classify_pair, coincidences, fully_aliased_pairs,
+                        is_oa, pair_table)
 from ssd.poly_labels import LinearForm, h_set, q1_star, unit_form
 
 
@@ -106,20 +105,18 @@ def test_run_limit_checked_before_evaluation(gf2):
         branch_fraction(f17, 3, [z1, unit_form(3, 1)], z1, range(15))
 
 
-def test_column_juxtapose_shapes(gf3):
-    H = realize(gf3, 2, h_set(gf3, 2))
-    J = column_juxtapose(H, H)
-    assert (J.N, J.m) == (9, 8)
-    with pytest.raises(ValueError, match="run counts"):
-        column_juxtapose(H, realize(gf3, 3, h_set(gf3, 3)))
+def juxtapose(*designs):
+    """The designs side by side."""
+    return Design(np.hstack([D.matrix for D in designs]),
+                  sum((D.levels for D in designs), ()))
 
 
 def test_lemma6_juxtaposition_shift(gf3):
     # appending a saturated strength-2 array adds m(s-1) to the overall A2
     H = realize(gf3, 2, h_set(gf3, 2))
     for D in (realize(gf3, 2, q1_star(gf3, 2)),      # strength 2, A2 = 0
-              column_juxtapose(H, H)):               # aliased, A2 > 0
-        both = column_juxtapose(D, H)
+              juxtapose(H, H)):                      # aliased, A2 > 0
+        both = juxtapose(D, H)
         assert aggregate_stats(both).A2 == aggregate_stats(D).A2 + D.m * 2
 
 
@@ -331,7 +328,7 @@ def test_cell_table_margins(gf3):
 
 def test_remove_fully_aliased_keeps_earlier(gf3):
     H = realize(gf3, 2, h_set(gf3, 2))
-    twice = column_juxtapose(H, H)
+    twice = juxtapose(H, H)
     cleaned = remove_fully_aliased(twice)
     assert cleaned.m == 4
     assert (cleaned.matrix == H.matrix).all()
@@ -339,13 +336,27 @@ def test_remove_fully_aliased_keeps_earlier(gf3):
     assert remove_fully_aliased(H) is H
 
 
-def test_text_format_round_trip(gf5):
+def written(D, tmp_path):
+    """The text write_design writes for D."""
+    path = tmp_path / "written.ssd"
+    write_design(D, path)
+    return path.read_text(encoding="ascii")
+
+
+def read_text(text, tmp_path, **kwargs):
+    """The design read_design reads from a file holding text."""
+    path = tmp_path / "read.ssd"
+    path.write_text(text, encoding="ascii")
+    return read_design(path, **kwargs)
+
+
+def test_text_format_round_trip(gf5, tmp_path):
     D = realize(gf5, 2, h_set(gf5, 2))
-    text = design_to_text(D)
+    text = written(D, tmp_path)
     assert text.splitlines()[0] == "# ssd v1"
-    back = design_from_text(text)
+    back = read_text(text, tmp_path)
     assert (back.matrix == D.matrix).all() and back.levels == D.levels
-    assert design_to_text(back) == text
+    assert written(back, tmp_path) == text
 
 
 def per_row_text(D):
@@ -374,7 +385,6 @@ def text_designs(draw):
 @given(text_designs())
 def test_text_writer_matches_per_row_join(tmp_path_factory, D):
     want = per_row_text(D)
-    assert design_to_text(D) == want
     path = tmp_path_factory.mktemp("text") / "d.ssd"
     write_design(D, path)
     assert path.read_bytes() == want.encode("ascii")
@@ -391,22 +401,22 @@ def test_text_writer_matches_per_row_join(tmp_path_factory, D):
     ("70000", "column 0 has symbols outside 0..1"),
     (str(10**24), "malformed design file: could not convert string "
                   f"'{10**24}' to int32")])
-def test_reader_verdict_on_a_body_token(token, verdict):
+def test_reader_verdict_on_a_body_token(token, verdict, tmp_path):
     """A symbol the int32 body holds reaches the Design's range check;
     one it cannot hold, or one that is not an integer, is malformed."""
     text = f"# ssd v1\n2 1\n2\n{token}\n0\n"
     if verdict is None:
-        assert design_from_text(text).matrix.tolist() == [[1], [0]]
+        assert read_text(text, tmp_path).matrix.tolist() == [[1], [0]]
         return
     with pytest.raises(ValueError) as exc:
-        design_from_text(text, allow_unbalanced=True)
+        read_text(text, tmp_path, allow_unbalanced=True)
     assert str(exc.value).startswith(verdict)
 
 
-def test_text_writer_spans_row_blocks(gf4):
+def test_text_writer_spans_row_blocks(gf4, tmp_path):
     D = realize(gf4, 6, h_set(gf4, 6))     # 4096 x 1365: 49 row blocks
     assert D.N > MATRIX_BLOCK_CELLS // D.m
-    assert design_to_text(D) == per_row_text(D)
+    assert written(D, tmp_path) == per_row_text(D)
 
 
 def test_label_count_checked_before_any_label_is_evaluated(gf2, monkeypatch):
@@ -421,41 +431,38 @@ def test_label_count_checked_before_any_label_is_evaluated(gf2, monkeypatch):
         branch_fraction(gf2, 13, h_set(gf2, 13), unit_form(13, 0), [0])
 
 
-def test_text_format_rejects_unbalanced_unless_allowed():
+def test_text_format_rejects_unbalanced_unless_allowed(tmp_path):
     text = "# ssd v1\n4 1\n2\n0\n0\n0\n1\n"
     with pytest.raises(ValueError, match="unbalanced"):
-        design_from_text(text)
-    D = design_from_text(text, allow_unbalanced=True)
+        read_text(text, tmp_path)
+    D = read_text(text, tmp_path, allow_unbalanced=True)
     assert not D.is_balanced
 
 
-def test_text_format_rejects_malformed():
+def test_text_format_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match="header"):
-        design_from_text("4 1\n2\n0\n0\n1\n1\n")
+        read_text("4 1\n2\n0\n0\n1\n1\n", tmp_path)
     with pytest.raises(ValueError, match="rows"):
-        design_from_text("# ssd v1\n4 1\n2\n0\n1\n")
+        read_text("# ssd v1\n4 1\n2\n0\n1\n", tmp_path)
     for body in ("0 1\n1\n", "0 1\n1 1.0\n", "0 1\n1 #1\n",
                  f"0 1\n1 {10**24}\n"):
         with pytest.raises(ValueError, match="malformed design file"):
-            design_from_text("# ssd v1\n2 2\n2 2\n" + body)
+            read_text("# ssd v1\n2 2\n2 2\n" + body, tmp_path)
 
 
 
 def test_read_design_reads_the_open_file(tmp_path):
-    """The file and its text give the same design; blank lines and
-    surrounding spaces are skipped in the header and the body alike."""
+    """Blank lines and surrounding spaces are skipped in the header and
+    the body alike; a file that ends in or before its header is
+    malformed."""
     text = "\n  # ssd v1\n\n4 2 \n 2 2\n0 1\n\n1 0\n  0 0\n1 1\n\n"
-    path = tmp_path / "d.ssd"
-    path.write_text(text)
-    for D in (read_design(path), design_from_text(text)):
-        assert D.matrix.tolist() == [[0, 1], [1, 0], [0, 0], [1, 1]]
-        assert D.levels == (2, 2)
-    path.write_text("# ssd v1\n2 2\n2 2\n0 1\n1 1.0\n")
-    with pytest.raises(ValueError, match="malformed design file"):
-        read_design(path)
-    for text in ("# ssd v1\n4 1\n2\n", "# ssd v1\n4 1\n", "# ssd v1\n"):
+    D = read_text(text, tmp_path)
+    assert D.matrix.tolist() == [[0, 1], [1, 0], [0, 0], [1, 1]]
+    assert D.levels == (2, 2)
+    for text in ("# ssd v1\n2 2\n2 2\n0 1\n1 1.0\n", "# ssd v1\n4 1\n2\n",
+                 "# ssd v1\n4 1\n", "# ssd v1\n"):
         with pytest.raises(ValueError, match="malformed design file"):
-            design_from_text(text)
+            read_text(text, tmp_path)
 
 MEASURE_COINCIDENCE_RSS = """
 import resource

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssd.design_core import MAX_RUNS, classify_pair, realize
+from ssd.design_core import MAX_RUNS, realize
 from ssd.gf import Field, default_field, enumerate_points
-from ssd.oracle import eval_label, forms_dependent, is_oa
+from ssd.oracle import (classify_pair, eval_label, forms_dependent, is_oa,
+                        qh_substitution)
 from ssd.poly_labels import (LinearForm, QuadraticLabel, add_forms,
                              eval_labels, h_set, label_str, parse_label, q1,
-                             q1_star, qh, qh_substitution, qh_star,
-                             scale_form, unit_form)
+                             q1_star, qh, qh_star, scale_form, unit_form)
 
 
 def strs(field, labels):
@@ -49,7 +49,7 @@ def qh_tails_by_field_arithmetic(field, h, n, gys):
     """The tails g(Y2..Yn) of Q_h*, g in gys = H(n-1), each expanded as
     sum_j g_j * Y_j by scalar form arithmetic: the reference for the
     positional rewrite in qh_star."""
-    ys = qh_substitution(field, h, n)
+    ys = qh_substitution(h, n)
     tails = []
     for gy in gys:
         acc = LinearForm((0,) * n)
@@ -97,22 +97,24 @@ def test_q1_star_needs_two_variables(gf3):
                 family(gf3, n)
 
 
-def test_qh_substitution_rules(gf3):
+def test_qh_substitution_rules():
     # identity for X1
     x1 = unit_form(2, 0)
-    assert qh_substitution(gf3, x1, 2) == [x1, unit_form(2, 1)]
+    assert qh_substitution(x1, 2) == [x1, unit_form(2, 1)]
     # h touching the last variable rotates the earlier coordinates in
     h = LinearForm((1, 1))
-    assert qh_substitution(gf3, h, 2) == [h, unit_form(2, 0)]
+    assert qh_substitution(h, 2) == [h, unit_form(2, 0)]
     h2 = LinearForm((0, 1, 0))  # X2 with k = 2
-    assert qh_substitution(gf3, h2, 3) == [h2, unit_form(3, 0), unit_form(3, 2)]
+    assert qh_substitution(h2, 3) == [h2, unit_form(3, 0), unit_form(3, 2)]
 
 
-def test_qh_substitution_rejects_noncanonical(gf3):
-    with pytest.raises(ValueError, match="canonical"):
-        qh_substitution(gf3, LinearForm((2, 0)), 2)
-    with pytest.raises(ValueError, match="canonical"):
-        qh_substitution(gf3, LinearForm((0, 0)), 2)
+def test_qh_star_rejects_noncanonical(gf3):
+    message = "^not a canonical form: the last nonzero coefficient must be 1$"
+    for h in (LinearForm((2, 0)), LinearForm((1, 2)), LinearForm((0, 0))):
+        with pytest.raises(ValueError, match=message):
+            qh_star(gf3, h, 2)
+    with pytest.raises(ValueError, match="wrong number of variables"):
+        qh_star(gf3, unit_form(3, 0), 2)
 
 
 def test_qh_families_3_2(gf3):

@@ -11,9 +11,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ssd.design_core import Design, classify_pair
+from ssd.design_core import Design
 from ssd.gf import default_field, enumerate_points
-from ssd.oracle import forms_dependent, l_set, pair_a2_from_table
+from ssd.oracle import classify_pair, forms_dependent, l_set, pair_a2_from_table
 from ssd.poly_labels import (LinearForm, QuadraticLabel, eval_labels,
                              unit_form)
 

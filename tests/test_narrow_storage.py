@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from ssd import design_core
 from ssd.criteria import strength
-from ssd.design_core import (FULLY_ALIASED, ORTHOGONAL, PARTIAL,
-                             SEMI_ORTHOGONAL, Design, classify_pair,
-                             design_sums, fully_aliased_pairs, level_groups,
-                             level_sorted)
-from ssd.oracle import char_a2_matrix, is_oa, pair_table
+from ssd.design_core import (Design, design_sums, level_groups,
+                             level_sorted, remove_fully_aliased)
+from ssd.oracle import (FULLY_ALIASED, ORTHOGONAL, PARTIAL, SEMI_ORTHOGONAL,
+                        char_a2_matrix, classify_pair, fully_aliased_pairs,
+                        is_oa, pair_table)
 
 # (run counts, the level counts a widest column takes) per storage dtype;
 # the 4096-run case is WIDEST below
@@ -176,12 +176,20 @@ def check_joint_coincidences(D):
 
 
 def check_fully_aliased_pairs(D):
+    """De-aliasing renames each column's symbols in a table sized by its
+    largest symbol plus one, which wraps if it is taken in the narrow
+    dtype.  It must keep every column that is not the later column of a
+    pair on the pair-table list."""
     X = wide(D)
     want = [(i, j) for i, j in itertools.combinations(range(D.m), 2)
             if D.levels[i] == D.levels[j]
             and np.count_nonzero(reference_table(X, D.levels, i, j))
             == D.levels[i]]
     assert fully_aliased_pairs(D) == want
+    keep = [k for k in range(D.m) if k not in {j for _, j in want}]
+    kept = remove_fully_aliased(D)
+    assert kept.levels == tuple(D.levels[k] for k in keep)
+    assert (kept.matrix == D.matrix[:, keep]).all()
     for i, j in want:
         assert classify_pair(D, i, j).kind == FULLY_ALIASED
 

@@ -37,8 +37,7 @@ def test_pair_table_patterns(gf3):
     semi = pair_table(D, 1, 4)                     # X2 against X1^2+X2
     counts = sorted(v for row in semi for v in row)
     assert counts == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-    from ssd.design_core import column_juxtapose, select_columns
-    dup = column_juxtapose(D, select_columns(D, [0]))
+    dup = Design(np.hstack([D.matrix, D.matrix[:, :1]]), D.levels + D.levels[:1])
     tab2 = pair_table(dup, 0, 7)
     assert sorted(v for row in tab2 for v in row) == [0] * 6 + [3] * 3
 
@@ -245,3 +244,42 @@ def test_no_program_module_imports_the_oracle():
     for line in ("from . import criteria", "from .design_core import Design",
                  "import ssd"):
         assert not _imports_oracle(ast.parse(line).body[0]), line
+
+
+def _names_read(tree):
+    """The names a module's code reads, as a Name, an Attribute or an
+    import; a top-level def or class reading its own name does not count."""
+    read = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.name.split(".")[-1] for a in node.names)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        read |= names
+    return read
+
+
+def test_every_public_name_of_the_program_is_used():
+    """A public function or class of a program module (any module but the
+    oracle) is read by a program module or a demo: the package's own
+    re-exports in __init__ do not count, and test-only code belongs in the
+    tests or in ssd.oracle."""
+    import ssd
+    modules = [p for p in sorted(Path(ssd.__file__).parent.glob("*.py"))
+               if p.stem not in ("__init__", "oracle")]
+    demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+    assert modules and demos
+    read = set()
+    for path in modules + demos:
+        read |= _names_read(ast.parse(path.read_text()))
+    unused = [f"{path.stem}.{node.name}" for path in modules
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert not unused, f"public names no program module or demo uses: {unused}"

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from ssd import design_core
 from ssd.constructions import construct_thm4, construct_thm6
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (FULLY_ALIASED, Design, cells_sparse,
-                             classify_pair, design_sums, fully_aliased_pairs,
+from ssd.design_core import (Design, cells_sparse, design_sums,
                              level_sorted, pair_starts, realize,
                              remove_fully_aliased)
 from ssd.gf import default_field
-from ssd.oracle import pair_a2_from_table, pair_dependency_stats, pair_table
+from ssd.oracle import (FULLY_ALIASED, classify_pair, fully_aliased_pairs,
+                        pair_a2_from_table, pair_dependency_stats, pair_table)
 from ssd.poly_labels import h_set
 
 
@@ -90,6 +90,8 @@ def test_kernel_matches_per_pair_counting(case):
                 if classify_pair(D, i, j).kind == FULLY_ALIASED]
     assert dup in expected
     assert fully_aliased_pairs(D) == expected
+    keep = [k for k in range(D.m) if k not in {j for _, j in expected}]
+    assert (remove_fully_aliased(D).matrix == D.matrix[:, keep]).all()
 
 
 
@@ -153,8 +155,8 @@ def test_fully_aliased_pairs_match_the_pair_kernel(D):
     with pytest.MonkeyPatch.context() as mp:
         # tiles of 64 columns, so the relabelling check spans up to 3 tiles
         mp.setattr(design_core, "MATRIX_BLOCK_CELLS", 64 * D.N)
-        pairs = fully_aliased_pairs(D)
         kept = remove_fully_aliased(D)
+    pairs = fully_aliased_pairs(D)
     assert pairs == gram_aliased_pairs(D)
     removed = set()
     for i, j in pairs:
@@ -173,6 +175,12 @@ def test_fully_aliased_pairs_of_unbalanced_columns():
     # equal symbols under different level counts are not a relabelling
     D = Design([[0, 0], [1, 1], [0, 0], [1, 1]], [2, 4], require_balanced=False)
     assert fully_aliased_pairs(D) == []
+    assert remove_fully_aliased(D) is D
+    # a symbol that never appears leaves an empty row and column in the table
+    D = Design([[0, 2], [0, 2], [1, 0], [1, 0], [1, 0], [0, 2]], [3, 3],
+               require_balanced=False)
+    assert fully_aliased_pairs(D) == [(0, 1)]
+    assert remove_fully_aliased(D).m == 1
 
 
 @st.composite
