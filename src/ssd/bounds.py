@@ -113,11 +113,9 @@ def certify(stats: CriteriaReport) -> BoundReport:
         t1 = max(t1_raw, Fraction(0))
         l2 = lb_lemma2(N, m, s)
         achieved1 = a2 == t1
-        supersaturated = m * (s - 1) > N - 1
     else:
         t1_raw = t1 = l2 = None
         achieved1 = None
-        supersaturated = sum(levels) - m > N - 1
     two_level = distinct == {2}
     es2_bound = lb_es2(N, m) if two_level else None
     achieved_es2 = (stats.E_s2 == es2_bound) if two_level else None
@@ -130,4 +128,4 @@ def certify(stats: CriteriaReport) -> BoundReport:
         achieved_theorem10=a2 == t10,
         achieved_es2=achieved_es2,
         coincidence_spread=max(stats.coincidences) - min(stats.coincidences),
-        supersaturated=supersaturated)
+        supersaturated=sum(levels) - m > N - 1)

@@ -7,8 +7,7 @@ catalog value is compared: projected A2 of a balanced pair (c_i, c_j) is
 
     A2(c_i, c_j) = chi2(c_i, c_j) / N = (s_i s_j sum_ab n_ab^2 - N^2) / N^2,
 
-an integer ratio, and the overall A2 is both the closed form in the second
-power moment K2 (equal levels) and the sum of all projected values.
+an integer ratio, and the overall A2 is the sum of all projected values.
 
 Every pairwise statistic is an integer numerator over a known denominator.
 With P = sum_ab n_ab^2 and F = sum_ab |s_i s_j n_ab - N| from one pass of
@@ -31,8 +30,10 @@ Xu & Wu (2001, Ann. Statist. 29), A_j = N^-2 sum over ordered row pairs
 (a = b included) of [z^j] prod_g (1 - z)^{d_g} (1 + (s_g - 1) z)^{m_g - d_g},
 with d_g the number of the m_g columns of level group g where the rows
 differ.  So one joint coincidence histogram gives every A_j, for any level
-profile.  The independent routes these values are checked against (per-pair
-tables, Z_s characters, real contrasts) live in ssd.oracle.
+profile.  Its A_2 is the overall A2 at every level profile too, so each
+report checks the pairwise sum against it.  The independent routes these
+values are checked against (per-pair tables, Z_s characters, integer
+contrasts, the closed form in the coincidence moment K2) live in ssd.oracle.
 """
 
 from __future__ import annotations
@@ -88,18 +89,6 @@ def _histogram(X: np.ndarray, N: int) -> dict:
     """Projected A2 value -> pair count, keys ascending."""
     vals, counts = np.unique(X, return_counts=True)
     return {Fraction(v, N * N): c for v, c in zip(vals.tolist(), counts.tolist())}
-
-
-def _a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> int:
-    """2 N^2 A2 by the closed form in the second power moment K2 of the
-    coincidence counts over the C(N, 2) row pairs,
-
-        A2 = [(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N),
-
-    which with (N - 1) K2 = 2 sum_pairs c^2 / N is the integer
-    2 s^2 sum_pairs c^2 + N m^2 s^2 - N^2 m (m + s - 1)."""
-    sq = sum(c * v * v for v, c in counts.items())
-    return 2 * s * s * sq + N * m * m * s * s - N * N * m * (m + s - 1)
 
 
 def _summary(X: np.ndarray, F: np.ndarray, N: int, dens: np.ndarray,
@@ -250,8 +239,9 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
 
     gwlp_jmax=None gives the wordlength prefix up to min(3, m).  One call
     of design_sums gives the pair sums and the joint coincidence histogram;
-    with equal levels the closed form of the overall A2 cross-checks the
-    pairwise sum.  The report's levels stay in column order.
+    the pattern, worked out to at least A_2, checks the pairwise sum of the
+    overall A2 at every level profile.  The report's levels stay in column
+    order.
     """
     _require_evaluable(D)
     N, m = D.N, D.m
@@ -263,15 +253,14 @@ def aggregate_stats(D: Design, gwlp_jmax: int | None = None) -> CriteriaReport:
     groups = level_groups(D)
     X, dens, starts = _pair_numerators(D, groups, P)
     x_sum = int(X.sum())
-    pattern = tuple(_gwlp(N, groups, joint, gwlp_jmax))
-    counts = _coincidence_totals(joint)
-    if (len(groups) == 1
-            and _a2_closed_form(N, m, groups[0][0], counts) != 2 * x_sum):
+    pattern = _gwlp(N, groups, joint, max(gwlp_jmax, 2))
+    if pattern[1] != Fraction(x_sum, N * N):
         raise AssertionError("overall A2 disagrees with the pairwise sum")
     # E(s^2) = N^2 A2 / C(m, 2), defined for two-level designs
     es2 = Fraction(x_sum, math.comb(m, 2)) if groups == ((2, m),) else None
     return CriteriaReport(
         N=N, m=m, levels=D.levels,
-        A2=Fraction(x_sum, N * N), histogram=_histogram(X, N),
+        A2=pattern[1], histogram=_histogram(X, N),
         **_summary(X, F, N, dens, starts),
-        gwlp=pattern, E_s2=es2, coincidences=counts)
+        gwlp=tuple(pattern[:gwlp_jmax]), E_s2=es2,
+        coincidences=_coincidence_totals(joint))

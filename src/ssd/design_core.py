@@ -421,9 +421,9 @@ def _joint_coincidences(D: Design, B: np.ndarray,
     return dict(zip(keys, acc[codes].tolist()))
 
 
-def cells_sparse(D: Design, tiles=None) -> bool:
+def cells_sparse(D: Design, tiles) -> bool:
     """True when counting each pair's cells is estimated to take no longer
-    than the Gram tiles (D's _gram_tiles plan, worked out when not given).
+    than the Gram tiles (tiles, D's _gram_tiles plan).
 
     The estimates are in ns, fitted on timings of both routes over the
     catalog, the N = s^2 families for s = 3..32, thm4 for n = 3..10, the
@@ -438,8 +438,6 @@ def cells_sparse(D: Design, tiles=None) -> bool:
     bounds = [0, *itertools.accumulate(sorted(D.levels))]
     L = bounds[-1]
     cells = (L * L - sum(s * s for s in D.levels)) // 2
-    if tiles is None:
-        tiles = _gram_tiles(level_groups(D), N)
     entries = sum((bounds[c1] - bounds[c0]) * (L - bounds[c0 + 1])
                   for c0, c1 in tiles)
     return (7 * N * m * (m - 1) // 2 + 2 * cells

@@ -269,14 +269,14 @@ def default_field(s: int) -> Field:
     return f
 
 
-def enumerate_points(field: Field, n: int, max_points: int = MAX_ORDER) -> np.ndarray:
+def enumerate_points(field: Field, n: int) -> np.ndarray:
     """All points of F_s^n in lexicographic order, first coordinate slowest.
 
     Returns an (s^n, n) integer array whose rows are the points; raises
-    ValueError when s^n exceeds max_points.
+    ValueError when s^n exceeds MAX_ORDER.
     """
     s = field.order
-    idx = np.arange(point_count(field, n, max_points), dtype=np.int64)
+    idx = np.arange(point_count(field, n), dtype=np.int64)
     return idx[:, None] // s ** np.arange(n - 1, -1, -1, dtype=np.int64) % s
 
 

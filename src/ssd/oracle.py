@@ -10,13 +10,15 @@ with design_sums, pairs of level_sorted(D); fully_aliased_pairs, read off
 each pair's cell table, with remove_fully_aliased; the Z_s character
 route exp(2 pi i u x / s), u != 0 (char_a2_matrix, floating) with the
 report's histogram; the dense row-compared coincidences with
-design_sums' joint histogram; is_oa with strength; the real-contrast
-gwlp_bruteforce with the report's wordlength pattern; the minimum-A2
-search with the lower bounds; the point-by-point eval_label with the
-label evaluation of poly_labels; qh_substitution, the change of basis of
-Q_h as linear forms, with the positional rewrite of qh_star; l_set and
-forms_dependent, every nonzero linear form and the dependency test, with
-the label lemmas; and the schoolbook poly_mul with the field tables.
+design_sums' joint histogram; is_oa with strength; the exact
+integer-contrast gwlp_bruteforce with the report's wordlength pattern;
+a2_closed_form, the equal-level closed form in the coincidence moment K2,
+with the report's overall A2; the minimum-A2 search with the lower bounds;
+the point-by-point eval_label with the label evaluation of poly_labels;
+qh_substitution, the change of basis of Q_h as linear forms, with the
+positional rewrite of qh_star; l_set and forms_dependent, every nonzero
+linear form and the dependency test, with the label lemmas; and the
+schoolbook poly_mul with the field tables.
 
 The search fixes the first column to the canonical sorted pattern (any
 design can be row-permuted into that form) and enumerates the remaining
@@ -325,36 +327,54 @@ def periodicity_spot_check(N: int, s: int, t: int, m_values,
     return rows
 
 
-# -- contrast-based wordlength cross-check ------------------------------------------
+# -- wordlength and overall A2 cross-checks ---------------------------------------
 
-def _orthonormal_contrasts(s: int) -> np.ndarray:
-    """s x (s-1) real contrast matrix B: columns sum to zero, B^T B = s I.
-
-    Built by orthonormalising the centred level indicators, then scaling so
-    each contrast has squared norm s (one per row on a balanced column).
-    """
-    ind = np.eye(s) - np.ones((s, s)) / s
-    q, _ = np.linalg.qr(ind[:, : s - 1])
-    return q * math.sqrt(s)
+def _helmert(s: int) -> np.ndarray:
+    """s x (s-1) integer Helmert contrasts: column u - 1 is 1 on the symbols
+    below u, -u on u and 0 above, with squared norm u (u + 1)."""
+    x, u = np.arange(s)[:, None], np.arange(1, s)
+    return np.where(x < u, 1, np.where(x == u, -u, 0)).astype(np.int64)
 
 
-def gwlp_bruteforce(D: Design, j: int) -> float:
-    """A_j via explicit real orthonormal contrasts (small designs only)."""
+def gwlp_bruteforce(D: Design, j: int) -> Fraction:
+    """A_j, exactly, via explicit contrasts (small designs only).
+
+    A_j = N^-2 sum over the j-column subsets and their contrast picks u_k of
+    prod_k s_k / (u_k (u_k + 1)) (sum_rows prod_k h_u_k(x_rk))^2, with h_u the
+    integer Helmert contrasts.  Each subset's row sums are one int64 einsum
+    (at most N 31^8 < 2^63 in size); the squares and the weights, over the
+    one denominator L^j with L the lcm of every u (u + 1), are Python
+    integers, since the squares can pass 2^63."""
     if D.N > 32 or D.m > 8:
         raise ValueError("contrast-based route is limited to N <= 32, m <= 8")
     if j < 1 or j > D.m:
         raise ValueError("j must lie in 1..m")
-    bases = [_orthonormal_contrasts(s)[D.matrix[:, k], :]
-             for k, s in enumerate(D.levels)]
-    total = 0.0
+    L = math.lcm(*(u * (u + 1) for u in range(1, max(D.levels))))
+    H = [_helmert(s)[D.matrix[:, k]] for k, s in enumerate(D.levels)]
+    W = [np.array([s * L // (u * (u + 1)) for u in range(1, s)], dtype=object)
+         for s in D.levels]
+    axes = "abcdefgh"[:j]
+    spec = ",".join("z" + a for a in axes) + "->" + axes
+    total = 0
     for combo in itertools.combinations(range(D.m), j):
-        ranges = [range(D.levels[k] - 1) for k in combo]
-        for pick in itertools.product(*ranges):
-            col = np.ones(D.N)
-            for k, u in zip(combo, pick):
-                col = col * bases[k][:, u]
-            total += col.sum() ** 2
-    return total / (D.N * D.N)
+        sq = np.einsum(spec, *(H[k] for k in combo)).astype(object) ** 2
+        for k in reversed(combo):   # contract the last axis with its weights
+            sq = sq @ W[k]
+        total += sq
+    return Fraction(int(total), L**j * D.N * D.N)
+
+
+def a2_closed_form(N: int, m: int, s: int, counts: dict[int, int]) -> Fraction:
+    """Overall A2 of an equal-level design by the closed form in the second
+    power moment K2 of its coincidence counts (count -> row pairs, over the
+    C(N, 2) row pairs),
+
+        A2 = [(N-1) s^2 K2 + m^2 s^2 - N m (m + s - 1)] / (2N),
+
+    with (N - 1) K2 = 2 sum_pairs c^2 / N."""
+    sq = sum(c * v * v for v, c in counts.items())
+    return Fraction(2 * s * s * sq + N * m * m * s * s - N * N * m * (m + s - 1),
+                    2 * N * N)
 
 
 # -- label and field references ------------------------------------------------

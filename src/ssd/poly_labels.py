@@ -259,17 +259,13 @@ def _split_terms(text: str) -> list[str]:
     return parts
 
 
-def parse_label(field: Field, text: str, n: int | None = None) -> Label:
-    """Parse the grammar produced by label_str; round-trips by printed form."""
+def parse_label(field: Field, text: str, n: int) -> Label:
+    """Parse the grammar produced by label_str, a label in X1..Xn;
+    round-trips by printed form."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty label")
-    idx = [int(v) for v in re.findall(r"X(\d+)", text)]
-    if n is None:
-        if not idx:
-            raise ValueError(f"no variables in label {text!r}")
-        n = max(idx)
-    for k in idx:
+    for k in map(int, re.findall(r"X(\d+)", text)):
         if not 1 <= k <= n:
             raise ValueError(f"variable X{k} in label {text!r} is not one "
                              f"of X1..X{n}")

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from ssd.bounds import certify, lb_theorem1, lb_theorem10
 from ssd.constructions import (CATALOG_SPECS, catalog, construct_example3,
@@ -254,8 +253,7 @@ def test_c11_oracle_tightness(gf3):
     for D in (construct_thm8(gf3, 2, 2), construct_thm4(gf3, 2)):
         pattern = aggregate_stats(D).gwlp
         for j in (1, 2, 3):
-            assert gwlp_bruteforce(D, j) == pytest.approx(pattern[j - 1],
-                                                          abs=1e-9)
+            assert gwlp_bruteforce(D, j) == pattern[j - 1]
     _ok(11, "exhaustive minima 1/2 and 3/2 equal the bounds at (6,3,2) and "
             "(6,3,3); contrast-based wordlengths match the character route")
 

@@ -366,8 +366,7 @@ def test_evaluate_any_level_counts(tmp_path):
     a2 = F(rep["A2"]["num"], rep["A2"]["den"])
     assert rep["gwlp"][1] == pytest.approx(float(a2), abs=1e-9)
     for j in (1, 2, 3):
-        assert rep["gwlp"][j - 1] == pytest.approx(gwlp_bruteforce(D, j),
-                                                   abs=1e-9)
+        assert rep["gwlp"][j - 1] == float(gwlp_bruteforce(D, j))
     # evaluation takes no field representation
     assert run(["evaluate", str(d), "--modulus", "1,0,1"]) == 2
 
@@ -650,6 +649,36 @@ def test_internal_fault_is_an_error_line(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.err == err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("builds", [
+    [["construct", "--theorem", "4", "--s", "3", "--n", "2", "--out", "d.ssd"]],
+    [["construct", "--theorem", "6", "--s", "9", "--n", "2", "--k", "3",
+      "--out", "t.ssd"],
+     ["replace", "t.ssd", "--col", "5", "--oa-levels", "3", "--out", "d.ssd"]],
+], ids=["equal", "mixed"])
+def test_a2_self_check_at_every_level_profile(builds, tmp_path, capsys,
+                                              monkeypatch):
+    """One pair sum raised by 1 makes the pairwise overall A2 disagree with
+    the wordlength pattern's A_2: with equal and with mixed levels the
+    report is an error line, never a report that contradicts itself."""
+    from ssd import criteria
+    design_sums = criteria.design_sums
+
+    def fault(D):
+        P, F, joint = design_sums(D)
+        P[0] += 1
+        return P, F, joint
+    monkeypatch.chdir(tmp_path)
+    for argv in builds:
+        assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(criteria, "design_sums", fault)
+    assert run(["evaluate", "d.ssd"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: evaluate: AssertionError: overall A2 "
+                            "disagrees with the pairwise sum\n")
 
 
 def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):

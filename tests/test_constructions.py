@@ -216,7 +216,8 @@ def test_verify_design_runs_each_pass_once(catalog_rows, call_counter):
     for recipe, D in catalog_rows:
         calls.clear()
         assert verify_design(recipe, D).ok
-        route = ("_cell_count_sums" if design_core.cells_sparse(D)
+        tiles = design_core._gram_tiles(design_core.level_groups(D), D.N)
+        route = ("_cell_count_sums" if design_core.cells_sparse(D, tiles)
                  else "_gram_tile_sums")
         assert calls == Counter({"design_sums": 1, "_one_hot": 1,
                                  route: 1}), recipe.row_id

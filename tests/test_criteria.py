@@ -14,9 +14,10 @@ from ssd.criteria import aggregate_stats, krawtchouk, round_half_away, strength
 from ssd.design_core import (Design, design_sums, realize, replace_column,
                              select_columns)
 from ssd.gf import Field, default_field
-from ssd.oracle import (char_a2_matrix, classify_pair, coincidences,
-                        fully_aliased_pairs, gwlp_bruteforce, is_oa,
-                        pair_a2_from_table, pair_dependency_stats, pair_table)
+from ssd.oracle import (a2_closed_form, char_a2_matrix, classify_pair,
+                        coincidences, fully_aliased_pairs, gwlp_bruteforce,
+                        is_oa, pair_a2_from_table, pair_dependency_stats,
+                        pair_table)
 from ssd.poly_labels import h_set
 
 
@@ -62,8 +63,7 @@ def test_a2_closed_form_equals_pairwise(gf3, gf4, ssd937):
     # and the sum of the row-counted pair values agree
     for D in (ssd937, construct_thm6(gf3, 2, 3), construct_thm8(gf4, 2, 2)):
         rep = aggregate_stats(D)
-        assert criteria._a2_closed_form(D.N, D.m, D.levels[0],
-                                        rep.coincidences) == 2 * D.N**2 * rep.A2
+        assert a2_closed_form(D.N, D.m, D.levels[0], rep.coincidences) == rep.A2
         assert rep.A2 == sum(oracle_a2(D, i, j) for i in range(D.m)
                              for j in range(i + 1, D.m))
 
@@ -241,8 +241,7 @@ def test_gwlp_full_depth_and_jmax_range(ssd937):
         pattern = gwlp(D, D.m)
         assert len(pattern) == D.m
         for j in range(1, D.m + 1):
-            assert float(pattern[j - 1]) == pytest.approx(
-                gwlp_bruteforce(D, j), abs=1e-9)
+            assert pattern[j - 1] == gwlp_bruteforce(D, j)
     with pytest.raises(ValueError, match="jmax"):
         gwlp(ssd937, 0)
     with pytest.raises(ValueError, match="jmax"):
@@ -324,8 +323,7 @@ def test_gwlp_matches_real_contrasts_for_any_levels(D):
     jmax = min(D.m, 4)
     rep = aggregate_stats(D, gwlp_jmax=jmax)
     for j in range(1, jmax + 1):
-        assert float(rep.gwlp[j - 1]) == pytest.approx(gwlp_bruteforce(D, j),
-                                                       abs=1e-9)
+        assert rep.gwlp[j - 1] == gwlp_bruteforce(D, j)
     assert rep.gwlp[0] == 0
     assert rep.gwlp[1] == rep.A2
 
@@ -435,31 +433,31 @@ def test_report_builds_each_one_hot_once(gf3, gf9, call_counter):
     """One report calls the kernel entry once, which builds one one-hot
     matrix on either route and runs one pair route and one coincidence
     pass.  It extracts the pair numerators once and works out the overall
-    A2 once: by the pairwise sum, cross-checked by the closed form with
-    equal levels.  The wordlength pattern and the coincidence totals both
-    read the one histogram."""
+    A2 once, by the pairwise sum, checked by the one wordlength pattern's
+    A_2 at either level profile.  The pattern and the coincidence totals
+    both read the one histogram."""
     from ssd import design_core
-    from ssd.design_core import cells_sparse, replace_column
+    from ssd.design_core import (_gram_tiles, cells_sparse, level_groups,
+                                 replace_column)
     from ssd.report import build_report
 
     calls, count = call_counter
     count(design_core, "_one_hot", "_cell_count_sums", "_gram_tile_sums",
           "_joint_coincidences")
-    count(criteria, "design_sums", "_pair_numerators", "_a2_closed_form")
+    count(criteria, "design_sums", "_pair_numerators", "_gwlp")
     equal = construct_thm6(gf3, 2, 2)
     # k = 3: at k = 2 the two routes take about equal time and the rule
     # counts cells; 3-level columns in the middle, so the levels are sorted
     mixed = replace_column(construct_thm6(gf9, 2, 3), 5,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
-    for D, route, closed in ((equal, "_cell_count_sums", 1),
-                             (mixed, "_gram_tile_sums", 0)):
-        assert cells_sparse(D) == (route == "_cell_count_sums")
+    for D, route in ((equal, "_cell_count_sums"), (mixed, "_gram_tile_sums")):
+        tiles = _gram_tiles(level_groups(D), D.N)
+        assert cells_sparse(D, tiles) == (route == "_cell_count_sums")
         calls.clear()
         build_report(D)
         assert calls == Counter({"_one_hot": 1, route: 1,
                                  "_joint_coincidences": 1, "design_sums": 1,
-                                 "_pair_numerators": 1,
-                                 "_a2_closed_form": closed})
+                                 "_pair_numerators": 1, "_gwlp": 1})
     # an out-of-range depth is rejected before any pass
     calls.clear()
     for jmax in (0, equal.m + 1):
@@ -521,7 +519,7 @@ def test_column_order_does_not_change_a_report(case):
     from ssd.report import build_report, report_to_json
     D, E, sparse = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design_core, "cells_sparse", lambda D, tiles=None: sparse)
+        mp.setattr(design_core, "cells_sparse", lambda D, tiles: sparse)
         want, got = (json.loads(report_to_json(build_report(X)))
                      for X in (D, E))
     assert want.pop("levels") == list(D.levels)

@@ -132,11 +132,11 @@ def test_qh_with_x1_equals_q1(gf3):
 
 
 def test_eval_label(gf3, gf4):
-    lab = parse_label(gf3, "X1^2+X2")
+    lab = parse_label(gf3, "X1^2+X2", 2)
     assert eval_label(gf3, lab, (1, 1)) == 2
-    lab2 = parse_label(gf3, "X1^2+2*X1+X2")
+    lab2 = parse_label(gf3, "X1^2+2*X1+X2", 2)
     assert eval_label(gf3, lab2, (2, 0)) == 2
-    lab4 = parse_label(gf4, "X1^2+X2")
+    lab4 = parse_label(gf4, "X1^2+X2", 2)
     assert eval_label(gf4, lab4, (2, 1)) == 2  # 2*2 = 3, 3 + 1 = 2
 
 

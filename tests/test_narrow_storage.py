@@ -217,7 +217,7 @@ def test_cell_table_and_classify_pair_widen(dtype):
 @pytest.mark.parametrize("sparse", [True, False], ids=["cell-count", "gram"])
 @by_dtype
 def test_pair_gram_sums_widen_on_either_route(dtype, sparse, monkeypatch):
-    monkeypatch.setattr(design_core, "cells_sparse", lambda D, tiles=None: sparse)
+    monkeypatch.setattr(design_core, "cells_sparse", lambda D, tiles: sparse)
     on_designs(dtype, check_pair_sums, 4096 if sparse else GRAM_RUNS)
 
 

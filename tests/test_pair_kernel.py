@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from ssd import design_core
 from ssd.constructions import construct_thm4, construct_thm6
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (Design, cells_sparse, design_sums,
-                             level_sorted, pair_starts, realize,
-                             remove_fully_aliased)
+from ssd.design_core import (Design, _gram_tiles, cells_sparse, design_sums,
+                             level_groups, level_sorted, pair_starts,
+                             realize, remove_fully_aliased)
 from ssd.gf import default_field
 from ssd.oracle import (FULLY_ALIASED, classify_pair, fully_aliased_pairs,
                         pair_a2_from_table, pair_dependency_stats, pair_table)
@@ -108,7 +108,7 @@ def per_pair_sums(D):
 def forced_sums(D, sparse):
     """P and F of design_sums(D) on the chosen route."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design_core, "cells_sparse", lambda D, tiles=None: sparse)
+        mp.setattr(design_core, "cells_sparse", lambda D, tiles: sparse)
         return design_sums(D)[:2]
 
 
@@ -239,7 +239,7 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
     N = 12
     cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
     D = Design(np.array(cols).T, levels)
-    assert cells_sparse(D)
+    assert cells_sparse(D, _gram_tiles(level_groups(D), N))
     want = per_pair_sums(D)
     bincount = np.bincount
     for budget in (1, 40, 150, 400):
@@ -264,7 +264,7 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
 def test_catalog_designs_give_equal_sums_on_both_routes(catalog_rows):
     routes = set()
     for recipe, D in catalog_rows:
-        routes.add(cells_sparse(D))
+        routes.add(cells_sparse(D, _gram_tiles(level_groups(D), D.N)))
         sparse = forced_sums(D, True)
         dense = forced_sums(D, False)
         assert all((a == b).all() for a, b in zip(sparse, dense)), recipe.row_id
@@ -417,4 +417,5 @@ def test_gram_f_is_exact_past_two_to_the_24(q, n, t):
 def test_route_rule_on_timed_shapes(build, cells):
     """The route cells_sparse picks for shapes whose two routes were timed
     apart by at least 10%."""
-    assert cells_sparse(build()) == cells
+    D = build()
+    assert cells_sparse(D, _gram_tiles(level_groups(D), D.N)) == cells
