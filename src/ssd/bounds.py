@@ -84,7 +84,6 @@ class BoundReport:
     theorem1_raw: Fraction | None    # equal levels only
     theorem1: Fraction | None        # clamped at zero
     lemma2: Fraction | None
-    theorem10_raw: Fraction
     theorem10: Fraction
     eq1_es2: Fraction | None         # two-level designs only
     achieved_theorem1: bool | None
@@ -105,8 +104,7 @@ def certify(stats: CriteriaReport) -> BoundReport:
     """
     N, m, levels, a2 = stats.N, stats.m, stats.levels, stats.A2
     distinct = set(levels)
-    t10_raw = lb_theorem10(N, levels)
-    t10 = max(t10_raw, Fraction(0))
+    t10 = max(lb_theorem10(N, levels), Fraction(0))
     if len(distinct) == 1:
         s = levels[0]
         t1_raw = lb_theorem1(N, m, s)
@@ -122,7 +120,7 @@ def certify(stats: CriteriaReport) -> BoundReport:
     return BoundReport(
         a2=a2,
         theorem1_raw=t1_raw, theorem1=t1, lemma2=l2,
-        theorem10_raw=t10_raw, theorem10=t10,
+        theorem10=t10,
         eq1_es2=es2_bound,
         achieved_theorem1=achieved1,
         achieved_theorem10=a2 == t10,

@@ -25,7 +25,7 @@ catalog ships those designs de-aliased (drop one column of each pair).
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +55,8 @@ def _juxtapose_companions(field: Field, n: int, k: int, hs, family) -> Design:
     hs defaults to the first k forms of H in canonical order.
     """
     point_count(field, n, MAX_RUNS)
+    if n < 2:
+        raise ValueError("needs at least two variables")
     t = (field.order**n - 1) // (field.order - 1)
     if not 1 < k <= t:
         raise ValueError(f"k must lie in 2..{t}")
@@ -153,10 +155,10 @@ class Recipe:
     theorem: str                 # "thm4" | "thm6" | "thm6-dealias" | "thm7" | "thm8" | "thm9"
     s: int
     n: int
-    k: int | None = None
-    expected_N: int = 0
-    expected_m: int = 0
-    expected_hist: dict = dc_field(default_factory=dict)  # nonzero A2 -> count
+    k: int | None
+    expected_N: int
+    expected_m: int
+    expected_hist: dict          # nonzero A2 -> count
 
     @property
     def row_id(self) -> str:

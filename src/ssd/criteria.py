@@ -206,14 +206,13 @@ def strength(D: Design) -> int:
 
 # -- aggregate report ------------------------------------------------------------
 
-def round_half_away(x: Fraction, digits: int = 2) -> float:
-    """Round a rational half away from zero at digits >= 0 decimal places,
-    in integers: |x| 10^digits + 1/2 = (2 |n| 10^digits + d) / (2d) for
-    x = n / d, floored, then one correctly rounded division by 10^digits."""
-    q = 10 ** digits
+def round_half_away(x: Fraction) -> float:
+    """Round a rational half away from zero at 2 decimal places, in
+    integers: 100 |x| + 1/2 = (200 |n| + d) / (2d) for x = n / d, floored,
+    then one correctly rounded division by 100."""
     n, d = x.numerator, x.denominator
-    r = (2 * abs(n) * q + d) // (2 * d)
-    return (-r if n < 0 else r) / q
+    r = (200 * abs(n) + d) // (2 * d)
+    return (-r if n < 0 else r) / 100
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ holds de-aliasing and the plain text serialisation format.  The
 independent references the kernels are checked against live in ssd.oracle.
 
 Every value read from the kernels is a multiset statistic over column
-pairs or row pairs, so design_sums sorts the columns into ascending level
-order once (level_sorted) and builds one float32 one-hot matrix of them,
-which the Gram route of the pair sums and the coincidence pass both read.
+pairs or row pairs, so design_sums hands the kernels D's matrix with its
+columns in ascending level order (_level_ordered) and one float32 one-hot
+matrix of it, which the Gram route and the coincidence pass both read.
 The pair sums have two exact routes, chosen by one rule (cells_sparse)
 that compares time estimates fitted on both: one int64 bincount per chunk
 of pairs, or float32 matrix products in tiles of columns of one level.
@@ -308,21 +308,22 @@ def level_groups(D: Design) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(D.levels).items()))
 
 
-def level_sorted(D: Design) -> Design:
-    """D with its columns in ascending level order, equal levels in their
-    own order (a stable argsort): D itself when the levels already ascend."""
-    if list(D.levels) == sorted(D.levels):
-        return D
-    return select_columns(D, np.argsort(D.levels, kind="stable"))
+def _level_ordered(D: Design) -> tuple[np.ndarray, list[int]]:
+    """D's matrix and levels, columns in ascending level order by a stable
+    sort: D's own matrix, uncopied, when the levels already ascend."""
+    levels = sorted(D.levels)
+    if list(D.levels) == levels:
+        return D.matrix, levels
+    return D.matrix.take(np.argsort(D.levels, kind="stable"), axis=1), levels
 
 
 def design_sums(D: Design) -> tuple[np.ndarray, np.ndarray,
                                     dict[tuple[int, ...], int]]:
     """(P, F, joint): every exact sum an evaluation reads, over the columns
-    of level_sorted(D), whose one one-hot matrix both passes share.
+    of _level_ordered(D), whose one one-hot matrix both passes share.
 
     P and F are integer sums over the cell tables n_ab of the pairs i < j
-    of the sorted columns,
+    of the ordered columns,
 
         P = sum_ab n_ab^2    and    F = sum_ab |s_i s_j n_ab - N|,
 
@@ -346,13 +347,13 @@ def design_sums(D: Design) -> tuple[np.ndarray, np.ndarray,
 
     No m x m, L x L, pairs x N or N x N temporary exists.
     """
-    S = level_sorted(D)
-    groups = level_groups(S)
-    tiles = _gram_tiles(groups, S.N)
-    B = _one_hot(S)
-    P, F = (_cell_count_sums(S) if cells_sparse(S, tiles)
-            else _gram_tile_sums(S, B, groups, tiles))
-    return P, F, _joint_coincidences(S, B, groups)
+    X, levels = _level_ordered(D)
+    groups = level_groups(D)
+    tiles = _gram_tiles(groups, D.N)
+    B = _one_hot(X, levels)
+    P, F = (_cell_count_sums(X, levels) if cells_sparse(D, tiles)
+            else _gram_tile_sums(B, levels, groups, tiles))
+    return P, F, _joint_coincidences(B, groups)
 
 
 def joint_coincidences(D: Design) -> dict[tuple[int, ...], int]:
@@ -361,33 +362,32 @@ def joint_coincidences(D: Design) -> dict[tuple[int, ...], int]:
     Entry g of a key counts the columns of level group g (level_groups
     order) in which the two rows agree; with equal levels the key is the
     1-tuple of the plain coincidence count.  Keys ascend."""
-    S = level_sorted(D)
-    return _joint_coincidences(S, _one_hot(S), level_groups(S))
+    return _joint_coincidences(_one_hot(*_level_ordered(D)), level_groups(D))
 
 
-def _one_hot(D: Design) -> np.ndarray:
-    """Row indicator matrix (N, sum levels), each column's s indicator
-    columns in symbol order, filled a block of about MATRIX_BLOCK_CELLS
-    symbols (whole rows) at a time.
+def _one_hot(X: np.ndarray, levels) -> np.ndarray:
+    """Row indicator matrix (N, sum levels) of the symbol matrix X, each
+    column's s indicator columns in symbol order, filled a block of about
+    MATRIX_BLOCK_CELLS symbols (whole rows) at a time.
 
     float32: every product of it read here is an integer count <= 2^24,
     which float32 holds exactly.
     """
-    L = sum(D.levels)
-    B = np.zeros((D.N, L), dtype=np.float32)
-    starts = np.cumsum(D.levels) - D.levels
-    rows = max(1, MATRIX_BLOCK_CELLS // D.m)
-    for r0 in range(0, D.N, rows):
-        hot = D.matrix[r0:r0 + rows] + starts
+    L = sum(levels)
+    B = np.zeros((len(X), L), dtype=np.float32)
+    starts = np.cumsum(levels) - levels
+    rows = max(1, MATRIX_BLOCK_CELLS // len(levels))
+    for r0 in range(0, len(X), rows):
+        hot = X[r0:r0 + rows] + starts
         hot += (np.arange(r0, r0 + len(hot)) * L)[:, None]
         B.reshape(-1)[hot] = 1.0
     return B
 
 
-def _joint_coincidences(D: Design, B: np.ndarray,
-                        groups) -> dict[tuple[int, ...], int]:
-    """The joint coincidence histogram of D, whose levels ascend, from its
-    one-hot matrix B and its level_groups.
+def _joint_coincidences(B: np.ndarray, groups) -> dict[tuple[int, ...], int]:
+    """The joint coincidence histogram of a design from the one-hot matrix
+    B of its columns in ascending level order, and its level_groups: group
+    g is the g-th run of columns of B.
 
     Row-tiled: each block of COINCIDENCE_BLOCK_CELLS // N rows is
     multiplied against the rows from the block on, per group column slice
@@ -400,7 +400,7 @@ def _joint_coincidences(D: Design, B: np.ndarray,
     bins = math.prod(radix)
     counted = bins <= JOINT_BINS_MAX
     acc = np.zeros(bins, dtype=np.int64) if counted else Counter()
-    N = D.N
+    N = B.shape[0]
     rows = max(1, COINCIDENCE_BLOCK_CELLS // N)
     for r0 in range(0, N, rows):
         r1 = min(r0 + rows, N)
@@ -452,8 +452,8 @@ def pair_starts(m: int) -> np.ndarray:
     return i * m - i * (i + 1) // 2
 
 
-def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
-    """P and F by counting each pair's cells.
+def _cell_count_sums(X: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+    """P and F of X, of the given levels, by counting each pair's cells.
 
     The pairs i < j are taken in row-major order, in chunks of at least
     one pair whose N codes per pair and s_i s_j bins per pair both stay
@@ -464,10 +464,10 @@ def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     of the pair vectors.  The matrix and its s-fold are int32 (codes are
     below s_i s_j <= 2^24), the codes and counts int64.
     """
-    m, N = D.m, D.N
-    X = np.ascontiguousarray(D.matrix.T, dtype=np.int32)
-    lev = np.asarray(D.levels, dtype=np.int64)
-    equal = len(set(D.levels)) == 1
+    N, m = X.shape
+    X = np.ascontiguousarray(X.T, dtype=np.int32)
+    lev = np.asarray(levels, dtype=np.int64)
+    equal = len(set(levels)) == 1
     XS = X * np.int32(lev[0]) if equal else None
     per = max(1, PAIR_CELL_BUDGET // max(N, int(lev.max()) ** 2))
     P = np.empty(m * (m - 1) // 2, dtype=np.int64)
@@ -508,11 +508,11 @@ def _cell_count_sums(D: Design) -> tuple[np.ndarray, np.ndarray]:
     return P, F
 
 
-def _gram_tile_sums(D: Design, B: np.ndarray, groups,
+def _gram_tile_sums(B: np.ndarray, levels, groups,
                     tiles) -> tuple[np.ndarray, np.ndarray]:
-    """P and F from tiles of the float32 one-hot Gram of D, whose levels
-    ascend, given its one-hot matrix B, its level_groups and their
-    _gram_tiles plan.
+    """P and F from tiles of the float32 one-hot Gram of the one-hot
+    matrix B of columns that take the given levels, in ascending order,
+    given their level_groups and its _gram_tiles plan.
 
     Each level group is one run of B, and each tile of _gram_tiles is t
     columns of one level s0: its h = t s0 one-hot rows are multiplied
@@ -538,7 +538,7 @@ def _gram_tile_sums(D: Design, B: np.ndarray, groups,
     terms, at most s_i s_j N, when s_i s_j N <= 2^24; otherwise that
     group's column block sums run in float64.
     """
-    m, N, levels = D.m, D.N, D.levels
+    m, N = len(levels), B.shape[0]
     bounds = [0, *itertools.accumulate(levels)]
     L = bounds[-1]
     firsts = [0, *itertools.accumulate(mg for _, mg in groups)]

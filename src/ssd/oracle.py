@@ -6,7 +6,8 @@ command line imports it, to run the search.  The tests compare each
 reference with the code it checks: the row-by-row pair tables (pair_table,
 with pair_a2_from_table and pair_dependency_stats reading A2, chi2, f and
 d2 off them by definition, and classify_pair the pair's dependency class)
-with design_sums, pairs of level_sorted(D); fully_aliased_pairs, read off
+with design_sums, whose pairs are those of D's columns in ascending level
+order (a stable sort); fully_aliased_pairs, read off
 each pair's cell table, with remove_fully_aliased; the Z_s character
 route exp(2 pi i u x / s), u != 0 (char_a2_matrix, floating) with the
 report's histogram; the dense row-compared coincidences with

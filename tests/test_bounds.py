@@ -107,7 +107,7 @@ def test_certify_mixed_profile(gf3):
     mixed = replace_column(D, 0, table)
     cert = certify(aggregate_stats(mixed))
     assert cert.theorem1 is None and cert.achieved_theorem1 is None
-    assert cert.theorem10_raw == lb_theorem10(81, mixed.levels)
+    assert cert.theorem10 == max(lb_theorem10(81, mixed.levels), 0)
     assert cert.a2 == 80      # s^2 - 1 of the parent: replacement keeps it
 
 

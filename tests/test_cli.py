@@ -77,6 +77,13 @@ def test_thm7_takes_hs(tmp_path, capsys):
      "the branch keeps no column"),
     (["branch", "--s", "3", "--n", "1", "--branch", "X1", "--levels", "0"],
      "the branch keeps no column"),
+    # one variable gives a single form, too few to juxtapose
+    (["construct", "--theorem", "5", "--s", "3", "--n", "1"],
+     "needs at least two variables"),
+    (["construct", "--theorem", "6", "--s", "3", "--n", "1", "--k", "2"],
+     "needs at least two variables"),
+    (["construct", "--theorem", "7", "--s", "3", "--n", "1", "--k", "2"],
+     "needs at least two variables"),
     (["construct", "--theorem", "7", "--s", "3", "--n", "3", "--k", "2",
       "--hs", "X1,X2,X3"], "expected 2 forms, got 3"),
     (["construct", "--theorem", "6", "--s", "3", "--n", "2", "--k", "2",
@@ -100,8 +107,8 @@ def test_thm7_takes_hs(tmp_path, capsys):
     ids=["thm9-n0", "branch-q1-n0", "thm8-repeated-levels",
          "thm9-repeated-levels", "branch-repeated-levels",
          "branch-repeated-levels-three", "thm8-n1",
-         "branch-n1", "thm7-form-count", "thm6-quadratic-hs",
-         "thm5-noncanonical-hs",
+         "branch-n1", "thm5-n1", "thm6-n1", "thm7-n1", "thm7-form-count",
+         "thm6-quadratic-hs", "thm5-noncanonical-hs",
          "example3-empty-branch", "thm8-empty-branch", "thm5-empty-hs",
          "thm6-empty-hs", "thm8-empty-levels", "thm9-levels-not-integers",
          "branch-empty-levels"])

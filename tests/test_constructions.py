@@ -229,7 +229,7 @@ ALIASED = "contains fully aliased pairs"
 def flags_aliasing(D: Design, s: int) -> bool:
     """Whether verify_design reports fully aliased pairs in D, checked as
     an s-level row of D's own shape."""
-    recipe = Recipe("thm6", s, 2, expected_N=D.N, expected_m=D.m)
+    recipe = Recipe("thm6", s, 2, None, D.N, D.m, {})
     return ALIASED in verify_design(recipe, D).message
 
 

@@ -338,7 +338,7 @@ def test_strength_matches_is_oa_on_mixed_designs(D):
 
 
 def test_round_half_away():
-    assert round_half_away(F(3, 2), 0) == 2.0
+    assert round_half_away(F(3, 200)) == 0.02
     assert round_half_away(F(25, 1000)) == 0.03
     assert round_half_away(F(-25, 1000)) == -0.03
     assert round_half_away(F(36, 11)) == 3.27
@@ -346,30 +346,23 @@ def test_round_half_away():
     assert round_half_away(F(-1, 8)) == -0.13
 
 
-def round_half_away_by_fractions(x, digits):
-    """The reference: scale, add a half to the magnitude and floor, all in
-    Fractions."""
-    q = F(10) ** digits
-    scaled = x * q
+def round_half_away_by_fractions(x):
+    """The reference: scale by 100, add a half to the magnitude and floor,
+    all in Fractions."""
+    scaled = x * 100
     sign = -1 if scaled < 0 else 1
-    return float(sign * ((abs(scaled) + F(1, 2)).__floor__()) / q)
+    return float(sign * ((abs(scaled) + F(1, 2)).__floor__()) / F(100))
 
 
-@st.composite
-def rationals_and_digits(draw):
-    """(x, digits): any rational, or an exact half at that precision, of
-    either sign."""
-    digits = draw(st.integers(0, 6))
-    half = st.integers(-10**9, 10**9).map(
-        lambda k: F(2 * k + 1, 2 * 10**digits))
-    return draw(st.fractions(max_denominator=10**12) | half), digits
+# any rational, or an exact half at 2 places, of either sign
+rationals = (st.fractions(max_denominator=10**12)
+             | st.integers(-10**9, 10**9).map(lambda k: F(2 * k + 1, 200)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(rationals_and_digits())
-def test_integer_rounding_matches_the_fraction_formula(case):
-    x, digits = case
-    assert round_half_away(x, digits) == round_half_away_by_fractions(x, digits)
+@given(rationals)
+def test_integer_rounding_matches_the_fraction_formula(x):
+    assert round_half_away(x) == round_half_away_by_fractions(x)
 
 
 @st.composite
@@ -482,6 +475,67 @@ def test_strength_reads_one_histogram(gf3, gf9, call_counter):
         assert strength(D) == t
         assert calls == Counter({"joint_coincidences": 1, "_one_hot": 1,
                                  "_joint_coincidences": 1})
+
+
+def designs_built(*calls):
+    """How many Designs each call constructs, in order."""
+    built = []
+    init = Design.__init__
+
+    def counting(self, *args, **kwargs):
+        built[-1] += 1
+        init(self, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Design, "__init__", counting)
+        for call in calls:
+            built.append(0)
+            call()
+    return built
+
+
+def check_evaluation_builds_no_design(D):
+    """The kernel entries, a report and strength read a checked design
+    whose levels do not ascend without building a level-sorted Design."""
+    from ssd.design_core import joint_coincidences
+    assert list(D.levels) != sorted(D.levels)
+    assert designs_built(lambda: design_sums(D),
+                         lambda: joint_coincidences(D),
+                         lambda: aggregate_stats(D),
+                         lambda: strength(D)) == [0, 0, 0, 0]
+
+
+def test_scrambled_mixed_evaluation_builds_no_design(gf3, gf9):
+    """The 81 x 52 9/3-level design (thm6 over GF(9), n = 2, k = 4, with
+    the first column of each Q_h block replaced by OA(9, 4, 3, 2)), its
+    rows, columns and each column's symbols permuted."""
+    D = construct_thm6(gf9, 2, 4)
+    table = realize(gf3, 2, h_set(gf3, 2)).matrix
+    for col in (30, 20, 10, 0):
+        D = replace_column(D, col, table)
+    rng = np.random.default_rng(7)
+    cols = rng.permutation(D.m)
+    levels = [D.levels[c] for c in cols]
+    X = D.matrix[rng.permutation(D.N)][:, cols]
+    X = np.column_stack([rng.permutation(s)[x] for s, x in zip(levels, X.T)])
+    check_evaluation_builds_no_design(Design(X, levels))
+
+
+@st.composite
+def unsorted_designs(draw):
+    """Random balanced designs whose levels, drawn from {2, 3, 4, 6, 12},
+    do not ascend."""
+    N = draw(st.sampled_from([12, 24]))
+    levels = draw(st.lists(st.sampled_from([2, 3, 4, 6, 12]), min_size=2,
+                           max_size=40).filter(lambda lv: lv != sorted(lv)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
+    return Design(np.column_stack(cols), levels)
+
+
+@settings(max_examples=20, deadline=None)
+@given(unsorted_designs())
+def test_drawn_profile_evaluation_builds_no_design(D):
+    check_evaluation_builds_no_design(D)
 
 
 @st.composite

@@ -1,8 +1,9 @@
 """Both routes of the pair kernel against independent per-pair cell counting.
 
-design_sums returns the sums of the pairs i < j of level_sorted(D) as
-row-major vectors, the order of itertools.combinations(range(m), 2), so
-every comparison walks the pairs of the sorted columns in that order."""
+design_sums returns the sums of the pairs i < j of D's columns in
+ascending level order (a stable sort) as row-major vectors, the order of
+itertools.combinations(range(m), 2), so every comparison walks the pairs
+of a level-sorted copy of D, sorted_columns(D), in that order."""
 
 import itertools
 from collections import Counter
@@ -17,12 +18,18 @@ from ssd import design_core
 from ssd.constructions import construct_thm4, construct_thm6
 from ssd.criteria import aggregate_stats
 from ssd.design_core import (Design, _gram_tiles, cells_sparse, design_sums,
-                             level_groups, level_sorted, pair_starts,
-                             realize, remove_fully_aliased)
+                             level_groups, pair_starts, realize,
+                             remove_fully_aliased, select_columns)
 from ssd.gf import default_field
 from ssd.oracle import (FULLY_ALIASED, classify_pair, fully_aliased_pairs,
                         pair_a2_from_table, pair_dependency_stats, pair_table)
 from ssd.poly_labels import h_set
+
+
+def sorted_columns(D):
+    """A copy of D with its columns in ascending level order, equal levels
+    in their own order: the column order of design_sums' pairs."""
+    return select_columns(D, np.argsort(D.levels, kind="stable"))
 
 
 @st.composite
@@ -60,7 +67,7 @@ def mixed_designs(draw):
 @given(mixed_designs())
 def test_kernel_matches_per_pair_counting(case):
     D, dup = case
-    S = level_sorted(D)
+    S = sorted_columns(D)
     N, lev = S.N, S.levels
     P, Fm, _ = design_sums(D)
     hist = Counter()
@@ -213,7 +220,7 @@ def regime_designs(draw):
 @settings(max_examples=40, deadline=None)
 @given(regime_designs())
 def test_both_routes_match_cell_tables(D):
-    D = level_sorted(D)
+    D = sorted_columns(D)
     want = per_pair_sums(D)
     for sparse in (True, False):
         P, Fm = forced_sums(D, sparse)
@@ -251,7 +258,7 @@ def test_cell_count_chunks_stay_within_budget(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(design_core, "PAIR_CELL_BUDGET", budget)
             mp.setattr(design_core.np, "bincount", counting)
-            P, Fm = design_core._cell_count_sums(D)
+            P, Fm = design_core._cell_count_sums(D.matrix, D.levels)
         assert (P == want[0]).all() and (Fm == want[1]).all()
         assert len(chunks) > 1
         assert sum(pairs for pairs, _ in chunks) == len(levels) * (len(levels) - 1) // 2
@@ -296,7 +303,7 @@ def test_gram_tiles_stay_within_budget(monkeypatch):
     N = 81
     cols = [rng.permutation(np.repeat(np.arange(s), N // s)) for s in levels]
     D = Design(np.array(cols).T, levels)
-    want = per_pair_sums(level_sorted(D))
+    want = per_pair_sums(sorted_columns(D))
     ascending = sorted(levels)
     L = sum(levels)
     uneven = False
@@ -342,11 +349,11 @@ def interleaved_designs(draw):
 @given(interleaved_designs(), st.sampled_from([1, 8, 512]))
 def test_gram_route_walks_unsorted_levels(D, budget):
     """The Gram route takes the columns in ascending level order, so it
-    matches the oracle's row-counted tables of level_sorted(D)."""
+    matches the oracle's row-counted tables of sorted_columns(D)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(design_core, "GRAM_TILE_CELLS", budget)
         P, Fm = forced_sums(D, False)
-    S = level_sorted(D)
+    S = sorted_columns(D)
     assert sorted(S.levels) == list(S.levels)
     assert sorted(map(tuple, S.matrix.T.tolist())) == sorted(
         map(tuple, D.matrix.T.tolist()))
@@ -392,7 +399,7 @@ def test_gram_f_is_exact_past_two_to_the_24(q, n, t):
     half = N * N * (t - 1)
     if t == 27:
         assert half > 2 ** 24 and int(np.float32(half)) != half
-    S = level_sorted(D)
+    S = sorted_columns(D)
     assert S.levels == (t,) * 30 + (N,)
     # the pair (i, 30) of the sorted columns is the last of row i
     big = pair_starts(31)[1:] - 1
