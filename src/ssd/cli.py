@@ -157,7 +157,7 @@ def _cmd_replace(args) -> int:
     s_old = column_levels(D, args.col)
     if args.table is not None:
         table = read_design(args.table, allow_unbalanced=True).matrix
-    elif args.oa_levels is not None:
+    else:
         f_new = default_field(args.oa_levels)
         # saturated strength-2 array with s_old rows indexes the old symbols
         r = 0
@@ -168,9 +168,6 @@ def _cmd_replace(args) -> int:
         if t != 1:
             raise ValueError(f"{s_old} is not a power of {args.oa_levels}")
         table = realize(f_new, r, h_set(f_new, r)).matrix
-    else:
-        print("one of --table or --oa-levels is required", file=sys.stderr)
-        return 2
     out = replace_column(D, args.col, table)
     write_design(out, args.out)
     print(f"wrote {out.N}x{out.m} design to {args.out}")
@@ -283,9 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("replace", help="replace a column by a saturated array")
     r.add_argument("file")
     r.add_argument("--col", type=int, required=True, help="0-based column")
-    r.add_argument("--oa-levels", type=int,
-                   help="new level count (builds the replacement table)")
-    r.add_argument("--table", help="replacement table as a design file")
+    new = r.add_mutually_exclusive_group(required=True)
+    new.add_argument("--oa-levels", type=int,
+                     help="new level count (builds the replacement table)")
+    new.add_argument("--table", help="replacement table as a design file")
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_replace)
 

@@ -20,6 +20,8 @@ of pairs, or float32 matrix products in tiles of columns of one level.
 Every float32 value the Gram tiles or the coincidence pass read is an
 integer of at most 2^24, which float32 holds and adds exactly; the hinge
 sums of F that can pass 2^24 are summed in float64 (_gram_tile_sums).
+The coincidence pass codes each row block's keys in that block's own
+range, so no array outgrows the block, however large the key space.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ PAIR_CELL_BUDGET = 1 << 13
 # Row-pair products per block of the row coincidence kernel: a block of
 # COINCIDENCE_BLOCK_CELLS // N rows against the rows from the block on.
 COINCIDENCE_BLOCK_CELLS = 1 << 21
-# Largest mixed-radix code space of the joint coincidence histogram that is
-# counted with bincount; beyond it the blocks are reduced by np.unique.
-JOINT_BINS_MAX = 1 << 22
 # Symbols per block where the design matrix is walked a block at a time:
 # whole rows for the text writer, the balance check and the one-hot matrix,
 # whole columns for the relabelling check.  Bounds their temporaries.
@@ -341,9 +340,9 @@ def design_sums(D: Design) -> tuple[np.ndarray, np.ndarray,
       level, each multiplied against the columns after its first, each
       about GRAM_TILE_CELLS * N Gram cells.
 
-    joint is the histogram of joint_coincidences.  The level groups and
-    the Gram tile plan are worked out once here and handed to the route
-    rule and to both passes.
+    joint is the histogram of joint_coincidences, counted per row block
+    in the block's own key range.  The level groups and the Gram tile plan
+    are worked out once here and handed to the route rule and both passes.
 
     No m x m, L x L, pairs x N or N x N temporary exists.
     """
@@ -361,7 +360,8 @@ def joint_coincidences(D: Design) -> dict[tuple[int, ...], int]:
     per-level-group coincidence vector to its number of row pairs a < b.
     Entry g of a key counts the columns of level group g (level_groups
     order) in which the two rows agree; with equal levels the key is the
-    1-tuple of the plain coincidence count.  Keys ascend."""
+    1-tuple of the plain coincidence count.  Keys are tuples of ints and
+    ascend, counted in each row block's own range (_joint_coincidences)."""
     return _joint_coincidences(_one_hot(*_level_ordered(D)), level_groups(D))
 
 
@@ -392,33 +392,35 @@ def _joint_coincidences(B: np.ndarray, groups) -> dict[tuple[int, ...], int]:
     Row-tiled: each block of COINCIDENCE_BLOCK_CELLS // N rows is
     multiplied against the rows from the block on, per group column slice
     of B, so no N x N array exists.  The products are agreement counts
-    <= m, exact in float32.
+    <= m, exact in float32.  Key entry g of a block's row pairs lies in
+    lo_g .. lo_g + span_g - 1.  When the product of the spans is at most
+    the block's row-pair count, one bincount of the mixed-radix codes of
+    the offsets from lo counts the block; otherwise a Counter counts its
+    key tuples.  Either way nothing outgrows the block's agreement counts,
+    so COINCIDENCE_BLOCK_CELLS alone bounds memory, at any key space.  A
+    block of the last row alone has no row pairs and is skipped.
     """
-    edges = np.cumsum([0] + [s * mg for s, mg in groups])
-    slabs = [B[:, a:b] for a, b in zip(edges, edges[1:])]
-    radix = [mg + 1 for _, mg in groups]
-    bins = math.prod(radix)
-    counted = bins <= JOINT_BINS_MAX
-    acc = np.zeros(bins, dtype=np.int64) if counted else Counter()
+    slabs = np.split(B, np.cumsum([s * mg for s, mg in groups])[:-1], axis=1)
+    acc = Counter()
     N = B.shape[0]
     rows = max(1, COINCIDENCE_BLOCK_CELLS // N)
-    for r0 in range(0, N, rows):
-        r1 = min(r0 + rows, N)
-        upper = np.arange(r0, N)[None, :] > np.arange(r0, r1)[:, None]
-        parts = [(Bg[r0:r1] @ Bg[r0:].T)[upper].astype(np.int64)
+    for r0 in range(0, N - 1, rows):
+        upper = np.arange(r0, N) > np.arange(r0, min(r0 + rows, N))[:, None]
+        parts = [(Bg[r0:r0 + rows] @ Bg[r0:].T)[upper].astype(np.int64)
                  for Bg in slabs]
-        if counted:
-            acc += np.bincount(np.ravel_multi_index(parts, radix),
-                               minlength=bins)
+        lo = [int(p.min()) for p in parts]
+        span = [int(p.max()) - a + 1 for p, a in zip(parts, lo)]
+        if math.prod(span) <= parts[0].size:
+            for p, a in zip(parts, lo):
+                p -= a
+            counts = np.bincount(np.ravel_multi_index(parts, span))
+            codes = np.flatnonzero(counts)
+            keys = zip(*((k + a).tolist()
+                         for k, a in zip(np.unravel_index(codes, span), lo)))
+            acc.update(dict(zip(keys, counts[codes].tolist())))
         else:
-            keys, counts = np.unique(np.stack(parts, axis=1), axis=0,
-                                     return_counts=True)
-            acc.update(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
-    if not counted:
-        return dict(sorted(acc.items()))
-    codes = np.flatnonzero(acc)
-    keys = zip(*(k.tolist() for k in np.unravel_index(codes, radix)))
-    return dict(zip(keys, acc[codes].tolist()))
+            acc.update(zip(*(p.tolist() for p in parts)))
+    return dict(sorted(acc.items()))
 
 
 def cells_sparse(D: Design, tiles) -> bool:

@@ -217,6 +217,26 @@ def test_replace_oa_levels_not_a_root_is_an_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sources", [["--oa-levels", "3", "--table", "d.ssd"],
+                                     []], ids=["both", "neither"])
+def test_replace_takes_exactly_one_table_source(sources, tmp_path, capsys,
+                                                monkeypatch):
+    """--table and --oa-levels are one required choice: giving both, or
+    neither, is a usage error that writes no file."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "--theorem", "4", "--s", "9", "--n", "2",
+                "--out", "d.ssd"]) == 0
+    capsys.readouterr()
+    assert run(["replace", "d.ssd", "--col", "0", *sources,
+                "--out", "out.ssd"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ssd replace")
+    assert err.endswith(
+        "argument --table: not allowed with argument --oa-levels\n" if sources
+        else "one of the arguments --oa-levels --table is required\n")
+    assert not Path("out.ssd").exists()
+
+
 def test_oracle_command(capsys):
     assert run(["oracle", "min-a2", "--N", "6", "--s", "3", "--m", "2"]) == 0
     out = capsys.readouterr().out

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ssd import design_core
 from ssd.criteria import aggregate_stats, strength
 from ssd.design_core import (MATRIX_BLOCK_CELLS, Design, branch_fraction,
-                             design_sums, read_design, realize,
-                             remove_fully_aliased, replace_column,
+                             design_sums, joint_coincidences, read_design,
+                             realize, remove_fully_aliased, replace_column,
                              select_columns, write_design)
 from ssd.gf import default_field
 from ssd.oracle import (classify_pair, coincidences, fully_aliased_pairs,
@@ -254,26 +254,67 @@ def _dense_joint(D):
     return dict(sorted(Counter(zip(*(g.tolist() for g in per_group))).items()))
 
 
-def test_joint_coincidences_match_dense_reference(gf3, gf9, monkeypatch):
+def _random_balanced(N, levels, seed):
+    """A design of random balanced columns of the given levels."""
+    rng = np.random.default_rng(seed)
+    return Design(np.array([rng.permutation(np.arange(N) % s)
+                            for s in levels]).T, levels)
+
+
+def test_joint_coincidences_match_dense_reference(gf3, gf9, call_counter):
     equal = realize(gf3, 3, h_set(gf3, 3) + q1_star(gf3, 3))
     mixed = replace_column(realize(gf9, 2, h_set(gf9, 2)), 0,
                            realize(gf3, 2, h_set(gf3, 2)).matrix)
     dup = Design([[0, 0, 1], [0, 0, 1], [1, 1, 0], [1, 1, 0]], (2, 2, 2))
-    for D in (equal, mixed, dup):
+    # two columns per divisor level of 60: 11 groups whose observed spans
+    # multiply to far more than the 1770 row pairs
+    wide = _random_balanced(60, [s for s in range(2, 61) if 60 % s == 0
+                                 for _ in range(2)], 29)
+    calls, count = call_counter
+    count(np, "bincount")
+    for D, bincounts in ((equal, 1), (mixed, 1), (dup, 1), (wide, 0)):
         want = _dense_joint(D)
+        calls.clear()
+        got = joint_coincidences(D)
+        # one block: bincount when its keys' spans fit its row pairs, the
+        # key tuples counted directly otherwise
+        assert calls["bincount"] == bincounts
+        assert got == want
+        assert all(type(k) is int for key in got for k in key)
         assert design_sums(D)[2] == want
         vals, counts = np.unique(coincidences(D)[np.triu_indices(D.N, 1)],
                                  return_counts=True)
         assert aggregate_stats(D).coincidences == dict(
             zip(vals.tolist(), counts.tolist()))
-        # several row blocks, and the np.unique reduction in place of bincount
-        for name, value in (("COINCIDENCE_BLOCK_CELLS", 2 * D.N),
-                            ("JOINT_BINS_MAX", 0)):
-            with monkeypatch.context() as mp:
-                mp.setattr(design_core, name, value)
+        # several row blocks, and one-row blocks, whose last has no row pairs
+        for cells in (2 * D.N, D.N):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(design_core, "COINCIDENCE_BLOCK_CELLS", cells)
                 assert design_sums(D)[2] == want
     assert list(design_sums(equal)[2]) == [
         (k,) for k in aggregate_stats(equal).coincidences]
+
+
+@st.composite
+def divisor_level_designs(draw):
+    """Random balanced designs whose levels are divisors of N, 1 to 3
+    columns of each, in a drawn column order."""
+    N = draw(st.sampled_from([12, 24, 36, 60]))
+    divisors = [d for d in range(2, N + 1) if N % d == 0]
+    kept = draw(st.lists(st.sampled_from(divisors), min_size=1, unique=True))
+    levels = [s for s in kept for _ in range(draw(st.integers(1, 3)))]
+    levels = draw(st.permutations(levels))
+    return _random_balanced(N, levels, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(divisor_level_designs())
+def test_joint_coincidences_of_drawn_profiles(D):
+    want = _dense_joint(D)
+    for cells in (D.N, 7 * D.N, design_core.COINCIDENCE_BLOCK_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(design_core, "COINCIDENCE_BLOCK_CELLS", cells)
+            assert joint_coincidences(D) == want
 
 
 def test_design_copies_writable_input():
