@@ -30,8 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import criteria
-from .bounds import certify
+from . import report
 from .design_core import (MAX_RUNS, Design, branch_fraction,
                           check_fraction_runs, level_profile, read_design,
                           realize, remove_fully_aliased, select_columns)
@@ -261,12 +260,11 @@ def verify_design(recipe: Recipe, D: Design) -> RowResult:
         problems.append(f"levels {level_profile(D.levels)} != "
                         f"{recipe.s}^{recipe.expected_m}")
     else:
-        rep = criteria.aggregate_stats(D)
+        rep, cert = report.build_report(D)
         nonzero = {v: c for v, c in rep.histogram.items() if v != 0}
         if nonzero != recipe.expected_hist:
             problems.append(f"histogram mismatch: {_fmt_hist(nonzero)} != "
                             f"{_fmt_hist(recipe.expected_hist)}")
-        cert = certify(rep)
         if cert.a2 != recipe.expected_a2:
             problems.append(f"A2 {cert.a2} != {recipe.expected_a2}")
         if rep.histogram.get(recipe.s - 1):

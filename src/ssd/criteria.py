@@ -18,12 +18,12 @@ statistic depends on), and X = s_i s_j P - N^2:
     chi2 = X / N,   A2 = X / N^2,   d2 = X / (s_i s_j),   f = F / (s_i s_j).
 
 The numerators are exact integers.  Cell counts are <= N <= 4096, and P is
-at most N^2 <= 2^24, so even the float32 Gram route holds them exactly.  At
-the 4096 x 4096 size limit the int64 sums stay far below 2^63
-(P <= N^2, F <= 2 s_i s_j N <= 2^37), and so do the sums of X < N^3 and of F
-over fewer than 2^23 pairs.  Sums and maxima of d2 and f are taken per
-denominator s_i s_j and stay Python integers over it until each reported
-value is built, once, as a Fraction (_summary).
+at most N^2 <= 2^24, so even the float32 Gram route holds them exactly.
+Every level of a balanced design divides N, so s_i s_j divides N^2, and
+d2 = P - N^2 / (s_i s_j) and f N^2 = F N^2 / (s_i s_j) are integers too.
+At the 4096 x 4096 size limit P, d2 <= N^2, X < N^3 and F, f N^2 <= 2 N^3
+= 2^37, so their int64 sums over fewer than 2^23 pairs stay below 2^63, and
+each reported value is one Fraction of such a sum or maximum (_summary).
 
 The wordlength pattern is exact too: by the MacWilliams-type identity of
 Xu & Wu (2001, Ann. Statist. 29), A_j = N^-2 sum over ordered row pairs
@@ -66,7 +66,7 @@ def _pair_numerators(D: Design, groups,
     each level group (level_groups order) of the later column, empty runs
     dropped.  With equal levels s that is the one run of s^2.  X is P,
     rewritten in place."""
-    if len(groups) == 1:
+    if len(groups) == 1:   # one run: per-row run arrays would only cost time
         dens = np.array([groups[0][0] ** 2], dtype=np.int64)
         starts = np.zeros(1, dtype=np.intp)
         P *= dens[0]
@@ -96,42 +96,22 @@ def _summary(X: np.ndarray, F: np.ndarray, N: int, dens: np.ndarray,
     """The chi2, f and d2 aggregates from the pair numerators X and F and
     the runs of their denominators (dens, starts): f = F / d, d2 = X / d.
 
-    Each sum and maximum stays an integer over its denominator: the sums
-    of the runs are gathered per denominator, the per-denominator sums are
-    added over their lcm, the maxima are compared by cross-multiplication,
-    and each reported value is built as one Fraction."""
-    ufuncs = (np.add, np.add, np.maximum, np.maximum)
-    runs = [u.reduceat(v, starts) for u, v in zip(ufuncs, (X, F, X, F))]
-    ds = dens
-    if len(dens) > 1:
-        ds, cls = np.unique(dens, return_inverse=True)
-        per = np.zeros((4, len(ds)), dtype=np.int64)
-        for u, row, v in zip(ufuncs, per, runs):
-            u.at(row, cls, v)
-        runs = per
-    ds = ds.tolist()
-    x_sums, f_sums, x_maxs, f_maxs = (v.tolist() for v in runs)
-    lcm = math.lcm(*ds)
+    Every level of a balanced design divides N, so every d = s_i s_j
+    divides N^2: d2 = X / d = P - N^2 / d and f N^2 = F w, with w = N^2 / d,
+    are integers.  As f N^2 <= 2 N^3 = 2^37 and d2 <= N^2, every int64 sum
+    over fewer than 2^23 pairs stays below 2^63; each reported value is
+    one Fraction of a sum or maximum of the int64 run values."""
+    x_sum, f_sum, x_max, f_max = (u.reduceat(v, starts) for u, v in zip(
+        (np.add, np.add, np.maximum, np.maximum), (X, F, X, F)))
+    w = N * N // dens
     npairs = len(X)
-
-    def over_lcm(sums):
-        return sum(v * (lcm // d) for v, d in zip(sums, ds))
-
-    def largest(maxs):
-        # max of v / d, by v d' > v' d; every v / d here is at least 0
-        best = (0, 1)
-        for v, d in zip(maxs, ds):
-            if v * best[1] > best[0] * d:
-                best = (v, d)
-        return Fraction(*best)
-
     return {
-        "ave_chi2": Fraction(sum(x_sums), N * npairs),
-        "max_chi2": Fraction(max(x_maxs), N),
-        "ave_f": Fraction(over_lcm(f_sums), lcm * npairs),
-        "max_f": largest(f_maxs),
-        "E_d2": Fraction(over_lcm(x_sums), lcm * npairs),
-        "max_d2": largest(x_maxs),
+        "ave_chi2": Fraction(sum(x_sum.tolist()), N * npairs),
+        "max_chi2": Fraction(max(x_max.tolist()), N),
+        "ave_f": Fraction(sum((w * f_sum).tolist()), N * N * npairs),
+        "max_f": Fraction(max((w * f_max).tolist()), N * N),
+        "E_d2": Fraction(sum((x_sum // dens).tolist()), npairs),
+        "max_d2": Fraction(max((x_max // dens).tolist())),
     }
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssd import design_core
-from ssd.criteria import strength
+from ssd.criteria import aggregate_stats, strength
 from ssd.design_core import (Design, design_sums, level_groups,
                              remove_fully_aliased, select_columns)
 from ssd.oracle import (FULLY_ALIASED, ORTHOGONAL, PARTIAL, SEMI_ORTHOGONAL,
@@ -154,6 +154,29 @@ def check_pair_sums(D):
         assert f == np.abs(lev[i] * lev[j] * tab - N).sum()
 
 
+def check_aggregates(D):
+    """The six f, d^2 and chi^2 aggregates and the histogram against
+    Fractions of each pair's own table: f = F / (s_i s_j), d^2 = X / (s_i s_j),
+    chi^2 = X / N, with X = s_i s_j P - N^2."""
+    X, lev, N = wide(D), D.levels, D.N
+    chi2s, fs, d2s, hist = [], [], [], Counter()
+    for i, j in itertools.combinations(range(D.m), 2):
+        tab = reference_table(X, lev, i, j)
+        den = lev[i] * lev[j]
+        x = den * int((tab * tab).sum()) - N * N
+        chi2s.append(F(x, N))
+        fs.append(F(int(np.abs(den * tab - N).sum()), den))
+        d2s.append(F(x, den))
+        hist[F(x, N * N)] += 1
+    rep = aggregate_stats(D, gwlp_jmax=1)
+    npairs = len(chi2s)
+    assert (rep.ave_chi2, rep.max_chi2, rep.ave_f, rep.max_f, rep.E_d2,
+            rep.max_d2) == (sum(chi2s) / npairs, max(chi2s),
+                            sum(fs) / npairs, max(fs),
+                            sum(d2s) / npairs, max(d2s))
+    assert rep.histogram == hist
+
+
 def check_joint_coincidences(D):
     """Rows against every row, a block of rows at a time, per level group;
     each pair a < b counted once."""
@@ -219,6 +242,11 @@ def test_cell_table_and_classify_pair_widen(dtype):
 def test_pair_gram_sums_widen_on_either_route(dtype, sparse, monkeypatch):
     monkeypatch.setattr(design_core, "cells_sparse", lambda D, tiles: sparse)
     on_designs(dtype, check_pair_sums, 4096 if sparse else GRAM_RUNS)
+
+
+@by_dtype
+def test_aggregates_widen(dtype):
+    on_designs(dtype, check_aggregates)
 
 
 @by_dtype

@@ -34,14 +34,17 @@ def sorted_columns(D):
 
 @st.composite
 def mixed_designs(draw):
-    """Random balanced designs, levels in {2, 3, 4, 6}, many Gram tiles wide.
+    """Random balanced designs, levels drawn from the divisors 2..12 of N,
+    many Gram tiles wide.  At N = 24 and 72 the pair denominators s_i s_j
+    need not have N^2 as their lcm.
 
     One column is a relabelled copy of another, so a fully aliased pair is
     always present, and one column coarsens a 6-level column.
     """
-    N = draw(st.sampled_from([12, 24]))
+    N = draw(st.sampled_from([12, 24, 72]))
     m = draw(st.integers(65, 76))
-    levels = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=m, max_size=m))
+    divisors = [s for s in range(2, 13) if N % s == 0]
+    levels = draw(st.lists(st.sampled_from(divisors), min_size=m, max_size=m))
     rnd = draw(st.randoms(use_true_random=False))
     cols = []
     for s in levels:
