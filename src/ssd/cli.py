@@ -14,10 +14,11 @@ from fractions import Fraction
 
 from . import constructions, oracle, report
 from .bounds import lb_es2, lb_lemma2, lb_theorem1, lb_theorem10
-from .design_core import (branch_fraction, check_branch_labels,
-                          column_levels, read_design, realize,
-                          remove_fully_aliased, replace_column, write_design)
-from .gf import Field, default_field
+from .design_core import (MAX_RUNS, branch_fraction, check_branch_labels,
+                          check_fraction_runs, column_levels, read_design,
+                          realize, remove_fully_aliased, replace_column,
+                          write_design)
+from .gf import Field, check_order, default_field, point_count
 from .poly_labels import h_set, label_str, parse_label, q1
 
 
@@ -55,6 +56,22 @@ def _unread_flags(args, flags, read) -> str:
                      if f not in read and getattr(args, f) is not None)
 
 
+def _check_run_count(args, n: int) -> None:
+    """Refuse a design of more than MAX_RUNS runs from the flags alone,
+    before GF(s) is built, with the builders' own messages: s^n points,
+    or the k s^(n-1) runs of a thm8/thm9 fraction.  The order is checked
+    first, as Field checks it; an n or k that a builder rejects for
+    another reason, and the GF(3)-only example 3, are left to the builder,
+    which names that fault."""
+    if args.theorem == "example3" or n < 1:
+        return
+    check_order(args.s)
+    if args.theorem not in ("8", "9"):
+        point_count(args.s, n, MAX_RUNS)
+    elif 1 <= args.k < args.s:
+        check_fraction_runs(args.k * args.s ** (n - 1))
+
+
 def _cmd_construct(args) -> int:
     required, optional = _THEOREM_FLAGS[args.theorem]
     if required and getattr(args, required) is None:
@@ -66,8 +83,9 @@ def _cmd_construct(args) -> int:
     if unread:
         print(f"--theorem {args.theorem} does not read {unread}", file=sys.stderr)
         return 2
-    f = _field(args.s, args.modulus)
     n = 3 if args.theorem == "example3" else 2 if args.n is None else args.n
+    _check_run_count(args, n)
+    f = _field(args.s, args.modulus)
     hs = (None if args.hs is None
           else [parse_label(f, t, n) for t in args.hs.split(",")])
     g = None if args.levels is None else _int_list(args.levels)

@@ -43,7 +43,7 @@ def construct_thm4(field: Field, n: int) -> Design:
     """H(X1..Xn) next to the quadratic companions of X1."""
     if n < 2:
         raise ValueError("needs at least two variables")
-    point_count(field, n, MAX_RUNS)
+    point_count(field.order, n, MAX_RUNS)
     labels = h_set(field, n) + q1_star(field, n)
     return realize(field, n, labels)
 
@@ -53,7 +53,7 @@ def _juxtapose_companions(field: Field, n: int, k: int, hs, family) -> Design:
 
     hs defaults to the first k forms of H in canonical order.
     """
-    point_count(field, n, MAX_RUNS)
+    point_count(field.order, n, MAX_RUNS)
     if n < 2:
         raise ValueError("needs at least two variables")
     t = (field.order**n - 1) // (field.order - 1)

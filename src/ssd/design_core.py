@@ -48,8 +48,9 @@ PAIR_CELL_BUDGET = 1 << 13
 # COINCIDENCE_BLOCK_CELLS // N rows against the rows from the block on.
 COINCIDENCE_BLOCK_CELLS = 1 << 21
 # Symbols per block where the design matrix is walked a block at a time:
-# whole rows for the text writer, the balance check and the one-hot matrix,
-# whole columns for the relabelling check.  Bounds their temporaries.
+# whole rows for the text writer and reader, the balance check and the
+# one-hot matrix, whole columns for the relabelling check.  Bounds their
+# temporaries.
 MATRIX_BLOCK_CELLS = 1 << 16
 
 
@@ -84,30 +85,10 @@ class Design:
         if m.dtype.kind not in "iu":
             m = m.astype(np.int64)
         N, cols = m.shape
-        if N == 0:
-            raise ValueError("a design needs at least one run")
-        if cols == 0:
-            raise ValueError("a design needs at least one column")
         levels = tuple(int(s) for s in levels)
-        if len(levels) != cols:
-            raise ValueError("one level count per column is required")
-        _check_design_size(N, cols)
-        lev = np.asarray(levels, dtype=np.int64)
-        # whole-matrix checks in a fixed order, each naming the first column
-        # at fault: level count, divisibility, symbol range, balance
-        bad = np.flatnonzero(lev < 2)
-        if bad.size:
-            raise ValueError(f"column {bad[0]} must have at least 2 levels")
-        bad = np.flatnonzero(N % lev)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"run count {N} not divisible by {levels[i]} "
-                             f"levels of column {i}")
+        lev = _check_layout(N, cols, levels)
         # on the input's own dtype: narrowing first would wrap 300 to 44
-        bad = np.flatnonzero((m.min(axis=0) < 0) | (m.max(axis=0) >= lev))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"column {i} has symbols outside 0..{levels[i] - 1}")
+        _check_symbol_range(m.min(axis=0), m.max(axis=0), lev)
         dtype = symbol_dtype(levels)
         if not (m is matrix and m.dtype == dtype and m.flags.c_contiguous
                 and m.flags.owndata and not m.flags.writeable):
@@ -142,6 +123,41 @@ def level_profile(levels) -> str:
     if len(set(levels)) == 1:
         return f"{levels[0]}^{len(levels)}"
     return " ".join(map(str, levels))
+
+
+def _check_layout(N: int, cols: int, levels: tuple[int, ...]) -> np.ndarray:
+    """The checks of a design's shape and levels, before any symbol is
+    read, in a fixed order, each naming the first column at fault: runs,
+    columns, one level count per column, size, level count,
+    divisibility.  Returns the levels as an int64 array."""
+    if N == 0:
+        raise ValueError("a design needs at least one run")
+    if cols == 0:
+        raise ValueError("a design needs at least one column")
+    if len(levels) != cols:
+        raise ValueError("one level count per column is required")
+    _check_design_size(N, cols)
+    lev = np.asarray(levels, dtype=np.int64)
+    bad = np.flatnonzero(lev < 2)
+    if bad.size:
+        raise ValueError(f"column {bad[0]} must have at least 2 levels")
+    bad = np.flatnonzero(N % lev)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"run count {N} not divisible by {levels[i]} "
+                         f"levels of column {i}")
+    return lev
+
+
+def _check_symbol_range(lo: np.ndarray, hi: np.ndarray,
+                        lev: np.ndarray) -> None:
+    """Reject the first column whose smallest symbol lo is negative or whose
+    largest hi is not below its level count lev: the check after
+    _check_layout and before balance."""
+    bad = np.flatnonzero((lo < 0) | (hi >= lev))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"column {i} has symbols outside 0..{lev[i] - 1}")
 
 
 def _check_design_size(N: int, m: int) -> None:
@@ -192,7 +208,7 @@ def realize(field: Field, n: int, labels) -> Design:
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
-    _check_design_size(point_count(field, n, MAX_RUNS), len(labels))
+    _check_design_size(point_count(field.order, n, MAX_RUNS), len(labels))
     return Design(_frozen(eval_labels(field, labels, n)),
                   (field.order,) * len(labels), labels=labels)
 
@@ -244,7 +260,7 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
     check_branch_labels(len(labels))
     # a nonempty level of a label column holds a multiple of s^(n-1) points,
     # so no fraction of more than s * MAX_RUNS points fits in MAX_RUNS runs
-    point_count(field, n, s * MAX_RUNS)
+    point_count(s, n, s * MAX_RUNS)
     branch_col = eval_labels(field, [branch_label], n)[:, 0]
     rows = np.concatenate([np.flatnonzero(branch_col == v) for v in g])
     check_fraction_runs(len(rows))
@@ -669,15 +685,27 @@ def _text_blocks(D: Design):
 
 
 def read_design(path, allow_unbalanced=False) -> Design:
-    """Read the three header lines with readline, then parse the body lines
-    with one np.loadtxt; the text is never held as one string.  The body is
-    read as int32, wide enough that a symbol out of range, such as -1 or
-    70000, reaches the Design's range check, which sees it before the
-    matrix is narrowed; a token that int32 cannot hold is malformed.
+    """Read the three header lines with readline, check the shape and levels
+    they give with Design's own checks (_check_layout), so that the size is
+    checked before anything is allocated, then parse the body into the
+    narrow matrix a row block at a time (_read_blocks).  The design
+    takes that matrix without a copy and still runs every check.  The
+    text is never held as one string, and no int32 copy of the whole body
+    exists.
 
-    loadtxt gets the body as a list of lines, not the stream: parsing the
-    stream line by line left a long-lived process faulting in fresh pages
-    for its later large arrays (about 5x the minor faults and 40% more time
+    Every other file, such as one with no runs or columns, one whose level
+    line does not give m levels, or one whose body is malformed, short or
+    long, is parsed whole by one np.loadtxt, so its verdict and the row
+    number in it do not depend on the block size.
+
+    The body is read as one list of lines, not a block of lines at a
+    time.  Reading the file a block at a time too lowered the
+    construct-fields benchmark's peak by a further 2.3 MB, but left its
+    long-lived worker
+    faulting in fresh pages for the later ops: its wall_s rose by 23%,
+    and a thm4 GF(16) n = 3 build after a 4096 x 545 read took about 11k
+    minor faults and 73 ms instead of 0.6k and 36 ms.  Parsing the stream
+    line by line did the same (about 5x the minor faults and 40% more time
     for a 3840 x 272 thm8 build run after a 4096 x 545 read).
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -686,19 +714,70 @@ def read_design(path, allow_unbalanced=False) -> Design:
         try:
             N, m = map(int, _header_line(fh).split())
             levels = tuple(map(int, _header_line(fh).split()))
-            # numpy < 2 only warns when it parses '1.0' as an integer, and
-            # an empty body only warns too
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                matrix = np.loadtxt(fh.readlines(), dtype=np.int32, ndmin=2,
-                                    comments=None)
-        except (ValueError, Warning) as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed design file: {exc}") from exc
-    if len(levels) != m:
-        raise ValueError(f"expected {m} level entries, found {len(levels)}")
-    if matrix.shape != (N, m):
-        raise ValueError(f"expected {N} rows of {m} symbols")
+        lines = fh.readlines()
+    matrix = None
+    if min(N, m) > 0 and len(levels) == m:      # a header that lays out N x m
+        matrix = _read_blocks(lines, N, _check_layout(N, m, levels))
+    if matrix is None:
+        matrix = _parse_body(lines)
+        if len(levels) != m:
+            raise ValueError(f"expected {m} level entries, found {len(levels)}")
+        if matrix.shape != (N, m):
+            raise ValueError(f"expected {N} rows of {m} symbols")
     return Design(matrix, levels, require_balanced=not allow_unbalanced)
+
+
+def _parse_body(lines) -> np.ndarray:
+    """The rows of the lines as an int32 matrix, blank lines skipped.
+
+    int32 is wide enough that a symbol out of range, such as -1 or 70000,
+    reaches the range check; a token that int32 cannot hold, one that is
+    not an integer, rows of unequal length or no rows at all make the
+    body malformed.
+    """
+    try:
+        # numpy < 2 only warns when it parses '1.0' as an integer, and an
+        # empty body only warns too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype=np.int32, ndmin=2, comments=None)
+    except (ValueError, Warning) as exc:
+        raise ValueError(f"malformed design file: {exc}") from exc
+
+
+def _read_blocks(lines, N: int, lev: np.ndarray) -> np.ndarray | None:
+    """The body lines as the frozen N x m matrix of symbol_dtype(lev),
+    parsed a block of about MATRIX_BLOCK_CELLS symbols at a time; None when
+    a block is malformed, holds no rows (all blank) or rows of another
+    length, or the blocks do not add up to N rows.
+
+    Each block is parsed as int32 and its per-column minima and maxima
+    are folded into running extrema before it is narrowed into the
+    matrix, so the range check sees the raw symbols of every row.
+    """
+    m = len(lev)
+    X = np.empty((N, m), dtype=symbol_dtype(lev))
+    lo = np.full(m, np.iinfo(np.int32).max, dtype=np.int32)
+    hi = np.full(m, np.iinfo(np.int32).min, dtype=np.int32)
+    step = max(1, MATRIX_BLOCK_CELLS // m)
+    r = 0
+    for i in range(0, len(lines), step):
+        try:
+            block = _parse_body(lines[i:i + step])
+        except ValueError:
+            return None
+        if block.shape[1] != m or r + len(block) > N:
+            return None
+        np.minimum(lo, block.min(axis=0), out=lo)
+        np.maximum(hi, block.max(axis=0), out=hi)
+        X[r:r + len(block)] = block     # wraps out-of-range symbols
+        r += len(block)
+    if r != N:
+        return None
+    _check_symbol_range(lo, hi, lev)
+    return _frozen(X)
 
 
 def _header_line(fh) -> str:

@@ -34,23 +34,28 @@ DEFAULT_MODULI = {
 }
 
 
-def _prime_power(s: int) -> tuple[int, int]:
-    """Decompose s = p^r with p prime, or raise."""
-    if s < 2:
-        raise ValueError(f"field order must be at least 2, got {s}")
+def check_order(order: int) -> tuple[int, int]:
+    """(p, r) with order = p^r, p prime, after the checks Field makes of
+    its order before it builds any table: at most MAX_ORDER, at least 2,
+    and a prime power."""
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"field order {order} exceeds the supported {MAX_ORDER}")
+    if order < 2:
+        raise ValueError(f"field order must be at least 2, got {order}")
     p = None
-    for d in range(2, int(s**0.5) + 1):
-        if s % d == 0:
+    for d in range(2, int(order**0.5) + 1):
+        if order % d == 0:
             p = d
             break
     if p is None:
-        return s, 1
-    t, r = s, 0
+        return order, 1
+    t, r = order, 0
     while t % p == 0:
         t //= p
         r += 1
     if t != 1:
-        raise ValueError(f"{s} is not a prime power")
+        raise ValueError(f"{order} is not a prime power")
     return p, r
 
 
@@ -104,10 +109,7 @@ class Field:
                  "_digits")
 
     def __init__(self, order: int, modulus=None):
-        if order > MAX_ORDER:
-            raise ValueError(
-                f"field order {order} exceeds the supported {MAX_ORDER}")
-        p, r = _prime_power(order)
+        p, r = check_order(order)
         self.p, self.r, self.order = p, r, order
         if modulus is None and r > 1:
             modulus = DEFAULT_MODULI.get(order) or _find_irreducible(p, r)
@@ -276,15 +278,16 @@ def enumerate_points(field: Field, n: int) -> np.ndarray:
     ValueError when s^n exceeds MAX_ORDER.
     """
     s = field.order
-    idx = np.arange(point_count(field, n), dtype=np.int64)
+    idx = np.arange(point_count(s, n), dtype=np.int64)
     return idx[:, None] // s ** np.arange(n - 1, -1, -1, dtype=np.int64) % s
 
 
-def point_count(field: Field, n: int, max_points: int = MAX_ORDER) -> int:
-    """s^n, the number of points of F_s^n; raises ValueError above max_points."""
+def point_count(s: int, n: int, max_points: int = MAX_ORDER) -> int:
+    """s^n, the number of points of F_s^n; raises ValueError above
+    max_points.  It reads the field order alone, so a caller can check
+    the point count before it builds the field."""
     if n < 1:
         raise ValueError("need at least one coordinate")
-    s = field.order
     if s**n > max_points:
         raise ValueError(f"{s}^{n} points exceed the supported {max_points}")
     return s**n

@@ -147,10 +147,15 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     of the field's tables (the Design's symbol dtype for s levels).
 
     Rows follow enumerate_points order; with rows (indices into that order)
-    only those points are kept.  Each distinct linear form, whether a linear
-    label or the l or g of a quadratic one, is evaluated once over the whole
-    grid as the add-outer of the rows mul[c_i, :], the first coordinate
-    slowest.  A quadratic label is then sq[a, l] + g, where the s x s table
+    only those points are evaluated, in that order.  Each distinct linear
+    form, whether a linear label or the l or g of a quadratic one, is
+    evaluated once: the first n - 1 coordinates on their full grid of
+    s^(n-1) prefixes, as the add-outer of the rows mul[c_i, :], the first
+    coordinate slowest, then the last coordinate at each kept point r,
+    mul[c_n, r % s] added onto prefix r // s; with every point kept that
+    last step is the add-outer too.  A fraction keeps at most MAX_ORDER of
+    at most s MAX_ORDER points, so its prefix grid has at most MAX_ORDER
+    points.  A quadratic label is then sq[a, l] + g, where the s x s table
     sq[a, v] = v (v + a) = v^2 + a v: each block of output columns reads
     the row sq[a, l] once per distinct (l, a) among its quadratic labels,
     and finishes each column with one lookup of the flat add table.  Forms
@@ -158,7 +163,7 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     cells at a time.
     """
     s = field.order
-    N = point_count(field, n, s * MAX_ORDER)
+    N = point_count(s, n, s * MAX_ORDER)
     forms: dict[tuple[int, ...], int] = {}   # coefficients -> row of F
 
     def form(f: LinearForm) -> int:
@@ -171,20 +176,28 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     ell, a, g = np.array(spec, dtype=np.intp).reshape(-1, 3).T
     add, mul = field.add_table, field.mul_table
     flat = add.ravel()
-    keep = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
-    R = N if rows is None else len(keep)
+    # (prefix, last coordinate) selections of one add-outer step: the whole
+    # grid, or the kept points
+    grid = np.s_[:, :, None], np.s_[:, None, :]
+    if rows is None:
+        R, last = N, grid
+    else:
+        keep = np.asarray(rows, dtype=np.intp)
+        R, last = len(keep), (np.s_[:, keep // s], np.s_[:, keep % s])
     coeffs = np.array(list(forms), dtype=np.intp).reshape(-1, n)
     F = np.empty((len(coeffs), R), dtype=add.dtype)
-    step = max(1, EVAL_BLOCK_CELLS // N)
+    # a block's widest array is the prefix grid or the kept points
+    step = max(1, EVAL_BLOCK_CELLS // max(N // s, R))
     for f0 in range(0, len(coeffs), step):
         c = coeffs[f0:f0 + step]
-        acc = mul[c[:, 0]]
-        for i in range(1, n):
+        acc = np.zeros((len(c), 1), dtype=add.dtype)     # the empty prefix
+        for i in range(n):
+            pre, cur = last if i == n - 1 else grid
             # add[acc, mul[c_i, :]] through the flat table; the intp cast
             # keeps narrow symbols from overflowing in the index arithmetic
-            idx = acc.astype(np.intp)[:, :, None] * s + mul[c[:, i]][:, None, :]
+            idx = acc[pre].astype(np.intp) * s + mul[c[:, i]][cur]
             acc = flat[idx.reshape(len(c), -1)]
-        F[f0:f0 + step] = acc[:, keep]
+        F[f0:f0 + step] = acc
 
     v = np.arange(s)
     # sq[a, v] s, so that add[sq[a, l], g] is flat[sq_s[a, l] + g]; its

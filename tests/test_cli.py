@@ -473,6 +473,30 @@ def test_construct_rejects_too_many_runs(tmp_path, capsys):
     assert not d.exists()
 
 
+@pytest.mark.parametrize("theorem,message", [
+    (["4"], "4096^2 points exceed the supported 4096"),
+    (["6", "--k", "2"], "1024^2 points exceed the supported 4096"),
+    (["8", "--k", "2"], "the fraction keeps 8192 runs, more than the "
+                        "supported 4096"),
+    (["9", "--k", "3"], "the fraction keeps 12288 runs, more than the "
+                        "supported 4096")],
+    ids=["theorem4", "theorem6", "theorem8", "theorem9"])
+def test_construct_checks_the_run_count_before_building_the_field(
+        tmp_path, capsys, monkeypatch, theorem, message):
+    from ssd import cli
+
+    def no_field(*args):
+        raise AssertionError("a field was built for a rejected design")
+    monkeypatch.setattr(cli, "Field", no_field)
+    monkeypatch.setattr(cli, "default_field", no_field)
+    s = "1024" if theorem[0] == "6" else "4096"
+    d = tmp_path / "big.ssd"
+    assert run(["construct", "--theorem", *theorem, "--s", s, "--n", "2",
+                "--out", str(d)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not d.exists()
+
+
 def test_branch_keeps_fraction_of_larger_point_set(tmp_path):
     # 17^3 points exceed the run limit, but one kept level is 289 runs
     d = tmp_path / "b17.ssd"

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +505,158 @@ def test_read_design_reads_the_open_file(tmp_path):
                  "# ssd v1\n4 1\n", "# ssd v1\n"):
         with pytest.raises(ValueError, match="malformed design file"):
             read_text(text, tmp_path)
+
+
+@pytest.fixture
+def small_read_blocks(monkeypatch):
+    """Row blocks of two rows of two symbols in read_design."""
+    monkeypatch.setattr(design_core, "MATRIX_BLOCK_CELLS", 4)
+
+
+def body_text(rows, levels=(2, 2)):
+    """A design file of the given body lines, N the number of lines."""
+    return (f"# ssd v1\n{len(rows)} {len(levels)}\n"
+            f"{' '.join(map(str, levels))}\n" + "\n".join(rows) + "\n")
+
+
+def whole_body_verdict(rows):
+    """The verdict of one np.loadtxt over the whole body, which a reader
+    that parses row blocks must give whatever the block size."""
+    lines = [r + "\n" for r in rows]
+    with pytest.raises(ValueError) as exc:
+        np.loadtxt(lines, dtype=np.int32, ndmin=2, comments=None)
+    return f"malformed design file: {exc.value}"
+
+
+BALANCED_ROWS = ["0 1", "1 0", "0 0", "1 1", "0 1", "1 0", "0 0", "1 1"]
+
+
+def test_reader_parses_row_blocks(small_read_blocks, tmp_path, call_counter):
+    calls, count = call_counter
+    count(design_core, "_parse_body")
+    D = read_text(body_text(BALANCED_ROWS), tmp_path)
+    assert D.matrix.tolist() == [list(map(int, r.split()))
+                                 for r in BALANCED_ROWS]
+    assert D.matrix.dtype == np.uint8 and not D.matrix.flags.writeable
+    assert calls["_parse_body"] == 4       # four blocks, no whole-body parse
+
+
+def test_reader_names_a_malformed_token_in_a_later_block(small_read_blocks,
+                                                          tmp_path):
+    rows = BALANCED_ROWS[:5] + ["1 x"] + BALANCED_ROWS[6:]
+    with pytest.raises(ValueError) as exc:
+        read_text(body_text(rows), tmp_path)
+    assert str(exc.value) == whole_body_verdict(rows)
+    assert "'x' to int32 at row 5, column 2" in str(exc.value)
+
+
+def test_reader_names_the_first_column_out_of_range_over_all_rows(
+        small_read_blocks, tmp_path):
+    """Column 1 is out of range in the first block and column 0 in the
+    third: the verdict names column 0, as Design's range check does."""
+    rows = ["0 2"] + BALANCED_ROWS[1:4] + ["-1 1"] + BALANCED_ROWS[5:]
+    with pytest.raises(ValueError) as exc:
+        read_text(body_text(rows), tmp_path)
+    assert str(exc.value) == "column 0 has symbols outside 0..1"
+    matrix = np.array([[int(v) for v in r.split()] for r in rows])
+    with pytest.raises(ValueError) as exc:
+        Design(matrix, (2, 2))
+    assert str(exc.value) == "column 0 has symbols outside 0..1"
+
+
+def test_reader_rejects_rows_of_unequal_length_across_blocks(
+        small_read_blocks, tmp_path):
+    rows = BALANCED_ROWS[:2] + ["0 0 1", "1 1 0"] + BALANCED_ROWS[4:]
+    with pytest.raises(ValueError) as exc:
+        read_text(body_text(rows), tmp_path)
+    assert str(exc.value) == whole_body_verdict(rows)
+    assert "columns changed from 2 to 3" in str(exc.value)
+    # every row of one other length: the shape is wrong, not the body
+    with pytest.raises(ValueError, match="expected 8 rows of 2 symbols"):
+        read_text(body_text([r + " 0" for r in BALANCED_ROWS]), tmp_path)
+
+
+@pytest.mark.parametrize("blanks", [1, 2, 5])
+def test_reader_skips_blank_lines_between_blocks(small_read_blocks, tmp_path,
+                                                 blanks):
+    """Blank lines inside a block, and blocks that are all blank, are
+    skipped; missing or extra rows are still counted."""
+    rows = BALANCED_ROWS[:2] + ["  "] * blanks + BALANCED_ROWS[2:] + [""]
+    text = body_text(rows).replace(f"{len(rows)} 2", "8 2", 1)
+    D = read_text(text, tmp_path)
+    assert D.matrix.tolist() == [list(map(int, r.split()))
+                                 for r in BALANCED_ROWS]
+    for n in (6, 10):
+        with pytest.raises(ValueError, match=f"expected {n} rows of 2"):
+            read_text(text.replace("8 2", f"{n} 2", 1), tmp_path)
+
+
+def test_reader_reads_a_4096_level_column_as_uint16(small_read_blocks,
+                                                    tmp_path):
+    rows = [f"{i} {i % 2}" for i in range(4096)]
+    D = read_text(body_text(rows, (4096, 2)), tmp_path)
+    assert D.matrix.dtype == np.uint16
+    assert D.matrix[:, 0].tolist() == list(range(4096))
+    rows[4000] = "4096 0"
+    with pytest.raises(ValueError, match="column 0 has symbols outside "
+                                         r"0\.\.4095"):
+        read_text(body_text(rows, (4096, 2)), tmp_path, allow_unbalanced=True)
+
+
+def test_reader_checks_the_header_size_before_allocating(tmp_path,
+                                                         monkeypatch):
+    def allocated(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+    text = "# ssd v1\n100000 100000\n" + "2 " * 100000 + "\n0 1\n"
+    for name in ("empty", "zeros", "full", "loadtxt"):
+        monkeypatch.setattr(np, name, allocated)
+    with pytest.raises(ValueError) as exc:
+        read_text(text, tmp_path)
+    assert str(exc.value) == ("design size 100000x100000 exceeds the "
+                              "supported 4096x4096")
+
+
+MEASURE_READ_HWM = """
+import sys
+from ssd.design_core import read_design
+
+
+def hwm_mb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+
+
+before = hwm_mb()
+D = read_design(sys.argv[1])
+print(D.N, D.m, D.matrix.dtype, hwm_mb() - before)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc")
+def test_read_memory_at_4096_by_4095(tmp_path):
+    """Reading the 4096 x 4095 thm6 GF(4) n=6 k=3 file (33.5 MB of text,
+    a 16.8 MB matrix) holds the lines, the matrix and one int32 row
+    block: a whole-body int32 parse and its narrowed copy raised the
+    reading process's peak resident memory by about 100 MB."""
+    import os
+    import subprocess
+    import sys
+
+    import ssd
+    from ssd.constructions import construct_thm6
+    path = tmp_path / "big.ssd"
+    write_design(construct_thm6(default_field(4), 6, 3), path)
+    env = dict(os.environ, PYTHONPATH=str(Path(ssd.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", MEASURE_READ_HWM, str(path)],
+                         capture_output=True, text=True, env=env, check=True)
+    N, m, dtype, grown_mb = out.stdout.split()
+    assert (int(N), int(m), dtype) == (4096, 4095, "uint8")
+    assert float(grown_mb) < 70
+
 
 MEASURE_COINCIDENCE_RSS = """
 import resource

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssd import poly_labels
 from ssd.design_core import MAX_RUNS, realize
 from ssd.gf import Field, default_field, enumerate_points
 from ssd.oracle import (classify_pair, eval_label, forms_dependent, is_oa,
@@ -188,6 +189,43 @@ def test_eval_labels_matches_scalar_every_modulus(batch):
         pts = pts[rows]
     assert eval_labels(f, labels, n, rows).tolist() == [
         [eval_label(f, lab, p) for lab in labels] for p in pts]
+
+
+@st.composite
+def kept_rows(draw):
+    """A field, n with at most 2 * MAX_RUNS points, random labels, a block
+    size, and rows: a random subset in random order, or the points where a
+    branch label takes each of some kept values, grouped by value in
+    ascending order as branch_fraction keeps them."""
+    f = draw(st.sampled_from([default_field(s) for s in (2, 3, 4, 5, 8, 9)]))
+    n = draw(st.sampled_from([k for k in (1, 2, 3, 4)
+                              if f.order**k <= 2 * MAX_RUNS]))
+    sym = st.integers(0, f.order - 1)
+    form = st.builds(LinearForm, st.tuples(*[sym] * n))
+    label = st.one_of(form, st.builds(QuadraticLabel, form, sym, form))
+    labels = draw(st.lists(label, min_size=1, max_size=8))
+    N = f.order**n
+    if draw(st.booleans()):
+        rows = draw(st.permutations(range(N)))[:draw(st.integers(1, N))]
+    else:
+        col = eval_labels(f, [draw(label)], n)[:, 0]
+        kept = draw(st.lists(sym, min_size=1, max_size=f.order, unique=True))
+        rows = np.concatenate([np.flatnonzero(col == v)
+                               for v in sorted(kept)])
+    return f, n, labels, rows, draw(st.sampled_from([1, 64, 1 << 18]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kept_rows())
+def test_eval_labels_at_kept_rows_is_the_full_grid_at_those_rows(batch):
+    """Evaluating at the kept points alone, a block of forms or of output
+    columns at a time, gives the rows of the whole grid's evaluation."""
+    f, n, labels, rows, block = batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_labels, "EVAL_BLOCK_CELLS", block)
+        kept = eval_labels(f, labels, n, rows)
+    assert kept.dtype == f.add_table.dtype
+    assert (kept == eval_labels(f, labels, n)[rows]).all()
 
 
 def test_eval_labels_rejects_wrong_variable_count(gf3):
