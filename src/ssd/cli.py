@@ -11,19 +11,24 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import constructions, oracle, report
-from .bounds import lb_es2, lb_lemma2, lb_theorem1, lb_theorem10
 from .design_core import (MAX_RUNS, branch_fraction, check_branch_labels,
                           check_fraction_runs, column_levels, read_design,
                           realize, remove_fully_aliased, replace_column,
                           write_design)
-from .gf import Field, check_order, default_field, point_count
-from .poly_labels import h_set, label_str, parse_label, q1
+
+if TYPE_CHECKING:
+    from .gf import Field
+
+# Every other module is imported by the command that runs it, so that a
+# command loads only what it uses: evaluate never loads the field, the
+# labels, the catalog or the oracle.
 
 
 def _field(s: int, modulus_spec: str | None) -> Field:
     """GF(s) under --modulus 'c0,c1,...' (constant term first), if given."""
+    from .gf import Field, default_field
     if modulus_spec is None:
         return default_field(s)
     return Field(s, _int_list(modulus_spec))
@@ -63,6 +68,7 @@ def _check_run_count(args, n: int) -> None:
     first, as Field checks it; an n or k that a builder rejects for
     another reason, and the GF(3)-only example 3, are left to the builder,
     which names that fault."""
+    from .gf import check_order, point_count
     if args.theorem == "example3" or n < 1:
         return
     check_order(args.s)
@@ -73,6 +79,8 @@ def _check_run_count(args, n: int) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+    from .poly_labels import label_str, parse_label
     required, optional = _THEOREM_FLAGS[args.theorem]
     if required and getattr(args, required) is None:
         family = "the 18-run family" if required == "branch" else "this construction"
@@ -114,6 +122,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import report
     D = read_design(args.file)
     rep = report.build_report(D, gwlp_jmax=args.jmax)
     sys.stdout.write(report.report_to_text(rep))
@@ -126,6 +135,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bound(args) -> int:
     """Print every applicable bound; all are worked out before any is printed."""
+    from .bounds import lb_es2, lb_lemma2, lb_theorem1, lb_theorem10
     N, m, s = args.N, args.m, args.s
     if args.levels is not None:
         unread = _unread_flags(args, ("m", "s"), ())
@@ -154,6 +164,7 @@ def _clamped(name: str, bound: Fraction) -> str:
 
 
 def _cmd_branch(args) -> int:
+    from .poly_labels import h_set, parse_label, q1
     f = _field(args.s, args.modulus)
     s, n = f.order, args.n
     # either family has (s^n - 1)/(s - 1) labels: checked before any is built.
@@ -176,6 +187,8 @@ def _cmd_replace(args) -> int:
     if args.table is not None:
         table = read_design(args.table, allow_unbalanced=True).matrix
     else:
+        from .gf import default_field
+        from .poly_labels import h_set
         f_new = default_field(args.oa_levels)
         # saturated strength-2 array with s_old rows indexes the old symbols
         r = 0
@@ -193,6 +206,7 @@ def _cmd_replace(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
     res = oracle.exhaustive_min_a2(args.N, args.s, args.m, args.budget,
                                    stop_at_bound=not args.full)
     if res.best_a2 is None:
@@ -205,6 +219,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify_catalog(args) -> int:
+    from . import constructions
     if (args.modulus is None) != (args.modulus_levels is None):
         print("--modulus and --modulus-levels must be given together",
               file=sys.stderr)
@@ -233,7 +248,10 @@ def _cmd_verify_catalog(args) -> int:
 def _cmd_export(args) -> int:
     D = read_design(args.file, allow_unbalanced=args.allow_unbalanced)
     # build the report first, so a design it rejects leaves no file behind
-    text = report.report_to_json(report.build_report(D)) if args.json else None
+    text = None
+    if args.json:
+        from . import report
+        text = report.report_to_json(report.build_report(D))
     write_design(D, args.out)
     if text is not None:
         with open(args.json, "w", encoding="ascii") as fh:
@@ -311,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     om.add_argument("--N", type=int, required=True)
     om.add_argument("--s", type=int, required=True)
     om.add_argument("--m", type=int, required=True)
-    om.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+    # oracle.DEFAULT_BUDGET, spelled out so that the parser needs no oracle
+    om.add_argument("--budget", type=int, default=10**8,
                     help="candidate evaluations (default %(default)s)")
     om.add_argument("--full", action="store_true",
                     help="do not stop early at the lower bound")

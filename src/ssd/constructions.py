@@ -30,7 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import report
 from .design_core import (MAX_RUNS, Design, branch_fraction,
                           check_fraction_runs, level_profile, read_design,
                           realize, remove_fully_aliased, select_columns)
@@ -252,6 +251,7 @@ def verify_design(recipe: Recipe, D: Design) -> RowResult:
     projected A2 is at most s - 1, with equality exactly when one column
     is a relabelling of the other: the design has a fully aliased pair
     exactly when s - 1 is a value of its histogram."""
+    from . import report    # here, so that construct does not load it
     problems = []
     if D.N != recipe.expected_N or D.m != recipe.expected_m:
         problems.append(f"shape {D.N}x{D.m} != "

@@ -30,13 +30,18 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gf import MAX_ORDER, Field, point_count
-from .poly_labels import Label, eval_labels
+if TYPE_CHECKING:
+    from .gf import Field
+    from .poly_labels import Label
 
-MAX_RUNS = MAX_ORDER
+# gf.MAX_ORDER, the largest field order, spelled out so that reading and
+# evaluating a design loads neither the field nor the label modules, which
+# realize and branch_fraction import when called; a test keeps them equal
+MAX_RUNS = 4096
 MAX_COLUMNS = 4096
 # Gram cells per run in one tile of the one-hot Gram route of the pair
 # kernel: a tile of h one-hot rows against all L one-hot columns has
@@ -52,6 +57,9 @@ COINCIDENCE_BLOCK_CELLS = 1 << 21
 # one-hot matrix, whole columns for the relabelling check.  Bounds their
 # temporaries.
 MATRIX_BLOCK_CELLS = 1 << 16
+# Bins per bincount of the balance check: a tile of columns whose levels
+# sum to at most this many is counted at once.
+BALANCE_BINS = 1 << 16
 
 
 class Design:
@@ -175,22 +183,38 @@ def symbol_dtype(levels) -> np.dtype:
 def _first_unbalanced(matrix: np.ndarray, lev: np.ndarray) -> int | None:
     """First column whose symbols are not equally frequent, or None.
 
-    Symbols must already lie in range.  Each column's symbols are shifted
-    into its own bins, and each block of about MATRIX_BLOCK_CELLS contiguous
-    symbols (whole rows) is counted with one bincount into one code buffer.
+    Symbols must already lie in range.  The columns are taken in tiles
+    whose levels sum to at most BALANCE_BINS (or one column alone), so the
+    check costs O(N m) whatever the levels.  Within a tile each column's
+    symbols are shifted into its own bins, and each block of about
+    MATRIX_BLOCK_CELLS symbols (whole rows of the tile) is counted with one
+    bincount into one code buffer.  Tiles are checked in column order, so
+    the first column at fault is named.
     """
     N, m = matrix.shape
-    starts = np.cumsum(lev) - lev
-    L = int(lev.sum())
-    rows = max(1, MATRIX_BLOCK_CELLS // m)
-    codes = np.empty(min(rows, N) * m, dtype=np.intp)
-    counts = np.zeros(L, dtype=np.intp)
-    for r0 in range(0, N, rows):
-        block = matrix[r0:r0 + rows]
-        np.add(block, starts, out=codes[:block.size].reshape(block.shape))
-        counts += np.bincount(codes[:block.size], minlength=L)
-    off = np.logical_or.reduceat(counts != np.repeat(N // lev, lev), starts)
-    return int(np.argmax(off)) if off.any() else None
+    ends = np.cumsum(lev)
+    c0 = 0
+    while c0 < m:
+        # the widest run of columns from c0 whose levels fit the bins
+        base = ends[c0] - lev[c0]
+        c1 = max(c0 + 1, int(np.searchsorted(ends, base + BALANCE_BINS,
+                                             side="right")))
+        tile = lev[c0:c1]
+        starts = ends[c0:c1] - tile - base
+        L = int(ends[c1 - 1] - base)
+        rows = max(1, MATRIX_BLOCK_CELLS // (c1 - c0))
+        codes = np.empty(min(rows, N) * (c1 - c0), dtype=np.intp)
+        counts = np.zeros(L, dtype=np.intp)
+        for r0 in range(0, N, rows):
+            block = matrix[r0:r0 + rows, c0:c1]
+            np.add(block, starts, out=codes[:block.size].reshape(block.shape))
+            counts += np.bincount(codes[:block.size], minlength=L)
+        off = np.logical_or.reduceat(counts != np.repeat(N // tile, tile),
+                                     starts)
+        if off.any():
+            return c0 + int(np.argmax(off))
+        c0 = c1
+    return None
 
 
 # -- construction ---------------------------------------------------------------
@@ -205,6 +229,8 @@ def realize(field: Field, n: int, labels) -> Design:
 
     The design size is checked before any label is evaluated.
     """
+    from .gf import point_count
+    from .poly_labels import eval_labels
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one label")
@@ -248,6 +274,8 @@ def branch_fraction(field: Field, n: int, labels, branch_label: Label,
     ascending order, original point order within each group.  Every remaining
     column must come out balanced.
     """
+    from .gf import point_count
+    from .poly_labels import eval_labels
     labels = list(labels)
     g = sorted(int(v) for v in g_levels)
     s = field.order

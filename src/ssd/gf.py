@@ -9,8 +9,9 @@ narrowest unsigned dtype that holds a symbol; scalar and vectorised
 arithmetic both read them, so there is one arithmetic path for every order.
 The multiplication table comes from the discrete logarithm to a primitive
 element (O(s) scalar steps, then one s x s gather), addition from the digit
-expansion.  Orders above MAX_ORDER are rejected: no design has more runs, so
-no design can use a larger field.
+expansion (in characteristic 2, the XOR of the symbols).  Orders above
+MAX_ORDER are rejected: no design has more runs, so no design can use a
+larger field.
 """
 
 from __future__ import annotations
@@ -183,15 +184,20 @@ class Field:
     def _build_tables(self, antilog: np.ndarray, log: np.ndarray):
         p, r, s = self.p, self.r, self.order
         dtype = antilog.dtype
-        # addition is digitwise mod p; two digits sum below 2p <= 2 * 4096
-        digs = self._digits.astype(np.uint16)
-        add = np.zeros((s, s), dtype=np.uint16)
-        for i in range(r):
-            t = np.add.outer(digs[:, i], digs[:, i])
-            t %= p
-            t *= p**i
-            add += t
-        self.add_table = add.astype(dtype, copy=False)
+        if p == 2:
+            # digitwise addition mod 2 is the XOR of the symbols
+            v = np.arange(s, dtype=dtype)
+            self.add_table = np.bitwise_xor.outer(v, v)
+        else:
+            # addition is digitwise mod p; two digits sum below 2p <= 2 * 4096
+            digs = self._digits.astype(np.uint16)
+            add = np.zeros((s, s), dtype=np.uint16)
+            for i in range(r):
+                t = np.add.outer(digs[:, i], digs[:, i])
+                t %= p
+                t *= p**i
+                add += t
+            self.add_table = add.astype(dtype, copy=False)
         self.neg_table = (((-self._digits) % p) @ (p ** np.arange(r))).astype(dtype)
         # g^a g^b = g^((a + b) mod (s-1)); index 0 of antilog is the zero product
         idx = np.add.outer(log, log)

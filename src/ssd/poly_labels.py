@@ -199,11 +199,13 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
             acc = flat[idx.reshape(len(c), -1)]
         F[f0:f0 + step] = acc
 
-    v = np.arange(s)
     # sq[a, v] s, so that add[sq[a, l], g] is flat[sq_s[a, l] + g]; its
-    # dtype is the narrowest that holds an index s^2 - 1 of the flat table
-    sq_s = mul[v[None, :], add[v[None, :], v[:, None]]].astype(
-        np.min_scalar_type(s * s - 1)) * s
+    # dtype is the narrowest that holds an index s^2 - 1 of the flat table.
+    # An s x s table, so built only when some label is quadratic.
+    if (a >= 0).any():
+        v = np.arange(s)
+        sq_s = mul[v[None, :], add[v[None, :], v[:, None]]].astype(
+            np.min_scalar_type(s * s - 1)) * s
     out = np.empty((R, len(spec)), dtype=add.dtype)
     step = max(1, EVAL_BLOCK_CELLS // max(R, 1))
     for j0 in range(0, len(spec), step):

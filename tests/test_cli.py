@@ -431,12 +431,12 @@ def test_branch_rejects_oversize_label_family_first(tmp_path, capsys,
                                                     count):
     # both families have (3^n - 1)/2 labels; past n = 13 the count is named
     # by its formula
-    from ssd import cli
+    from ssd import poly_labels
 
     def no_labels(*args):
         raise AssertionError("label set built for a rejected branch")
     for name in ("h_set", "q1"):
-        monkeypatch.setattr(cli, name, no_labels)
+        monkeypatch.setattr(poly_labels, name, no_labels)
     d = tmp_path / "b.ssd"
     assert run(["branch", "--s", "3", "--n", n, "--family", family,
                 "--branch", "X1", "--levels", "0", "--out", str(d)]) == 1
@@ -444,6 +444,14 @@ def test_branch_rejects_oversize_label_family_first(tmp_path, capsys,
         f"error: branching {count} labels keeps more than the supported "
         "4096 columns\n")
     assert not d.exists()
+
+
+def test_oracle_budget_default_is_the_oracles():
+    """The parser spells the default out, so that it needs no ssd.oracle."""
+    from ssd import cli, oracle
+    args = cli._build_parser().parse_args(
+        ["oracle", "min-a2", "--N", "4", "--s", "2", "--m", "1"])
+    assert args.budget == oracle.DEFAULT_BUDGET
 
 
 def test_construct_and_evaluate_prime_field_29(tmp_path):
@@ -483,12 +491,12 @@ def test_construct_rejects_too_many_runs(tmp_path, capsys):
     ids=["theorem4", "theorem6", "theorem8", "theorem9"])
 def test_construct_checks_the_run_count_before_building_the_field(
         tmp_path, capsys, monkeypatch, theorem, message):
-    from ssd import cli
+    from ssd import gf
 
     def no_field(*args):
         raise AssertionError("a field was built for a rejected design")
-    monkeypatch.setattr(cli, "Field", no_field)
-    monkeypatch.setattr(cli, "default_field", no_field)
+    monkeypatch.setattr(gf, "Field", no_field)
+    monkeypatch.setattr(gf, "default_field", no_field)
     s = "1024" if theorem[0] == "6" else "4096"
     d = tmp_path / "big.ssd"
     assert run(["construct", "--theorem", *theorem, "--s", s, "--n", "2",

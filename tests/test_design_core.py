@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssd import design_core
+from ssd import design_core, gf, poly_labels
 from ssd.criteria import aggregate_stats, strength
 from ssd.design_core import (MATRIX_BLOCK_CELLS, Design, branch_fraction,
                              design_sums, joint_coincidences, read_design,
@@ -73,6 +73,70 @@ def test_balance_found_past_the_first_tile(monkeypatch):
     assert not Design(cols.copy(), [2] * m, require_balanced=False).is_balanced
     cols[:, tile + 3] = cols[:, tile + 5] = [0, 0, 1, 1]
     assert Design(cols, [2] * m).is_balanced
+
+
+@st.composite
+def designs_with_a_planted_fault(draw):
+    """Balanced designs whose levels divide N, up to N itself, mixed; in
+    some, one symbol of one column is moved to another level, so that
+    column alone is unbalanced."""
+    N = draw(st.sampled_from([4, 6, 8, 12, 16, 24]))
+    divisors = [d for d in range(2, N + 1) if N % d == 0]
+    levels = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=10))
+    cols = [draw(st.permutations([v for v in range(s) for _ in range(N // s)]))
+            for s in levels]
+    matrix = np.array(cols).T
+    bad = draw(st.none() | st.integers(0, len(levels) - 1))
+    if bad is not None:
+        r = draw(st.integers(0, N - 1))
+        matrix[r, bad] = (matrix[r, bad] + 1) % levels[bad]
+    return matrix, levels
+
+
+def first_unbalanced_by_column(matrix, levels):
+    """The first column whose per-column bincount is not flat, or None."""
+    N = len(matrix)
+    return next((i for i, s in enumerate(levels)
+                 if (np.bincount(matrix[:, i], minlength=s) != N // s).any()),
+                None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(designs_with_a_planted_fault(), st.integers(1, 64), st.integers(1, 64))
+def test_balance_tiles_name_the_first_unbalanced_column(case, block, bins):
+    """Row blocks of `block` symbols and column tiles of at most `bins`
+    bins (or one column alone) give the per-column verdict."""
+    matrix, levels = case
+    expected = first_unbalanced_by_column(matrix, levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design_core, "MATRIX_BLOCK_CELLS", block)
+        mp.setattr(design_core, "BALANCE_BINS", bins)
+        assert Design(matrix, levels, require_balanced=False).is_balanced \
+            == (expected is None)
+        if expected is not None:
+            with pytest.raises(ValueError,
+                               match=f"^column {expected} is unbalanced$"):
+                Design(matrix, levels)
+
+
+def test_balance_of_many_level_columns_in_bin_tiles():
+    """64 columns of 4096 levels at 4096 runs sum to 4 * BALANCE_BINS
+    levels: the check counts them in tiles, and names the column at fault
+    in a later tile, not the first column of that tile."""
+    N, m = 4096, 64
+    assert N * m > design_core.BALANCE_BINS
+    rng = np.random.default_rng(7)
+    matrix = np.array([rng.permutation(N) for _ in range(m)], dtype=np.uint16).T
+    assert Design(matrix, [N] * m).is_balanced
+    matrix[5, 41] = matrix[6, 41]
+    assert first_unbalanced_by_column(matrix, [N] * m) == 41
+    with pytest.raises(ValueError, match="^column 41 is unbalanced$"):
+        Design(matrix, [N] * m)
+
+
+def test_max_runs_is_the_largest_field_order():
+    """MAX_RUNS is spelled out so that design_core need not import gf."""
+    assert design_core.MAX_RUNS == gf.MAX_ORDER
 
 
 def test_realize_single_column(gf2):
@@ -464,7 +528,7 @@ def test_text_writer_spans_row_blocks(gf4, tmp_path):
 def test_label_count_checked_before_any_label_is_evaluated(gf2, monkeypatch):
     def evaluated(*args, **kwargs):
         raise AssertionError("a label was evaluated")
-    monkeypatch.setattr(design_core, "eval_labels", evaluated)
+    monkeypatch.setattr(poly_labels, "eval_labels", evaluated)
     # 4096 runs, 8189 columns: construct --theorem 4 --s 2 --n 12
     with pytest.raises(ValueError, match="design size 4096x8189 exceeds"):
         realize(gf2, 12, h_set(gf2, 12) + q1_star(gf2, 12))
