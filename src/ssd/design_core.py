@@ -53,10 +53,16 @@ PAIR_CELL_BUDGET = 1 << 13
 # COINCIDENCE_BLOCK_CELLS // N rows against the rows from the block on.
 COINCIDENCE_BLOCK_CELLS = 1 << 21
 # Symbols per block where the design matrix is walked a block at a time:
-# whole rows for the text writer and reader, the balance check and the
-# one-hot matrix, whole columns for the relabelling check.  Bounds their
-# temporaries.
+# whole rows for the balance check and the one-hot matrix, whole columns
+# for the relabelling check.  Bounds their temporaries.
 MATRIX_BLOCK_CELLS = 1 << 16
+# Symbols per row block of the text writer and reader.  A block's largest
+# temporaries are its intp arrays of one entry per symbol, at most 128 KiB,
+# glibc's initial mmap threshold, so they are reused from the heap rather
+# than mapped and faulted in afresh for every block.  The matrix walks
+# keep their larger block: the balance check of a 4096 x 4095 design
+# took 47-58 ms instead of 41-49 ms in blocks of this size.
+TEXT_BLOCK_CELLS = 1 << 14
 # Bins per bincount of the balance check: a tile of columns whose levels
 # sum to at most this many is counted at once.
 BALANCE_BINS = 1 << 16
@@ -689,9 +695,9 @@ def _text_blocks(D: Design):
     Each symbol has a fixed-width record in a byte table, its digits and a
     space (a newline in the last column) padded with NUL bytes to 2, 4 or 8
     bytes.  Through an unsigned view of the table, a block of about
-    MATRIX_BLOCK_CELLS symbols becomes text with one take of whole records,
-    indexed from one reused workspace; the padding is stripped unless every
-    symbol has a single digit.
+    TEXT_BLOCK_CELLS symbols becomes text with one take of whole records
+    into one reused buffer, indexed from one reused workspace; the padding
+    is stripped unless every symbol has a single digit.
     """
     yield (f"{FORMAT_HEADER}\n{D.N} {D.m}\n"
            f"{' '.join(map(str, D.levels))}\n").encode("ascii")
@@ -702,13 +708,15 @@ def _text_blocks(D: Design):
     table = np.array(records, dtype=f"S{width}").view(f"u{width}")
     last = np.zeros(D.m, dtype=np.intp)
     last[-1] = s
-    rows = max(1, MATRIX_BLOCK_CELLS // D.m)
+    rows = max(1, TEXT_BLOCK_CELLS // D.m)
     index = np.empty(min(rows, D.N) * D.m, dtype=np.intp)
+    out = np.empty(len(index), dtype=table.dtype)
     for r0 in range(0, D.N, rows):
         block = D.matrix[r0:r0 + rows]
         codes = index[:block.size]
         np.add(block, last, out=codes.reshape(block.shape))
-        text = table.take(codes).tobytes()
+        text = np.take(table, codes, out=out[:block.size],
+                       mode="clip").tobytes()
         yield text if width == 2 else text.translate(None, b"\0")
 
 
@@ -716,20 +724,22 @@ def read_design(path, allow_unbalanced=False) -> Design:
     """Read the three header lines with readline, check the shape and levels
     they give with Design's own checks (_check_layout), so that the size is
     checked before anything is allocated, then parse the body into the
-    narrow matrix a row block at a time (_read_blocks).  The design
-    takes that matrix without a copy and still runs every check.  The
-    text is never held as one string, and no int32 copy of the whole body
-    exists.
+    narrow matrix a row block at a time (_read_blocks), when it is in the
+    form the writer writes.  The design takes that matrix without a copy
+    and still runs every check.  The text is never held as one string,
+    and no int32 copy of the whole body exists.
 
     Every other file, such as one with no runs or columns, one whose level
-    line does not give m levels, or one whose body is malformed, short or
-    long, is parsed whole by one np.loadtxt, so its verdict and the row
-    number in it do not depend on the block size.
+    line does not give m levels, or one whose body is malformed, short,
+    long, or spaced otherwise than the writer spaces it, is parsed whole
+    by one np.loadtxt (_parse_body), so its verdict and the row number in
+    it do not depend on the block size.
 
-    The body is read as one list of lines, not a block of lines at a
-    time.  Reading the file a block at a time too lowered the
-    construct-fields benchmark's peak by a further 2.3 MB, but left its
-    long-lived worker
+    The file is read as ascii text, so a byte that is not ascii is
+    reported by the codec, at its position in the file.  The body is
+    read as one list of lines, not a block of lines at a time.  Reading
+    the file a block at a time too lowered the construct-fields
+    benchmark's peak by a further 2.3 MB, but left its long-lived worker
     faulting in fresh pages for the later ops: its wall_s rose by 23%,
     and a thm4 GF(16) n = 3 build after a 4096 x 545 read took about 11k
     minor faults and 73 ms instead of 0.6k and 36 ms.  Parsing the stream
@@ -776,36 +786,70 @@ def _parse_body(lines) -> np.ndarray:
 
 
 def _read_blocks(lines, N: int, lev: np.ndarray) -> np.ndarray | None:
-    """The body lines as the frozen N x m matrix of symbol_dtype(lev),
-    parsed a block of about MATRIX_BLOCK_CELLS symbols at a time; None when
-    a block is malformed, holds no rows (all blank) or rows of another
-    length, or the blocks do not add up to N rows.
+    """The N body lines as the frozen N x m matrix of symbol_dtype(lev),
+    parsed a block of about TEXT_BLOCK_CELLS symbols at a time
+    (_parse_rows); None when there are not N lines or a block is not in
+    the writer's form.
 
-    Each block is parsed as int32 and its per-column minima and maxima
-    are folded into running extrema before it is narrowed into the
-    matrix, so the range check sees the raw symbols of every row.
+    Each block's per-column maxima are folded into running maxima before
+    it is narrowed into the matrix, so the range check sees the raw
+    symbols of every row (none is negative).
     """
     m = len(lev)
+    if len(lines) != N:
+        return None
     X = np.empty((N, m), dtype=symbol_dtype(lev))
-    lo = np.full(m, np.iinfo(np.int32).max, dtype=np.int32)
-    hi = np.full(m, np.iinfo(np.int32).min, dtype=np.int32)
-    step = max(1, MATRIX_BLOCK_CELLS // m)
-    r = 0
-    for i in range(0, len(lines), step):
-        try:
-            block = _parse_body(lines[i:i + step])
-        except ValueError:
+    hi = np.zeros(m, dtype=np.int16)
+    step = max(1, TEXT_BLOCK_CELLS // m)
+    for r in range(0, N, step):
+        block = _parse_rows("".join(lines[r:r + step]), m)
+        if block is None:
             return None
-        if block.shape[1] != m or r + len(block) > N:
-            return None
-        np.minimum(lo, block.min(axis=0), out=lo)
         np.maximum(hi, block.max(axis=0), out=hi)
         X[r:r + len(block)] = block     # wraps out-of-range symbols
-        r += len(block)
-    if r != N:
-        return None
-    _check_symbol_range(lo, hi, lev)
+    _check_symbol_range(0, hi, lev)
     return _frozen(X)
+
+
+def _parse_rows(text: str, m: int) -> np.ndarray | None:
+    """The rows of text as an int16 matrix of m columns, when text is in
+    the writer's form: each symbol 1 to 4 ascii digits followed by a
+    space, or by a newline when it ends a row of m symbols; None otherwise.
+
+    One pass over the bytes finds the separators, every byte below "0";
+    the symbols are then one gather per digit place, of the bytes that
+    many places back from each separator, until the places gathered
+    account for every digit.  Four newlines padded in front read as
+    separators, so the gathers need no index arithmetic, and a place runs
+    into a separator exactly when the symbol is shorter.
+    """
+    pad = np.frombuffer(b"\n" * 4 + text.encode("ascii"), dtype=np.uint8)
+    b = pad[4:]
+    ends = np.flatnonzero(b < ord("0"))
+    rows = len(ends) // m
+    # the separators are m per row, the last of them a newline, and
+    # every other separator is a space
+    if (b[-1] != ord("\n") or b.max() > ord("9") or len(ends) != rows * m
+            or (b[ends[m - 1::m]] != ord("\n")).any()
+            or np.count_nonzero(b == ord(" ")) != rows * (m - 1)):
+        return None
+    value = np.subtract(pad[3:].take(ends), ord("0"), dtype=np.int16)
+    if value.min() < 0:
+        return None                             # an empty symbol
+    rest = len(b) - 2 * len(ends)               # digits not yet gathered
+    for place in range(1, 4):
+        if not rest:
+            break
+        byte = pad[3 - place:].take(ends)
+        digit = byte >= ord("0")
+        longer = digit if place == 1 else longer & digit
+        rest -= np.count_nonzero(longer)
+        byte -= ord("0")
+        byte *= longer
+        value += np.multiply(byte, 10 ** place, dtype=np.int16)
+    if rest:
+        return None                             # a symbol of 5 or more digits
+    return value.reshape(rows, m)
 
 
 def _header_line(fh) -> str:

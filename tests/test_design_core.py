@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from ssd import design_core, gf, poly_labels
 from ssd.criteria import aggregate_stats, strength
-from ssd.design_core import (MATRIX_BLOCK_CELLS, Design, branch_fraction,
+from ssd.cli import run
+from ssd.design_core import (TEXT_BLOCK_CELLS, Design, branch_fraction,
                              design_sums, joint_coincidences, read_design,
                              realize, remove_fully_aliased, replace_column,
                              select_columns, write_design)
@@ -503,13 +504,17 @@ def test_text_writer_matches_per_row_join(tmp_path_factory, D):
 @pytest.mark.parametrize("token,verdict", [
     ("-1", "column 0 has symbols outside 0..1"),
     ("+1", None),
+    ("0001", None),
+    ("0007", "column 0 has symbols outside 0..1"),
     ("1.0", "malformed design file: could not convert string '1.0' to int32"),
+    ("1e3", "malformed design file: could not convert string '1e3' to int32"),
     ("70000", "column 0 has symbols outside 0..1"),
     (str(10**24), "malformed design file: could not convert string "
                   f"'{10**24}' to int32")])
 def test_reader_verdict_on_a_body_token(token, verdict, tmp_path):
     """A symbol the int32 body holds reaches the Design's range check;
-    one it cannot hold, or one that is not an integer, is malformed."""
+    one it cannot hold, or one that is not an integer, is malformed.
+    Leading zeros are read past: 0007 is 7, out of range."""
     text = f"# ssd v1\n2 1\n2\n{token}\n0\n"
     if verdict is None:
         assert read_text(text, tmp_path).matrix.tolist() == [[1], [0]]
@@ -520,8 +525,8 @@ def test_reader_verdict_on_a_body_token(token, verdict, tmp_path):
 
 
 def test_text_writer_spans_row_blocks(gf4, tmp_path):
-    D = realize(gf4, 6, h_set(gf4, 6))     # 4096 x 1365: 49 row blocks
-    assert D.N > MATRIX_BLOCK_CELLS // D.m
+    D = realize(gf4, 6, h_set(gf4, 6))     # 4096 x 1365: 342 row blocks
+    assert D.N > TEXT_BLOCK_CELLS // D.m
     assert written(D, tmp_path) == per_row_text(D)
 
 
@@ -574,7 +579,7 @@ def test_read_design_reads_the_open_file(tmp_path):
 @pytest.fixture
 def small_read_blocks(monkeypatch):
     """Row blocks of two rows of two symbols in read_design."""
-    monkeypatch.setattr(design_core, "MATRIX_BLOCK_CELLS", 4)
+    monkeypatch.setattr(design_core, "TEXT_BLOCK_CELLS", 4)
 
 
 def body_text(rows, levels=(2, 2)):
@@ -596,13 +601,81 @@ BALANCED_ROWS = ["0 1", "1 0", "0 0", "1 1", "0 1", "1 0", "0 0", "1 1"]
 
 
 def test_reader_parses_row_blocks(small_read_blocks, tmp_path, call_counter):
+    """The writer's form is parsed block by block with no whole-body
+    parse; any other spacing is parsed whole, once, to the same matrix."""
     calls, count = call_counter
-    count(design_core, "_parse_body")
+    count(design_core, "_parse_body", "_parse_rows")
+    want = [list(map(int, r.split())) for r in BALANCED_ROWS]
     D = read_text(body_text(BALANCED_ROWS), tmp_path)
-    assert D.matrix.tolist() == [list(map(int, r.split()))
-                                 for r in BALANCED_ROWS]
+    assert D.matrix.tolist() == want
     assert D.matrix.dtype == np.uint8 and not D.matrix.flags.writeable
-    assert calls["_parse_body"] == 4       # four blocks, no whole-body parse
+    assert calls == {"_parse_rows": 4}     # four blocks, no whole-body parse
+    calls.clear()
+    tabbed = [r.replace(" ", "\t") for r in BALANCED_ROWS]
+    D = read_text(body_text(tabbed), tmp_path)
+    assert D.matrix.tolist() == want and D.matrix.dtype == np.uint8
+    assert calls == {"_parse_rows": 1, "_parse_body": 1}
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"# ssd v1\n4 1\n2\n0\n1\n\xc3\xa9\n1\n",
+     "'ascii' codec can't decode byte 0xc3 in position 19: ordinal not in "
+     "range(128)"),
+    (b"# ssd v1\n4 1\n2\xff\n0\n1\n0\n1\n",
+     "'ascii' codec can't decode byte 0xff in position 14: ordinal not in "
+     "range(128)")])
+def test_reader_reports_a_byte_that_is_not_ascii(raw, message, tmp_path,
+                                                 capsys):
+    """The codec names the byte and its position in the file, in the
+    body and in the header alike, with no malformed-file prefix."""
+    path = tmp_path / "bytes.ssd"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        read_design(path)
+    assert str(exc.value) == message
+    assert run(["export", str(path), "--out", str(tmp_path / "x.ssd")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.ssd").exists()
+
+
+def respaced(text, variant):
+    """The body of a written design file respaced in one of the ways the
+    writer never spaces it."""
+    *head, body = text.split("\n", 3)
+    rows = body.splitlines()
+    if variant == "crlf":
+        body = "\r\n".join(rows) + "\r\n"
+    elif variant == "tabs":
+        body = "\n".join(r.replace(" ", "\t") for r in rows) + "\n"
+    elif variant == "double spaces":
+        body = "\n".join(r.replace(" ", "  ") for r in rows) + "\n"
+    elif variant == "trailing spaces":
+        body = "\n".join(" " + r + " " for r in rows) + "\n"
+    elif variant == "leading zeros":
+        body = "\n".join(" ".join("00" + t for t in r.split())
+                         for r in rows) + "\n"
+    elif variant == "blank lines":
+        body = "\n\n".join(rows) + "\n\n"
+    else:
+        assert variant == "no final newline"
+        body = body[:-1]
+    return "\n".join(head) + "\n" + body
+
+
+@settings(max_examples=15, deadline=None)
+@given(text_designs(),
+       st.sampled_from(["crlf", "tabs", "double spaces", "trailing spaces",
+                        "leading zeros", "blank lines", "no final newline"]))
+def test_reader_reads_any_spacing_as_the_written_file(tmp_path_factory, D,
+                                                      variant):
+    path = tmp_path_factory.mktemp("spacing") / "d.ssd"
+    write_design(D, path)
+    path.write_bytes(respaced(path.read_text(encoding="ascii"),
+                              variant).encode("ascii"))
+    back = read_design(path, allow_unbalanced=True)
+    assert back.levels == D.levels
+    assert back.matrix.dtype == D.matrix.dtype
+    assert np.array_equal(back.matrix, D.matrix)
 
 
 def test_reader_names_a_malformed_token_in_a_later_block(small_read_blocks,
@@ -656,15 +729,39 @@ def test_reader_skips_blank_lines_between_blocks(small_read_blocks, tmp_path,
 
 
 def test_reader_reads_a_4096_level_column_as_uint16(small_read_blocks,
-                                                    tmp_path):
+                                                    tmp_path, call_counter):
+    calls, count = call_counter
+    count(design_core, "_parse_body")
     rows = [f"{i} {i % 2}" for i in range(4096)]
     D = read_text(body_text(rows, (4096, 2)), tmp_path)
     assert D.matrix.dtype == np.uint16
     assert D.matrix[:, 0].tolist() == list(range(4096))
+    assert not calls                        # four digits are the writer's form
     rows[4000] = "4096 0"
     with pytest.raises(ValueError, match="column 0 has symbols outside "
                                          r"0\.\.4095"):
         read_text(body_text(rows, (4096, 2)), tmp_path, allow_unbalanced=True)
+
+
+@pytest.mark.parametrize("rows,levels,verdict", [
+    # a blank line counted as a row, and a row whose leading space stands
+    # for a symbol: the separators and the digits add up (a two-digit
+    # symbol makes up the digit), but a symbol is empty
+    (["0", "", "10", "1"], (2,), "expected 4 rows of 1 symbols"),
+    (["0 1", " 10", "1 0", "1 0"], (2, 2), "malformed design file: the "
+                                           "number of columns changed")])
+def test_reader_gives_an_empty_symbol_the_whole_body_verdict(
+        small_read_blocks, tmp_path, rows, levels, verdict):
+    with pytest.raises(ValueError) as exc:
+        read_text(body_text(rows, levels), tmp_path, allow_unbalanced=True)
+    assert str(exc.value).startswith(verdict)
+
+
+def test_reader_reads_a_last_row_with_no_newline(small_read_blocks, tmp_path):
+    """Here the last block is one row of digits alone, with no separator."""
+    rows = ["0", "1", "2"] * 3
+    D = read_text(body_text(rows, (3,))[:-1], tmp_path)
+    assert D.matrix[:, 0].tolist() == [0, 1, 2] * 3
 
 
 def test_reader_checks_the_header_size_before_allocating(tmp_path,

@@ -23,7 +23,7 @@ import pytest
 
 from ssd.cli import run
 from ssd.constructions import APPENDIX, load_appendix
-from ssd.design_core import MATRIX_BLOCK_CELLS, read_design, write_design
+from ssd.design_core import TEXT_BLOCK_CELLS, read_design, write_design
 
 CONSTRUCTS = Path(__file__).parent / "data" / "constructs"
 
@@ -79,7 +79,7 @@ def test_golden_designs_cover_every_writer_case():
     assert set(designs["thm4_s16_n2_col3_oa2.ssd"].levels) == {2, 16}
     text = golden("thm6_s16_n2_k17.ssd.gz").decode("ascii").splitlines()
     N, m = map(int, text[1].split())
-    assert N > MATRIX_BLOCK_CELLS // m  # more rows than one block holds
+    assert N > TEXT_BLOCK_CELLS // m    # more rows than one block holds
 
 
 @pytest.mark.parametrize("which", [6, 7, 8])
