@@ -42,6 +42,18 @@ def _int_list(spec: str) -> list[int]:
             f"expected comma-separated integers, got {spec!r}") from None
 
 
+def _budget(text: str) -> int:
+    """--budget: a count of evaluations; below 0 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 # flags each theorem reads besides --s, --modulus, --show-labels and --out:
 # (the one it requires, the optional ones)
 _THEOREM_FLAGS = {
@@ -330,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     om.add_argument("--s", type=int, required=True)
     om.add_argument("--m", type=int, required=True)
     # oracle.DEFAULT_BUDGET, spelled out so that the parser needs no oracle
-    om.add_argument("--budget", type=int, default=10**8,
+    om.add_argument("--budget", type=_budget, default=10**8,
                     help="candidate evaluations (default %(default)s)")
     om.add_argument("--full", action="store_true",
                     help="do not stop early at the lower bound")

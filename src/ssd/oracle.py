@@ -32,10 +32,15 @@ sum(n_ab^2) counts the ordered row pairs on which both columns agree: the N
 pairs r = r' plus twice the pairs r < r' where both agree, so it equals
 N + 2 * A_c . A_d exactly, where A_c is the 0/1 vector of row pairs r < r'
 on which column c agrees.  A node with k chosen columns therefore scores all
-its children at once as k * (s^2 N - N^2) + 2 s^2 * (A @ S), S being the sum
-of the chosen columns' agreement vectors: one integer matrix-vector product,
-no pair table.  A stable sort of the scores visits the children by
-(score, rank), and the pruning bound is compared as an integer floor.
+its children at once as k * (s^2 N - N^2) + 2 s^2 * (S @ A), S being the sum
+of the chosen columns' agreement vectors and A the candidates' vectors as
+columns: one BLAS float32 vector-matrix product, no pair table.  It is
+exact: an entry of S counts chosen columns, so it is at most
+MAX_COLUMNS - 1 = 4095, and a product sums at most N(N - 1)/2 <= 231 such
+terms (N <= 22 for every shape within MAX_CANDIDATES), so every partial sum
+is an integer below 2^24, which float32 adds without rounding in any order.
+A stable sort of the int64 scores visits the children by (score, rank), and
+the pruning bound is compared as an integer floor.
 """
 
 from __future__ import annotations
@@ -219,6 +224,24 @@ def _balanced_columns(N: int, s: int) -> np.ndarray:
     return cols
 
 
+def _agreement_table(rows: np.ndarray) -> np.ndarray:
+    """N(N-1)/2 x C float32 table of the N x C candidates `rows` (column c
+    is candidate c): row p is the p-th row pair (a, b), a < b in row-major
+    order, and holds 1 for each candidate that agrees on it.
+
+    Written in place, one comparison per row a into its contiguous block of
+    pairs.
+    """
+    N, C = rows.shape
+    agree = np.empty((N * (N - 1) // 2, C), dtype=np.float32)
+    p = 0
+    for r in range(N - 1):
+        np.equal(rows[r + 1:], rows[r], out=agree[p:p + N - 1 - r],
+                 casting="unsafe")
+        p += N - 1 - r
+    return agree
+
+
 def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
                       stop_at_bound: bool = True) -> SearchResult:
     """Search the minimum overall A2 over balanced N-run s-level m-column designs.
@@ -238,10 +261,10 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
         raise ValueError("run count must be divisible by the level count")
     if not 1 <= m <= MAX_COLUMNS:
         raise ValueError(f"column count m={m} must lie in 1..{MAX_COLUMNS}")
-    cands = _balanced_columns(N, s)
-    agree = np.concatenate([cands[:, r + 1:] == cands[:, r:r + 1]
-                            for r in range(N - 1)], axis=1).view(np.uint8)
-    C, NN = len(cands), N * N
+    # one row of the design per row, one candidate per column
+    rows = np.ascontiguousarray(_balanced_columns(N, s).T)
+    agree = _agreement_table(rows)
+    C, NN = rows.shape[1], N * N
     bound = max(lb_theorem1(N, m, s), Fraction(0))
     scaled = bound * NN     # an integer total can attain it only if it is integral
     target = scaled.numerator if scaled.denominator == 1 else None
@@ -265,7 +288,7 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
             return None
         evals += C - lo
         scores = (total + len(path) * (s * s * N - NN)
-                  + 2 * s * s * (agree[lo:] @ S).astype(np.int64))
+                  + 2 * s * s * (S @ agree[:, lo:]).astype(np.int64))
         return [S, scores, lo, np.argsort(scores, kind="stable"), 0]
 
     # depth first over an explicit stack with one node per chosen column, so
@@ -273,7 +296,7 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
     if m == 1:
         best, stack = 0, []
     else:
-        stack = [expand(agree[0].astype(np.int32), 0)]
+        stack = [expand(agree[:, 0].copy(), 0)]
     while stack and not (stopped or exceeded):
         node = stack[-1]
         S, scores, lo, order, pos = node
@@ -292,10 +315,10 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
             stopped = stop_at_bound and sub == target
         else:
             path.append(ci)
-            stack.append(expand(S + agree[ci], sub))
+            stack.append(expand(S + agree[:, ci], sub))
 
     best_a2 = None if best is None else Fraction(best, NN)
-    design = None if best is None else Design(cands[list(best_cols)].T, (s,) * m)
+    design = None if best is None else Design(rows[:, list(best_cols)], (s,) * m)
     return SearchResult(
         best_a2=best_a2, design=design,
         exhaustive=not exceeded and not stopped,

@@ -584,13 +584,30 @@ def test_construct_rejects_variable_beyond_n(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,budget", [
     (["--N", "6", "--s", "3", "--m", "3", "--full"], 50),
-    (["--N", "9", "--s", "3", "--m", "4"], 1000)])
+    (["--N", "9", "--s", "3", "--m", "4"], 1000),
+    (["--N", "6", "--s", "3", "--m", "2"], 0)])
 def test_oracle_budget_spent_before_any_design(capsys, argv, budget):
     assert run(["oracle", "min-a2", *argv, "--budget", str(budget)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         f"error: no complete design within the budget of {budget} evaluations\n")
+
+
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_oracle_negative_budget_is_a_usage_error(capsys, monkeypatch, budget):
+    from ssd import oracle
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(oracle, "exhaustive_min_a2", no_search)
+    assert run(["oracle", "min-a2", "--N", "6", "--s", "3", "--m", "3",
+                "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --budget: must be 0 or more, got {budget}\n")
 
 
 def test_oracle_budget_is_read_from_the_flag_only(capsys, monkeypatch):

@@ -12,10 +12,11 @@ from ssd.bounds import lb_theorem1
 from ssd.cli import run
 from ssd.constructions import construct_thm4, construct_thm8
 from ssd.criteria import aggregate_stats
-from ssd.design_core import (Design, _gram_tiles, cells_sparse, design_sums,
-                             level_groups, realize)
+from ssd.design_core import (MAX_COLUMNS, Design, _gram_tiles, cells_sparse,
+                             design_sums, level_groups, realize)
 from ssd.gf import default_field
-from ssd.oracle import (DEFAULT_BUDGET, exhaustive_min_a2, gwlp_bruteforce,
+from ssd.oracle import (DEFAULT_BUDGET, MAX_CANDIDATES, _agreement_table,
+                        _balanced_columns, exhaustive_min_a2, gwlp_bruteforce,
                         pair_table, pair_a2_from_table, periodicity_spot_check)
 from ssd.poly_labels import h_set
 
@@ -207,6 +208,46 @@ def test_rejects_degenerate_shapes():
         exhaustive_min_a2(6, 1, 2)
     with pytest.raises(ValueError, match="at least the level count"):
         exhaustive_min_a2(2, 4, 2)
+
+
+def _admitted_shapes():
+    """Every (N, s), s | N, whose balanced columns the search enumerates.
+
+    For each s the count N! / ((N/s)!)^s grows with N, and the smallest
+    count, s! at N = s, grows with s, so both walks stop at the first shape
+    over MAX_CANDIDATES; the search must refuse that shape."""
+    shapes = []
+    for s in itertools.count(2):
+        for N in itertools.count(s, s):
+            count = math.factorial(N) // math.factorial(N // s) ** s
+            if count > MAX_CANDIDATES:
+                with pytest.raises(ValueError, match="too many to enumerate"):
+                    _balanced_columns(N, s)
+                break
+            shapes.append((N, s))
+        if N == s:
+            return shapes
+
+
+def test_float32_scores_are_exact_for_every_admitted_shape():
+    # a score sums N(N - 1)/2 products of a 0/1 entry with a count of at
+    # most MAX_COLUMNS - 1 chosen columns; float32 adds integers exactly
+    # while every partial sum stays below 2^24
+    shapes = _admitted_shapes()
+    assert max(N for N, _ in shapes) == 22 and (22, 2) in shapes
+    for N, s in shapes:
+        assert N * (N - 1) // 2 * (MAX_COLUMNS - 1) < 2**24, (N, s)
+
+
+@pytest.mark.parametrize("N,s", [(2, 2), (4, 2), (6, 3), (8, 4), (9, 3)])
+def test_agreement_table_is_the_row_pair_definition(N, s):
+    cands = _balanced_columns(N, s)
+    agree = _agreement_table(cands.T)
+    assert agree.dtype == np.float32
+    pairs = list(itertools.combinations(range(N), 2))
+    assert agree.shape == (len(pairs), len(cands))
+    for p, (a, b) in enumerate(pairs):
+        assert np.array_equal(agree[p], cands[:, b] == cands[:, a])
 
 
 # every module but the oracle itself and the command line, which runs it
