@@ -7,6 +7,8 @@ identity and symbol 1 the multiplicative identity.  Every field carries
 dense read-only add/mul tables (s x s) and neg/inv tables (s), in the
 narrowest unsigned dtype that holds a symbol; scalar and vectorised
 arithmetic both read them, so there is one arithmetic path for every order.
+Fields of order at most AFFINE_MAX_ORDER also build, on first use, the
+s x s x s affine table of v + c*x that label evaluation reads whole rows of.
 The multiplication table comes from the discrete logarithm to a primitive
 element (O(s) scalar steps, then one s x s gather), addition from the digit
 expansion (in characteristic 2, the XOR of the symbols).  Orders above
@@ -23,6 +25,10 @@ import numpy as np
 
 # Largest supported field order and design run count (N = s^n <= 4096).
 MAX_ORDER = 4096
+
+# Largest order with an affine table: s^3 <= 64^3 entries.  A whole grid of
+# s^n <= MAX_ORDER points has n = 1 or s <= 64 = MAX_ORDER^(1/2).
+AFFINE_MAX_ORDER = 64
 
 # Default moduli (Conway polynomials), little-endian coefficients, constant
 # term first.  Prime fields need no modulus.  User-supplied moduli override.
@@ -107,7 +113,7 @@ class Field:
 
     __slots__ = ("p", "r", "order", "modulus", "add_table", "mul_table",
                  "neg_table", "inv_table", "trace_table", "char_table",
-                 "_digits")
+                 "_digits", "_affine")
 
     def __init__(self, order: int, modulus=None):
         p, r = check_order(order)
@@ -124,6 +130,7 @@ class Field:
                     f"reducible modulus {modulus} for GF({order})")
         # every monic degree-1 modulus gives the same prime field
         self.modulus = modulus if r > 1 else None
+        self._affine = None
 
         digits = np.zeros((order, r), dtype=np.int64)
         v = np.arange(order)
@@ -221,6 +228,26 @@ class Field:
         if (acc >= p).any():
             raise AssertionError("trace left the prime subfield")
         return acc.astype(np.int64)
+
+    @property
+    def affine_table(self) -> np.ndarray:
+        """Read-only (s, s, s) table of v + c*x, indexed [c, v, x]: entry
+        [c, v] is the row of values of v + c*X over the field.
+
+        Built on first use and kept, so a shared field builds it once; only
+        for orders up to AFFINE_MAX_ORDER, where it has at most 64^3 entries.
+        """
+        if self._affine is None:
+            s = self.order
+            if s > AFFINE_MAX_ORDER:
+                raise ValueError(f"no affine table for order {s}: it would "
+                                 f"have {s}^3 entries")
+            # add[v, mul[c, x]], taken as [v, c, x] and stored as [c, v, x]
+            table = np.ascontiguousarray(
+                self.add_table[:, self.mul_table].transpose(1, 0, 2))
+            table.setflags(write=False)
+            self._affine = table
+        return self._affine
 
     # -- scalar arithmetic ---------------------------------------------------
 

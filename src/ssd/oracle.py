@@ -202,6 +202,16 @@ class SearchResult:
     budget: int
 
 
+def _candidate_count(N: int, s: int) -> int:
+    """N! / ((N/s)!)^s, the number of balanced s-level columns of length N;
+    raises ValueError above MAX_CANDIDATES."""
+    count = math.factorial(N) // math.factorial(N // s) ** s
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"{count} balanced columns for N={N}, s={s}: too many to enumerate")
+    return count
+
+
 def _balanced_columns(N: int, s: int) -> np.ndarray:
     """All balanced s-level columns of length N, in lexicographic order (uint8).
 
@@ -209,11 +219,8 @@ def _balanced_columns(N: int, s: int) -> np.ndarray:
     a time; np.nonzero walks (prefix, symbol) in row-major order, so the rows
     stay lexicographic without enumerating the s^N tuples.
     """
+    _candidate_count(N, s)
     per = N // s
-    count = math.factorial(N) // math.factorial(per) ** s
-    if count > MAX_CANDIDATES:
-        raise ValueError(
-            f"{count} balanced columns for N={N}, s={s}: too many to enumerate")
     cols = np.zeros((1, 0), dtype=np.uint8)
     room = np.full((1, s), per)
     for _ in range(N):
@@ -261,11 +268,24 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
         raise ValueError("run count must be divisible by the level count")
     if not 1 <= m <= MAX_COLUMNS:
         raise ValueError(f"column count m={m} must lie in 1..{MAX_COLUMNS}")
+    C, NN = _candidate_count(N, s), N * N
+    bound = max(lb_theorem1(N, m, s), Fraction(0))
+    if m == 1:
+        # no pair to score: the first candidate, 0..0 1..1 ..., is a best
+        # design, found with no evaluation and no table
+        first = np.repeat(np.arange(s, dtype=np.uint8), N // s)
+        return SearchResult(
+            best_a2=Fraction(0), design=Design(first[:, None], (s,)),
+            exhaustive=True, certified=bound == 0, evaluations=0,
+            budget=budget)
+    if C > budget:
+        # scoring the root's C children alone exceeds the budget
+        return SearchResult(best_a2=None, design=None, exhaustive=False,
+                            certified=False, evaluations=budget + 1,
+                            budget=budget)
     # one row of the design per row, one candidate per column
     rows = np.ascontiguousarray(_balanced_columns(N, s).T)
     agree = _agreement_table(rows)
-    C, NN = rows.shape[1], N * N
-    bound = max(lb_theorem1(N, m, s), Fraction(0))
     scaled = bound * NN     # an integer total can attain it only if it is integral
     target = scaled.numerator if scaled.denominator == 1 else None
     per_pair = max(lb_theorem1(N, 2, s), Fraction(0)) * NN
@@ -293,10 +313,7 @@ def exhaustive_min_a2(N: int, s: int, m: int, budget: int = DEFAULT_BUDGET,
 
     # depth first over an explicit stack with one node per chosen column, so
     # the depth is not bounded by the interpreter's recursion limit
-    if m == 1:
-        best, stack = 0, []
-    else:
-        stack = [expand(agree[:, 0].copy(), 0)]
+    stack = [expand(agree[:, 0].copy(), 0)]
     while stack and not (stopped or exceeded):
         node = stack[-1]
         S, scores, lo, order, pos = node

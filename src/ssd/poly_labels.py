@@ -23,8 +23,17 @@ import numpy as np
 from .gf import MAX_ORDER, Field, point_count
 
 # Cells per block of eval_labels: linear forms are built, and output columns
-# filled, about this many cells at a time, which bounds the index temporaries.
+# formed, about this many cells at a time, which bounds the index temporaries.
 EVAL_BLOCK_CELLS = 1 << 18
+
+# Output columns per transposed copy: a (points x 16) slab of the output is
+# filled faster than one copy of a whole block of columns.
+FILL_COLUMNS = 16
+
+# Indices per take of the quadratic finish: take copies narrow indices to
+# intp, and 2^13 of them (64 KiB) stay below glibc's initial 128 KiB mmap
+# threshold, so the copy is reused from the heap, not faulted in afresh.
+TAKE_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -142,25 +151,56 @@ def q1(field: Field, n: int) -> list[Label]:
 
 # -- evaluation ---------------------------------------------------------------
 
+def _add_last_coordinate(flat, prefix, last, keep, out) -> None:
+    """out[f, k] = prefix[f, r // s] + last[f, r % s] for the k-th kept point
+    r (keep[k], or every point in order when keep is None), through the
+    flat s x s add table, a block of about EVAL_BLOCK_CELLS cells at a
+    time."""
+    s = last.shape[1]
+    block = max(1, EVAL_BLOCK_CELLS // len(out))
+    # the intp casts keep narrow symbols from overflowing
+    if keep is None:
+        # every point: whole prefixes, each followed by its s points
+        step = max(1, block // s)
+        for p0 in range(0, prefix.shape[1], step):
+            idx = (prefix[:, p0:p0 + step, None].astype(np.intp) * s
+                   + last[:, None, :])
+            out[:, p0 * s:(p0 + step) * s] = flat.take(
+                idx.reshape(len(out), -1))
+        return
+    for r0 in range(0, len(keep), block):
+        r = keep[r0:r0 + block]
+        idx = prefix[:, r // s].astype(np.intp) * s
+        idx += last[:, r % s]
+        out[:, r0:r0 + len(r)] = flat.take(idx)
+
+
 def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     """Evaluate labels at every point of F_s^n, one column each, in the dtype
     of the field's tables (the Design's symbol dtype for s levels).
 
-    Rows follow enumerate_points order; with rows (indices into that order)
-    only those points are evaluated, in that order.  Each distinct linear
-    form, whether a linear label or the l or g of a quadratic one, is
-    evaluated once: the first n - 1 coordinates on their full grid of
-    s^(n-1) prefixes, as the add-outer of the rows mul[c_i, :], the first
-    coordinate slowest, then the last coordinate at each kept point r,
-    mul[c_n, r % s] added onto prefix r // s; with every point kept that
-    last step is the add-outer too.  A fraction keeps at most MAX_ORDER of
-    at most s MAX_ORDER points, so its prefix grid has at most MAX_ORDER
-    points.  A quadratic label is then sq[a, l] + g, where the s x s table
-    sq[a, v] = v (v + a) = v^2 + a v: each block of output columns reads
-    the row sq[a, l] once per distinct (l, a) among its quadratic labels,
-    and finishes each column with one lookup of the flat add table.  Forms
-    are built, and the output filled, a block of about EVAL_BLOCK_CELLS
-    cells at a time.
+    Rows follow enumerate_points order; with rows (indices into that
+    order, each in 0..s^n - 1) only those points are evaluated, in that
+    order.  Each distinct linear form, whether a linear label or the l or
+    g of a quadratic one, is evaluated once, a coordinate at a time, the
+    first coordinate slowest: c_1 X_1 is the row mul[c_1, :], and each
+    later coordinate turns every (form, prefix value v) into the s symbols
+    v + c_i X_i, one gather of the row [c_i, v] of the field's affine
+    table (at most 64^3 entries, built once per field) read as records of
+    s symbols.  When s^n <= MAX_ORDER every coordinate takes whole rows,
+    and a fraction's kept rows are read from that grid.  Above it (the
+    point sets of branch_fraction, at most s MAX_ORDER points) the first
+    n - 1 coordinates take whole rows, at most MAX_ORDER prefixes, and the
+    last coordinate is added at each kept point r, mul[c_n, r % s] onto
+    prefix r // s through the flat add table, a block of points at a time,
+    so no index spans the whole point set.  A quadratic label is then
+    sq[a, l] + g, where the s x s table sq[a, v] = v (v + a) = v^2 + a v:
+    each block of output columns reads the row sq[a, l] once per distinct
+    (l, a) among its quadratic labels, and finishes its columns with
+    lookups of the flat add table, TAKE_CELLS at a time.  Forms are built,
+    and output columns formed, a block of about EVAL_BLOCK_CELLS cells at
+    a time; each block is copied into the output FILL_COLUMNS columns at a
+    time.
     """
     s = field.order
     N = point_count(s, n, s * MAX_ORDER)
@@ -176,28 +216,34 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
     ell, a, g = np.array(spec, dtype=np.intp).reshape(-1, 3).T
     add, mul = field.add_table, field.mul_table
     flat = add.ravel()
-    # (prefix, last coordinate) selections of one add-outer step: the whole
-    # grid, or the kept points
-    grid = np.s_[:, :, None], np.s_[:, None, :]
-    if rows is None:
-        R, last = N, grid
-    else:
-        keep = np.asarray(rows, dtype=np.intp)
-        R, last = len(keep), (np.s_[:, keep // s], np.s_[:, keep % s])
+    keep = None if rows is None else np.asarray(rows, dtype=np.intp)
+    R = N if keep is None else len(keep)
+    if R and keep is not None and not 0 <= keep.min() <= keep.max() < N:
+        raise ValueError(f"rows must lie in 0..{N - 1}")
+    whole = N <= MAX_ORDER
+    # coordinates 2..`rowwise` take whole rows; s <= AFFINE_MAX_ORDER there
+    rowwise = n if whole else n - 1
+    if rowwise > 1:
+        # record c s + v: the s symbols v + c X
+        records = field.affine_table.reshape(s * s, s).view(
+            np.dtype((np.void, s * add.itemsize))).ravel()
     coeffs = np.array(list(forms), dtype=np.intp).reshape(-1, n)
     F = np.empty((len(coeffs), R), dtype=add.dtype)
-    # a block's widest array is the prefix grid or the kept points
-    step = max(1, EVAL_BLOCK_CELLS // max(N // s, R))
+    # a block's widest array is its grid of points, or of prefixes
+    step = max(1, EVAL_BLOCK_CELLS // (N if whole else N // s))
     for f0 in range(0, len(coeffs), step):
         c = coeffs[f0:f0 + step]
-        acc = np.zeros((len(c), 1), dtype=add.dtype)     # the empty prefix
-        for i in range(n):
-            pre, cur = last if i == n - 1 else grid
-            # add[acc, mul[c_i, :]] through the flat table; the intp cast
-            # keeps narrow symbols from overflowing in the index arithmetic
-            idx = acc[pre].astype(np.intp) * s + mul[c[:, i]][cur]
-            acc = flat[idx.reshape(len(c), -1)]
-        F[f0:f0 + step] = acc
+        acc = mul[c[:, 0]]
+        for i in range(1, rowwise):
+            acc = records.take(c[:, i, None] * s + acc).view(add.dtype)
+        if not whole:
+            _add_last_coordinate(flat, acc, mul[c[:, -1]], keep,
+                                 F[f0:f0 + step])
+        elif keep is None:
+            F[f0:f0 + step] = acc
+        else:
+            # the rows are checked above; "wrap" writes out unbuffered
+            acc.take(keep, axis=1, out=F[f0:f0 + step], mode="wrap")
 
     # sq[a, v] s, so that add[sq[a, l], g] is flat[sq_s[a, l] + g]; its
     # dtype is the narrowest that holds an index s^2 - 1 of the flat table.
@@ -222,8 +268,16 @@ def eval_labels(field: Field, labels, n: int, rows=None) -> np.ndarray:
             sq_rows = sq_s[la[:, None] % s, F[la // s]]
             idx = sq_rows[[row[k] for k in keys]]
             idx += F[g[j][q]]
-            vals[q] = flat[idx]
-        out[:, j] = vals.T
+            # in range by construction, so "wrap" writes fin unbuffered
+            fin = np.empty(idx.size, dtype=add.dtype)
+            idx = idx.ravel()
+            for i0 in range(0, idx.size, TAKE_CELLS):
+                flat.take(idx[i0:i0 + TAKE_CELLS],
+                          out=fin[i0:i0 + TAKE_CELLS], mode="wrap")
+            vals[q] = fin.reshape(len(q), R)
+        for k in range(0, len(vals), FILL_COLUMNS):
+            part = vals[k:k + FILL_COLUMNS]
+            out[:, j0 + k:j0 + k + len(part)] = part.T
     return out
 
 

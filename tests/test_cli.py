@@ -515,6 +515,38 @@ def test_branch_keeps_fraction_of_larger_point_set(tmp_path):
     assert D.is_balanced
 
 
+MEASURE_COMMAND_HWM = """
+import sys
+from ssd.cli import run
+rc = run(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(rc, int(hwm.split()[1]) // 1024)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc")
+def test_gf4096_fraction_peak_memory(tmp_path):
+    """The thm8 fraction of GF(4096)^2 evaluates its branch column over all
+    16.7M points a block of points at a time: with one intp index over the
+    whole point set (134 MB) the command peaked at 423 MB of resident
+    memory, and it peaks at about 263 MB without it."""
+    src = str(Path(ssd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "t.ssd"
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURE_COMMAND_HWM, "construct", "--theorem",
+         "8", "--s", "4096", "--n", "2", "--k", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    wrote, status = proc.stdout.splitlines()
+    assert wrote == f"wrote 4096x4096 design to {out}"
+    rc, hwm_mb = map(int, status.split())
+    assert rc == 0
+    assert hwm_mb < 330
+
+
 @pytest.mark.parametrize("module", ["ssd", "ssd.cli"])
 def test_module_entry_points(module):
     src = str(Path(ssd.__file__).resolve().parent.parent)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ssd.gf import (DEFAULT_MODULI, MAX_ORDER, Field, _poly_mod,
-                    default_field, enumerate_points)
+from ssd.gf import (AFFINE_MAX_ORDER, DEFAULT_MODULI, MAX_ORDER, Field,
+                    _poly_mod, default_field, enumerate_points)
 from ssd.oracle import poly_mul
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -215,6 +215,24 @@ def test_table_dtype_and_read_only():
     f = Field(27)
     for table in (f.add_table, f.mul_table, f.neg_table, f.inv_table):
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("s", [2, 9, 27, 61, 64])
+def test_affine_table_is_v_plus_c_x(s):
+    f = Field(s)
+    table = f.affine_table
+    assert table.shape == (s, s, s) and table.dtype == f.add_table.dtype
+    assert not table.flags.writeable
+    assert f.affine_table is table            # built once per field
+    c, v, x = np.random.default_rng(s).integers(s, size=(3, 500))
+    assert (table[c, v, x] == f.add_table[v, f.mul_table[c, x]]).all()
+
+
+def test_affine_table_stops_at_64():
+    # a whole grid of s^n <= MAX_ORDER points with n >= 2 has s <= 64
+    assert AFFINE_MAX_ORDER**2 == MAX_ORDER
+    with pytest.raises(ValueError, match="67\\^3 entries"):
+        Field(67).affine_table
 
 
 def test_order_limit():

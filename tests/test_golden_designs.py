@@ -12,7 +12,10 @@ the bundled reference tables that `load_appendix` reads.
 The thm8 and thm9 fractions (linear labels, and quadratic labels over one
 and over three coordinates, each at the default and another modulus) were
 written by the label evaluator that took two 2-D lookups per quadratic cell,
-before it read each quadratic row sq[a, l] once per block.
+before it read each quadratic row sq[a, l] once per block.  The GF(16)^3
+fraction that keeps 15 of 16 classes (3840 x 272) was written by the
+evaluator that looked up each cell of a linear form in the flat add table,
+before it took one add-table row per (form, prefix).
 """
 
 import gzip
@@ -49,6 +52,11 @@ CASES = {
     "thm9_s9_n3_k2_mod101.ssd.gz":
         ["construct", "--theorem", "9", "--s", "9", "--n", "3", "--k", "2",
          "--levels", "2,6", "--modulus", "1,0,1"],
+    "thm8_s16_n3_k15_mod10011.ssd.gz":
+        ["construct", "--theorem", "8", "--s", "16", "--n", "3", "--k", "15",
+         "--branch", "5*X1+11*X2+X3",
+         "--levels", "0,1,2,3,4,5,7,8,9,10,11,12,13,14,15",
+         "--modulus", "1,0,0,1,1"],
 }
 
 

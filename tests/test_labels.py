@@ -148,11 +148,10 @@ def test_eval_labels_matches_scalar(gf4):
         [eval_label(gf4, lab, p) for lab in labels] for p in pts]
 
 
-def _every_field():
-    """Prime fields, and GF(q), q <= 27, under every irreducible modulus."""
-    fields = [default_field(p) for p in (2, 3, 5, 7, 11, 13)]
-    for q, p, r in ((4, 2, 2), (8, 2, 3), (9, 3, 2), (16, 2, 4), (25, 5, 2),
-                    (27, 3, 3)):
+def _every_modulus(*orders):
+    """GF(q) under every irreducible modulus, for each (q, p, r)."""
+    fields = []
+    for q, p, r in orders:
         for tail in itertools.product(range(p), repeat=r):
             try:
                 fields.append(Field(q, tail + (1,)))
@@ -161,7 +160,12 @@ def _every_field():
     return fields
 
 
-EVERY_FIELD = _every_field()
+# prime fields, and GF(q), q <= 27, under every irreducible modulus
+EVERY_FIELD = [default_field(p) for p in (2, 3, 5, 7, 11, 13)]
+EVERY_FIELD += _every_modulus((4, 2, 2), (8, 2, 3), (9, 3, 2), (16, 2, 4),
+                              (25, 5, 2), (27, 3, 3))
+# the widest fields whose 4096-point plane takes whole rows at n = 2
+WIDE_FIELDS = _every_modulus((32, 2, 5), (64, 2, 6))
 
 
 @st.composite
@@ -189,6 +193,86 @@ def test_eval_labels_matches_scalar_every_modulus(batch):
         pts = pts[rows]
     assert eval_labels(f, labels, n, rows).tolist() == [
         [eval_label(f, lab, p) for lab in labels] for p in pts]
+
+
+@st.composite
+def wide_field_batches(draw):
+    """GF(32) or GF(64) under any modulus at n = 2: s forms whose coefficient
+    at one coordinate takes every field value, so every row c of the affine
+    table is read, random quadratic labels, and random rows."""
+    f = draw(st.sampled_from(WIDE_FIELDS))
+    s = f.order
+    sym = st.integers(0, s - 1)
+    other = draw(st.lists(sym, min_size=s, max_size=s))
+    swept = draw(st.sampled_from([0, 1]))
+    labels = [LinearForm((c, o) if swept == 0 else (o, c))
+              for c, o in zip(range(s), other)]
+    form = st.builds(LinearForm, st.tuples(sym, sym))
+    labels += draw(st.lists(st.builds(QuadraticLabel, form, sym, form),
+                            max_size=6))
+    rows = draw(st.lists(st.integers(0, s * s - 1), min_size=1, max_size=30))
+    return f, labels, rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_field_batches())
+def test_eval_labels_over_gf32_and_gf64_matches_scalar(batch):
+    """Whole rows of tables of up to 64^3 entries, on the full grid and at
+    kept rows, against the scalar evaluator at those rows."""
+    f, labels, rows = batch
+    want = [[eval_label(f, lab, p) for lab in labels]
+            for p in enumerate_points(f, 2)[rows]]
+    assert eval_labels(f, labels, 2, rows).tolist() == want
+    assert eval_labels(f, labels, 2)[rows].tolist() == want
+
+
+@pytest.mark.parametrize("s,n", [(9, 4), (16, 4), (64, 3), (4096, 2)])
+def test_eval_labels_above_max_order_matches_scalar(s, n):
+    """Point sets above MAX_ORDER, as branch_fraction evaluates them, take
+    the last coordinate a point at a time: at kept rows, and (up to 64^3
+    points) on the whole point set, a block of points at a time."""
+    f = default_field(s)
+    N = s**n
+    rng = np.random.default_rng(s)
+
+    def form():
+        return LinearForm(tuple(int(c) for c in rng.integers(s, size=n)))
+
+    labels = [form() for _ in range(4)] + [unit_form(n, n - 1)]
+    if s < 4096:   # an s x s square table at s = 4096 would be 67 MB
+        labels += [QuadraticLabel(form(), int(rng.integers(s)), form())
+                   for _ in range(2)]
+    rows = rng.choice(N, size=1500, replace=False)
+    pts = rows[:, None] // s ** np.arange(n - 1, -1, -1) % s
+    want = [[eval_label(f, lab, p) for lab in labels] for p in pts]
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 1000 points, or of the whole prefixes that hold them
+        mp.setattr(poly_labels, "EVAL_BLOCK_CELLS", 1000)
+        assert eval_labels(f, labels, n, rows).tolist() == want
+        if N <= 64**3:
+            assert eval_labels(f, labels, n)[rows].tolist() == want
+
+
+def test_kept_rows_of_gf4096_squared_build_no_s2_table():
+    """A fraction of GF(4096)^2 evaluates its linear labels at its 4096
+    kept points alone: no whole-row table of s^2 entries (33.5 MB), and no
+    index over the 16.7M points, is allocated."""
+    import tracemalloc
+    f = default_field(4096)
+    s = f.order
+    rows = np.random.default_rng(1).choice(s * s, size=4096, replace=False)
+    labels = [LinearForm((c, 1)) for c in (0, 1, 77, s - 1)] + [
+        unit_form(2, 0)]
+    tracemalloc.start()
+    try:
+        out = eval_labels(f, labels, 2, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4096, 5)
+    assert peak < s * s // 4
+    x1, x2 = rows // s, rows % s
+    assert (out[:, 4] == x1).all() and (out[:, 0] == x2).all()
 
 
 @st.composite
@@ -231,6 +315,14 @@ def test_eval_labels_at_kept_rows_is_the_full_grid_at_those_rows(batch):
 def test_eval_labels_rejects_wrong_variable_count(gf3):
     with pytest.raises(ValueError, match="2 variables, expected 3"):
         eval_labels(gf3, [unit_form(2, 0)], 3)
+
+
+@pytest.mark.parametrize("n", [2, 8])   # whole rows, and point by point
+def test_eval_labels_rejects_rows_outside_the_points(gf3, n):
+    N = 3**n
+    for rows in ([0, N], [-1, 2]):
+        with pytest.raises(ValueError, match=f"rows must lie in 0..{N - 1}"):
+            eval_labels(gf3, [unit_form(n, 0)], n, rows)
 
 
 def test_label_round_trip(gf3, gf5):

@@ -15,9 +15,11 @@ from ssd.criteria import aggregate_stats
 from ssd.design_core import (MAX_COLUMNS, Design, _gram_tiles, cells_sparse,
                              design_sums, level_groups, realize)
 from ssd.gf import default_field
-from ssd.oracle import (DEFAULT_BUDGET, MAX_CANDIDATES, _agreement_table,
-                        _balanced_columns, exhaustive_min_a2, gwlp_bruteforce,
-                        pair_table, pair_a2_from_table, periodicity_spot_check)
+from ssd import oracle
+from ssd.oracle import (DEFAULT_BUDGET, MAX_CANDIDATES, SearchResult,
+                        _agreement_table, _balanced_columns, exhaustive_min_a2,
+                        gwlp_bruteforce, pair_table, pair_a2_from_table,
+                        periodicity_spot_check)
 from ssd.poly_labels import h_set
 
 # Results of the per-candidate Fraction search this integer search replaced,
@@ -94,6 +96,42 @@ def test_certified_stop_and_budget():
         exhaustive_min_a2(16, 4, 2)
     with pytest.raises(ValueError, match="divisible"):
         exhaustive_min_a2(7, 3, 2)
+
+
+def _no_table(rows):
+    raise AssertionError("the agreement table was built")
+
+
+def test_budget_below_the_first_node_builds_no_table(monkeypatch, capsys):
+    """The root's children cost one evaluation per candidate, so a budget
+    below the candidate count is refused before the candidates and their
+    agreement table (677 MB at N = 22, s = 2) are built."""
+    monkeypatch.setattr(oracle, "_agreement_table", _no_table)
+    count = math.factorial(22) // math.factorial(11) ** 2
+    for budget in (1000, count - 1):
+        assert exhaustive_min_a2(22, 2, 2, budget) == SearchResult(
+            best_a2=None, design=None, exhaustive=False, certified=False,
+            evaluations=budget + 1, budget=budget)
+    assert run(["oracle", "min-a2", "--N", "22", "--s", "2", "--m", "2",
+                "--budget", "1000"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: no complete design within the budget of "
+                       "1000 evaluations\n")
+
+
+@pytest.mark.parametrize("N,s", [(22, 2), (6, 3), (8, 4)])
+def test_one_column_search_builds_no_table(monkeypatch, N, s):
+    """One column has no pair to score: the first balanced column is a best
+    design, with no evaluation and no table, whatever the budget."""
+    first = _balanced_columns(N, s)[0] if N < 22 else [0] * 11 + [1] * 11
+    monkeypatch.setattr(oracle, "_agreement_table", _no_table)
+    for budget in (0, 1000):
+        res = exhaustive_min_a2(N, s, 1, budget)
+        assert (res.best_a2, res.exhaustive, res.certified, res.evaluations,
+                res.budget) == (0, True, True, 0, budget)
+        assert (res.design.N, res.design.m, res.design.levels) == (N, 1, (s,))
+        assert res.design.matrix[:, 0].tolist() == list(first)
 
 
 def test_min_never_beats_bound(catalog_rows):
