@@ -1,16 +1,14 @@
 """Lower bounds on overall A2 and the optimality certificate.
 
-The sharpened equal-level bound (lb_theorem1) adds to the Cauchy-Schwarz term
-of lb_lemma2 a correction from the integrality of row coincidence counts:
-with K1 = m(N-s)/((N-1)s) and eta its fractional part,
-
-    A2 >= m(s-1)(ms - m - N + 1)/(2(N-1)) + (N-1) s^2 eta (1-eta)/(2N),
-
-and equality holds exactly when all pairwise coincidence counts differ by at
-most one, in which case the design is optimal under generalized minimum
-aberration.  The mixed-level bound (lb_theorem10) depends on the level
-profile only through sum(s_k) - m, which the method of replacement leaves
-invariant.  Certification uses exact rational equality, never a tolerance.
+All of them come from one count of row coincidences.  Theorem 10 bounds A2
+by (T - m)(T - m - N + 1)/(2(N-1)), T the sum of the level counts, which the
+method of replacement leaves invariant.  Lemma 2 is that closed form at
+T = ms, and the two-level E(s^2) bound is its N^2/C(m, 2) rescaling at
+T = 2m.  Theorem 1 adds the integrality term (N-1) s^2 eta (1-eta)/(2N), eta
+the fractional part of m(N-s)/((N-1)s); it is met exactly when all pairwise
+coincidence counts differ by at most one, which makes the design optimal
+under generalized minimum aberration.  Certification uses exact rational
+equality, never a tolerance.
 """
 
 from __future__ import annotations
@@ -32,25 +30,29 @@ def _check_shape(N: int, m: int, levels, name: str = "s") -> None:
         raise ValueError(f"column count m must be at least 1, got {m}")
 
 
-def lb_lemma2(N: int, m: int, s: int) -> Fraction:
-    """Baseline equal-level bound m(s-1)(ms-m-N+1)/(2(N-1)); may be negative."""
-    _check_shape(N, m, (s,))
-    if N % s:
-        raise ValueError("run count must be divisible by the level count")
-    return Fraction(m * (s - 1) * (m * s - m - N + 1), 2 * (N - 1))
+def _coincidence_bound(N: int, T: int, m: int) -> Fraction:
+    """Theorem 10's (T - m)(T - m - N + 1)/(2(N-1)), T the level sum."""
+    return Fraction((T - m) * (T - m - N + 1), 2 * (N - 1))
 
 
-def eta_fraction(N: int, m: int, s: int) -> Fraction:
-    """Fractional part of the mean coincidence count m(N-s)/((N-1)s)."""
-    _check_shape(N, m, (s,))
-    k1 = Fraction(m * (N - s), (N - 1) * s)
-    return k1 - (k1.numerator // k1.denominator)
+def _es2_per_a2(N: int, m: int) -> Fraction:
+    """E(s^2) / A2 = N^2 / C(m, 2) of a two-level design."""
+    return Fraction(2 * N * N, m * (m - 1))
 
 
 def lb_theorem1(N: int, m: int, s: int) -> Fraction:
-    """Sharpened equal-level bound; achieved iff coincidence spread <= 1."""
-    eta = eta_fraction(N, m, s)
-    return lb_lemma2(N, m, s) + Fraction(N - 1, 2 * N) * s * s * eta * (1 - eta)
+    """Sharpened equal-level bound; achieved iff coincidence spread <= 1.
+
+    Lemma 2 is Theorem 10's bound at T = ms (the E(s^2) bound is its
+    N^2/C(m, 2) rescaling at s = 2); Theorem 1 adds the integrality term
+    (N-1) s^2 eta (1-eta)/(2N), eta the fractional part of m(N-s)/((N-1)s).
+    """
+    _check_shape(N, m, (s,))
+    if N % s:
+        raise ValueError("run count must be divisible by the level count")
+    eta = Fraction(m * (N - s) % ((N - 1) * s), (N - 1) * s)
+    return (_coincidence_bound(N, m * s, m)
+            + Fraction(N - 1, 2 * N) * s * s * eta * (1 - eta))
 
 
 def lb_theorem10(N: int, levels) -> Fraction:
@@ -61,8 +63,7 @@ def lb_theorem10(N: int, levels) -> Fraction:
     for s in distinct:
         if N % s:
             raise ValueError("run count must be divisible by every level count")
-    T, m = int(sum(levels)), len(levels)
-    return Fraction((T - m) * (T - m - N + 1), 2 * (N - 1))
+    return _coincidence_bound(N, int(sum(levels)), len(levels))
 
 
 def lb_es2(N: int, m: int) -> Fraction:
@@ -74,8 +75,8 @@ def lb_es2(N: int, m: int) -> Fraction:
     _check_shape(N, m, ())
     if m < 2:
         raise ValueError("need at least two columns")
-    raw = Fraction(N * N * (m - N + 1), (m - 1) * (N - 1))
-    return max(raw, Fraction(0))
+    return max(_es2_per_a2(N, m) * _coincidence_bound(N, 2 * m, m),
+               Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -101,29 +102,26 @@ def certify(stats: CriteriaReport) -> BoundReport:
     with the bound clamped at zero, so a strength-2 array trivially achieves
     a nonpositive bound.  For equal-level supersaturated designs achievement
     is equivalent to the coincidence counts spreading by at most one.
+    E(s^2) = N^2 A2 / C(m, 2) meets its bound iff A2 meets Theorem 10's.
     """
     N, m, levels, a2 = stats.N, stats.m, stats.levels, stats.A2
     distinct = set(levels)
-    t10 = max(lb_theorem10(N, levels), Fraction(0))
-    if len(distinct) == 1:
-        s = levels[0]
-        t1_raw = lb_theorem1(N, m, s)
+    raw = lb_theorem10(N, levels)
+    t10 = max(raw, Fraction(0))
+    if len(distinct) == 1:    # Lemma 2 is Theorem 10's bound at equal levels
+        t1_raw, l2 = lb_theorem1(N, m, levels[0]), raw
         t1 = max(t1_raw, Fraction(0))
-        l2 = lb_lemma2(N, m, s)
         achieved1 = a2 == t1
     else:
-        t1_raw = t1 = l2 = None
-        achieved1 = None
+        t1_raw = t1 = l2 = achieved1 = None
     two_level = distinct == {2}
-    es2_bound = lb_es2(N, m) if two_level else None
-    achieved_es2 = (stats.E_s2 == es2_bound) if two_level else None
     return BoundReport(
         a2=a2,
         theorem1_raw=t1_raw, theorem1=t1, lemma2=l2,
         theorem10=t10,
-        eq1_es2=es2_bound,
+        eq1_es2=_es2_per_a2(N, m) * t10 if two_level else None,
         achieved_theorem1=achieved1,
         achieved_theorem10=a2 == t10,
-        achieved_es2=achieved_es2,
+        achieved_es2=a2 == t10 if two_level else None,
         coincidence_spread=max(stats.coincidences) - min(stats.coincidences),
         supersaturated=sum(levels) - m > N - 1)

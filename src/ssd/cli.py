@@ -147,7 +147,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bound(args) -> int:
     """Print every applicable bound; all are worked out before any is printed."""
-    from .bounds import lb_es2, lb_lemma2, lb_theorem1, lb_theorem10
+    from .bounds import lb_es2, lb_theorem1, lb_theorem10
     N, m, s = args.N, args.m, args.s
     if args.levels is not None:
         unread = _unread_flags(args, ("m", "s"), ())
@@ -161,9 +161,10 @@ def _cmd_bound(args) -> int:
               file=sys.stderr)
         return 2
     else:
-        lines = [_clamped("theorem1", lb_theorem1(N, m, s)),
-                 _clamped("lemma2", lb_lemma2(N, m, s)),
-                 _clamped("theorem10", lb_theorem10(N, [s] * m))]
+        t1 = lb_theorem1(N, m, s)
+        t10 = lb_theorem10(N, [s] * m)   # at equal levels, Lemma 2's bound
+        lines = [_clamped("theorem1", t1), _clamped("lemma2", t10),
+                 _clamped("theorem10", t10)]
         if s == 2:
             lines.append(f"eq1_es2 = {lb_es2(N, m)}")
     print("\n".join(lines))
